@@ -23,6 +23,7 @@ import os
 import sys
 import time
 from fractions import Fraction
+from math import prod
 
 from . import __version__
 
@@ -57,7 +58,7 @@ def _load_json(path: str):
 
 
 def _fractions(values):
-    return [Fraction(v) if isinstance(v, str) else Fraction(v) for v in values]
+    return [Fraction(v) for v in values]
 
 
 def _threads() -> int:
@@ -192,7 +193,7 @@ def cmd_group(args) -> tuple[dict, bool, dict]:
         factors = grpcoh.cohomology_group(P, A, args.degree)
         payload = {"group": P.name, "coefficients": list(A.orders),
                    "degree": args.degree, "invariant_factors": factors,
-                   "order": 1 if not factors else _prod(factors),
+                   "order": prod(factors),
                    "trivial": not factors}
     elif args.group_cmd == "cocycles":
         P = _get_group(args.group, inputs)
@@ -216,13 +217,6 @@ def cmd_group(args) -> tuple[dict, bool, dict]:
     else:  # pragma: no cover
         raise SystemExit(f"unknown group subcommand {args.group_cmd}")
     return payload, failed, inputs
-
-
-def _prod(xs):
-    out = 1
-    for x in xs:
-        out *= x
-    return out
 
 
 def _get_sigma(args, E, P, inputs):
@@ -433,16 +427,18 @@ def cmd_spacetime(args) -> tuple[dict, bool, dict]:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("json", "text"), default="json")
-    common.add_argument("--timing", action="store_true",
-                        help="include elapsed time (breaks byte-identical output)")
-
     parser = argparse.ArgumentParser(
         prog="cohomkit",
-        parents=[common],
         description="group/Lie cohomology, central extensions, wedge boosts, "
                     "and finite-dimensional modular theory")
+    # the leaf copies of the global flags default to SUPPRESS, so they never
+    # overwrite a value given before the subcommand
+    common = argparse.ArgumentParser(add_help=False)
+    suppress = argparse.SUPPRESS
+    for p, fmt, timing in ((parser, "json", False), (common, suppress, suppress)):
+        p.add_argument("--format", choices=("json", "text"), default=fmt)
+        p.add_argument("--timing", action="store_true", default=timing,
+                       help="include elapsed time (breaks byte-identical output)")
     sub = parser.add_subparsers(dest="domain", required=True)
 
     lie = sub.add_parser("lie", help="Lie algebra computations")

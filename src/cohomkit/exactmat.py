@@ -9,9 +9,11 @@ integer matrices carry arbitrary-precision ints and support Smith normal form
 Rational rank goes through fraction-free Bareiss elimination: rows are cleared
 of denominators once, after which all updates are exact integer operations
 with single-step division, keeping intermediate entries polynomial in the
-input size.  The modulus-2 specialization packs each row into a Python int so
-that a row operation is one big-integer XOR; group-cohomology coboundary
-matrices over Z/2 are by far the largest matrices the toolkit sees.
+input size.  Over the local rings Z/p^e, `local_smith_exponents` reads off the
+elementary divisors by elimination on reduced residues, so no entry grows;
+GF(p) rank is its e = 1 case.  Over GF(2) it packs each row into a Python
+int so that a row operation is one big-integer XOR; group-cohomology
+coboundary matrices are by far the largest matrices the toolkit sees.
 
 All matrix values are immutable after construction and safe to share.
 """
@@ -30,6 +32,8 @@ __all__ = [
     "SmithDecomposition",
     "rank",
     "kernel_basis",
+    "local_smith_exponents",
+    "prime_power_factors",
     "smith_normal_form",
     "smith_transforms",
     "solve_mod",
@@ -37,15 +41,21 @@ __all__ = [
 ]
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
+def prime_power_factors(n: int) -> list[tuple[int, int]]:
+    """The pairs (p, e) with p^e exactly dividing n ([] for n < 2)."""
+    out = []
     d = 2
     while d * d <= n:
         if n % d == 0:
-            return False
+            e = 0
+            while n % d == 0:
+                n //= d
+                e += 1
+            out.append((d, e))
         d += 1
-    return True
+    if n > 1:
+        out.append((n, 1))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +236,7 @@ class PrimeFieldMatrix:
     entries: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if not _is_prime(self.modulus):
+        if prime_power_factors(self.modulus) != [(self.modulus, 1)]:
             raise ValueError(f"modulus {self.modulus} is not prime")
         if len(self.entries) != self.rows:
             raise ValueError("row count does not match entry grid")
@@ -244,18 +254,12 @@ class PrimeFieldMatrix:
         ncols = len(data[0]) if data else 0
         return cls(modulus, nrows, ncols, data)
 
-    def _packed(self) -> list[int]:
-        # bit j of word i <-> entry (i, j); only meaningful for modulus 2
-        return [sum(1 << j for j, x in enumerate(row) if x) for row in self.entries]
-
     def rank(self) -> int:
-        if self.modulus == 2:
-            return _gf2_eliminate(self._packed())[1]
-        return _gfp_eliminate([list(r) for r in self.entries], self.modulus)[1]
+        return len(local_smith_exponents(self, self.modulus, 1))
 
     def kernel_basis(self) -> list[tuple[int, ...]]:
         if self.modulus == 2:
-            reduced, _ = _gf2_eliminate(self._packed(), reduce_up=True)
+            reduced, _ = _gf2_eliminate(_packed(self.entries), reduce_up=True)
             pivots = {}
             for w in reduced:
                 if w:
@@ -270,7 +274,7 @@ class PrimeFieldMatrix:
                         v[c] = 1
                 basis.append(tuple(v))
             return basis
-        reduced, _ = _gfp_eliminate([list(r) for r in self.entries], self.modulus, reduce_up=True)
+        reduced = _gfp_reduce([list(r) for r in self.entries], self.modulus)
         pivots = []
         for row in reduced:
             piv = next((j for j, x in enumerate(row) if x), None)
@@ -287,6 +291,11 @@ class PrimeFieldMatrix:
                 v[c] = (-reduced[r][f]) % p
             basis.append(tuple(v))
         return basis
+
+
+def _packed(rows: Iterable[Sequence[int]]) -> list[int]:
+    # bit j of word i <-> entry (i, j) mod 2
+    return [sum(1 << j for j, x in enumerate(row) if x % 2) for row in rows]
 
 
 def _lowest_bit(w: int) -> int:
@@ -315,7 +324,8 @@ def _gf2_eliminate(words: list[int], reduce_up: bool = False) -> tuple[list[int]
     return ordered, len(ordered)
 
 
-def _gfp_eliminate(m: list[list[int]], p: int, reduce_up: bool = False) -> tuple[list[list[int]], int]:
+def _gfp_reduce(m: list[list[int]], p: int) -> list[list[int]]:
+    """Reduced row echelon form over GF(p), zero rows dropped."""
     rows = len(m)
     cols = len(m[0]) if m else 0
     r = 0
@@ -326,15 +336,48 @@ def _gfp_eliminate(m: list[list[int]], p: int, reduce_up: bool = False) -> tuple
         m[r], m[piv] = m[piv], m[r]
         inv = pow(m[r][c], p - 2, p)
         m[r] = [(x * inv) % p for x in m[r]]
-        lo = 0 if reduce_up else r + 1
-        for i in range(lo, rows):
+        for i in range(rows):
             if i != r and m[i][c]:
                 f = m[i][c]
                 m[i] = [(a - f * b) % p for a, b in zip(m[i], m[r])]
         r += 1
         if r == rows:
             break
-    return [row for row in m if any(row)], r
+    return [row for row in m if any(row)]
+
+
+def local_smith_exponents(m: IntegerMatrix | PrimeFieldMatrix, p: int, e: int) -> list[int]:
+    """Exponents a < e of the elementary divisors p^a of m over Z/p^e.
+
+    Divisors vanishing mod p^e are not listed, so for e = 1 the length is
+    the rank over GF(p).  Level v = 0..e-1 pivots, column by column, on an
+    entry of valuation exactly v, clears that column in every other row and
+    drops the pivot row; afterwards every entry is divisible by p^(v+1).
+    Entries stay reduced mod p^e, so nothing grows.
+    """
+    q = p ** e
+    if q == 2:
+        return [0] * _gf2_eliminate(_packed(m.entries))[1]
+    live = [row for row in ([x % q for x in r] for r in m.entries) if any(row)]
+    exponents = []
+    for v in range(e):
+        pv, above = p ** v, p ** (v + 1)
+        for c in range(m.cols):
+            i = next((i for i, row in enumerate(live) if row[c] % above), None)
+            if i is None:
+                continue
+            piv = live.pop(i)
+            exponents.append(v)
+            inv = pow(piv[c] // pv, -1, q)
+            # every column of the pivot row, not only those from c on: an
+            # earlier column of higher-valuation entries changes too
+            support = [(j, x) for j, x in enumerate(piv) if x]
+            for row in live:
+                if row[c]:
+                    f = row[c] // pv * inv % q
+                    for j, x in support:
+                        row[j] = (row[j] - f * x) % q
+    return exponents
 
 
 # ---------------------------------------------------------------------------
@@ -374,9 +417,6 @@ class IntegerMatrix:
 
     def to_rational(self) -> RationalMatrix:
         return RationalMatrix.from_rows(self.entries)
-
-    def to_prime_field(self, p: int) -> PrimeFieldMatrix:
-        return PrimeFieldMatrix.from_rows(p, self.entries)
 
     def smith_normal_form(self) -> list[int]:
         return list(smith_transforms(self, want_u=False, want_v=False).factors)

@@ -309,26 +309,25 @@ def _search_coboundary(P: FiniteGroup, A: AbelianCoefficients,
 
 
 def are_equivalent(ext1: CentralExtensionTable, ext2: CentralExtensionTable,
-                   strategy: str = "auto") -> Cochain | None:
+                   strategy: str = "solve") -> Cochain | None:
     """Equivalence witness phi with omega1 - omega2 = d_1 phi, or None.
 
-    When found, the coordinate map (a, p) -> (a + phi(p), p) is verified to be
+    `strategy` is "solve" (linear algebra) or "search" (the exhaustive
+    oracle).  When found, the coordinate map (a, p) -> (a + phi(p), p) is verified to be
     an isomorphism from ext2's carrier to ext1's carrier commuting with both
     projections and fixing the embedded kernel pointwise (the direction is
     fixed by the sign convention of the multiplication rule).
     """
+    finders = {"solve": _solve_coboundary, "search": _search_coboundary}
+    if strategy not in finders:
+        raise ValueError(f"unknown equivalence strategy {strategy!r} (use 'solve' or 'search')")
     if ext1.base.table != ext2.base.table:
         raise ValueError("extensions have different base groups")
     if ext1.kernel != ext2.kernel:
         raise ValueError("extensions have different kernels")
     P, A = ext1.base, ext1.kernel
     target = ext1.cocycle - ext2.cocycle
-    if strategy == "search":
-        phi = _search_coboundary(P, A, target)
-    elif strategy == "solve":
-        phi = _solve_coboundary(P, A, target)
-    else:
-        phi = _solve_coboundary(P, A, target)
+    phi = finders[strategy](P, A, target)
     if phi is None:
         return None
     _verify_equivalence_map(ext1, ext2, phi)

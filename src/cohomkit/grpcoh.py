@@ -14,10 +14,11 @@ extensions).
 
 Two computation routes coexist and are cross-checked in the tests:
 
-* a linear-algebra route over Z: each cyclic coefficient factor Z_m turns
-  Z^n, B^n, H^n into integer-lattice computations handled through the Smith
-  normal form (prime m additionally gets a direct GF(p) rank shortcut, with
-  the packed-bit GF(2) eliminator underneath);
+* a linear-algebra route over Z: for each cyclic coefficient factor Z_m and
+  each prime power p^e exactly dividing m, H^n is read off the elementary
+  divisors of the integer coboundary matrices d_n and d_(n-1) over Z/p^e
+  (universal coefficients on the free integer cochain complex), and Z^n
+  comes from the Smith form of d_n;
 * exhaustive enumeration, available whenever |A|^(|P|^n) <= 2^20, kept as an
   independent oracle.
 
@@ -34,7 +35,7 @@ from itertools import combinations, product
 from math import gcd, prod
 from typing import Iterable, Sequence
 
-from .exactmat import IntegerMatrix, RationalMatrix, kernel_mod, smith_transforms
+from .exactmat import IntegerMatrix, kernel_mod, local_smith_exponents, prime_power_factors
 
 __all__ = [
     "FiniteGroup",
@@ -151,6 +152,8 @@ class FiniteGroup:
 
     @classmethod
     def cyclic(cls, n: int) -> "FiniteGroup":
+        if n < 1:
+            raise ValueError(f"cyclic group order must be at least 1, got {n}")
         table = tuple(tuple((i + j) % n for j in range(n)) for i in range(n))
         return cls(n, table, 0, f"z{n}")
 
@@ -638,72 +641,31 @@ def _invariant_factors_merge(cyclic_orders: Iterable[int]) -> list[int]:
     """Canonical divisor chain of a direct sum of cyclic groups."""
     primary: dict[int, list[int]] = {}
     for m in cyclic_orders:
-        if m <= 1:
-            continue
-        rest = m
-        d = 2
-        while d * d <= rest:
-            if rest % d == 0:
-                e = 0
-                while rest % d == 0:
-                    rest //= d
-                    e += 1
-                primary.setdefault(d, []).append(d ** e)
-            d += 1
-        if rest > 1:
-            primary.setdefault(rest, []).append(rest)
-    for p in primary:
-        primary[p].sort(reverse=True)
-    depth = max((len(v) for v in primary.values()), default=0)
-    chain = []
-    for i in range(depth):
-        f = 1
-        for p in primary:
-            if i < len(primary[p]):
-                f *= primary[p][i]
-        chain.append(f)
-    return sorted(chain)
+        for p, e in prime_power_factors(m):
+            primary.setdefault(p, []).append(p ** e)
+    chains = [sorted(powers, reverse=True) for powers in primary.values()]
+    depth = max(map(len, chains), default=0)
+    return sorted(prod(c[i] for c in chains if i < len(c)) for i in range(depth))
 
 
 def _h_factors_single(group: FiniteGroup, m: int, degree: int) -> list[int]:
-    """Cyclic orders of H^degree(P, Z_m), one coefficient factor at a time."""
+    """Cyclic orders of H^degree(P, Z_m), by universal coefficients.
+
+    The integer cochain complex is free, so it splits into summands Z and
+    Z --(x s)--> Z.  For p^e exactly dividing m, with a and b the exponents
+    below e of the elementary divisors of d_degree and d_(degree-1) over
+    Z/p^e, the p-part of H^degree is (Z/p^e)^(k - |a| - |b|) plus Z/p^x for
+    each x > 0 in a and b, where k = |P|^degree.
+    """
     d_n = coboundary_matrix(group, degree)
     d_prev = coboundary_matrix(group, degree - 1)
-
-    def _is_prime(x):
-        return x >= 2 and all(x % d for d in range(2, int(x ** 0.5) + 1))
-
-    if _is_prime(m):
-        z_dim = d_n.cols - d_n.to_prime_field(m).rank()
-        b_dim = d_prev.to_prime_field(m).rank()
-        return [m] * (z_dim - b_dim)
-
-    # composite m: present Z^n / B^n through the kernel lattice
-    # L = {f in Z^k : d_n f = 0 (mod m)}, whose basis K comes from the Smith
-    # form d_n V = U^{-1} D; then H = L / (im d_prev + m Z^k) = coker(K^{-1} [d_prev | mI]).
-    k = d_n.cols
-    dec = smith_transforms(d_n, want_u=False, want_v=True)
-    factors = dec.factors
-    scale = [m // gcd(factors[i], m) if i < len(factors) else 1 for i in range(k)]
-    # one block elimination of [K | d_prev | mI] gives [I | K^{-1} d_prev | m K^{-1}]
-    aug_rows = []
-    for r in range(k):
-        row = [dec.v.entries[r][c] * scale[c] for c in range(k)]
-        row += [d_prev.entries[r][j] for j in range(d_prev.cols)]
-        row += [m if r == j else 0 for j in range(k)]
-        aug_rows.append(row)
-    reduced, pivots = RationalMatrix.from_rows(aug_rows).rref()
-    if pivots != tuple(range(k)):
-        raise RuntimeError("kernel-lattice basis is singular")  # V unimodular: impossible
-    ngen = d_prev.cols + k
-    x_rows = []
-    for r in range(k):
-        row = reduced.entries[r][k:k + ngen]
-        if any(f.denominator != 1 for f in row):
-            raise RuntimeError("lattice coordinates are not integral")
-        x_rows.append([int(f) for f in row])
-    x_mat = IntegerMatrix.from_rows(x_rows)  # k x (#gens)
-    return [f for f in x_mat.smith_normal_form() if f > 1]
+    orders = []
+    for p, e in prime_power_factors(m):
+        a = local_smith_exponents(d_n, p, e)
+        b = local_smith_exponents(d_prev, p, e)
+        orders += [p ** e] * (d_n.cols - len(a) - len(b))
+        orders += [p ** x for x in a + b if x > 0]
+    return orders
 
 
 def cohomology_group(group: FiniteGroup, coeffs: AbelianCoefficients,

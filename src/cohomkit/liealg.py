@@ -557,22 +557,12 @@ def builtin(name: str) -> LieAlgebra:
 # JSON structure-constant format
 
 
-def _fraction_str(x: Fraction) -> str:
-    return str(x)
-
-
-def _parse_fraction(s) -> Fraction:
-    if isinstance(s, str):
-        return Fraction(s)
-    return Fraction(s)
-
-
 def algebra_to_json(g: LieAlgebra) -> str:
     brackets = []
     for i in range(g.dim):
         for j in range(i + 1, g.dim):
             vec = g.bracket_vector(i, j)
-            coeffs = {g.labels[k]: _fraction_str(vec[k]) for k in range(g.dim) if vec[k]}
+            coeffs = {g.labels[k]: str(vec[k]) for k in range(g.dim) if vec[k]}
             if coeffs:
                 brackets.append({"i": i, "j": j, "coeffs": coeffs})
     return json.dumps(
@@ -603,7 +593,7 @@ def algebra_from_json(text: str | dict, name: str = "", validate: bool = True) -
                 k = labels.index(key)
             else:
                 k = int(key)
-            coeffs[k] = _parse_fraction(val)
+            coeffs[k] = Fraction(val)
         a, b = (i, j) if i < j else (j, i)
         oriented = coeffs if i < j else {k: -v for k, v in coeffs.items()}
         if (a, b) in seen:

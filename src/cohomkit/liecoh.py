@@ -105,15 +105,7 @@ class CEComplex:
 
 def lie_cohomology_dim(g: LieAlgebra, k: int) -> int:
     """dim H^k(g, R) = dim ker d_k - rank d_{k-1}."""
-    n = g.dim
-    if not 0 <= k <= n:
-        raise ValueError(f"degree {k} out of range 0..{n}")
-    dk = ce_differential(g, k)
-    kernel_dim = dk.cols - dk.rank()
-    if k == 0:
-        return kernel_dim
-    prev_rank = ce_differential(g, k - 1).rank()
-    return kernel_dim - prev_rank
+    return cohomology_report(g, k)["dim_H"]
 
 
 def cohomology_report(g: LieAlgebra, k: int) -> dict:

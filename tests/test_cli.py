@@ -85,6 +85,20 @@ def test_group_h_z3_trivial(capsys):
     assert rep["result"]["trivial"] is True
 
 
+def test_group_h_rejects_order_zero_but_not_trivial_group(capsys):
+    code = main(["group", "h", "--group", "z0", "--coeff", "z2", "--degree", "2"])
+    assert code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "cyclic group order must be at least 1, got 0" in captured.err
+    for degree in ("1", "2"):
+        code, rep = run_json(capsys, "group", "h", "--group", "z1", "--coeff", "z2",
+                             "--degree", degree)
+        assert code == EXIT_OK
+        assert rep["result"]["invariant_factors"] == []
+        assert rep["result"]["trivial"] is True
+
+
 def _nontrivial_cocycle_file(tmp_path):
     values = [{"args": [p, q], "value": [1 if p == 1 and q == 1 else 0]}
               for p in range(2) for q in range(2)]
@@ -256,6 +270,31 @@ def test_text_format(capsys):
                     "--degree", "1", "--format", "text")
     assert code == EXIT_OK
     assert "invariant_factors" in out and "{" not in out.split("\n")[0]
+
+
+H_Z2_ARGV = ("group", "h", "--group", "z2", "--coeff", "z2", "--degree", "2")
+
+
+def test_timing_flag_before_or_after_subcommand(capsys):
+    reports = []
+    for argv in (("--timing",) + H_Z2_ARGV, H_Z2_ARGV + ("--timing",)):
+        code, rep = run_json(capsys, *argv)
+        assert code == EXIT_OK
+        assert rep.pop("elapsed_ms") >= 0
+        rep.pop("command")
+        reports.append(rep)
+    assert reports[0] == reports[1]
+
+
+def test_format_flag_before_or_after_subcommand(capsys):
+    outs = []
+    for argv in (("--format", "text") + H_Z2_ARGV, H_Z2_ARGV + ("--format", "text")):
+        code, out = run(capsys, *argv)
+        assert code == EXIT_OK
+        assert not out.startswith("{")
+        outs.append([line for line in out.splitlines() if not line.startswith("command:")])
+    assert outs[0] == outs[1]
+    assert "  invariant_factors: [2]" in outs[0]
 
 
 def test_golden_report_group_h(capsys, monkeypatch):

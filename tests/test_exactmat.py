@@ -11,6 +11,7 @@ from cohomkit.exactmat import (
     RationalMatrix,
     kernel_basis,
     kernel_mod,
+    local_smith_exponents,
     rank,
     smith_normal_form,
     smith_transforms,
@@ -202,6 +203,33 @@ def test_gfp_rank_and_kernel():
             assert r == sum(1 for d in snf if d % p)
             for v in basis:
                 assert all(sum(a * b for a, b in zip(row, v)) % p == 0 for row in rows)
+
+
+# ---------------------------------------------------------------------------
+# elementary divisors over Z/p^e
+
+
+def _valuation(d: int, p: int) -> int:
+    v = 0
+    while d % p == 0:
+        d //= p
+        v += 1
+    return v
+
+
+def test_local_smith_exponents_match_smith_valuations():
+    # over Z/p^e the elementary divisors are p^min(v_p(d), e) for the Smith
+    # factors d; those with v_p(d) >= e vanish and are not listed
+    rng = random.Random(2024)
+    for p, e in ((2, 1), (2, 2), (2, 3), (3, 1), (3, 2)):
+        for _ in range(40):
+            nrows, ncols = rng.randint(1, 5), rng.randint(1, 5)
+            m = IntegerMatrix.from_rows(
+                [[rng.randint(-4, 4) * rng.choice((1, 1, p, p * p)) for _ in range(ncols)]
+                 for _ in range(nrows)])
+            expected = sorted(v for v in (_valuation(d, p) for d in smith_normal_form(m))
+                              if v < e)
+            assert local_smith_exponents(m, p, e) == expected, (p, e, m.entries)
 
 
 # ---------------------------------------------------------------------------

@@ -187,6 +187,13 @@ def test_solver_and_search_strategies_agree():
                    (are_equivalent(e1, e2, "search") is None)
 
 
+def test_unknown_equivalence_strategy_is_rejected():
+    e = build_extension(Z2, A2, Cochain.zero(Z2, A2, 2))
+    for strategy in ("auto", "slove", ""):
+        with pytest.raises(ValueError, match=repr(strategy)):
+            are_equivalent(e, e, strategy)
+
+
 def test_equivalence_requires_same_base_and_kernel():
     e1 = build_extension(Z2, A2, Cochain.zero(Z2, A2, 2))
     z3 = group_by_name("z3")

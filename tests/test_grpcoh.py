@@ -262,6 +262,7 @@ def test_h2_values_cross_checked_against_enumeration():
         ("klein4", "z2"): [2, 2, 2],
         ("z3", "z3"): [3],
         ("z2", "z4"): [2],
+        ("z2", "z8"): [2],
     }
     for (gname, aname), expected in cases.items():
         P, A = group_by_name(gname), coefficients_by_name(aname)
@@ -355,10 +356,11 @@ def test_delta_delta_zero_s3_z6_fifty_cochains():
 
 def test_h2_of_cyclic_groups_is_gcd_cyclic():
     # classical: central extensions of Z_n by Z_m form a cyclic group of
-    # order gcd(n, m); exercises both the prime and the composite route
+    # order gcd(n, m); exercises prime moduli and prime powers p^e with e >= 2
     from math import gcd
 
-    for n, m in ((2, 2), (2, 4), (4, 2), (4, 4), (3, 6), (6, 4), (8, 4), (4, 6)):
+    for n, m in ((2, 2), (2, 4), (4, 2), (4, 4), (3, 6), (6, 4), (8, 4), (4, 6),
+                 (8, 8), (4, 8), (6, 9), (12, 8)):
         P = group_by_name(f"z{n}")
         A = coefficients_by_name(f"z{m}")
         factors = cohomology_group(P, A, 2)
@@ -368,7 +370,8 @@ def test_h2_of_cyclic_groups_is_gcd_cyclic():
 
 def test_coboundary_matrices_compose_to_zero_over_z():
     # d_{n+1} d_n = 0 already at the integer-matrix level, which the
-    # kernel-lattice presentation of H^n relies on
+    # universal-coefficient reading of H^n from the elementary divisors of
+    # d_n and d_{n-1} relies on
     for name in ("z2", "z4", "s3"):
         P = group_by_name(name)
         d1 = coboundary_matrix(P, 1)
@@ -380,9 +383,9 @@ def test_coboundary_matrices_compose_to_zero_over_z():
 
 def test_a4_cohomology_large_matrices():
     # a4's degree-2 coboundary matrix is 1728 x 144: exercises the packed
-    # GF(2) eliminator and the composite-modulus lattice route at real size.
-    # Cross-checked against universal coefficients with H_1(A4) = Z3 and
-    # H_2(A4) = Z2: H^2(A4, M) = Ext(Z3, M) + Hom(Z2, M).
+    # GF(2) eliminator and the elimination over Z/p^e (e = 1, 2, 3) at real
+    # size.  Cross-checked against universal coefficients with H_1(A4) = Z3
+    # and H_2(A4) = Z2: H^2(A4, M) = Ext(Z3, M) + Hom(Z2, M).
     a4 = group_by_name("a4")
     assert cohomology_group(a4, coefficients_by_name("z2"), 1) == []
     assert cohomology_group(a4, coefficients_by_name("z2"), 2) == [2]
@@ -391,9 +394,13 @@ def test_a4_cohomology_large_matrices():
     assert cohomology_group(a4, coefficients_by_name("z4"), 2) == [2]
     # Z2 + Z3 merges into the canonical divisor chain [6]
     assert cohomology_group(a4, coefficients_by_name("z6"), 2) == [6]
+    assert cohomology_group(a4, coefficients_by_name("z8"), 2) == [2]
+    assert cohomology_group(a4, coefficients_by_name("z9"), 2) == [3]
+    assert cohomology_group(a4, coefficients_by_name("z12"), 2) == [6]
 
 
 def test_q8_composite_coefficients():
     # Schur multiplier of Q8 is trivial, so H^2(Q8, Z4) = Ext(Z2 x Z2, Z4)
     q8 = group_by_name("q8")
     assert cohomology_group(q8, coefficients_by_name("z4"), 2) == [2, 2]
+    assert cohomology_group(q8, coefficients_by_name("z8"), 2) == [2, 2]
