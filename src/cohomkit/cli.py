@@ -115,10 +115,9 @@ def _get_algebra(spec: str, inputs: dict):
     return liealg.builtin(spec)
 
 
-def cmd_lie(args) -> tuple[dict, bool, dict]:
+def cmd_lie(args, inputs: dict[str, str]) -> tuple[dict, bool]:
     from . import liealg, liecoh
 
-    inputs: dict[str, str] = {}
     failed = False
     if args.lie_cmd == "validate":
         from .liealg import StructureConstantError
@@ -164,7 +163,7 @@ def cmd_lie(args) -> tuple[dict, bool, dict]:
             payload["contains_translations"] = all(ideal.contains(t) for t in trans)
     else:  # pragma: no cover
         raise SystemExit(f"unknown lie subcommand {args.lie_cmd}")
-    return payload, failed, inputs
+    return payload, failed
 
 
 # ---------------------------------------------------------------------------
@@ -182,10 +181,9 @@ def _get_group(spec: str, inputs: dict):
     return grpcoh.group_by_name(spec)
 
 
-def cmd_group(args) -> tuple[dict, bool, dict]:
+def cmd_group(args, inputs: dict[str, str]) -> tuple[dict, bool]:
     from . import ext, grpcoh
 
-    inputs: dict[str, str] = {}
     failed = False
     if args.group_cmd == "h":
         P = _get_group(args.group, inputs)
@@ -216,7 +214,7 @@ def cmd_group(args) -> tuple[dict, bool, dict]:
         failed = not report.applicable
     else:  # pragma: no cover
         raise SystemExit(f"unknown group subcommand {args.group_cmd}")
-    return payload, failed, inputs
+    return payload, failed
 
 
 def _get_sigma(args, E, P, inputs):
@@ -243,16 +241,16 @@ def _cmd_group_extension(args, inputs) -> tuple[dict, bool]:
     P = _get_group(args.group, inputs)
     A = grpcoh.coefficients_by_name(args.coeff)
 
-    def load_cocycle(path):
+    def load_extension(path):
         inputs[path] = _digest(path)
-        return grpcoh.Cochain.from_json(_load_json(path), P, A)
-
-    if args.ext_cmd == "build":
-        omega = load_cocycle(args.cocycle)
+        omega = grpcoh.Cochain.from_json(_load_json(path), P, A)
         try:
-            built = ext.build_extension(P, A, omega)
+            return ext.build_extension(P, A, omega)
         except ext.NotACocycleError as exc:
             raise MathFailure({"error": str(exc), "violating_triple": list(exc.triple)})
+
+    if args.ext_cmd == "build":
+        built = load_extension(args.cocycle)
         split = ext.is_split(built)
         payload = {
             "base": P.name, "kernel": list(A.orders),
@@ -267,18 +265,15 @@ def _cmd_group_extension(args, inputs) -> tuple[dict, bool]:
             payload["written"] = args.out
         return payload, False
     if args.ext_cmd == "equiv":
-        w1 = load_cocycle(args.cocycle1)
-        w2 = load_cocycle(args.cocycle2)
-        e1 = ext.build_extension(P, A, w1)
-        e2 = ext.build_extension(P, A, w2)
+        e1 = load_extension(args.cocycle1)
+        e2 = load_extension(args.cocycle2)
         phi = ext.are_equivalent(e1, e2)
         payload = {"equivalent": phi is not None}
         if phi is not None:
             payload["witness"] = [list(v) for v in phi.values]
         return payload, phi is None
     if args.ext_cmd == "split":
-        omega = load_cocycle(args.cocycle)
-        built = ext.build_extension(P, A, omega)
+        built = load_extension(args.cocycle)
         hom = ext.is_split(built)
         payload = {"is_split": hom is not None}
         if hom is not None:
@@ -297,12 +292,11 @@ def _complex_matrix(entries):
     return np.array([[complex(re, im) for re, im in row] for row in entries])
 
 
-def cmd_modular(args) -> tuple[dict, bool, dict]:
+def cmd_modular(args, inputs: dict[str, str]) -> tuple[dict, bool]:
     import numpy as np
 
     from . import modular
 
-    inputs: dict[str, str] = {}
     if args.example:
         if args.example == "tracial":
             algebra = modular.qubit_factor()
@@ -359,7 +353,7 @@ def cmd_modular(args) -> tuple[dict, bool, dict]:
         "t_samples": t_samples,
         "samples": args.samples,
     })
-    return payload, False, inputs
+    return payload, False
 
 
 # ---------------------------------------------------------------------------
@@ -376,12 +370,11 @@ def _load_wedge(path, inputs):
     return spacetime.Wedge.from_frame(lorentz, translation)
 
 
-def cmd_spacetime(args) -> tuple[dict, bool, dict]:
+def cmd_spacetime(args, inputs: dict[str, str]) -> tuple[dict, bool]:
     import numpy as np
 
     from . import spacetime
 
-    inputs: dict[str, str] = {}
     failed = False
     if args.st_cmd == "boost":
         m = spacetime.boost_matrix(args.t)
@@ -419,7 +412,7 @@ def cmd_spacetime(args) -> tuple[dict, bool, dict]:
         }
     else:  # pragma: no cover
         raise SystemExit(f"unknown spacetime subcommand {args.st_cmd}")
-    return payload, failed, inputs
+    return payload, failed
 
 
 # ---------------------------------------------------------------------------
@@ -516,19 +509,21 @@ def main(argv=None) -> int:
     args._command_echo = " ".join(argv if argv is not None else sys.argv[1:])
     started = time.perf_counter()
     seed = getattr(args, "seed", None)
+    # file digests, filled as inputs are read, so failure reports carry them too
+    inputs: dict[str, str] = {}
     try:
         if args.domain == "lie":
-            payload, failed, inputs = cmd_lie(args)
+            payload, failed = cmd_lie(args, inputs)
         elif args.domain == "group":
-            payload, failed, inputs = cmd_group(args)
+            payload, failed = cmd_group(args, inputs)
         elif args.domain == "modular":
-            payload, failed, inputs = cmd_modular(args)
+            payload, failed = cmd_modular(args, inputs)
         elif args.domain == "spacetime":
-            payload, failed, inputs = cmd_spacetime(args)
+            payload, failed = cmd_spacetime(args, inputs)
         else:  # pragma: no cover
             return EXIT_USAGE
     except MathFailure as exc:
-        return _emit(args, exc.payload, {}, started, seed=seed, failed=True)
+        return _emit(args, exc.payload, inputs, started, seed=seed, failed=True)
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -9,11 +9,12 @@ integer matrices carry arbitrary-precision ints and support Smith normal form
 Rational rank goes through fraction-free Bareiss elimination: rows are cleared
 of denominators once, after which all updates are exact integer operations
 with single-step division, keeping intermediate entries polynomial in the
-input size.  Over the local rings Z/p^e, `local_smith_exponents` reads off the
-elementary divisors by elimination on reduced residues, so no entry grows;
-GF(p) rank is its e = 1 case.  Over GF(2) it packs each row into a Python
-int so that a row operation is one big-integer XOR; group-cohomology
-coboundary matrices are by far the largest matrices the toolkit sees.
+input size.  Over Z/p^e one elimination on reduced residues, where no entry
+grows, gives the elementary divisors (GF(p) rank is the e = 1 case) and, by
+the column transforms it records, `kernel_mod` and `solve_mod` for each p^e
+exactly dividing any modulus.  Over GF(2) rows pack into Python ints, so a
+row operation is one XOR; coboundary matrices are the largest matrices the
+toolkit sees.  Smith form with transforms over Z serves `smith_normal_form`.
 
 All matrix values are immutable after construction and safe to share.
 """
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 from typing import Iterable, Sequence
 
 __all__ = [
@@ -346,28 +347,31 @@ def _gfp_reduce(m: list[list[int]], p: int) -> list[list[int]]:
     return [row for row in m if any(row)]
 
 
-def local_smith_exponents(m: IntegerMatrix | PrimeFieldMatrix, p: int, e: int) -> list[int]:
-    """Exponents a < e of the elementary divisors p^a of m over Z/p^e.
+def _local_eliminate(rows: Iterable[Sequence[int]], ncols: int, p: int, e: int):
+    """The one elimination over Z/p^e behind exponents, kernels and solves.
 
-    Divisors vanishing mod p^e are not listed, so for e = 1 the length is
-    the rank over GF(p).  Level v = 0..e-1 pivots, column by column, on an
-    entry of valuation exactly v, clears that column in every other row and
-    drops the pivot row; afterwards every entry is divisible by p^(v+1).
-    Entries stay reduced mod p^e, so nothing grows.
+    Level v = 0..e-1 pivots, column by column, on an entry of valuation
+    exactly v, clears that column in every other row and drops the pivot
+    row; afterwards every live entry is divisible by p^(v+1).  Entries stay
+    reduced mod p^e, so nothing grows.  Entries past `ncols` (a right-hand
+    side) ride along in the row operations but are never pivots.
+
+    Pivots come back as (c, v, inv, row, support), inv = (row[c] / p^v)^-1.
+    The column operations col_j -= (row[j] / p^v) inv col_c that clear the
+    dropped row touch no live row (column c is zero there), so they are only
+    recorded, for `_apply_v`.  U m V is then zero but for the pivots, and the
+    live rows returned are zero mod p^e in their first `ncols` entries.
     """
     q = p ** e
-    if q == 2:
-        return [0] * _gf2_eliminate(_packed(m.entries))[1]
-    live = [row for row in ([x % q for x in r] for r in m.entries) if any(row)]
-    exponents = []
+    live = [row for row in ([x % q for x in r] for r in rows) if any(row)]
+    pivots = []
     for v in range(e):
         pv, above = p ** v, p ** (v + 1)
-        for c in range(m.cols):
+        for c in range(ncols):
             i = next((i for i, row in enumerate(live) if row[c] % above), None)
             if i is None:
                 continue
             piv = live.pop(i)
-            exponents.append(v)
             inv = pow(piv[c] // pv, -1, q)
             # every column of the pivot row, not only those from c on: an
             # earlier column of higher-valuation entries changes too
@@ -377,7 +381,31 @@ def local_smith_exponents(m: IntegerMatrix | PrimeFieldMatrix, p: int, e: int) -
                     f = row[c] // pv * inv % q
                     for j, x in support:
                         row[j] = (row[j] - f * x) % q
-    return exponents
+            pivots.append((c, v, inv, piv, support))
+    return pivots, live
+
+
+def _apply_v(pivots, y: Sequence[int], p: int, e: int) -> list[int]:
+    """V y mod p^e for the column operations recorded by `_local_eliminate`."""
+    x = list(y)
+    n = len(x)
+    for c, v, inv, _, support in reversed(pivots):
+        s = sum(a * x[j] for j, a in support if j != c and j < n)
+        if s:
+            x[c] = (x[c] - s // p ** v * inv) % p ** e
+    return x
+
+
+def local_smith_exponents(m: IntegerMatrix | PrimeFieldMatrix, p: int, e: int) -> list[int]:
+    """Exponents a < e of the elementary divisors p^a of m over Z/p^e.
+
+    Divisors vanishing mod p^e are not listed, so for e = 1 the length is
+    the rank over GF(p).  The sweep is `_local_eliminate`; p^e = 2 packs
+    rows into `_gf2_eliminate` instead.
+    """
+    if p ** e == 2:
+        return [0] * _gf2_eliminate(_packed(m.entries))[1]
+    return [v for _, v, *_ in _local_eliminate(m.entries, m.cols, p, e)[0]]
 
 
 # ---------------------------------------------------------------------------
@@ -414,9 +442,6 @@ class IntegerMatrix:
         if len(vec) != self.cols:
             raise ValueError("vector length does not match column count")
         return tuple(sum(row[j] * vec[j] for j in range(self.cols)) for row in self.entries)
-
-    def to_rational(self) -> RationalMatrix:
-        return RationalMatrix.from_rows(self.entries)
 
     def smith_normal_form(self) -> list[int]:
         return list(smith_transforms(self, want_u=False, want_v=False).factors)
@@ -533,54 +558,63 @@ def smith_transforms(m: IntegerMatrix, want_u: bool = True, want_v: bool = True)
 def solve_mod(m: IntegerMatrix, rhs: Sequence[int], modulus: int) -> list[int] | None:
     """One solution of m x = rhs (mod modulus), or None.
 
-    Solved through the Smith form: with U m V = D the system becomes
-    D y = U rhs with x = V y, and each scalar congruence d y = c (mod n)
-    is solvable iff gcd(d, n) divides c.
+    Per p^e exactly dividing the modulus, `_local_eliminate` runs on m with
+    rhs appended: a pivot u p^a with reduced right-hand side b needs p^a | b
+    and sets y_c = (b / p^a) u^-1, the rows left over need b = 0, and
+    x = V y.  The prime-power solutions are combined by CRT.
     """
     if modulus < 1:
         raise ValueError("modulus must be positive")
-    dec = smith_transforms(m, want_u=True, want_v=True)
-    c = dec.u.apply([int(x) for x in rhs])
-    d = dec.factors
-    y = [0] * m.cols
-    for i in range(m.rows):
-        di = d[i] if i < len(d) else 0
-        ci = c[i] % modulus
-        if di == 0:
-            if ci:
-                return None
-            continue
-        if i >= m.cols:
-            if ci:
-                return None
-            continue
-        g = gcd(di, modulus)
-        if ci % g:
+    if len(rhs) != m.rows:
+        raise ValueError("right-hand side length does not match row count")
+    x = [0] * m.cols
+    for p, e in prime_power_factors(modulus):
+        q = p ** e
+        pivots, live = _local_eliminate(
+            [list(row) + [int(b)] for row, b in zip(m.entries, rhs)], m.cols, p, e)
+        if any(row[-1] for row in live):
             return None
-        nred = modulus // g
-        y[i] = (ci // g) * pow((di // g) % nred, -1, nred) % nred if nred > 1 else 0
-    x = dec.v.apply(y)
-    return [xi % modulus for xi in x]
+        y = [0] * m.cols
+        for c, v, inv, piv, _ in pivots:
+            if piv[-1] % p ** v:
+                return None
+            y[c] = piv[-1] // p ** v * inv % q
+        w = modulus // q
+        crt = w * pow(w, -1, q)  # 1 mod q, 0 mod the other prime powers
+        x = [(a + crt * b) % modulus for a, b in zip(x, _apply_v(pivots, y, p, e))]
+    return x
 
 
 def kernel_mod(m: IntegerMatrix, modulus: int) -> list[tuple[tuple[int, ...], int]]:
     """Generators of {x mod modulus : m x = 0 (mod modulus)} with their orders.
 
-    Returned orders multiply to the solution-group size; generators with
-    order 1 are omitted.
+    Per p^e exactly dividing the modulus, `_local_eliminate` gives m's
+    pivots over Z/p^e: a pivot of valuation a yields V e_c p^(e-a) of order
+    p^a, and an unpivoted column V e_c of order p^e.  The p-parts, scaled
+    into Z/modulus, are summed largest with largest, so the orders are the
+    invariant factors in ascending order, each dividing the next; they
+    multiply to the solution-group size and order-1 generators are omitted.
     """
-    dec = smith_transforms(m, want_u=False, want_v=True)
-    d = dec.factors
+    if modulus < 1:
+        raise ValueError("modulus must be positive")
+    chains = []
+    for p, e in prime_power_factors(modulus):
+        pivots = _local_eliminate(m.entries, m.cols, p, e)[0]
+        level = {c: v for c, v, *_ in pivots}
+        step = modulus // p ** e
+        part = []
+        for c in range(m.cols):
+            a = level.get(c, e)
+            if a:
+                y = [p ** (e - a) if j == c else 0 for j in range(m.cols)]
+                part.append((p ** a, [x * step for x in _apply_v(pivots, y, p, e)]))
+        chains.append(sorted(part, key=lambda g: -g[0]))
     gens = []
-    for i in range(m.cols):
-        di = d[i] if i < len(d) else 0
-        g = gcd(di, modulus) if di else modulus
-        if g == 1:
-            continue
-        step = modulus // g
-        col = tuple(dec.v.entries[r][i] * step % modulus for r in range(m.cols))
-        gens.append((col, g))
-    return gens
+    for i in range(max(map(len, chains), default=0)):
+        links = [chain[i] for chain in chains if i < len(chain)]
+        vec = tuple(sum(col) % modulus for col in zip(*(x for _, x in links)))
+        gens.append((vec, prod(order for order, _ in links)))
+    return gens[::-1]
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ Two computation routes coexist and are cross-checked in the tests:
   each prime power p^e exactly dividing m, H^n is read off the elementary
   divisors of the integer coboundary matrices d_n and d_(n-1) over Z/p^e
   (universal coefficients on the free integer cochain complex), and Z^n
-  comes from the Smith form of d_n;
+  is the kernel of d_n mod m from the same elimination over Z/p^e;
 * exhaustive enumeration, available whenever |A|^(|P|^n) <= 2^20, kept as an
   independent oracle.
 
@@ -556,8 +556,10 @@ class CocycleSpaceDescription:
 
 def cocycle_space(group: FiniteGroup, coeffs: AbelianCoefficients,
                   degree: int) -> CocycleSpaceDescription:
-    """Z^n as the solution group of d_n f = 0, factor by cyclic factor,
-    through the Smith form of the integer coboundary matrix."""
+    """Z^n as the solution group of d_n f = 0, factor by cyclic factor Z_m:
+    `kernel_mod` eliminates the integer coboundary matrix over Z/p^e for
+    each p^e exactly dividing m, so the generator orders are the invariant
+    factors of the kernel mod m, in ascending order."""
     if degree not in (1, 2):
         raise ValueError("cocycle spaces computed for degrees 1 and 2 only")
     dmat = coboundary_matrix(group, degree)

@@ -590,9 +590,13 @@ def algebra_from_json(text: str | dict, name: str = "", validate: bool = True) -
         coeffs: dict[int, Fraction] = {}
         for key, val in item.get("coeffs", {}).items():
             if isinstance(key, str) and not key.lstrip("-").isdigit():
-                k = labels.index(key)
+                k = labels.index(key) if key in labels else -1
             else:
                 k = int(key)
+            if not 0 <= k < n:
+                raise ValueError(
+                    f"unknown label {key!r} in the coeffs of bracket ({i}, {j}); "
+                    f"known labels: {', '.join(labels)} (or indices 0..{n - 1})")
             coeffs[k] = Fraction(val)
         a, b = (i, j) if i < j else (j, i)
         oriented = coeffs if i < j else {k: -v for k, v in coeffs.items()}

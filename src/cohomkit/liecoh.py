@@ -43,6 +43,13 @@ def _wedge_basis(n: int, k: int) -> list[tuple[int, ...]]:
     return list(combinations(range(n), k))
 
 
+def _pair_index(n: int, i: int, j: int) -> int:
+    """Position of (i, j), 0 <= i < j < n, in `_wedge_basis(n, 2)`."""
+    if not 0 <= i < j < n:
+        raise ValueError(f"basis pair ({i}, {j}) out of range for dimension {n}")
+    return i * (2 * n - i - 1) // 2 + j - i - 1
+
+
 def ce_differential(g: LieAlgebra, k: int) -> RationalMatrix:
     """Matrix of d_k from degree-k to degree-(k+1) cochains, in the
     lexicographic wedge bases: shape C(n, k+1) x C(n, k)."""
@@ -130,18 +137,17 @@ class LieCocycle2:
 
     @classmethod
     def from_pairs(cls, g: LieAlgebra, pairs: dict) -> "LieCocycle2":
-        basis = _wedge_basis(g.dim, 2)
-        index = {t: i for i, t in enumerate(basis)}
-        vec = [Fraction(0)] * len(basis)
+        n = g.dim
+        vec = [Fraction(0)] * comb(n, 2)
         for (i, j), val in pairs.items():
             if i == j:
                 if Fraction(val):
                     raise ValueError("an alternating form vanishes on equal arguments")
                 continue
             if i < j:
-                vec[index[(i, j)]] += Fraction(val)
+                vec[_pair_index(n, i, j)] += Fraction(val)
             else:
-                vec[index[(j, i)]] -= Fraction(val)
+                vec[_pair_index(n, j, i)] -= Fraction(val)
         return cls(g, tuple(vec))
 
     @classmethod
@@ -151,9 +157,8 @@ class LieCocycle2:
     def value(self, i: int, j: int) -> Fraction:
         if i == j:
             return Fraction(0)
-        basis = _wedge_basis(self.algebra.dim, 2)
-        index = {t: k for k, t in enumerate(basis)}
-        return self.coeffs[index[(i, j)]] if i < j else -self.coeffs[index[(j, i)]]
+        n = self.algebra.dim
+        return self.coeffs[_pair_index(n, i, j)] if i < j else -self.coeffs[_pair_index(n, j, i)]
 
     def evaluate(self, x: LieElement, y: LieElement) -> Fraction:
         total = Fraction(0)

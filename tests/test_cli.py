@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -45,6 +46,18 @@ def test_lie_validate_corrupted_exits_one(capsys, tmp_path):
     assert code == EXIT_MATH
     assert rep["result"]["valid"] is False
     assert len(rep["result"]["violating_indices"]) == 3
+
+
+def test_lie_validate_names_unknown_label(capsys, tmp_path):
+    bad = {"dim": 3, "labels": ["h", "e", "f"],
+           "brackets": [{"i": 0, "j": 1, "coeffs": {"e": "2"}},
+                        {"i": 1, "j": 2, "coeffs": {"zz": "1"}}]}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(bad))
+    code = main(["lie", "validate", "--algebra", str(path)])
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE
+    assert "'zz'" in err and "(1, 2)" in err and "h, e, f" in err
 
 
 def test_lie_generate_and_ideal(capsys, tmp_path):
@@ -128,6 +141,35 @@ def test_group_extension_build_rejects_noncocycle(capsys, tmp_path):
                          "--coeff", "z2", "--cocycle", str(path))
     assert code == EXIT_MATH
     assert len(rep["result"]["violating_triple"]) == 3
+
+
+def _z2_cochain_file(path, values):
+    path.write_text(json.dumps({
+        "degree": 2, "group_order": 2, "coefficient_orders": [2],
+        "values": [{"args": [p, q], "value": [values.get((p, q), 0)]}
+                   for p in range(2) for q in range(2)]}))
+    return str(path)
+
+
+@pytest.mark.parametrize("subcommand", ["build", "split", "equiv", "equiv-second"])
+def test_group_extension_noncocycle_exits_one_with_triple_and_digest(
+        capsys, tmp_path, subcommand):
+    # w(0, 1) = 1 alone breaks d w = 0 at (0, 0, 1):
+    # w(0, 1) - w(0, 1) + w(0, 1) - w(0, 0) = 1
+    bad = _z2_cochain_file(tmp_path / "bad.json", {(0, 1): 1})
+    zero = _z2_cochain_file(tmp_path / "zero.json", {})
+    files = {"build": ["--cocycle", bad], "split": ["--cocycle", bad],
+             "equiv": ["--cocycle1", bad, "--cocycle2", zero],
+             "equiv-second": ["--cocycle1", zero, "--cocycle2", bad]}[subcommand]
+    code, rep = run_json(capsys, "group", "extension", subcommand.split("-")[0],
+                         "--group", "z2", "--coeff", "z2", *files)
+    assert code == EXIT_MATH
+    assert rep["result"]["violating_triple"] == [0, 0, 1]
+    paths = files[1::2]
+    # files are read in order and the first non-cocycle stops the run
+    for path in paths[:paths.index(bad) + 1]:
+        with open(path, "rb") as fh:
+            assert rep["inputs"][path] == hashlib.sha256(fh.read()).hexdigest()
 
 
 def test_group_extension_split_and_equiv(capsys, tmp_path):

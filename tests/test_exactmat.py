@@ -1,7 +1,8 @@
 import random
+import time
 from fractions import Fraction
-from itertools import combinations
-from math import gcd
+from itertools import combinations, product
+from math import gcd, prod
 
 import pytest
 
@@ -303,51 +304,91 @@ def _int_det(entries):
 # modular solving
 
 
+def _brute_solutions(m: IntegerMatrix, rhs, modulus: int) -> list[tuple[int, ...]]:
+    return [cand for cand in product(range(modulus), repeat=m.cols)
+            if all((x - b) % modulus == 0 for x, b in zip(m.apply(cand), rhs))]
+
+
 def test_solve_mod_brute_force():
     rng = random.Random(31)
-    for modulus in (2, 3, 4, 6):
-        for _ in range(20):
-            nrows, ncols = rng.randint(1, 3), rng.randint(1, 3)
+    for modulus, count, size in ((2, 20, 3), (3, 20, 3), (4, 20, 3), (6, 20, 3),
+                                 (8, 12, 4), (9, 12, 4), (12, 8, 4)):
+        for trial in range(count):
+            nrows, ncols = rng.randint(1, size), rng.randint(1, size)
             m = IntegerMatrix.from_rows(
-                [[rng.randint(-3, 3) for _ in range(ncols)] for _ in range(nrows)])
-            rhs = [rng.randint(0, modulus - 1) for _ in range(nrows)]
-            sol = solve_mod(m, rhs, modulus)
-            brute = None
-            from itertools import product
-            for cand in product(range(modulus), repeat=ncols):
-                if all(x % modulus == b for x, b in zip(m.apply(cand), rhs)):
-                    brute = cand
-                    break
-            if brute is None:
-                assert sol is None
+                [[rng.randint(-3, 3) * rng.choice((1, 1, 2, 3)) for _ in range(ncols)]
+                 for _ in range(nrows)])
+            if trial % 2:  # a right-hand side in the image, so solutions exist
+                rhs = [x % modulus for x in m.apply(
+                    [rng.randint(0, modulus - 1) for _ in range(ncols)])]
             else:
-                assert sol is not None
-                assert all(x % modulus == b for x, b in zip(m.apply(sol), rhs))
+                rhs = [rng.randint(0, modulus - 1) for _ in range(nrows)]
+            sol = solve_mod(m, rhs, modulus)
+            if not _brute_solutions(m, rhs, modulus):
+                assert sol is None, (modulus, m.entries, rhs)
+            else:
+                assert sol is not None, (modulus, m.entries, rhs)
+                assert all(0 <= x < modulus for x in sol)
+                assert all((x - b) % modulus == 0 for x, b in zip(m.apply(sol), rhs))
+
+
+def _span(gens, ncols: int, modulus: int) -> set[tuple[int, ...]]:
+    spanned = {(0,) * ncols}
+    frontier = [(0,) * ncols]
+    while frontier:
+        cur = frontier.pop()
+        for vec, _ in gens:
+            nxt = tuple((a + b) % modulus for a, b in zip(cur, vec))
+            if nxt not in spanned:
+                spanned.add(nxt)
+                frontier.append(nxt)
+    return spanned
 
 
 def test_kernel_mod_generates_all_solutions():
-    from itertools import product
-
     rng = random.Random(17)
-    for modulus in (2, 3, 4):
-        for _ in range(10):
-            nrows, ncols = rng.randint(1, 3), rng.randint(1, 3)
+    for modulus, count, size in ((2, 10, 3), (3, 10, 3), (4, 10, 3),
+                                 (8, 8, 4), (9, 8, 4), (12, 6, 4)):
+        for _ in range(count):
+            nrows, ncols = rng.randint(1, size), rng.randint(1, size)
             m = IntegerMatrix.from_rows(
-                [[rng.randint(-2, 2) for _ in range(ncols)] for _ in range(nrows)])
+                [[rng.randint(-2, 2) * rng.choice((1, 1, 2, 3)) for _ in range(ncols)]
+                 for _ in range(nrows)])
             gens = kernel_mod(m, modulus)
-            brute = {cand for cand in product(range(modulus), repeat=ncols)
-                     if all(x % modulus == 0 for x in m.apply(cand))}
-            spanned = {(0,) * ncols}
-            frontier = [(0,) * ncols]
-            while frontier:
-                cur = frontier.pop()
-                for vec, _ in gens:
-                    nxt = tuple((a + b) % modulus for a, b in zip(cur, vec))
-                    if nxt not in spanned:
-                        spanned.add(nxt)
-                        frontier.append(nxt)
-            assert spanned == brute
-            size = 1
-            for _, order in gens:
-                size *= order
-            assert size == len(brute)
+            brute = set(_brute_solutions(m, [0] * nrows, modulus))
+            assert _span(gens, ncols, modulus) == brute, (modulus, m.entries)
+            orders = [order for _, order in gens]
+            assert prod(orders) == len(brute)
+            # the orders are gcd(d_i, modulus) over the Smith factors, zero
+            # factors padded up to the column count, order-1 terms dropped
+            snf = smith_normal_form(m)
+            assert orders == [g for g in (gcd(d, modulus) for d in
+                                          snf + [0] * (ncols - len(snf))) if g > 1]
+            for vec, order in gens:
+                assert all(order * x % modulus == 0 for x in vec)
+
+
+# Integer Smith form with transforms grows this matrix's entries to millions of
+# bits; the elimination over Z/p^e keeps every entry below p^e.
+_SMITH_BLOWUP_6X6 = ((-3, -9, -4, -36, -2, -9), (-9, 27, 6, -12, -1, -27),
+                     (-12, 12, -4, 4, 6, 1), (-9, 1, 3, 3, -18, 0),
+                     (-4, -3, 1, -1, 9, 3), (2, -36, 1, 27, -3, -4))
+
+
+def test_kernel_and_solve_mod_on_smith_blowup_matrix():
+    m = IntegerMatrix.from_rows(_SMITH_BLOWUP_6X6)
+    rhs = [x % 12 for x in m.apply([1, 5, 7, 0, 11, 2])]
+    start = time.perf_counter()
+    gens4, gens12 = kernel_mod(m, 4), kernel_mod(m, 12)
+    sol4 = solve_mod(m, [b % 4 for b in rhs], 4)
+    sol12 = solve_mod(m, rhs, 12)
+    assert time.perf_counter() - start < 1.0
+    brute = set(_brute_solutions(m, [0] * 6, 4))
+    assert _span(gens4, 6, 4) == brute
+    assert prod(order for _, order in gens4) == len(brute)
+    for modulus, gens in ((4, gens4), (12, gens12)):
+        for vec, order in gens:
+            assert all(x % modulus == 0 for x in m.apply(vec))
+            assert all(order * x % modulus == 0 for x in vec)
+    assert all((x - b) % 4 == 0 for x, b in zip(m.apply(sol4), rhs))
+    assert all((x - b) % 12 == 0 for x, b in zip(m.apply(sol12), rhs))

@@ -14,6 +14,8 @@ from cohomkit.liealg import (
 from cohomkit.liecoh import (
     CEComplex,
     LieCocycle2,
+    _pair_index,
+    _wedge_basis,
     ce_differential,
     cohomology_report,
     lie_central_extension,
@@ -227,3 +229,12 @@ def test_cocycle_evaluation_antisymmetry():
     x = p3.element([Fraction(rng.randint(-3, 3)) for _ in range(6)])
     y = p3.element([Fraction(rng.randint(-3, 3)) for _ in range(6)])
     assert omega.evaluate(x, y) == -omega.evaluate(y, x)
+
+
+def test_pair_index_matches_wedge_basis():
+    for n in range(1, 9):
+        for k, (i, j) in enumerate(_wedge_basis(n, 2)):
+            assert _pair_index(n, i, j) == k
+    g = builtin("sl2")
+    with pytest.raises(ValueError):
+        LieCocycle2.from_pairs(g, {(0, 3): 1})
