@@ -57,6 +57,18 @@ def _load_json(path: str):
         ) from exc
 
 
+# what a malformed but parseable JSON input raises while it is loaded
+_LOAD_ERRORS = (KeyError, TypeError, ValueError, AttributeError)
+
+
+def _load_error(path: str, exc: Exception) -> ValueError:
+    """A usage error (exit 2) naming the input file and, if one is missing,
+    the key."""
+    if isinstance(exc, KeyError):
+        return ValueError(f"{path}: missing key {exc.args[0]!r}")
+    return ValueError(f"{path}: {exc}")
+
+
 def _fractions(values):
     return [Fraction(v) for v in values]
 
@@ -111,7 +123,13 @@ def _get_algebra(spec: str, inputs: dict):
     if os.path.exists(spec):
         inputs[spec] = _digest(spec)
         with open(spec, "r", encoding="utf-8") as fh:
-            return liealg.algebra_from_json(fh.read(), name=os.path.basename(spec))
+            text = fh.read()
+        try:
+            return liealg.algebra_from_json(text, name=os.path.basename(spec))
+        except liealg.StructureConstantError:
+            raise
+        except _LOAD_ERRORS as exc:
+            raise _load_error(spec, exc) from exc
     return liealg.builtin(spec)
 
 
@@ -176,8 +194,11 @@ def _get_group(spec: str, inputs: dict):
     if os.path.exists(spec):
         inputs[spec] = _digest(spec)
         obj = _load_json(spec)
-        return grpcoh.FiniteGroup.from_table(
-            obj["table"], obj.get("identity"), name=os.path.basename(spec))
+        try:
+            return grpcoh.FiniteGroup.from_table(
+                obj["table"], obj.get("identity"), name=os.path.basename(spec))
+        except _LOAD_ERRORS as exc:
+            raise _load_error(spec, exc) from exc
     return grpcoh.group_by_name(spec)
 
 

@@ -559,16 +559,18 @@ def cocycle_space(group: FiniteGroup, coeffs: AbelianCoefficients,
     """Z^n as the solution group of d_n f = 0, factor by cyclic factor Z_m:
     `kernel_mod` eliminates the integer coboundary matrix over Z/p^e for
     each p^e exactly dividing m, so the generator orders are the invariant
-    factors of the kernel mod m, in ascending order."""
+    factors of the kernel mod m, in ascending order.  Factors of equal
+    order share one elimination."""
     if degree not in (1, 2):
         raise ValueError("cocycle spaces computed for degrees 1 and 2 only")
     dmat = coboundary_matrix(group, degree)
+    kernels = {m: kernel_mod(dmat, m) for m in set(coeffs.orders)}
     gens: list[tuple[Cochain, int]] = []
     total = 1
     ncols = group.order ** degree
     for fi, m in enumerate(coeffs.orders):
         factor_size = 1
-        for vec, order in kernel_mod(dmat, m):
+        for vec, order in kernels[m]:
             vals = []
             for c in range(ncols):
                 v = [0] * coeffs.rank

@@ -202,13 +202,29 @@ def algebra_closure(generators, tol: float = DEFAULT_TOL) -> MatrixAlgebra:
 
 def commutant(m: MatrixAlgebra) -> MatrixAlgebra:
     """M' = {x : [x, b] = 0 for all b in M}, from the null space of the
-    stacked commutator operators on vec(x)."""
+    stacked commutator operators op_b = 1 (x) b - b^T (x) 1 on vec(x).
+
+    Their Gram matrix is built in closed form,
+
+        sum_b op_b^H op_b = 1 (x) (sum_b b^H b) + (sum_b conj(b) b^T) (x) 1
+                            - X - X^H,   X = sum_b b^T (x) b^H,
+
+    where X is one (k x d^2)^T (k x d^2) product with its axes permuted, so
+    the cost is O(k d^4) rather than a d^2 x d^2 product per basis element."""
     d = m.dim
-    eye = np.eye(d)
-    gram = np.zeros((d * d, d * d), dtype=complex)
-    for b in m.basis:
-        op = np.kron(eye, b) - np.kron(b.T, eye)  # vec(b x - x b)
-        gram += op.conj().T @ op
+    flat = m.basis.reshape(m.size, d * d)  # row b holds b[j, i] at j*d + i
+    # cross[j, i, l, k] = sum_b b[j, i] conj(b[l, k]) = X[(i, k), (j, l)]
+    cross = (flat.T @ flat.conj()).reshape(d, d, d, d)
+    gram = np.empty((d * d, d * d), dtype=complex)
+    g4 = gram.reshape(d, d, d, d)  # g4[i, k, j, l] = gram[i*d + k, j*d + l]
+    np.negative(cross.transpose(1, 3, 0, 2), out=g4)
+    del cross
+    gram += gram.conj().T
+    left = np.einsum("bji,bjl->il", m.basis.conj(), m.basis)  # sum b^H b
+    right = np.einsum("bij,blj->il", m.basis.conj(), m.basis)  # sum conj(b) b^T
+    for i in range(d):
+        g4[i, :, i, :] += left
+        g4[:, i, :, i] += right
     vals, vecs = np.linalg.eigh(gram)
     scale = max(np.max(vals), 1.0)
     null = [vecs[:, i].reshape(d, d).T for i in range(d * d)

@@ -60,6 +60,24 @@ def test_lie_validate_names_unknown_label(capsys, tmp_path):
     assert "'zz'" in err and "(1, 2)" in err and "h, e, f" in err
 
 
+@pytest.mark.parametrize("doc, message", [
+    ({"labels": ["a"]}, "missing key 'dim'"),
+    ({"dim": 2, "brackets": [{"j": 1, "coeffs": {}}]}, "missing key 'i'"),
+    ({"dim": "two"}, "invalid literal for int() with base 10: 'two'"),
+    ({"dim": 2, "brackets": 5}, "'int' object is not iterable"),
+    ({"dim": 2, "brackets": [{"i": 0, "j": 1, "coeffs": [1]}]},
+     "'list' object has no attribute 'items'"),
+])
+def test_lie_loader_errors_name_file_and_key(capsys, tmp_path, doc, message):
+    path = tmp_path / "alg.json"
+    path.write_text(json.dumps(doc))
+    code = main(["lie", "cohomology", "--algebra", str(path), "--degree", "1"])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: {message}\n"
+
+
 def test_lie_generate_and_ideal(capsys, tmp_path):
     gens = tmp_path / "gens.json"
     gens.write_text(json.dumps({"generators": [
@@ -110,6 +128,23 @@ def test_group_h_rejects_order_zero_but_not_trivial_group(capsys):
         assert code == EXIT_OK
         assert rep["result"]["invariant_factors"] == []
         assert rep["result"]["trivial"] is True
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"table": 5}, "'int' object is not iterable"),
+    ({"tab": [[0]]}, "missing key 'table'"),
+    ([[0]], "list indices must be integers or slices, not str"),
+    ({"table": [[0, "x"], [1, 0]]}, "invalid literal for int() with base 10: 'x'"),
+])
+@pytest.mark.parametrize("cmd", ["h", "cocycles"])
+def test_group_loader_errors_name_file_and_key(capsys, tmp_path, doc, message, cmd):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(doc))
+    code = main(["group", cmd, "--group", str(path), "--coeff", "z2", "--degree", "1"])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: {message}\n"
 
 
 def _nontrivial_cocycle_file(tmp_path):

@@ -135,6 +135,45 @@ def test_rank_nullity_random():
             assert all(x == 0 for x in m.apply(v))
 
 
+def _sparse_rational_rows(rng: random.Random, nrows: int, ncols: int) -> list[list[Fraction]]:
+    """Sparse ±1/±2/±3 rows over small denominators, with zero rows and rows
+    that are combinations of earlier ones mixed in."""
+    rows: list[list[Fraction]] = []
+    for _ in range(nrows):
+        kind = rng.random()
+        if kind < 0.15:
+            rows.append([Fraction(0)] * ncols)
+        elif kind < 0.4 and len(rows) >= 2:
+            a, b = rng.sample(rows, 2)
+            s = Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+            t = rng.choice([-2, -1, 1, 3])
+            rows.append([s * x + t * y for x, y in zip(a, b)])
+        else:
+            rows.append([Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([1, 1, 2, 3, 5]))
+                         if rng.random() < 0.3 else Fraction(0) for _ in range(ncols)])
+    return rows
+
+
+def test_sparse_rank_matches_rref_pivots():
+    rng = random.Random(905)
+    for trial in range(400):
+        nrows, ncols = rng.randint(1, 12), rng.randint(1, 12)
+        if trial % 2:  # alternate tall and wide
+            nrows, ncols = max(nrows, ncols), min(nrows, ncols)
+        else:
+            nrows, ncols = min(nrows, ncols), max(nrows, ncols)
+        m = RationalMatrix.from_rows(_sparse_rational_rows(rng, nrows, ncols))
+        assert m.rank() == len(m.rref()[1]), m.entries
+
+
+def test_rank_of_hilbert_matrix_and_its_stack():
+    hilbert = [[Fraction(1, i + j + 1) for j in range(8)] for i in range(8)]
+    assert RationalMatrix.from_rows(hilbert).rank() == 8
+    doubled = hilbert + [[2 * x for x in row] for row in hilbert]
+    stacked = RationalMatrix.from_rows(doubled)
+    assert stacked.rank() == len(stacked.rref()[1]) == 8
+
+
 def test_rref_preserves_row_space():
     rng = random.Random(77)
     for _ in range(15):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from cohomkit.modular import (
+    MatrixAlgebra,
     ModularTriple,
     StateVector,
     algebra_closure,
@@ -85,6 +86,50 @@ def test_commutant_of_full_algebra_is_scalars():
 
 def test_commutant_of_scalars_is_everything():
     assert commutant(algebra_closure([np.eye(2)])).size == 4
+
+
+def _stacked_kron_commutant(m):
+    """Oracle: the null space of the Gram matrix summed term by term from
+    op_b = 1 (x) b - b^T (x) 1, as vec(x) -> vec(b x - x b); eigh returns it
+    orthonormal, which is the trace pairing on x = vec^-1."""
+    d = m.dim
+    eye = np.eye(d)
+    gram = np.zeros((d * d, d * d), dtype=complex)
+    for b in m.basis:
+        op = np.kron(eye, b) - np.kron(b.T, eye)
+        gram += op.conj().T @ op
+    vals, vecs = np.linalg.eigh(gram)
+    null = vecs[:, vals <= 1e-12 * max(np.max(vals), 1.0)]
+    return MatrixAlgebra(d, np.stack([v.reshape(d, d).T for v in null.T]))
+
+
+@pytest.mark.parametrize("case", ["m2", "m3", "m4", "diag5", "blocks", "rotated-blocks"])
+def test_commutant_matches_stacked_kron_oracle(case):
+    if case == "diag5":
+        m, expected = diagonal_algebra(5), 5
+    elif case.endswith("blocks"):
+        # M = C 1_2 + C 1_1 + C 1_2, so M' = M_2 + M_1 + M_2; a complex unitary
+        # makes sum b^H b and sum conj(b) b^T differ, so the two
+        # block-diagonal Gram terms cannot stand in for each other
+        gen = np.diag([1.0, 1.0, 2.0, 3.0, 3.0]).astype(complex)
+        if case == "rotated-blocks":
+            rng = np.random.default_rng(5)
+            u, _ = np.linalg.qr(rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5)))
+            gen = u @ gen @ u.conj().T
+        m, expected = algebra_closure([gen]), 9
+    else:
+        k = int(case[1])
+        rng = np.random.default_rng(k)
+        gens = [np.kron(rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)),
+                        np.eye(k)) for _ in range(2)]
+        m, expected = algebra_closure(gens), k * k
+    mc = commutant(m)
+    oracle = _stacked_kron_commutant(m)
+    assert mc.size == oracle.size == expected
+    assert mc.equals(oracle)
+    for x in mc.basis:
+        for b in m.basis:
+            assert np.max(np.abs(x @ b - b @ x)) <= 1e-10
 
 
 def test_double_commutant_is_identity_operation():
