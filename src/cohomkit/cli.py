@@ -40,33 +40,21 @@ class MathFailure(Exception):
         self.payload = payload
 
 
-def _digest(path: str) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        h.update(fh.read())
-    return h.hexdigest()
-
-
-def _load_json(path: str):
+def _load(path: str, inputs: dict, parse):
+    """parse(obj) for the JSON document at `path`, whose SHA-256 goes into
+    `inputs`.  Every load error becomes a usage error (exit 2) naming the
+    file and, if one is missing, the key."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise SystemExit(
-            f"cannot parse {path}: line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from exc
-
-
-# what a malformed but parseable JSON input raises while it is loaded
-_LOAD_ERRORS = (KeyError, TypeError, ValueError, AttributeError)
-
-
-def _load_error(path: str, exc: Exception) -> ValueError:
-    """A usage error (exit 2) naming the input file and, if one is missing,
-    the key."""
-    if isinstance(exc, KeyError):
-        return ValueError(f"{path}: missing key {exc.args[0]!r}")
-    return ValueError(f"{path}: {exc}")
+        with open(path, "rb") as fh:
+            data = fh.read()
+        inputs[path] = hashlib.sha256(data).hexdigest()
+        return parse(json.loads(data))
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing key {exc.args[0]!r}") from exc
+    # what a missing, unparsable (JSONDecodeError is a ValueError) or
+    # malformed input raises while it is read and parsed
+    except (OSError, IndexError, TypeError, ValueError, AttributeError) as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def _fractions(values):
@@ -121,15 +109,10 @@ def _get_algebra(spec: str, inputs: dict):
     from . import liealg
 
     if os.path.exists(spec):
-        inputs[spec] = _digest(spec)
-        with open(spec, "r", encoding="utf-8") as fh:
-            text = fh.read()
-        try:
-            return liealg.algebra_from_json(text, name=os.path.basename(spec))
-        except liealg.StructureConstantError:
-            raise
-        except _LOAD_ERRORS as exc:
-            raise _load_error(spec, exc) from exc
+        g = _load(spec, inputs, lambda obj: liealg.algebra_from_json(
+            obj, name=os.path.basename(spec), validate=False))
+        g.validate()  # a StructureConstantError is lie validate's finding
+        return g
     return liealg.builtin(spec)
 
 
@@ -163,17 +146,14 @@ def cmd_lie(args, inputs: dict[str, str]) -> tuple[dict, bool]:
         payload = liecoh.cohomology_report(g, args.degree)
     elif args.lie_cmd == "generate":
         g = _get_algebra(args.algebra, inputs)
-        inputs[args.generators] = _digest(args.generators)
-        obj = _load_json(args.generators)
-        gens = [g.element(_fractions(vec)) for vec in obj["generators"]]
+        gens = _load(args.generators, inputs, lambda obj: [
+            g.element(_fractions(vec)) for vec in obj["generators"]])
         span = liealg.generated_subalgebra(g, gens)
         payload = {"algebra": g.name, "generator_count": len(gens),
                    "closure_dim": span.dim, "full": span.dim == g.dim}
     elif args.lie_cmd == "ideal":
         g = _get_algebra(args.algebra, inputs)
-        inputs[args.element] = _digest(args.element)
-        obj = _load_json(args.element)
-        x = g.element(_fractions(obj["element"]))
+        x = _load(args.element, inputs, lambda obj: g.element(_fractions(obj["element"])))
         ideal = liealg.ideal_closure(g, x)
         payload = {"algebra": g.name, "ideal_dim": ideal.dim}
         if g.name.startswith("poincare"):
@@ -192,13 +172,8 @@ def _get_group(spec: str, inputs: dict):
     from . import grpcoh
 
     if os.path.exists(spec):
-        inputs[spec] = _digest(spec)
-        obj = _load_json(spec)
-        try:
-            return grpcoh.FiniteGroup.from_table(
-                obj["table"], obj.get("identity"), name=os.path.basename(spec))
-        except _LOAD_ERRORS as exc:
-            raise _load_error(spec, exc) from exc
+        return _load(spec, inputs, lambda obj: grpcoh.FiniteGroup.from_table(
+            obj["table"], obj.get("identity"), name=os.path.basename(spec)))
     return grpcoh.group_by_name(spec)
 
 
@@ -249,11 +224,13 @@ def _get_sigma(args, E, P, inputs):
         hom = GroupHom(E, P, values)
         hom.validate()
         return hom
-    inputs[args.sigma] = _digest(args.sigma)
-    obj = _load_json(args.sigma)
-    hom = GroupHom(E, P, tuple(int(v) for v in obj["values"]))
-    hom.validate()
-    return hom
+
+    def parse(obj):
+        hom = GroupHom(E, P, tuple(int(v) for v in obj["values"]))
+        hom.validate()
+        return hom
+
+    return _load(args.sigma, inputs, parse)
 
 
 def _cmd_group_extension(args, inputs) -> tuple[dict, bool]:
@@ -263,8 +240,7 @@ def _cmd_group_extension(args, inputs) -> tuple[dict, bool]:
     A = grpcoh.coefficients_by_name(args.coeff)
 
     def load_extension(path):
-        inputs[path] = _digest(path)
-        omega = grpcoh.Cochain.from_json(_load_json(path), P, A)
+        omega = _load(path, inputs, lambda obj: grpcoh.Cochain.from_json(obj, P, A))
         try:
             return ext.build_extension(P, A, omega)
         except ext.NotACocycleError as exc:
@@ -334,14 +310,11 @@ def cmd_modular(args, inputs: dict[str, str]) -> tuple[dict, bool]:
     else:
         if not (args.algebra and args.state):
             raise SystemExit("modular analyze needs --algebra and --state, or --example")
-        inputs[args.algebra] = _digest(args.algebra)
-        inputs[args.state] = _digest(args.state)
-        aobj = _load_json(args.algebra)
-        gens = [_complex_matrix(m) for m in aobj["generators"]]
+        gens = _load(args.algebra, inputs,
+                     lambda obj: [_complex_matrix(m) for m in obj["generators"]])
+        omega = _load(args.state, inputs, lambda obj: modular.StateVector(
+            np.array([complex(re, im) for re, im in obj["vector"]])))
         algebra = modular.algebra_closure(gens)
-        sobj = _load_json(args.state)
-        omega = modular.StateVector(
-            np.array([complex(re, im) for re, im in sobj["vector"]]))
 
     cyclic = modular.is_cyclic(algebra, omega)
     witness = modular.separating_violation(algebra, omega)
@@ -384,11 +357,9 @@ def cmd_modular(args, inputs: dict[str, str]) -> tuple[dict, bool]:
 def _load_wedge(path, inputs):
     from . import spacetime
 
-    inputs[path] = _digest(path)
-    obj = _load_json(path)
-    lorentz = [_fractions(row) for row in obj["lorentz"]]
-    translation = _fractions(obj.get("translation", [0, 0, 0, 0]))
-    return spacetime.Wedge.from_frame(lorentz, translation)
+    return _load(path, inputs, lambda obj: spacetime.Wedge.from_frame(
+        [_fractions(row) for row in obj["lorentz"]],
+        _fractions(obj.get("translation", [0, 0, 0, 0]))))
 
 
 def cmd_spacetime(args, inputs: dict[str, str]) -> tuple[dict, bool]:

@@ -38,8 +38,6 @@ __all__ = [
     "PrimeFieldMatrix",
     "IntegerMatrix",
     "SmithDecomposition",
-    "rank",
-    "kernel_basis",
     "local_smith_exponents",
     "prime_power_factors",
     "smith_normal_form",
@@ -282,41 +280,6 @@ class PrimeFieldMatrix:
     def rank(self) -> int:
         return len(local_smith_exponents(self, self.modulus, 1))
 
-    def kernel_basis(self) -> list[tuple[int, ...]]:
-        if self.modulus == 2:
-            reduced, _ = _gf2_eliminate(_packed(self.entries), reduce_up=True)
-            pivots = {}
-            for w in reduced:
-                if w:
-                    pivots[_lowest_bit(w)] = w
-            free = [c for c in range(self.cols) if c not in pivots]
-            basis = []
-            for f in free:
-                v = [0] * self.cols
-                v[f] = 1
-                for c, w in pivots.items():
-                    if (w >> f) & 1:
-                        v[c] = 1
-                basis.append(tuple(v))
-            return basis
-        reduced = _gfp_reduce([list(r) for r in self.entries], self.modulus)
-        pivots = []
-        for row in reduced:
-            piv = next((j for j, x in enumerate(row) if x), None)
-            if piv is not None:
-                pivots.append(piv)
-        pivot_set = set(pivots)
-        free = [c for c in range(self.cols) if c not in pivot_set]
-        basis = []
-        p = self.modulus
-        for f in free:
-            v = [0] * self.cols
-            v[f] = 1
-            for r, c in enumerate(pivots):
-                v[c] = (-reduced[r][f]) % p
-            basis.append(tuple(v))
-        return basis
-
 
 def _packed(rows: Iterable[Sequence[int]]) -> list[int]:
     # bit j of word i <-> entry (i, j) mod 2
@@ -327,8 +290,8 @@ def _lowest_bit(w: int) -> int:
     return (w & -w).bit_length() - 1
 
 
-def _gf2_eliminate(words: list[int], reduce_up: bool = False) -> tuple[list[int], int]:
-    """Row reduce packed GF(2) rows; a row operation is one XOR."""
+def _gf2_rank(words: list[int]) -> int:
+    """Rank of packed GF(2) rows; a row operation is one XOR."""
     pivots: dict[int, int] = {}
     for w in words:
         cur = w
@@ -339,36 +302,7 @@ def _gf2_eliminate(words: list[int], reduce_up: bool = False) -> tuple[list[int]
             else:
                 pivots[c] = cur
                 break
-    if reduce_up:
-        for c in sorted(pivots, reverse=True):
-            w = pivots[c]
-            for c2 in list(pivots):
-                if c2 != c and (pivots[c2] >> c) & 1:
-                    pivots[c2] ^= w
-    ordered = [pivots[c] for c in sorted(pivots)]
-    return ordered, len(ordered)
-
-
-def _gfp_reduce(m: list[list[int]], p: int) -> list[list[int]]:
-    """Reduced row echelon form over GF(p), zero rows dropped."""
-    rows = len(m)
-    cols = len(m[0]) if m else 0
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, rows) if m[i][c]), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = pow(m[r][c], p - 2, p)
-        m[r] = [(x * inv) % p for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [(a - f * b) % p for a, b in zip(m[i], m[r])]
-        r += 1
-        if r == rows:
-            break
-    return [row for row in m if any(row)]
+    return len(pivots)
 
 
 def _local_eliminate(rows: Iterable[Sequence[int]], ncols: int, p: int, e: int):
@@ -425,10 +359,10 @@ def local_smith_exponents(m: IntegerMatrix | PrimeFieldMatrix, p: int, e: int) -
 
     Divisors vanishing mod p^e are not listed, so for e = 1 the length is
     the rank over GF(p).  The sweep is `_local_eliminate`; p^e = 2 packs
-    rows into `_gf2_eliminate` instead.
+    rows into `_gf2_rank` instead.
     """
     if p ** e == 2:
-        return [0] * _gf2_eliminate(_packed(m.entries))[1]
+        return [0] * _gf2_rank(_packed(m.entries))
     return [v for _, v, *_ in _local_eliminate(m.entries, m.cols, p, e)[0]]
 
 
@@ -639,18 +573,6 @@ def kernel_mod(m: IntegerMatrix, modulus: int) -> list[tuple[tuple[int, ...], in
         vec = tuple(sum(col) % modulus for col in zip(*(x for _, x in links)))
         gens.append((vec, prod(order for order, _ in links)))
     return gens[::-1]
-
-
-# ---------------------------------------------------------------------------
-# dispatch helpers matching the operation names used throughout the package
-
-
-def rank(m: RationalMatrix | PrimeFieldMatrix) -> int:
-    return m.rank()
-
-
-def kernel_basis(m: RationalMatrix | PrimeFieldMatrix):
-    return m.kernel_basis()
 
 
 def smith_normal_form(m: IntegerMatrix) -> list[int]:

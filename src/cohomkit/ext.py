@@ -72,19 +72,6 @@ class NotACocycleError(ValueError):
         self.triple = triple
 
 
-def _first_cocycle_violation(omega: Cochain) -> tuple[int, int, int] | None:
-    P, A = omega.group, omega.coeffs
-    zero = A.zero()
-    for p in P.elements():
-        for q in P.elements():
-            for r in P.elements():
-                val = A.sub(A.add(omega.value(q, r), omega.value(p, P.mul(q, r))),
-                            A.add(omega.value(P.mul(p, q), r), omega.value(p, q)))
-                if val != zero:
-                    return (p, q, r)
-    return None
-
-
 @dataclass(frozen=True)
 class CentralExtensionTable:
     base: FiniteGroup            # P
@@ -185,13 +172,14 @@ def build_extension(P: FiniteGroup, A: AbelianCoefficients, omega: Cochain,
                     validate: bool = True) -> CentralExtensionTable:
     """The group on A x P with multiplication (a+b-omega(p,q), pq).
 
-    A non-cocycle omega is rejected up front with the violating triple;
-    the cocycle condition is exactly associativity of the table.
+    A non-cocycle omega is rejected up front with the violating triple, the
+    arguments of the first nonzero value of d_2 omega; the cocycle condition
+    is exactly associativity of the table.
     """
     if omega.degree != 2 or omega.group.table != P.table or omega.coeffs != A:
         raise ValueError("omega must be a degree-2 cochain on P with values in A")
     if validate:
-        bad = _first_cocycle_violation(omega)
+        bad = coboundary(omega).first_nonzero()
         if bad is not None:
             raise NotACocycleError(
                 f"cochain is not a 2-cocycle: associativity of the extension "

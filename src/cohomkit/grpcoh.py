@@ -12,6 +12,14 @@ so d_{n+1} d_n = 0 and Z^1 = H^1 is the homomorphism group.  Degrees 0..2 are
 supported, which covers H^1 and H^2 (the groups classifying central
 extensions).
 
+The sum is written once, as the signed incidence `_incidence`: one row per
+argument tuple of P^(n+1), each holding the n + 2 signed columns of its
+terms.  `coboundary` applies it to a value table, `coboundary_matrix` adds
+it into a dense integer matrix (refused beyond DENSE_CELL_LIMIT cells), and
+the first nonzero value of d_2 omega is the cocycle witness of
+`ext.build_extension`.  The enumeration oracle writes its equations out
+separately on purpose.
+
 Two computation routes coexist and are cross-checked in the tests:
 
 * a linear-algebra route over Z: for each cyclic coefficient factor Z_m and
@@ -58,10 +66,11 @@ __all__ = [
 ]
 
 ENUMERATION_LIMIT = 2 ** 20
+DENSE_CELL_LIMIT = 2 ** 22  # cells of one dense coboundary matrix
 
 
 class SizeLimitExceeded(ValueError):
-    """An exhaustive path was requested beyond its documented bound."""
+    """A computation was requested beyond its documented size bound."""
 
     def __init__(self, message: str, bound: int, requested: int):
         super().__init__(message)
@@ -371,6 +380,14 @@ def coefficients_by_name(name: str) -> AbelianCoefficients:
 # cochains
 
 
+def _arg_index(args: Sequence[int], order: int) -> int:
+    """Mixed-radix index of an argument tuple (first argument most significant)."""
+    idx = 0
+    for p in args:
+        idx = idx * order + p
+    return idx
+
+
 @dataclass(frozen=True)
 class Cochain:
     """Map P^n -> A stored as a full value table, indexed by the mixed-radix
@@ -385,16 +402,10 @@ class Cochain:
         if len(self.values) != self.group.order ** self.degree:
             raise ValueError("value table size does not match degree")
 
-    def _arg_index(self, args: Sequence[int]) -> int:
-        idx = 0
-        for p in args:
-            idx = idx * self.group.order + p
-        return idx
-
     def value(self, *args: int) -> tuple[int, ...]:
         if len(args) != self.degree:
             raise ValueError(f"cochain of degree {self.degree} takes {self.degree} arguments")
-        return self.values[self._arg_index(args)]
+        return self.values[_arg_index(args, self.group.order)]
 
     @classmethod
     def from_function(cls, group: FiniteGroup, coeffs: AbelianCoefficients,
@@ -418,6 +429,13 @@ class Cochain:
     def is_zero(self) -> bool:
         z = self.coeffs.zero()
         return all(v == z for v in self.values)
+
+    def first_nonzero(self) -> tuple[int, ...] | None:
+        """The arguments of the first nonzero value in mixed-radix
+        (lexicographic) order, or None for the zero cochain."""
+        z = self.coeffs.zero()
+        args = product(range(self.group.order), repeat=self.degree)
+        return next((a for a, v in zip(args, self.values) if v != z), None)
 
     def _same_space(self, other: "Cochain") -> None:
         if (self.group is not other.group and self.group != other.group) or \
@@ -448,8 +466,9 @@ class Cochain:
             "group_order": self.group.order,
             "coefficient_orders": list(self.coeffs.orders),
             "values": [
-                {"args": list(args), "value": list(self.values[self._arg_index(args)])}
-                for args in product(range(self.group.order), repeat=self.degree)
+                {"args": list(args), "value": list(v)}
+                for args, v in zip(product(range(self.group.order), repeat=self.degree),
+                                   self.values)
             ],
         }
 
@@ -466,62 +485,61 @@ class Cochain:
         for args in product(range(group.order), repeat=degree):
             if args not in table:
                 raise ValueError(f"cochain JSON is missing arguments {args}")
+            if len(table[args]) != coeffs.rank:
+                raise ValueError(f"cochain JSON value at arguments {args} has "
+                                 f"{len(table[args])} coordinates, not {coeffs.rank}")
             vals.append(coeffs.reduce(table[args]))
         return cls(group, coeffs, degree, tuple(vals))
 
 
 # ---------------------------------------------------------------------------
-# the coboundary: the alternating sum in additive notation
+# the coboundary: one signed incidence of the alternating sum
+
+
+def _incidence(group: FiniteGroup, n: int) -> list[list[tuple[int, int]]]:
+    """d_n as signed incidence rows: one row per argument tuple of P^(n+1),
+    in mixed-radix order, holding the n + 2 pairs (column, +-1) of the
+    alternating sum (a column may repeat; its signs then add up)."""
+    N, mul = group.order, group.table
+    rows = []
+    for args in product(range(N), repeat=n + 1):
+        row = [(_arg_index(args[1:], N), 1)]
+        for i in range(n):
+            merged = args[:i] + (mul[args[i]][args[i + 1]],) + args[i + 2:]
+            row.append((_arg_index(merged, N), (-1) ** (i + 1)))
+        row.append((_arg_index(args[:n], N), (-1) ** (n + 1)))
+        rows.append(row)
+    return rows
 
 
 def coboundary(f: Cochain) -> Cochain:
-    """d_n f for n <= 2; the alternating sum above, in additive notation."""
+    """d_n f for n <= 2: the incidence applied to f, one coordinate mod m_k
+    at a time."""
     n = f.degree
     if n > 2:
         raise ValueError("coboundary implemented for degrees 0, 1, 2 only")
-    P, A = f.group, f.coeffs
-
-    def dval(*args: int) -> tuple[int, ...]:
-        acc = f.value(*args[1:])
-        sign = -1
-        for i in range(n):
-            merged = args[:i] + (P.mul(args[i], args[i + 1]),) + args[i + 2:]
-            term = f.value(*merged)
-            acc = A.add(acc, term if sign > 0 else A.neg(term))
-            sign = -sign
-        last = f.value(*args[:n])
-        acc = A.add(acc, last if sign > 0 else A.neg(last))
-        return acc
-
-    return Cochain.from_function(P, A, n + 1, dval)
+    vals, orders = f.values, f.coeffs.orders
+    out = tuple(tuple(sum(s * vals[c][k] for c, s in row) % m for k, m in enumerate(orders))
+                for row in _incidence(f.group, n))
+    return Cochain(f.group, f.coeffs, n + 1, out)
 
 
 def coboundary_matrix(group: FiniteGroup, degree: int) -> IntegerMatrix:
     """Integer matrix of d_degree acting on one cyclic coefficient factor:
-    rows indexed by P^{degree+1}, columns by P^{degree}, entries the +-1
-    incidence pattern of the alternating sum."""
-    n = degree
-    N = group.order
-    rows = N ** (n + 1)
-    cols = N ** n
-
-    def arg_index(args):
-        idx = 0
-        for p in args:
-            idx = idx * N + p
-        return idx
-
+    rows indexed by P^{degree+1}, columns by P^{degree}, each row the signed
+    incidence of `_incidence` added into a dense row.  A matrix of more than
+    DENSE_CELL_LIMIT cells is refused before anything is built."""
+    rows, cols = group.order ** (degree + 1), group.order ** degree
+    if rows * cols > DENSE_CELL_LIMIT:
+        raise SizeLimitExceeded(
+            f"d_{degree} of a group of order {group.order} is a {rows} x {cols} matrix: "
+            f"{rows * cols} cells exceed the dense bound of {DENSE_CELL_LIMIT} (2^22)",
+            DENSE_CELL_LIMIT, rows * cols)
     mat = [[0] * cols for _ in range(rows)]
-    for args in product(range(N), repeat=n + 1):
-        r = arg_index(args)
-        mat[r][arg_index(args[1:])] += 1
-        sign = -1
-        for i in range(n):
-            merged = args[:i] + (group.mul(args[i], args[i + 1]),) + args[i + 2:]
-            mat[r][arg_index(merged)] += sign
-            sign = -sign
-        mat[r][arg_index(args[:n])] += sign
-    return IntegerMatrix.from_rows(mat)
+    for dense, row in zip(mat, _incidence(group, degree)):
+        for c, s in row:
+            dense[c] += s
+    return IntegerMatrix(rows, cols, tuple(map(tuple, mat)))
 
 
 # ---------------------------------------------------------------------------
@@ -810,13 +828,9 @@ def construct_splitting(E: FiniteGroup, sigma: GroupHom, extension, phi: Cochain
     if sigma.target.table != extension.base.table:
         raise ValueError("sigma does not land in the extension's base group")
     omega_tilde = inflation(sigma, extension.cocycle)
-    defect = coboundary(phi) - omega_tilde
-    z = phi.coeffs.zero()
-    for g in E.elements():
-        for h in E.elements():
-            if defect.value(g, h) != z:
-                raise ValueError(
-                    f"d phi differs from the inflated cocycle at pair ({g}, {h})")
+    bad = (coboundary(phi) - omega_tilde).first_nonzero()
+    if bad is not None:
+        raise ValueError(f"d phi differs from the inflated cocycle at pair {bad}")
     G = extension.carrier
     values = []
     for g in E.elements():

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import time
 
 import pytest
 
@@ -145,6 +146,19 @@ def test_group_loader_errors_name_file_and_key(capsys, tmp_path, doc, message, c
     assert code == EXIT_USAGE
     assert captured.out == ""
     assert captured.err == f"error: {path}: {message}\n"
+
+
+@pytest.mark.parametrize("cmd", ["h", "cocycles"])
+def test_group_over_dense_budget_exits_two_fast(capsys, cmd):
+    # d_2 of z64 would be a 64^3 x 64^2 dense matrix
+    start = time.perf_counter()
+    code = main(["group", cmd, "--group", "z64", "--coeff", "z2", "--degree", "2"])
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert str(64 ** 5) in captured.err and str(2 ** 22) in captured.err
 
 
 def _nontrivial_cocycle_file(tmp_path):
@@ -323,6 +337,59 @@ def test_spacetime_complement(capsys):
     assert code == EXIT_OK
     assert rep["result"]["involution"] is True
     assert rep["result"]["boost_identity_defect"] < 1e-10
+
+
+# ---------------------------------------------------------------------------
+# malformed JSON inputs
+
+
+_Z2_COCYCLE = {"degree": 2, "group_order": 2, "coefficient_orders": [2],
+               "values": [{"args": [p, q], "value": [0]} for p in range(2) for q in range(2)]}
+_STATE = {"vector": [[0.5, 0], [0.5, 0], [0.5, 0], [0.5, 0]]}
+_ALGEBRA = {"generators": [[[[1, 0], [0, 0], [0, 0], [0, 0]], [[0, 0], [1, 0], [0, 0], [0, 0]],
+                            [[0, 0], [0, 0], [1, 0], [0, 0]], [[0, 0], [0, 0], [0, 0], [1, 0]]]]}
+_EXT = ["group", "extension"]
+_Z2Z2 = ["--group", "z2", "--coeff", "z2"]
+
+
+@pytest.mark.parametrize("argv, flag, doc, good", [
+    (["lie", "generate", "--algebra", "poincare4"], "--generators", {"generators": 5}, {}),
+    (["lie", "generate", "--algebra", "poincare4"], "--generators", {"gens": []}, {}),
+    (["lie", "generate", "--algebra", "poincare4"], "--generators", "{", {}),
+    (["lie", "ideal", "--algebra", "poincare4"], "--element", {"element": 3}, {}),
+    (_EXT + ["build"] + _Z2Z2, "--cocycle", {"degree": 2, "values": 7}, {}),
+    (_EXT + ["split"] + _Z2Z2, "--cocycle", {"degree": 2, "values": 7}, {}),
+    (_EXT + ["build"] + _Z2Z2, "--cocycle",
+     dict(_Z2_COCYCLE, values=[{"args": [p, q], "value": [0] * (1 + p * q)}
+                               for p in range(2) for q in range(2)]), {}),
+    (_EXT + ["equiv"] + _Z2Z2, "--cocycle1", {"degree": 2, "values": 7},
+     {"--cocycle2": _Z2_COCYCLE}),
+    (["group", "correspondence", "--cover", "z4", "--base", "z2", "--coeff", "z2"],
+     "--sigma", {"values": 4}, {}),
+    (["group", "correspondence", "--cover", "z4", "--base", "z2", "--coeff", "z2"],
+     "--sigma", {"values": [0, 1, 0, 7]}, {}),
+    (["modular", "analyze", "--seed", "1"], "--algebra", {"generators": 5},
+     {"--state": _STATE}),
+    (["modular", "analyze", "--seed", "1"], "--state", {"vector": 5},
+     {"--algebra": _ALGEBRA}),
+    (["spacetime", "complement"], "--wedge", {"lorentz": 3}, {}),
+], ids=["generators-int", "generators-missing", "generators-syntax", "element-int",
+        "build-values", "split-values", "value-length", "equiv-values", "sigma-int", "sigma-range",
+        "modular-algebra", "modular-state", "wedge-int"])
+def test_json_input_errors_name_file_and_exit_two(capsys, tmp_path, argv, flag, doc, good):
+    path = tmp_path / "bad.json"
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    extra = []
+    for other, content in good.items():
+        other_path = tmp_path / f"{other.strip('-')}.json"
+        other_path.write_text(json.dumps(content))
+        extra += [other, str(other_path)]
+    code = main(argv + extra + [flag, str(path)])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {path}: ")
+    assert "Traceback" not in captured.err
 
 
 # ---------------------------------------------------------------------------

@@ -10,10 +10,8 @@ from cohomkit.exactmat import (
     IntegerMatrix,
     PrimeFieldMatrix,
     RationalMatrix,
-    kernel_basis,
     kernel_mod,
     local_smith_exponents,
-    rank,
     smith_normal_form,
     smith_transforms,
     solve_mod,
@@ -94,28 +92,28 @@ def naive_rank(rows) -> int:
 
 
 def test_rank_identity():
-    assert rank(RationalMatrix.identity(3)) == 3
+    assert RationalMatrix.identity(3).rank() == 3
 
 
 def test_rank_zero():
-    assert rank(RationalMatrix.zeros(2, 2)) == 0
+    assert RationalMatrix.zeros(2, 2).rank() == 0
 
 
 def test_rank_proportional_rows():
-    assert rank(RationalMatrix.from_rows([[1, 2], [2, 4]])) == 1
+    assert RationalMatrix.from_rows([[1, 2], [2, 4]]).rank() == 1
 
 
 def test_kernel_identity_empty():
-    assert kernel_basis(RationalMatrix.identity(4)) == []
+    assert RationalMatrix.identity(4).kernel_basis() == []
 
 
 def test_kernel_forced_direction():
-    (v,) = kernel_basis(RationalMatrix.from_rows([[1, -1]]))
+    (v,) = RationalMatrix.from_rows([[1, -1]]).kernel_basis()
     assert v[0] == v[1] != 0
 
 
 def test_kernel_zero_matrix():
-    basis = kernel_basis(RationalMatrix.zeros(2, 2))
+    basis = RationalMatrix.zeros(2, 2).kernel_basis()
     assert len(basis) == 2
     assert RationalMatrix.from_rows(basis).rank() == 2
 
@@ -213,6 +211,15 @@ def test_prime_field_requires_prime():
         PrimeFieldMatrix.from_rows(4, [[1]])
 
 
+def _assert_gfp_kernel(rows, ncols: int, p: int, r: int) -> None:
+    """The GF(p) kernel from `kernel_mod` has order p^(cols - rank), and
+    every generator is annihilated mod p."""
+    gens = kernel_mod(IntegerMatrix.from_rows(rows), p)
+    assert prod(order for _, order in gens) == p ** (ncols - r)
+    for v, _ in gens:
+        assert all(sum(a * b for a, b in zip(row, v)) % p == 0 for row in rows)
+
+
 def test_gf2_matches_generic_route():
     rng = random.Random(5)
     for _ in range(30):
@@ -223,10 +230,7 @@ def test_gf2_matches_generic_route():
         # second route: rank over GF(2) = #invariant factors odd
         snf = IntegerMatrix.from_rows(rows).smith_normal_form()
         assert r == sum(1 for d in snf if d % 2)
-        basis = m2.kernel_basis()
-        assert r + len(basis) == ncols
-        for v in basis:
-            assert all(sum(a * b for a, b in zip(row, v)) % 2 == 0 for row in rows)
+        _assert_gfp_kernel(rows, ncols, 2, r)
 
 
 def test_gfp_rank_and_kernel():
@@ -237,12 +241,9 @@ def test_gfp_rank_and_kernel():
             rows = [[rng.randint(0, p - 1) for _ in range(ncols)] for _ in range(nrows)]
             m = PrimeFieldMatrix.from_rows(p, rows)
             r = m.rank()
-            basis = m.kernel_basis()
-            assert r + len(basis) == ncols
             snf = IntegerMatrix.from_rows(rows).smith_normal_form()
             assert r == sum(1 for d in snf if d % p)
-            for v in basis:
-                assert all(sum(a * b for a, b in zip(row, v)) % p == 0 for row in rows)
+            _assert_gfp_kernel(rows, ncols, p, r)
 
 
 # ---------------------------------------------------------------------------

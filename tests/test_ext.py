@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -67,6 +68,16 @@ def test_exactness_invariants():
         assert ext.carrier.order == A.size * P.order
 
 
+def _first_violating_triple(w: Cochain):
+    """Lexicographic scan of w(q,r) + w(p,qr) = w(pq,r) + w(p,q)."""
+    P, A = w.group, w.coeffs
+    for p, q, r in product(P.elements(), repeat=3):
+        if A.add(w.value(q, r), w.value(p, P.mul(q, r))) != \
+                A.add(w.value(P.mul(p, q), r), w.value(p, q)):
+            return (p, q, r)
+    return None
+
+
 def test_noncocycle_rejected_with_violating_triple():
     bad_vals = list(nontrivial_z2_cocycle().values)
     bad_vals[1] = (1,)  # corrupt one value
@@ -81,6 +92,32 @@ def test_noncocycle_rejected_with_violating_triple():
     b = forced.index_of((0,), q)
     c = forced.index_of((0,), r)
     assert g.mul(g.mul(a, b), c) != g.mul(a, g.mul(b, c))
+
+    # on seeded non-cocycles the witness is the lexicographically first
+    # violating triple: random cochains, and coboundaries with one value
+    # changed, which fail first wherever that value enters the equations
+    rng = random.Random(41)
+    rejected = 0
+    for gname, aname in (("z2", "z4"), ("z3", "z2"), ("klein4", "z2xz2"),
+                         ("s3", "z3"), ("q8", "z2"), ("z6", "z4")):
+        P, A = group_by_name(gname), coefficients_by_name(aname)
+        for trial in range(8):
+            if trial % 2:
+                w = Cochain.random(P, A, 2, rng)
+            else:
+                vals = list(coboundary(Cochain.random(P, A, 1, rng)).values)
+                i = rng.randrange(len(vals))
+                vals[i] = A.add(vals[i], tuple(1 + rng.randrange(m - 1) for m in A.orders))
+                w = Cochain(P, A, 2, tuple(vals))
+            expected = _first_violating_triple(w)
+            if expected is None:  # a random draw can be a cocycle
+                build_extension(P, A, w)
+                continue
+            with pytest.raises(NotACocycleError) as err:
+                build_extension(P, A, w)
+            assert err.value.triple == expected, (gname, aname, trial)
+            rejected += 1
+    assert rejected >= 40
 
 
 def test_unnormalized_cocycles_still_build_valid_extensions():

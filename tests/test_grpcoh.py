@@ -153,16 +153,53 @@ def test_delta_delta_zero_sampled(gname, aname):
             assert coboundary(coboundary(f)).is_zero()
 
 
+NAMED_GROUPS = ["z2", "z3", "z4", "z5", "z6", "z8", "klein4", "s3", "q8", "a4"]
+
+
+def reference_terms(P, args):
+    """The signed terms (sign, arguments of f) of (d f)(args), transcribed
+    degree by degree from the alternating sum."""
+    mul = P.mul
+    if len(args) == 1:  # (d f)(p) = f() - f()
+        return [(1, ()), (-1, ())]
+    if len(args) == 2:  # (d f)(p, q) = f(q) - f(pq) + f(p)
+        p, q = args
+        return [(1, (q,)), (-1, (mul(p, q),)), (1, (p,))]
+    p, q, r = args  # (d f)(p, q, r) = f(q, r) - f(pq, r) + f(p, qr) - f(p, q)
+    return [(1, (q, r)), (-1, (mul(p, q), r)), (1, (p, mul(q, r))), (-1, (p, q))]
+
+
 def test_coboundary_matrix_matches_pointwise_coboundary():
+    # both routes against the transcription, on every named group in degrees
+    # 0-2: the matrix row by row, the values with Z4 and Z2xZ2 coefficients
     rng = random.Random(55)
-    P = group_by_name("s3")
-    A = coefficients_by_name("z4")
-    dmat = coboundary_matrix(P, 1)
-    for _ in range(5):
-        f = Cochain.random(P, A, 1, rng)
-        via_matrix = dmat.apply([v[0] for v in f.values])
-        direct = coboundary(f)
-        assert all(x % 4 == d[0] for x, d in zip(via_matrix, direct.values))
+    for gname, n in product(NAMED_GROUPS, (0, 1, 2)):
+        P = group_by_name(gname)
+        N = P.order
+        dmat = coboundary_matrix(P, n)
+        assert (dmat.rows, dmat.cols) == (N ** (n + 1), N ** n)
+        args_list = list(product(range(N), repeat=n + 1))
+        for args, row in zip(args_list, dmat.entries):
+            expected = {}
+            for sign, term in reference_terms(P, args):
+                col = sum(x * N ** (n - 1 - i) for i, x in enumerate(term))
+                expected[col] = expected.get(col, 0) + sign
+            assert {c: x for c, x in enumerate(row) if x} == \
+                {c: x for c, x in expected.items() if x}, (gname, n, args)
+        sparse = [[(c, x) for c, x in enumerate(row) if x] for row in dmat.entries]
+        for aname in ("z4", "z2xz2"):
+            A = coefficients_by_name(aname)
+            for _ in range(3):
+                f = Cochain.random(P, A, n, rng)
+                direct = coboundary(f)
+                for args, row, got in zip(args_list, sparse, direct.values):
+                    expected = A.zero()
+                    for sign, term in reference_terms(P, args):
+                        value = f.value(*term)
+                        expected = A.add(expected, value if sign > 0 else A.neg(value))
+                    assert got == expected, (gname, aname, n, args)
+                    assert A.reduce([sum(x * f.values[c][k] for c, x in row)
+                                     for k in range(A.rank)]) == expected
 
 
 # ---------------------------------------------------------------------------
