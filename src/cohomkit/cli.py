@@ -218,7 +218,7 @@ def _get_sigma(args, E, P, inputs):
 
     if args.sigma == "canonical":
         if E.order % P.order:
-            raise SystemExit("canonical sigma needs |base| dividing |cover|")
+            raise ValueError("canonical sigma needs |base| dividing |cover|")
         # canonical quotient for cyclic-style tables: x -> x mod |P|
         values = tuple(g % P.order for g in E.elements())
         hom = GroupHom(E, P, values)
@@ -305,11 +305,11 @@ def cmd_modular(args, inputs: dict[str, str]) -> tuple[dict, bool]:
             algebra = modular.qubit_factor()
             omega = modular.schmidt_state(float(Fraction(args.example[2:])))
         else:
-            raise SystemExit(f"unknown --example {args.example}; "
+            raise ValueError(f"unknown --example {args.example}; "
                              "use tracial, product, or p:<value>")
     else:
         if not (args.algebra and args.state):
-            raise SystemExit("modular analyze needs --algebra and --state, or --example")
+            raise ValueError("modular analyze needs --algebra and --state, or --example")
         gens = _load(args.algebra, inputs,
                      lambda obj: [_complex_matrix(m) for m in obj["generators"]])
         omega = _load(args.state, inputs, lambda obj: modular.StateVector(
@@ -375,10 +375,8 @@ def cmd_spacetime(args, inputs: dict[str, str]) -> tuple[dict, bool]:
     elif args.st_cmd == "boost-generation":
         if args.wedges == "six":
             family = spacetime.six_wedge_family()
-        elif args.wedges == "coordinate-only":
-            family = spacetime.coordinate_wedge_family()
         else:
-            raise SystemExit("--wedges must be six or coordinate-only")
+            family = spacetime.coordinate_wedge_family()
         payload = spacetime.boost_generation_check(family)
         payload["wedges"] = args.wedges
         failed = not payload["success"]
@@ -489,7 +487,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = st_sub.add_parser("boost", parents=[common])
     p.add_argument("--t", type=float, required=True)
     p = st_sub.add_parser("boost-generation", parents=[common])
-    p.add_argument("--wedges", default="six", help="six | coordinate-only")
+    p.add_argument("--wedges", default="six", choices=("six", "coordinate-only"))
     p = st_sub.add_parser("complement", parents=[common])
     p.add_argument("--wedge", help="JSON wedge file (default: the standard wedge)")
 

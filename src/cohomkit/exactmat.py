@@ -44,7 +44,19 @@ __all__ = [
     "smith_transforms",
     "solve_mod",
     "kernel_mod",
+    "SizeLimitExceeded",
 ]
+
+DENSE_CELL_LIMIT = 2 ** 22  # cells of one dense matrix a caller may build
+
+
+class SizeLimitExceeded(ValueError):
+    """A computation was requested beyond its documented size bound."""
+
+    def __init__(self, message: str, bound: int, requested: int):
+        super().__init__(message)
+        self.bound = bound
+        self.requested = requested
 
 
 def prime_power_factors(n: int) -> list[tuple[int, int]]:

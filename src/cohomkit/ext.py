@@ -27,6 +27,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 from typing import Sequence
 
@@ -61,6 +62,13 @@ __all__ = [
 ]
 
 SEARCH_LIMIT = 2 ** 16
+
+
+@lru_cache(maxsize=32)
+def _index_addition(orders: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """Addition table of A = Z_{m_1} + ... + Z_{m_r} on mixed-radix element
+    indices (the order of `AbelianCoefficients.index`)."""
+    return AbelianCoefficients(orders).as_group().table
 
 
 class NotACocycleError(ValueError):
@@ -102,29 +110,34 @@ class CentralExtensionTable:
         return self.index_of(self.kernel.zero(), p)
 
     def kernel_image(self) -> list[int]:
-        return [self.embed(a) for a in self.kernel.elements()]
+        """i(a) for every a of A in index order, read off the addition table."""
+        N, e = self.base.order, self.base.identity
+        u = self.kernel.index(self.normalizer)
+        return [row[u] * N + e for row in _index_addition(self.kernel.orders)]
 
     def validate(self) -> None:
-        """Exactness of 1 -> A -> G -> P -> 1 with central i(A), by scan."""
-        self.carrier.validate()
-        if self.carrier.order != self.kernel.size * self.base.order:
+        """Exactness of 1 -> A -> G -> P -> 1 with central i(A), by scan on
+        carrier indices."""
+        G, N, K = self.carrier, self.base.order, self.kernel.size
+        add = _index_addition(self.kernel.orders)
+        G.validate()
+        if G.order != K * N:
             raise ValueError("carrier order is not |A| * |P|")
         img = self.kernel_image()
-        if len(set(img)) != self.kernel.size:
+        if len(set(img)) != K:
             raise ValueError("kernel embedding is not injective")
-        for x, a in zip(img, self.kernel.elements()):
-            for y, b in zip(img, self.kernel.elements()):
-                if self.carrier.mul(x, y) != self.embed(self.kernel.add(a, b)):
-                    raise ValueError("kernel embedding is not a homomorphism")
+        for x, add_a in zip(img, add):
+            row = G.table[x]
+            if any(row[y] != img[ab] for y, ab in zip(img, add_a)):
+                raise ValueError("kernel embedding is not a homomorphism")
         self.projection.validate()
         if not self.projection.is_surjective():
             raise ValueError("projection is not surjective")
         if sorted(self.projection.kernel_elements()) != sorted(img):
             raise ValueError("kernel of the projection is not the embedded A")
         for x in img:
-            for g in self.carrier.elements():
-                if self.carrier.mul(x, g) != self.carrier.mul(g, x):
-                    raise ValueError(f"embedded kernel element {x} is not central")
+            if any(G.table[x][g] != G.table[g][x] for g in G.elements()):
+                raise ValueError(f"embedded kernel element {x} is not central")
 
     def to_json(self) -> str:
         return json.dumps({
@@ -174,7 +187,9 @@ def build_extension(P: FiniteGroup, A: AbelianCoefficients, omega: Cochain,
 
     A non-cocycle omega is rejected up front with the violating triple, the
     arguments of the first nonzero value of d_2 omega; the cocycle condition
-    is exactly associativity of the table.
+    is exactly associativity of the table.  The table is one integer pass:
+    with `add` the addition table of A on indices and negw the indices of
+    -omega, (a, p)(b, q) has index add[add[a][b]][negw[p|P| + q]] |P| + pq.
     """
     if omega.degree != 2 or omega.group.table != P.table or omega.coeffs != A:
         raise ValueError("omega must be a degree-2 cochain on P with values in A")
@@ -184,24 +199,23 @@ def build_extension(P: FiniteGroup, A: AbelianCoefficients, omega: Cochain,
             raise NotACocycleError(
                 f"cochain is not a 2-cocycle: associativity of the extension "
                 f"table fails on triple {bad}", bad)
-    n = P.order
-    size = A.size * n
-    a_elems = list(A.elements())
-
-    def idx(a, p):
-        return A.index(a) * n + p
-
+    n, K = P.order, A.size
+    size = K * n
+    add = _index_addition(A.orders)
+    # (a, p)(b, q) = (a + b - omega(p, q), pq) on indices a * n + p
+    negw = [A.index(A.neg(v)) for v in omega.values]
     table = []
-    for a in a_elems:
-        for p in range(n):
+    for add_a in add:
+        for p, mul_p in enumerate(P.table):
+            negw_p = negw[p * n:(p + 1) * n]
             row = []
-            for b in a_elems:
-                for q in range(n):
-                    row.append(idx(A.sub(A.add(a, b), omega.value(p, q)), P.mul(p, q)))
+            for ab in add_a:
+                add_ab = add[ab]
+                row.extend(add_ab[w] * n + pq for w, pq in zip(negw_p, mul_p))
             table.append(tuple(row))
-    u = omega.value(P.identity, P.identity)
-    identity = idx(u, P.identity)
-    labels = tuple(f"({'+'.join(map(str, a))},{P.labels[p]})" for a in a_elems for p in range(n))
+    identity = A.index(omega.value(P.identity, P.identity)) * n + P.identity
+    labels = tuple(f"({'+'.join(map(str, a))},{P.labels[p]})"
+                   for a in A.elements() for p in range(n))
     carrier = FiniteGroup(size, tuple(table), identity,
                           f"ext({P.name};{','.join(map(str, A.orders))})", labels)
     projection = GroupHom(carrier, P, tuple(g % n for g in range(size)))
@@ -326,25 +340,22 @@ def _verify_equivalence_map(ext1: CentralExtensionTable, ext2: CentralExtensionT
                             phi: Cochain) -> None:
     """Check that F(a, p) = (a + phi(p), p) is an isomorphism
     ext2.carrier -> ext1.carrier over id_P fixing A pointwise."""
-    P, A = ext1.base, ext1.kernel
+    N, A = ext1.base.order, ext1.kernel
     size = ext1.carrier.order
-
-    def F(g: int) -> int:
-        a, p = ext2.decompose(g)
-        return ext1.index_of(A.add(a, phi.value(p)), p)
-
-    images = [F(g) for g in range(size)]
+    shift = [A.index(v) for v in phi.values]
+    images = [add_a[shift[p]] * N + p for add_a in _index_addition(A.orders) for p in range(N)]
     if len(set(images)) != size:
         raise RuntimeError("equivalence witness does not induce a bijection")
+    mul1, mul2 = ext1.carrier.table, ext2.carrier.table
     for g in range(size):
-        for h in range(size):
-            if F(ext2.carrier.mul(g, h)) != ext1.carrier.mul(images[g], images[h]):
-                raise RuntimeError("equivalence witness does not induce a homomorphism")
+        row1 = mul1[images[g]]
+        if any(images[gh] != row1[images[h]] for h, gh in enumerate(mul2[g])):
+            raise RuntimeError("equivalence witness does not induce a homomorphism")
     for g in range(size):
         if ext1.projection(images[g]) != ext2.projection(g):
             raise RuntimeError("equivalence map does not commute with the projections")
-    for a in A.elements():
-        if F(ext2.embed(a)) != ext1.embed(a):
+    for x2, x1 in zip(ext2.kernel_image(), ext1.kernel_image()):
+        if images[x2] != x1:
             raise RuntimeError("equivalence map moves the embedded kernel")
 
 

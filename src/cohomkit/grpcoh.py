@@ -12,11 +12,12 @@ so d_{n+1} d_n = 0 and Z^1 = H^1 is the homomorphism group.  Degrees 0..2 are
 supported, which covers H^1 and H^2 (the groups classifying central
 extensions).
 
-The sum is written once, as the signed incidence `_incidence`: one row per
-argument tuple of P^(n+1), each holding the n + 2 signed columns of its
-terms.  `coboundary` applies it to a value table, `coboundary_matrix` adds
-it into a dense integer matrix (refused beyond DENSE_CELL_LIMIT cells), and
-the first nonzero value of d_2 omega is the cocycle witness of
+The sum is written once, as the incidence `_incidence`: n + 2 face
+columns, column i holding the column index of the i-th term (sign (-1)^i)
+for every argument tuple of P^(n+1), cached per (table, degree).
+`coboundary` sums the columns over a value table, `coboundary_matrix` adds
+them into a dense integer matrix (refused beyond DENSE_CELL_LIMIT cells),
+and the first nonzero value of d_2 omega is the cocycle witness of
 `ext.build_extension`.  The enumeration oracle writes its equations out
 separately on purpose.
 
@@ -31,19 +32,22 @@ Two computation routes coexist and are cross-checked in the tests:
   independent oracle.
 
 Groups are stored by full multiplication table and validated by direct scan
-(Latin square, associativity, identity, inverses); everything here is desk
-scale.
+(Latin square, identity, inverses) and Light's associativity test on a
+generating set; everything here is desk scale.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, product
 from math import gcd, prod
+from operator import ne
 from typing import Iterable, Sequence
 
-from .exactmat import IntegerMatrix, kernel_mod, local_smith_exponents, prime_power_factors
+from .exactmat import (DENSE_CELL_LIMIT, IntegerMatrix, SizeLimitExceeded, kernel_mod,
+                       local_smith_exponents, prime_power_factors)
 
 __all__ = [
     "FiniteGroup",
@@ -66,16 +70,6 @@ __all__ = [
 ]
 
 ENUMERATION_LIMIT = 2 ** 20
-DENSE_CELL_LIMIT = 2 ** 22  # cells of one dense coboundary matrix
-
-
-class SizeLimitExceeded(ValueError):
-    """A computation was requested beyond its documented size bound."""
-
-    def __init__(self, message: str, bound: int, requested: int):
-        super().__init__(message)
-        self.bound = bound
-        self.requested = requested
 
 
 # ---------------------------------------------------------------------------
@@ -135,12 +129,16 @@ class FiniteGroup:
         for a in range(n):
             if self.identity not in self.table[a]:
                 raise ValueError(f"element {a} has no inverse")
-        for a in range(n):
-            for b in range(n):
-                ab = self.table[a][b]
-                for c in range(n):
-                    if self.table[ab][c] != self.table[a][self.table[b][c]]:
-                        raise ValueError(f"associativity fails on triple ({a}, {b}, {c})")
+        # Light's test: the s with (x s) y = x (s y) for all x, y contain the
+        # identity and are closed under products, so checking them on a
+        # generating set proves associativity in O(n^2) per generator.  Only
+        # a failure pays for the full scan, which names the first triple.
+        t = self.table
+        if any(any(map(ne, map(t[x].__getitem__, t[s]), t[t[x][s]]))
+               for s in _generating_set(self) for x in range(n)):
+            for a, b, c in product(range(n), repeat=3):
+                if t[t[a][b]][c] != t[a][t[b][c]]:
+                    raise ValueError(f"associativity fails on triple ({a}, {b}, {c})")
 
     # -- constructions -------------------------------------------------------
 
@@ -496,39 +494,47 @@ class Cochain:
 # the coboundary: one signed incidence of the alternating sum
 
 
-def _incidence(group: FiniteGroup, n: int) -> list[list[tuple[int, int]]]:
-    """d_n as signed incidence rows: one row per argument tuple of P^(n+1),
-    in mixed-radix order, holding the n + 2 pairs (column, +-1) of the
-    alternating sum (a column may repeat; its signs then add up)."""
-    N, mul = group.order, group.table
-    rows = []
-    for args in product(range(N), repeat=n + 1):
-        row = [(_arg_index(args[1:], N), 1)]
-        for i in range(n):
-            merged = args[:i] + (mul[args[i]][args[i + 1]],) + args[i + 2:]
-            row.append((_arg_index(merged, N), (-1) ** (i + 1)))
-        row.append((_arg_index(args[:n], N), (-1) ** (n + 1)))
-        rows.append(row)
-    return rows
+@lru_cache(maxsize=32)
+def _incidence(table: tuple[tuple[int, ...], ...], n: int) -> tuple[tuple[int, ...], ...]:
+    """d_n of the group with multiplication table `table` as n + 2 face
+    columns: column i holds, for each argument tuple of P^(n+1) in
+    mixed-radix order, the column index of the i-th term of the alternating
+    sum, whose sign is (-1)^i.  Cached per (table, n); a few small tables
+    recur across the calls of one process."""
+    N = len(table)
+    args_list = list(product(range(N), repeat=n + 1))
+    cols = [tuple(_arg_index(args[1:], N) for args in args_list)]
+    for i in range(n):
+        cols.append(tuple(_arg_index(args[:i] + (table[args[i]][args[i + 1]],) + args[i + 2:], N)
+                          for args in args_list))
+    cols.append(tuple(_arg_index(args[:n], N) for args in args_list))
+    return tuple(cols)
 
 
 def coboundary(f: Cochain) -> Cochain:
-    """d_n f for n <= 2: the incidence applied to f, one coordinate mod m_k
-    at a time."""
+    """d_n f for n <= 2: the face columns of the incidence summed with their
+    signs, one coordinate mod m_k at a time."""
     n = f.degree
     if n > 2:
         raise ValueError("coboundary implemented for degrees 0, 1, 2 only")
-    vals, orders = f.values, f.coeffs.orders
-    out = tuple(tuple(sum(s * vals[c][k] for c, s in row) % m for k, m in enumerate(orders))
-                for row in _incidence(f.group, n))
-    return Cochain(f.group, f.coeffs, n + 1, out)
+    faces = _incidence(f.group.table, n)
+    coords = []
+    for k, m in enumerate(f.coeffs.orders):
+        x = [v[k] for v in f.values]
+        acc = [0] * len(faces[0])
+        for i, col in enumerate(faces):
+            sign = (-1) ** i
+            acc = [a + sign * x[c] for a, c in zip(acc, col)]
+        coords.append([a % m for a in acc])
+    values = tuple(zip(*coords)) if coords else ((),) * len(faces[0])
+    return Cochain(f.group, f.coeffs, n + 1, values)
 
 
 def coboundary_matrix(group: FiniteGroup, degree: int) -> IntegerMatrix:
     """Integer matrix of d_degree acting on one cyclic coefficient factor:
-    rows indexed by P^{degree+1}, columns by P^{degree}, each row the signed
-    incidence of `_incidence` added into a dense row.  A matrix of more than
-    DENSE_CELL_LIMIT cells is refused before anything is built."""
+    rows indexed by P^{degree+1}, columns by P^{degree}, built by adding the
+    face columns of `_incidence` with their signs +-1.  A matrix of more
+    than DENSE_CELL_LIMIT cells is refused before anything is built."""
     rows, cols = group.order ** (degree + 1), group.order ** degree
     if rows * cols > DENSE_CELL_LIMIT:
         raise SizeLimitExceeded(
@@ -536,9 +542,10 @@ def coboundary_matrix(group: FiniteGroup, degree: int) -> IntegerMatrix:
             f"{rows * cols} cells exceed the dense bound of {DENSE_CELL_LIMIT} (2^22)",
             DENSE_CELL_LIMIT, rows * cols)
     mat = [[0] * cols for _ in range(rows)]
-    for dense, row in zip(mat, _incidence(group, degree)):
-        for c, s in row:
-            dense[c] += s
+    for i, col in enumerate(_incidence(group.table, degree)):
+        sign = (-1) ** i
+        for dense, c in zip(mat, col):
+            dense[c] += sign
     return IntegerMatrix(rows, cols, tuple(map(tuple, mat)))
 
 
@@ -721,10 +728,11 @@ class GroupHom:
     def validate(self) -> None:
         if self.values[self.source.identity] != self.target.identity:
             raise ValueError("map does not send identity to identity")
-        for a in self.source.elements():
-            for b in self.source.elements():
-                if self.values[self.source.mul(a, b)] != \
-                        self.target.mul(self.values[a], self.values[b]):
+        v, target = self.values, self.target.table
+        for a, row in enumerate(self.source.table):
+            image_row = target[v[a]]
+            for b, ab in enumerate(row):
+                if v[ab] != image_row[v[b]]:
                     raise ValueError(f"multiplicativity fails on pair ({a}, {b})")
 
     def is_surjective(self) -> bool:

@@ -17,13 +17,12 @@ equivalent to d_2 w = 0, and both directions are exercised by the tests.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb
 
-from .exactmat import RationalMatrix
+from .exactmat import DENSE_CELL_LIMIT, RationalMatrix, SizeLimitExceeded
 from .liealg import LieAlgebra, LieElement, StructureConstantError
 
 __all__ = [
@@ -35,8 +34,6 @@ __all__ = [
     "splitting_cochain",
     "cohomology_report",
 ]
-
-_LARGE_COCHAIN_SPACE = 100_000
 
 
 def _wedge_basis(n: int, k: int) -> list[tuple[int, ...]]:
@@ -52,14 +49,17 @@ def _pair_index(n: int, i: int, j: int) -> int:
 
 def ce_differential(g: LieAlgebra, k: int) -> RationalMatrix:
     """Matrix of d_k from degree-k to degree-(k+1) cochains, in the
-    lexicographic wedge bases: shape C(n, k+1) x C(n, k)."""
+    lexicographic wedge bases: shape C(n, k+1) x C(n, k).  A matrix of more
+    than DENSE_CELL_LIMIT cells is refused before anything is built."""
     n = g.dim
     if not 0 <= k <= n:
         raise ValueError(f"degree {k} out of range 0..{n}")
-    if comb(n, k) > _LARGE_COCHAIN_SPACE or comb(n, k + 1) > _LARGE_COCHAIN_SPACE:
-        warnings.warn(
-            f"wedge space in degree {k} has {comb(n, k)} basis cochains; "
-            "expect high memory use", RuntimeWarning)
+    cells = comb(n, k + 1) * comb(n, k)
+    if cells > DENSE_CELL_LIMIT:
+        raise SizeLimitExceeded(
+            f"d_{k} of a {n}-dimensional algebra is a {comb(n, k + 1)} x {comb(n, k)} "
+            f"matrix: {cells} cells exceed the dense bound of {DENSE_CELL_LIMIT} (2^22)",
+            DENSE_CELL_LIMIT, cells)
     source = _wedge_basis(n, k)
     target = _wedge_basis(n, k + 1)
     col_index = {t: i for i, t in enumerate(source)}

@@ -161,6 +161,40 @@ def test_group_over_dense_budget_exits_two_fast(capsys, cmd):
     assert str(64 ** 5) in captured.err and str(2 ** 22) in captured.err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["modular", "analyze", "--seed", "1"],
+     "modular analyze needs --algebra and --state, or --example"),
+    (["modular", "analyze", "--example", "thermal", "--seed", "1"],
+     "unknown --example thermal; use tracial, product, or p:<value>"),
+    (["group", "correspondence", "--cover", "z3", "--base", "z2", "--coeff", "z2"],
+     "canonical sigma needs |base| dividing |cover|"),
+])
+def test_usage_errors_exit_two_with_error_prefix(capsys, argv, message):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_unknown_wedge_family_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["spacetime", "boost-generation", "--wedges", "foo"])
+    assert err.value.code == EXIT_USAGE
+    assert "error: argument --wedges: invalid choice: 'foo'" in capsys.readouterr().err
+
+
+def test_lie_over_dense_budget_exits_two_fast(capsys):
+    start = time.perf_counter()
+    code = main(["lie", "cohomology", "--algebra", "abelian(16)", "--degree", "8"])
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == ""
+    assert captured.err.startswith("error: d_8 of a 16-dimensional algebra")
+    assert "147232800" in captured.err and str(2 ** 22) in captured.err
+
+
 def _nontrivial_cocycle_file(tmp_path):
     values = [{"args": [p, q], "value": [1 if p == 1 and q == 1 else 0]}
               for p in range(2) for q in range(2)]

@@ -3,11 +3,11 @@ from itertools import product
 
 import pytest
 
+from cohomkit import ext as ext_module
 from cohomkit.ext import (
     CentralExtensionTable,
     NotACocycleError,
     are_equivalent,
-    build_extension,
     cocycle_of_section,
     extract_section,
     h1_h2_correspondence_check,
@@ -15,9 +15,12 @@ from cohomkit.ext import (
     section_difference,
 )
 from cohomkit.grpcoh import (
+    AbelianCoefficients,
     Cochain,
+    FiniteGroup,
     GroupHom,
     coboundary,
+    cocycle_space,
     coefficients_by_name,
     construct_splitting,
     enumerate_cochains,
@@ -25,9 +28,19 @@ from cohomkit.grpcoh import (
     group_by_name,
     inflation,
 )
+from scan_oracle import assert_validate_matches_full_scan
 
 Z2 = group_by_name("z2")
 A2 = coefficients_by_name("z2")
+
+
+def build_extension(P, A, omega, validate=True):
+    """`ext.build_extension`; the carrier of every extension this module
+    builds is also validated against the full-scan associativity oracle, so
+    Light's test must reach the same verdict and witness on each."""
+    built = ext_module.build_extension(P, A, omega, validate)
+    assert_validate_matches_full_scan(built.carrier)
+    return built
 
 
 def nontrivial_z2_cocycle() -> Cochain:
@@ -118,6 +131,71 @@ def test_noncocycle_rejected_with_violating_triple():
             assert err.value.triple == expected, (gname, aname, trial)
             rejected += 1
     assert rejected >= 40
+
+
+def test_normalized_noncocycles_give_loops_light_test_rejects():
+    # with w(1, q) = w(p, 1) = 0 the table is a Latin square with identity
+    # (0, 1), so only associativity can fail; Light's test on a generating
+    # set and the full scan name the same first failing triple
+    rng = random.Random(43)
+    failures = 0
+    for gname, aname in (("z4", "z4"), ("z3", "z3"), ("klein4", "z2"), ("s3", "z2"),
+                         ("q8", "z2"), ("z6", "z2xz2")):
+        P, A = group_by_name(gname), coefficients_by_name(aname)
+        e = P.identity
+        for _ in range(4):
+            w = Cochain.from_function(P, A, 2, lambda p, q: (
+                A.zero() if e in (p, q) else tuple(rng.randrange(m) for m in A.orders)))
+            message = assert_validate_matches_full_scan(
+                build_extension(P, A, w, validate=False).carrier)
+            if _first_violating_triple(w) is not None:
+                assert message.startswith("associativity fails on triple"), message
+                failures += 1
+    assert failures >= 20
+
+
+def _tuple_carrier(P, A, w):
+    """Test-local transcription of (a, p)(b, q) = (a + b - w(p, q), pq) on
+    residue tuples: the carrier table and identity index."""
+    elems = list(product(*(range(m) for m in A.orders)))
+    pos = {a: i for i, a in enumerate(elems)}
+    N = P.order
+
+    def times(a, p, b, q):
+        c = tuple((x + y - z) % m for x, y, z, m in zip(a, b, w.value(p, q), A.orders))
+        return pos[c] * N + P.mul(p, q)
+
+    table = tuple(tuple(times(a, p, b, q) for b in elems for q in range(N))
+                  for a in elems for p in range(N))
+    return table, pos[w.value(P.identity, P.identity)] * N + P.identity
+
+
+@pytest.mark.parametrize("gname", ["z2", "z3", "z4", "z5", "z6", "z8", "klein4", "s3",
+                                   "q8", "a4"])
+def test_index_table_build_matches_tuple_transcription(gname):
+    # random unnormalized cocycles (a cocycle plus a coboundary) build, and
+    # random cochains build with validate=False: table, identity and
+    # to_json() equal the transcription's
+    rng = random.Random(f"flat:{gname}")
+    P = group_by_name(gname)
+    for orders in ((2,), (3,), (4,), (2, 2)):
+        A = AbelianCoefficients(orders)
+        space = cocycle_space(P, A, 2)
+        cochains = []
+        for _ in range(2):
+            w = coboundary(Cochain.random(P, A, 1, rng))
+            for gen, order in space.generators:
+                w = w + gen.scale(rng.randrange(order))
+            cochains.append((w, True))
+            cochains.append((Cochain.random(P, A, 2, rng), False))
+        for w, validate in cochains:
+            built = build_extension(P, A, w, validate)
+            table, identity = _tuple_carrier(P, A, w)
+            assert built.carrier.table == table and built.carrier.identity == identity
+            carrier = FiniteGroup(len(table), table, identity)
+            projection = GroupHom(carrier, P, tuple(g % P.order for g in carrier.elements()))
+            expected = CentralExtensionTable(P, A, w, carrier, projection)
+            assert built.to_json() == expected.to_json(), (gname, orders)
 
 
 def test_unnormalized_cocycles_still_build_valid_extensions():

@@ -23,6 +23,8 @@ from cohomkit.grpcoh import (
     hom_to_cochain,
     inflation,
 )
+from cohomkit.grpcoh import _incidence
+from scan_oracle import assert_validate_matches_full_scan
 
 GROUPS = ["z2", "z3", "z4", "klein4", "s3", "q8"]
 COEFFS = ["z2", "z3", "z4", "z2xz2"]
@@ -36,9 +38,10 @@ def enumeration_feasible(P, A, degree=2):
 # groups
 
 
-@pytest.mark.parametrize("name", GROUPS + ["a4", "z6"])
+@pytest.mark.parametrize("name", GROUPS + ["a4", "z6", "z5", "z8"])
 def test_builtin_groups_validate(name):
-    group_by_name(name).validate()
+    # Light's test reaches the verdict of the full O(N^3) scan
+    assert assert_validate_matches_full_scan(group_by_name(name)) is None
 
 
 def test_q8_element_order_profile():
@@ -57,6 +60,34 @@ def test_latin_square_violation_detected():
         FiniteGroup.from_table([[0, 0], [1, 1]])
 
 
+def _intercalate_swaps(P):
+    """Tables of P with one 2 x 2 subsquare t[a][c] = t[b][d], t[a][d] = t[b][c]
+    (a, b, c, d away from the identity) swapped: Latin squares with the
+    same identity, most of them no longer associative."""
+    t, e = P.table, P.identity
+    rest = [x for x in P.elements() if x != e]
+    for a, b in product(rest, repeat=2):
+        for c, d in product(rest, repeat=2):
+            if a < b and c < d and t[a][c] == t[b][d] and t[a][d] == t[b][c]:
+                table = [list(row) for row in t]
+                table[a][c], table[a][d] = table[a][d], table[a][c]
+                table[b][c], table[b][d] = table[b][d], table[b][c]
+                yield FiniteGroup(P.order, tuple(map(tuple, table)), e, f"{P.name}-swap")
+
+
+def test_light_test_matches_full_scan_on_latin_squares():
+    verdicts = []
+    for name in ("z4", "klein4", "z6", "s3", "z8", "q8"):
+        for swapped in _intercalate_swaps(group_by_name(name)):
+            verdicts.append(assert_validate_matches_full_scan(swapped))
+    assert sum(v is not None and v.startswith("associativity") for v in verdicts) >= 20
+    # one row with two entries swapped is no longer a Latin square
+    t = [list(row) for row in group_by_name("s3").table]
+    t[1][2], t[1][3] = t[1][3], t[1][2]
+    assert "Latin" in assert_validate_matches_full_scan(
+        FiniteGroup(6, tuple(map(tuple, t)), 0, "s3-row-swap"))
+
+
 def test_associativity_violation_detected():
     # a Latin square that is not a group table (order-5 quasigroup)
     table = [
@@ -68,6 +99,9 @@ def test_associativity_violation_detected():
     ]
     with pytest.raises(ValueError, match="associativity"):
         FiniteGroup.from_table(table, identity=0)
+    # a loop: Light's test fails, and the fallback scan names the oracle's triple
+    loop = FiniteGroup(5, tuple(map(tuple, table)), 0, "loop5")
+    assert assert_validate_matches_full_scan(loop) == "associativity fails on triple (1, 1, 2)"
 
 
 def test_subgroup_extraction():
@@ -170,24 +204,33 @@ def reference_terms(P, args):
 
 
 def test_coboundary_matrix_matches_pointwise_coboundary():
-    # both routes against the transcription, on every named group in degrees
-    # 0-2: the matrix row by row, the values with Z4 and Z2xZ2 coefficients
+    # the face columns and both routes against the transcription, on every
+    # named group in degrees 0-2: column i of the incidence holds the i-th
+    # term (sign (-1)^i) and is cached per table, the matrix is checked row
+    # by row, the values with Z4, Z2xZ2 and Z2xZ4 coefficients
     rng = random.Random(55)
     for gname, n in product(NAMED_GROUPS, (0, 1, 2)):
         P = group_by_name(gname)
         N = P.order
+        faces = _incidence(P.table, n)
+        assert len(faces) == n + 2 and all(len(col) == N ** (n + 1) for col in faces)
+        assert _incidence(group_by_name(gname).table, n) is faces
         dmat = coboundary_matrix(P, n)
         assert (dmat.rows, dmat.cols) == (N ** (n + 1), N ** n)
         args_list = list(product(range(N), repeat=n + 1))
-        for args, row in zip(args_list, dmat.entries):
+        for r, (args, row) in enumerate(zip(args_list, dmat.entries)):
+            terms = reference_terms(P, args)
+            term_cols = [sum(x * N ** (n - 1 - i) for i, x in enumerate(term))
+                         for _, term in terms]
+            assert [sign for sign, _ in terms] == [(-1) ** i for i in range(n + 2)]
+            assert [col[r] for col in faces] == term_cols, (gname, n, args)
             expected = {}
-            for sign, term in reference_terms(P, args):
-                col = sum(x * N ** (n - 1 - i) for i, x in enumerate(term))
+            for (sign, _), col in zip(terms, term_cols):
                 expected[col] = expected.get(col, 0) + sign
             assert {c: x for c, x in enumerate(row) if x} == \
                 {c: x for c, x in expected.items() if x}, (gname, n, args)
         sparse = [[(c, x) for c, x in enumerate(row) if x] for row in dmat.entries]
-        for aname in ("z4", "z2xz2"):
+        for aname in ("z4", "z2xz2", "2,4"):
             A = coefficients_by_name(aname)
             for _ in range(3):
                 f = Cochain.random(P, A, n, rng)

@@ -4,7 +4,7 @@ from math import comb
 
 import pytest
 
-from cohomkit.exactmat import RationalMatrix
+from cohomkit.exactmat import DENSE_CELL_LIMIT, RationalMatrix, SizeLimitExceeded
 from cohomkit.liealg import (
     StructureConstantError,
     builtin,
@@ -44,6 +44,17 @@ def test_abelian_differentials_vanish():
     g = builtin("abelian(4)")
     for k in range(0, 4):
         assert ce_differential(g, k).is_zero()
+
+
+def test_differential_over_dense_budget_is_refused():
+    # d_8 of abelian(16) would be a C(16, 9) x C(16, 8) = 11440 x 12870 matrix
+    with pytest.raises(SizeLimitExceeded) as err:
+        ce_differential(builtin("abelian(16)"), 8)
+    assert err.value.bound == DENSE_CELL_LIMIT == 2 ** 22
+    assert err.value.requested == comb(16, 9) * comb(16, 8) == 147232800
+    assert "11440 x 12870" in str(err.value)
+    # a differential under the bound is still built
+    assert ce_differential(builtin("abelian(12)"), 1).rows == comb(12, 2)
 
 
 def test_degree_out_of_range():
