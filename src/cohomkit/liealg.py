@@ -19,11 +19,10 @@ spelled out in CONVENTIONS.md):
 * the physics boost generator K_i with [K_i, P_0] = P_i is J_{i0} = -J_{0i}
   in this basis.
 
-Element coefficients are `fractions.Fraction` throughout; arithmetic helpers
-tolerate sympy exact scalars (the wedge-boost generators carry an exact
-2*pi factor) because subspace computations normalize every vector to a
-rational direction first -- spans and bracket closures are invariant under
-scaling a vector by a nonzero constant.
+Element coefficients are `fractions.Fraction` throughout.  Subspace
+computations normalize every vector to a rational direction first (spans and
+bracket closures are invariant under scaling by a nonzero constant), and
+refuse a coefficient that is not exact rather than guess a rational for it.
 """
 
 from __future__ import annotations
@@ -40,12 +39,10 @@ __all__ = [
     "LieElement",
     "Subspace",
     "StructureConstantError",
-    "bracket",
     "derived_subalgebra",
     "is_perfect",
     "generated_subalgebra",
     "ideal_closure",
-    "jacobi_defect",
     "builtin",
     "algebra_to_json",
     "algebra_from_json",
@@ -122,7 +119,7 @@ class LieAlgebra:
             for label, val in coeffs.items():
                 vec[self.labels.index(label)] = Fraction(val)
             return LieElement(self, tuple(vec))
-        vec = tuple(_coerce_scalar(x) for x in coeffs)
+        vec = tuple(Fraction(x) for x in coeffs)
         if len(vec) != self.dim:
             raise ValueError("coefficient vector length does not match dimension")
         return LieElement(self, vec)
@@ -193,14 +190,6 @@ class LieAlgebra:
                 f"({self.labels[i]}, {self.labels[j]}, {self.labels[k]})", bad)
 
 
-def _coerce_scalar(x):
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    return x  # exact scalars from sympy pass through untouched
-
-
 @dataclass(frozen=True)
 class LieElement:
     algebra: LieAlgebra
@@ -225,7 +214,7 @@ class LieElement:
         return LieElement(self.algebra, tuple(-a for a in self.coeffs))
 
     def __rmul__(self, scalar) -> "LieElement":
-        s = _coerce_scalar(scalar)
+        s = Fraction(scalar)
         return LieElement(self.algebra, tuple(s * a for a in self.coeffs))
 
     __mul__ = __rmul__
@@ -266,41 +255,23 @@ class LieElement:
         return " + ".join(terms) if terms else "0"
 
 
-def bracket(x: LieElement, y: LieElement) -> LieElement:
-    return x.bracket(y)
-
-
 def rational_direction(elem: LieElement) -> LieElement:
     """Scale an element by a nonzero constant so its coefficients are
     Fractions with leading coefficient 1.
 
-    Subspace spans and bracket closures are invariant under this scaling,
-    which is how exactly-known multiples of 2*pi (wedge-boost generators)
-    enter the rational engine.
+    Subspace spans and bracket closures are invariant under this scaling.
+    A coefficient that is not a Fraction or an int is refused: a float has
+    no exact direction to recover.
     """
+    for c in elem.coeffs:
+        if not isinstance(c, (Fraction, int)):
+            raise ValueError(f"coefficient {c!r} is not exact; "
+                             "supply generators with Fraction or int coefficients")
     lead = next((c for c in elem.coeffs if c), None)
     if lead is None:
         return elem.algebra.zero()
-    out = []
-    for c in elem.coeffs:
-        r = c / lead
-        if isinstance(r, Fraction):
-            out.append(r)
-        elif isinstance(r, int):
-            out.append(Fraction(r))
-        else:
-            out.append(_sympy_to_fraction(r))
-    return LieElement(elem.algebra, tuple(out))
-
-
-def _sympy_to_fraction(x) -> Fraction:
-    import sympy
-
-    r = sympy.nsimplify(sympy.simplify(x), rational=True)
-    if not isinstance(r, sympy.Rational):
-        raise ValueError(f"coefficient ratio {x!r} is not rational; "
-                         "supply generators with exact coefficients")
-    return Fraction(int(r.p), int(r.q))
+    lead = Fraction(lead)
+    return LieElement(elem.algebra, tuple(c / lead for c in elem.coeffs))
 
 
 class Subspace:
@@ -402,7 +373,8 @@ def generated_subalgebra(g: LieAlgebra, gens: Sequence[LieElement]) -> Subspace:
     Span-closure iteration: brackets of the current basis against the
     generators first, then against itself, repeated until the dimension
     stabilizes (at most dim(g) rounds).  Generators are normalized to
-    rational directions, which leaves the closure unchanged.
+    rational directions, which leaves the closure unchanged; a generator
+    with an inexact coefficient raises ValueError.
     """
     if not gens:
         raise ValueError("generator list is empty")
@@ -442,10 +414,6 @@ def ideal_closure(g: LieAlgebra, x: LieElement) -> Subspace:
                 if span.dim == g.dim:
                     return span
     return span
-
-
-def jacobi_defect(g: LieAlgebra) -> Fraction:
-    return g.jacobi_defect()
 
 
 # ---------------------------------------------------------------------------

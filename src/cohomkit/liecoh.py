@@ -95,14 +95,6 @@ class CEComplex:
         top = min(up_to, g.dim)
         return cls(g, tuple(ce_differential(g, k) for k in range(top + 1)))
 
-    def cochain_dim(self, k: int) -> int:
-        return comb(self.algebra.dim, k)
-
-    def differential(self, k: int) -> RationalMatrix:
-        if k < len(self.differentials):
-            return self.differentials[k]
-        return ce_differential(self.algebra, k)
-
     def verify_d_squared(self) -> bool:
         for k in range(len(self.differentials) - 1):
             if not (self.differentials[k + 1] @ self.differentials[k]).is_zero():

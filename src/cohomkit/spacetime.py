@@ -9,16 +9,18 @@ Its boosts act on the (x_0, x_1) coordinates through
 
 and leave x_2, x_3 alone; boosts of any other wedge W = g W1 are defined by
 conjugation, Lambda_W(t) = g Lambda_{W1}(t) g^{-1}.  Differentiating at t = 0
-gives an element of the Poincare algebra carrying one overall factor 2 pi;
-for W1 it is exactly 2 pi J_01 in the conventions of `liealg`.  Generators of
-wedges with exact (rational) defining elements are computed exactly -- the
-2 pi stays symbolic via sympy -- and feed `liealg.generated_subalgebra`,
-which normalizes each generator to a rational direction (closures are
-scale-invariant).
+gives BOOST_SCALE * X with BOOST_SCALE = 2 pi (the Bisognano-Wichmann
+normalization, named once here) and X an element of the Poincare algebra;
+for W1, X is exactly J_01 in the conventions of `liealg`.  Wedges with exact
+(rational) defining elements give X with `Fraction` coefficients, which feed
+`liealg.generated_subalgebra` directly.
 
 Boost matrices accept either numeric parameters (numpy output) or sympy
 expressions (exact output; cosh^2 - sinh^2 = 1 keeps the quadratic form
-invariant symbolically).
+invariant symbolically).  This module never imports sympy on its own: a
+value counts as symbolic only when sympy is already loaded, i.e. when the
+caller passed one in.  Validation, inversion and wedge comparison need
+numeric or exact entries.
 
 The causal complement W' is the rotation-by-pi image of W in the x_1 x_2
 plane; it satisfies Lambda_{W'}(t) = Lambda_W(-t) exactly.  Wedge equality is
@@ -29,6 +31,8 @@ scale, and the translation part must lie in the edge plane {x_0 = x_1 = 0}.
 
 from __future__ import annotations
 
+import math
+import sys
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -36,11 +40,11 @@ from itertools import combinations
 from typing import Sequence
 
 import numpy as np
-import sympy as sp
 
 from .liealg import LieAlgebra, LieElement, builtin, generated_subalgebra
 
 __all__ = [
+    "BOOST_SCALE",
     "METRIC_SIGNS",
     "PoincareElement",
     "Wedge",
@@ -57,6 +61,9 @@ __all__ = [
 
 METRIC_SIGNS = (1, -1, -1, -1)
 
+# d/dt Lambda_W(t) at t = 0 is BOOST_SCALE times the rational generator
+BOOST_SCALE = 2 * math.pi
+
 _POINCARE4: LieAlgebra | None = None
 
 
@@ -72,12 +79,17 @@ def minkowski_form(x: Sequence, y: Sequence):
     return sum(s * a * b for s, a, b in zip(METRIC_SIGNS, x, y))
 
 
+def _is_symbolic(v) -> bool:
+    sp = sys.modules.get("sympy")
+    return sp is not None and isinstance(v, sp.Expr)
+
+
 def _entry_kind(values) -> str:
     kinds = set()
     for v in values:
         if isinstance(v, (Fraction, int)):
             kinds.add("exact")
-        elif isinstance(v, sp.Expr):
+        elif _is_symbolic(v):
             kinds.add("symbolic")
         else:
             kinds.add("float")
@@ -88,12 +100,19 @@ def _entry_kind(values) -> str:
     return "float"
 
 
+def _numeric(kind: str) -> str:
+    if kind == "symbolic":
+        raise ValueError("needs numeric or exact entries, not symbolic ones")
+    return kind
+
+
 @dataclass(frozen=True)
 class PoincareElement:
     """Affine map x -> Lambda x + a with Lambda proper orthochronous Lorentz.
 
     Entries may be exact (Fraction/int), sympy expressions, or floats;
-    validation dispatches accordingly.
+    composition takes all three, validation and inversion only the first
+    and last.
     """
 
     lorentz: tuple[tuple, ...]
@@ -168,7 +187,7 @@ class PoincareElement:
 
     def validate(self, tol: float = 1e-10) -> None:
         """Metric preservation, det = +1, orthochronous."""
-        kind = self.kind
+        kind = _numeric(self.kind)
         g = METRIC_SIGNS
         for i in range(4):
             for j in range(4):
@@ -176,43 +195,24 @@ class PoincareElement:
                 target = g[i] if i == j else 0
                 _assert_zero(s - target, kind, tol,
                              f"metric preservation fails at ({i}, {j})")
-        det = _det4(self.lorentz)
-        _assert_zero(det - 1, kind, tol, "determinant is not +1 (improper)")
-        t00 = self.lorentz[0][0]
-        if kind == "float":
-            if not t00 >= 1 - tol:
-                raise ValueError("time orientation reversed (Lambda_00 < 1)")
-        elif kind == "exact":
-            if not t00 >= 1:
-                raise ValueError("time orientation reversed (Lambda_00 < 1)")
-        else:
-            if sp.simplify(t00 >= 1) == False:  # noqa: E712  (sympy ternary logic)
-                raise ValueError("time orientation reversed (Lambda_00 < 1)")
+        _assert_zero(_det4(self.lorentz) - 1, kind, tol, "determinant is not +1 (improper)")
+        if not self.lorentz[0][0] >= (1 - tol if kind == "float" else 1):
+            raise ValueError("time orientation reversed (Lambda_00 < 1)")
 
 
 def _coerce(v):
     if isinstance(v, (int, Fraction)):
         return Fraction(v)
-    if isinstance(v, sp.Expr):
-        return sp.nsimplify(v) if v.is_number and v.is_rational else v
-    return float(v)
+    return v if _is_symbolic(v) else float(v)
 
 
 def _assert_zero(expr, kind: str, tol: float, message: str) -> None:
-    if kind == "exact":
-        ok = expr == 0
-    elif kind == "symbolic":
-        ok = sp.simplify(expr) == 0
-    else:
-        ok = abs(expr) <= tol
-    if not ok:
+    if not (expr == 0 if kind == "exact" else abs(expr) <= tol):
         raise ValueError(message)
 
 
 def _det4(mat) -> object:
     rows = [list(r) for r in mat]
-    if _entry_kind([v for r in rows for v in r]) == "symbolic":
-        return sp.Matrix(rows).det()
     det = 1
     for c in range(4):
         piv = next((r for r in range(c, 4) if rows[r][c]), None)
@@ -222,7 +222,7 @@ def _det4(mat) -> object:
             rows[c], rows[piv] = rows[piv], rows[c]
             det = -det
         det = det * rows[c][c]
-        inv = 1 / rows[c][c] if isinstance(rows[c][c], Fraction) else rows[c][c] ** -1
+        inv = 1 / rows[c][c]
         for r in range(c + 1, 4):
             f = rows[r][c] * inv
             rows[r] = [a - f * b for a, b in zip(rows[r], rows[c])]
@@ -230,11 +230,7 @@ def _det4(mat) -> object:
 
 
 def _invert4(mat):
-    kind = _entry_kind([v for r in mat for v in r])
-    if kind == "symbolic":
-        inv = sp.Matrix([list(r) for r in mat]).inv()
-        return tuple(tuple(sp.simplify(inv[i, j]) for j in range(4)) for i in range(4))
-    if kind == "float":
+    if _numeric(_entry_kind([v for r in mat for v in r])) == "float":
         inv = np.linalg.inv(np.array(mat, dtype=float))
         return tuple(tuple(float(inv[i, j]) for j in range(4)) for i in range(4))
     # exact Gauss-Jordan
@@ -259,19 +255,17 @@ def _invert4(mat):
 def boost_matrix(t):
     """The W1 boost at parameter t: cosh/sinh(2 pi t) block on (x_0, x_1).
 
-    Numeric t gives a float numpy array; a sympy expression gives an exact
-    sympy Matrix.
+    Numeric t gives a float numpy array (scaled by BOOST_SCALE); a sympy
+    expression gives an exact sympy Matrix (scaled by sympy's exact 2 pi).
     """
-    if isinstance(t, sp.Expr) and not t.is_Float:
+    if _is_symbolic(t) and not t.is_Float:
+        import sympy as sp
+
         ch, sh = sp.cosh(2 * sp.pi * t), sp.sinh(2 * sp.pi * t)
         m = sp.eye(4)
-        m[0, 0] = ch
-        m[0, 1] = -sh
-        m[1, 0] = -sh
-        m[1, 1] = ch
-        return m
-    ch, sh = np.cosh(2 * np.pi * float(t)), np.sinh(2 * np.pi * float(t))
-    m = np.eye(4)
+    else:
+        ch, sh = np.cosh(BOOST_SCALE * float(t)), np.sinh(BOOST_SCALE * float(t))
+        m = np.eye(4)
     m[0, 0] = ch
     m[0, 1] = -sh
     m[1, 0] = -sh
@@ -342,9 +336,7 @@ _U_MINUS = (1, 1, 0, 0)
 
 
 def _stabilizes_standard_wedge(h: PoincareElement, tol: float = 1e-9) -> bool:
-    kind = h.kind
-    if kind == "symbolic":
-        raise ValueError("wedge comparison needs numeric or exact frames")
+    kind = _numeric(h.kind)
 
     def iszero(v):
         return v == 0 if kind == "exact" else abs(v) <= tol
@@ -404,12 +396,13 @@ def _j_vector_matrix(a: int, b: int) -> tuple[tuple[Fraction, ...], ...]:
 
 
 def wedge_boost_generator(w: Wedge) -> LieElement:
-    """d/dt at 0 of t -> Lambda_W(t), as an element of poincare(4).
+    """The element X of poincare(4) with d/dt Lambda_W(t) at t = 0 equal to
+    BOOST_SCALE * X.
 
-    For the standard wedge this is 2 pi J_01; in general it is 2 pi times a
-    rational combination of the basis, computed exactly when the defining
-    element is exact (the sympy factor 2*pi stays symbolic).  A float frame
-    falls back to numeric coefficients with a warning.
+    For the standard wedge X is J_01.  An exact defining element gives X
+    with `Fraction` coefficients.  A float frame falls back to float
+    coefficients on the same scale with a warning; `generated_subalgebra`
+    refuses those, since they have no exact direction.
     """
     alg = poincare4_algebra()
     frame = w.frame
@@ -420,7 +413,7 @@ def wedge_boost_generator(w: Wedge) -> LieElement:
     j01 = _j_vector_matrix(0, 1)
     lam = frame.lorentz
     lam_inv = _invert4(lam)
-    # N = Lambda J01 Lambda^{-1}; translation part -N a (both up to 2 pi)
+    # N = Lambda J01 Lambda^{-1}; translation part -N a (both up to BOOST_SCALE)
     n = [[sum(lam[i][k] * j01[k][m] * lam_inv[m][j] for k in range(4) for m in range(4))
           for j in range(4)] for i in range(4)]
     c = [-sum(n[i][k] * frame.translation[k] for k in range(4)) for i in range(4)]
@@ -437,11 +430,7 @@ def wedge_boost_generator(w: Wedge) -> LieElement:
             diff = recon[i][j] - n[i][j]
             if (diff != 0) if exact else (abs(diff) > 1e-9):
                 raise RuntimeError("conjugated boost generator left the Lorentz algebra")
-    if exact:
-        two_pi = 2 * sp.pi
-        sym = tuple(two_pi * sp.Rational(f.numerator, f.denominator) for f in map(Fraction, coeffs))
-        return LieElement(alg, sym)
-    return LieElement(alg, tuple(2 * np.pi * float(x) for x in coeffs))
+    return LieElement(alg, tuple(map(Fraction if exact else float, coeffs)))
 
 
 def wedge_complement(w: Wedge) -> "Wedge":

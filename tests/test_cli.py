@@ -500,6 +500,84 @@ def test_golden_report_boost_generation(capsys, monkeypatch):
     assert out.strip() == golden
 
 
+# The exact path must run without sympy: a subprocess blocks its import
+# (an entry of None in sys.modules makes `import sympy` fail) and replays
+# these commands, whose reports are pinned byte-for-byte.
+_NO_SYMPY_GOLDENS = [
+    (["spacetime", "boost-generation", "--wedges", "six"], EXIT_OK,
+     '{"command": "spacetime boost-generation --wedges six", "inputs": {}, '
+     '"result": {"algebra_dim": 10, "closure_dim": 10, "success": true, '
+     '"wedge_count": 6, "wedges": "six"}, "threads": 1, "version": "0.1.0"}'),
+    (["spacetime", "boost-generation", "--wedges", "coordinate-only"], EXIT_MATH,
+     '{"command": "spacetime boost-generation --wedges coordinate-only", "inputs": {}, '
+     '"result": {"algebra_dim": 10, "closure_dim": 6, "success": false, '
+     '"wedge_count": 3, "wedges": "coordinate-only"}, "threads": 1, "version": "0.1.0"}'),
+    (["spacetime", "complement"], EXIT_OK,
+     '{"command": "spacetime complement", "inputs": {}, "result": '
+     '{"boost_identity_defect": 0.0, "complement_lorentz": [["1", "0", "0", "0"], '
+     '["0", "-1", "0", "0"], ["0", "0", "-1", "0"], ["0", "0", "0", "1"]], '
+     '"complement_translation": ["0", "0", "0", "0"], "involution": true, '
+     '"t_samples": [0.1, 0.5, 1.0]}, "threads": 1, "version": "0.1.0"}'),
+    (["lie", "cohomology", "--algebra", "poincare4", "--degree", "2"], EXIT_OK,
+     '{"command": "lie cohomology --algebra poincare4 --degree 2", "inputs": {}, '
+     '"result": {"algebra": "poincare(4)", "degree": 2, "dim_B": 10, "dim_H": 0, '
+     '"dim_Z": 10}, "threads": 1, "version": "0.1.0"}'),
+]
+
+_NO_SYMPY_RUNNER = """
+import contextlib, io, json, sys
+sys.modules["sympy"] = None
+from cohomkit.cli import main
+results = []
+for argv in json.loads(sys.argv[1]):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(argv)
+    results.append([code, buf.getvalue().strip()])
+print(json.dumps(results))
+"""
+
+
+def _child_env():
+    import cohomkit
+
+    env = {k: v for k, v in os.environ.items() if k != "TOOLKIT_THREADS"}
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cohomkit.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def test_exact_path_runs_without_sympy():
+    import subprocess
+    import sys
+
+    argvs = [argv for argv, _, _ in _NO_SYMPY_GOLDENS]
+    proc = subprocess.run([sys.executable, "-c", _NO_SYMPY_RUNNER, json.dumps(argvs)],
+                          capture_output=True, text=True, env=_child_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout)
+    assert got == [[code, out] for _, code, out in _NO_SYMPY_GOLDENS]
+
+
+def test_importing_cohomkit_loads_no_sympy():
+    import pkgutil
+    import subprocess
+    import sys
+
+    import cohomkit
+
+    names = ["cohomkit"] + [f"cohomkit.{m.name}" for m in pkgutil.iter_modules(cohomkit.__path__)]
+    assert {"cohomkit.cli", "cohomkit.liealg", "cohomkit.spacetime"} <= set(names)
+    script = ("import importlib, sys\n"
+              "for name in sys.argv[1:]:\n"
+              "    importlib.import_module(name)\n"
+              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'sympy'))")
+    proc = subprocess.run([sys.executable, "-c", script, *names],
+                          capture_output=True, text=True, env=_child_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_group_extension_build_writes_reloadable_table(capsys, tmp_path):
     from cohomkit.ext import CentralExtensionTable
 

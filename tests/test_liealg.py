@@ -11,13 +11,11 @@ from cohomkit.liealg import (
     Subspace,
     algebra_from_json,
     algebra_to_json,
-    bracket,
     builtin,
     derived_subalgebra,
     generated_subalgebra,
     ideal_closure,
     is_perfect,
-    jacobi_defect,
     rational_direction,
 )
 
@@ -38,7 +36,7 @@ def random_element(g, rng, lo=-5, hi=5):
 def test_builtins_validate(name):
     g = builtin(name)
     assert g.antisymmetry_defect() == 0
-    assert jacobi_defect(g) == 0
+    assert g.jacobi_defect() == 0
 
 
 def test_builtin_dims():
@@ -90,9 +88,9 @@ def test_corrupted_jacobi_flagged_and_defect_nonzero():
 def test_sl2_defining_bracket():
     sl2 = builtin("sl2")
     h, e, f = sl2.basis()
-    assert bracket(e, f) == h
-    assert bracket(h, e) == 2 * e
-    assert bracket(h, f) == (-2) * f
+    assert e.bracket(f) == h
+    assert h.bracket(e) == 2 * e
+    assert h.bracket(f) == (-2) * f
 
 
 def test_bracket_alternating():
@@ -101,9 +99,9 @@ def test_bracket_alternating():
         g = builtin(name)
         for _ in range(5):
             x = random_element(g, rng)
-            assert bracket(x, x).is_zero()
+            assert x.bracket(x).is_zero()
             y = random_element(g, rng)
-            assert bracket(x, y) == -bracket(y, x)
+            assert x.bracket(y) == -y.bracket(x)
 
 
 def test_bracket_bilinear():
@@ -111,20 +109,20 @@ def test_bracket_bilinear():
     rng = random.Random(4)
     x, y, z = (random_element(g, rng) for _ in range(3))
     a = Fraction(3, 2)
-    assert bracket(a * x + y, z) == a * bracket(x, z) + bracket(y, z)
+    assert (a * x + y).bracket(z) == a * x.bracket(z) + y.bracket(z)
 
 
 def test_boost_moves_time_translation():
     # physics boost K_1 = -J_01 in these conventions: [K_1, P_0] = P_1
     p4 = builtin("poincare(4)")
     k1 = -p4.by_label("J_01")
-    assert bracket(k1, p4.by_label("P_0")) == p4.by_label("P_1")
-    assert bracket(p4.by_label("J_01"), p4.by_label("P_0")) == -p4.by_label("P_1")
+    assert k1.bracket(p4.by_label("P_0")) == p4.by_label("P_1")
+    assert p4.by_label("J_01").bracket(p4.by_label("P_0")) == -p4.by_label("P_1")
 
 
 def test_bracket_rejects_foreign_elements():
     with pytest.raises(ValueError):
-        bracket(builtin("sl2").basis_element(0), builtin("heisenberg").basis_element(0))
+        builtin("sl2").basis_element(0).bracket(builtin("heisenberg").basis_element(0))
 
 
 # ---------------------------------------------------------------------------
@@ -209,13 +207,21 @@ def test_generated_requires_generators():
         generated_subalgebra(builtin("sl2"), [])
 
 
-def test_rational_direction_handles_sympy_scale():
-    import sympy as sp
-
+def test_rational_direction_removes_exact_scale():
     p4 = builtin("poincare(4)")
-    j01 = p4.by_label("J_01")
-    scaled = LieElement(p4, tuple((2 * sp.pi) * c for c in j01.coeffs))
-    assert rational_direction(scaled) == j01
+    x = p4.by_label("J_01") + Fraction(1, 2) * p4.by_label("P_3")
+    scaled = Fraction(7, 3) * x
+    assert rational_direction(scaled) == x
+    assert all(type(c) is Fraction for c in rational_direction(scaled).coeffs)
+
+
+def test_rational_direction_refuses_inexact_coefficients():
+    p4 = builtin("poincare(4)")
+    floats = LieElement(p4, tuple(0.5 * float(c) for c in p4.by_label("J_01").coeffs))
+    with pytest.raises(ValueError, match="not exact"):
+        rational_direction(floats)
+    with pytest.raises(ValueError, match="not exact"):
+        generated_subalgebra(p4, [p4.by_label("P_0"), floats])
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +255,7 @@ def test_ideal_is_invariant_under_algebra():
         ideal = ideal_closure(p4, x)
         for e in p4.basis():
             for b in ideal.basis():
-                assert ideal.contains(bracket(e, b))
+                assert ideal.contains(e.bracket(b))
 
 
 def test_random_nonzero_ideals_contain_translations():

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from cohomkit.liealg import Subspace, generated_subalgebra, rational_direction
+from cohomkit.liealg import generated_subalgebra
 from cohomkit.spacetime import (
+    BOOST_SCALE,
     PoincareElement,
     Wedge,
     boost_generation_check,
@@ -81,6 +82,19 @@ def test_poincare_element_validation():
             [[2, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]).validate()
 
 
+def test_symbolic_poincare_element_is_refused():
+    # composition takes sympy entries; validation, inversion and wedge
+    # comparison need numeric or exact ones
+    g = wedge_boost(Wedge.standard(), sp.Symbol("t", real=True))
+    assert g.kind == "symbolic"
+    with pytest.raises(ValueError, match="numeric or exact"):
+        g.validate()
+    with pytest.raises(ValueError, match="numeric or exact"):
+        g.inverse()
+    with pytest.raises(ValueError, match="numeric or exact"):
+        Wedge(g) == Wedge.standard()
+
+
 def test_compose_inverse_apply():
     g = PoincareElement.axis_swap_rotation(3)
     h = PoincareElement.translation_by((1, 2, 0, 0))
@@ -129,12 +143,13 @@ def test_wedge_boost_fixes_wedge_setwise():
 def test_generator_of_standard_wedge():
     alg = poincare4_algebra()
     gen = wedge_boost_generator(Wedge.standard())
-    assert gen == (2 * sp.pi) * alg.by_label("J_01")
+    assert gen == alg.by_label("J_01")
+    assert all(type(c) is Fraction for c in gen.coeffs)
 
 
 def test_generator_matches_symbolic_derivative():
-    # differentiate the boost matrix at t = 0 and compare with the vector
-    # representation of the returned algebra element
+    # differentiate the boost matrix at t = 0 and compare with BOOST_SCALE
+    # times the vector representation of the returned algebra element
     t = sp.Symbol("t", real=True)
     deriv = sp.diff(boost_matrix(t), t).subs(t, 0)
     alg = poincare4_algebra()
@@ -144,13 +159,17 @@ def test_generator_matches_symbolic_derivative():
     jvec = sp.zeros(4, 4)
     jvec[1, 0] = -1
     jvec[0, 1] = -1
-    assert sp.simplify(deriv - coeff * jvec) == sp.zeros(4, 4)
+    # BOOST_SCALE is the float value of the exact 2 pi the derivative carries
+    assert BOOST_SCALE == float(2 * sp.pi)
+    assert sp.simplify(deriv - 2 * sp.pi * coeff * jvec) == sp.zeros(4, 4)
+    assert np.allclose(np.array(deriv, dtype=float),
+                       BOOST_SCALE * float(coeff) * np.array(jvec, dtype=float))
 
 
 def test_generator_of_translated_wedge():
     alg = poincare4_algebra()
     gen = wedge_boost_generator(Wedge.standard().translate((1, 0, 0, 0)))
-    expected = (2 * sp.pi) * (alg.by_label("J_01") + alg.by_label("P_1"))
+    expected = alg.by_label("J_01") + alg.by_label("P_1")
     assert gen == expected
 
 
@@ -158,7 +177,7 @@ def test_generator_of_coordinate_wedges():
     alg = poincare4_algebra()
     for axis in (2, 3):
         gen = wedge_boost_generator(Wedge.coordinate(axis))
-        assert gen == (2 * sp.pi) * alg.by_label(f"J_0{axis}")
+        assert gen == alg.by_label(f"J_0{axis}")
 
 
 def test_generator_numeric_fallback_warns():
@@ -169,13 +188,20 @@ def test_generator_numeric_fallback_warns():
         warnings.simplefilter("always")
         gen = wedge_boost_generator(Wedge(frame))
     assert any("numerically" in str(w.message) for w in caught)
-    alg = poincare4_algebra()
+    # same scale as the exact route: float coefficients of the same element
     exact = wedge_boost_generator(Wedge.standard().translate((0, 0, 1, 0)))
-    exact_float = [float(c) for c in (rational_direction(exact)).coeffs]
-    got_float = [float(c) / (2 * np.pi) for c in gen.coeffs]
-    lead = next(x for x in exact_float if x)
-    got_lead = next(x for x in got_float if x)
-    assert np.allclose(np.array(got_float) / got_lead, np.array(exact_float) / lead)
+    assert all(type(c) is float for c in gen.coeffs)
+    assert np.allclose([float(c) for c in gen.coeffs], [float(c) for c in exact.coeffs])
+
+
+def test_float_frame_family_is_refused():
+    frame = PoincareElement.from_parts(
+        [[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0],
+         [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]], (0.0, 0.0, 1.0, 0.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(ValueError, match="not exact"):
+            boost_generation_check([Wedge.coordinate(2), Wedge(frame)])
 
 
 # ---------------------------------------------------------------------------
