@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -48,17 +49,31 @@ def _load(path: str, inputs: dict, parse):
         with open(path, "rb") as fh:
             data = fh.read()
         inputs[path] = hashlib.sha256(data).hexdigest()
-        return parse(json.loads(data))
+        return parse(json.loads(data, parse_float=_finite, parse_constant=_finite))
     except KeyError as exc:
         raise ValueError(f"{path}: missing key {exc.args[0]!r}") from exc
+    except ZeroDivisionError as exc:
+        raise ValueError(f"{path}: zero denominator in {exc}") from exc
     # what a missing, unparsable (JSONDecodeError is a ValueError) or
-    # malformed input raises while it is read and parsed
-    except (OSError, IndexError, TypeError, ValueError, AttributeError) as exc:
+    # malformed input raises while it is read and parsed (an integer too
+    # large for a float field is an OverflowError)
+    except (OSError, IndexError, TypeError, ValueError, AttributeError,
+            OverflowError) as exc:
         raise ValueError(f"{path}: {exc}") from exc
 
 
+def _finite(text: str) -> float:
+    """A JSON number as a float; Infinity, NaN and overflowing decimals
+    such as 1e400 are refused."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {text} is not accepted")
+    return value
+
+
 def _fractions(values):
-    return [Fraction(v) for v in values]
+    """Exact entries; a JSON decimal is read as written, so 0.6 is 3/5."""
+    return [Fraction(str(v)) if isinstance(v, float) else Fraction(v) for v in values]
 
 
 def _threads() -> int:
@@ -302,8 +317,12 @@ def cmd_modular(args, inputs: dict[str, str]) -> tuple[dict, bool]:
             algebra = modular.qubit_factor()
             omega = modular.StateVector(np.array([1, 0, 0, 0], dtype=complex))
         elif args.example.startswith("p:"):
+            try:
+                p = Fraction(args.example[2:])
+            except ZeroDivisionError:
+                raise ValueError(f"--example {args.example} has a zero denominator") from None
             algebra = modular.qubit_factor()
-            omega = modular.schmidt_state(float(Fraction(args.example[2:])))
+            omega = modular.schmidt_state(float(p))
         else:
             raise ValueError(f"unknown --example {args.example}; "
                              "use tracial, product, or p:<value>")
@@ -369,6 +388,8 @@ def cmd_spacetime(args, inputs: dict[str, str]) -> tuple[dict, bool]:
 
     failed = False
     if args.st_cmd == "boost":
+        if not math.isfinite(args.t):
+            raise ValueError(f"--t must be a finite number, not {args.t}")
         m = spacetime.boost_matrix(args.t)
         payload = {"t": args.t, "matrix": [[float(x) for x in row] for row in m],
                    "is_identity": bool(np.allclose(m, np.eye(4)))}

@@ -42,6 +42,7 @@ from .grpcoh import (
     coboundary_matrix,
     cocycle_space,
     construct_splitting,
+    enumerate_cochains,
     hom_group,
     inflation,
 )
@@ -406,15 +407,21 @@ class CorrespondenceReport:
 
 
 def _class_representatives(space: CocycleSpaceDescription) -> list[Cochain]:
-    """One cocycle per cohomology class, greedy over the elements of Z^n."""
+    """One cocycle per cohomology class: the first of each coset z + B^n in
+    the order of `space.elements()`, with B^n the coboundaries of every
+    (n - 1)-cochain."""
     if space.order > SEARCH_LIMIT:
         raise SizeLimitExceeded(
             f"class enumeration over {space.order} cocycles exceeds 2^16",
             SEARCH_LIMIT, space.order)
+    P, A = space.group, space.coeffs
+    boundaries = {coboundary(f).values for f in enumerate_cochains(P, A, space.degree - 1)}
+    covered: set[tuple] = set()
     reps: list[Cochain] = []
     for z in space.elements():
-        if all(_solve_coboundary(space.group, space.coeffs, z - r) is None for r in reps):
+        if z.values not in covered:
             reps.append(z)
+            covered.update(tuple(map(A.add, z.values, b)) for b in boundaries)
     return reps
 
 

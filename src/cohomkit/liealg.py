@@ -6,18 +6,12 @@ module provides the bracket-closure procedures the rest of the toolkit leans
 on: the derived subalgebra, the subalgebra generated by a finite family, and
 the ideal generated by a single element.
 
-Sign and basis conventions for the relativistic builtins (fixed here once,
-spelled out in CONVENTIONS.md):
-
-* metric eta = diag(+1, -1, ..., -1);
-* Lorentz generators J_{mu nu} for mu < nu, with
-      [J_{ab}, J_{cd}] = eta_{bc} J_{ad} - eta_{ac} J_{bd}
-                       - eta_{bd} J_{ac} + eta_{ad} J_{bc},
-      [J_{ab}, P_c]    = eta_{bc} P_a  - eta_{ac} P_b,
-      [P_a,  P_b]      = 0,
-  where J_{xy} with x > y denotes -J_{yx};
-* the physics boost generator K_i with [K_i, P_0] = P_i is J_{i0} = -J_{0i}
-  in this basis.
+The relativistic builtins lorentz(d) and poincare(d) are defined once, by
+the integer affine matrices of `poincare_basis_matrices` (metric
+`metric_signs`): their structure constants are the commutators of those
+matrices, read back by `affine_coefficients`.  The bracket formulas of
+CONVENTIONS.md are consequences of that definition; the physics boost
+generator with [K_i, P_0] = P_i is K_i = J_i0 = -J_0i.
 
 Element coefficients are `fractions.Fraction` throughout.  Subspace
 computations normalize every vector to a rational direction first (spans and
@@ -31,6 +25,7 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Sequence
 
@@ -44,6 +39,9 @@ __all__ = [
     "generated_subalgebra",
     "ideal_closure",
     "builtin",
+    "metric_signs",
+    "poincare_basis_matrices",
+    "affine_coefficients",
     "algebra_to_json",
     "algebra_from_json",
 ]
@@ -420,74 +418,61 @@ def ideal_closure(g: LieAlgebra, x: LieElement) -> Subspace:
 # builtins
 
 
-def _metric(mu: int) -> int:
-    return 1 if mu == 0 else -1
+def metric_signs(d: int) -> tuple[int, ...]:
+    """The diagonal of the Minkowski metric eta = diag(+1, -1, ..., -1)."""
+    return (1,) + (-1,) * (d - 1)
 
 
-def _lorentz_brackets(d: int, pair_index: dict[tuple[int, int], int], ntrans: int = 0):
-    """Sparse bracket table for so(1, d-1), optionally extended by
-    translations occupying indices len(pair_index)..+d-1."""
-    brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
-    npairs = len(pair_index)
+def poincare_basis_matrices(d: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """The basis of poincare(d) in builtin order as integer (d+1)x(d+1)
+    affine matrices: J_ab for a < b, acting by J_ab e_s = eta_bs e_a - eta_as e_b,
+    then P_a, the translation by e_a.  lorentz(d) is the first C(d, 2)."""
+    eta = metric_signs(d)
+    mats = []
+    for a, b in combinations(range(d), 2):
+        m = [[0] * (d + 1) for _ in range(d + 1)]
+        m[a][b], m[b][a] = eta[b], -eta[a]
+        mats.append(m)
+    for a in range(d):
+        m = [[0] * (d + 1) for _ in range(d + 1)]
+        m[a][d] = 1
+        mats.append(m)
+    return tuple(tuple(map(tuple, m)) for m in mats)
 
-    def j_coeff(a: int, b: int) -> tuple[int, int] | None:
-        # returns (index, sign) for J_{ab}; None when a == b
-        if a == b:
-            return None
-        if a < b:
-            return pair_index[(a, b)], 1
-        return pair_index[(b, a)], -1
 
-    pairs = sorted(pair_index, key=pair_index.get)
-    for (a, b) in pairs:
-        i = pair_index[(a, b)]
-        for (c, dd) in pairs:
-            j = pair_index[(c, dd)]
-            if j <= i:
-                continue
-            acc: dict[int, Fraction] = {}
-            for eta, target in ((_metric(b) if b == c else 0, (a, dd)),
-                                (-(_metric(a)) if a == c else 0, (b, dd)),
-                                (-(_metric(b)) if b == dd else 0, (a, c)),
-                                (_metric(a) if a == dd else 0, (b, c))):
-                if not eta:
-                    continue
-                jc = j_coeff(*target)
-                if jc is None:
-                    continue
-                idx, sign = jc
-                acc[idx] = acc.get(idx, Fraction(0)) + Fraction(eta * sign)
-            acc = {k: v for k, v in acc.items() if v}
-            if acc:
-                brackets[(i, j)] = acc
-        if ntrans:
-            for c in range(d):
-                j = npairs + c
-                acc = {}
-                if b == c:
-                    acc[npairs + a] = acc.get(npairs + a, Fraction(0)) + Fraction(_metric(b))
-                if a == c:
-                    acc[npairs + b] = acc.get(npairs + b, Fraction(0)) - Fraction(_metric(a))
-                acc = {k: v for k, v in acc.items() if v}
-                if acc:
-                    brackets[(i, j)] = acc
+def affine_coefficients(m) -> list:
+    """Coefficients in the poincare(d) basis of an affine matrix in its span:
+    J_ab <- m[a][b] * eta_bb (only J_ab has an entry at (a, b)), P_a <- m[a][d]."""
+    d = len(m) - 1
+    eta = metric_signs(d)
+    return ([m[a][b] * eta[b] for a, b in combinations(range(d), 2)]
+            + [m[a][d] for a in range(d)])
+
+
+def matmul(x, y) -> list[list]:
+    """Matrix product, skipping the zero entries of x."""
+    out = [[0] * len(y[0]) for _ in x]
+    for row, acc in zip(x, out):
+        for a, yrow in zip(row, y):
+            if a:
+                for j, b in enumerate(yrow):
+                    acc[j] += a * b
+    return out
+
+
+@lru_cache(maxsize=None)
+def _relativistic_brackets(d: int, dim: int) -> dict:
+    """Sparse bracket table on the first `dim` basis matrices of poincare(d):
+    their commutators, read back into coefficients."""
+    mats = poincare_basis_matrices(d)[:dim]
+    brackets = {}
+    for i, j in combinations(range(dim), 2):
+        xy, yx = matmul(mats[i], mats[j]), matmul(mats[j], mats[i])
+        comm = [[p - q for p, q in zip(r, s)] for r, s in zip(xy, yx)]
+        coeffs = {k: c for k, c in enumerate(affine_coefficients(comm)) if c}
+        if coeffs:
+            brackets[(i, j)] = coeffs
     return brackets
-
-
-def _lorentz(d: int, with_translations: bool) -> LieAlgebra:
-    if d < 2:
-        raise ValueError("spacetime dimension must be at least 2")
-    pairs = list(combinations(range(d), 2))
-    pair_index = {p: i for i, p in enumerate(pairs)}
-    labels = [f"J_{a}{b}" for a, b in pairs]
-    if with_translations:
-        labels += [f"P_{mu}" for mu in range(d)]
-        brackets = _lorentz_brackets(d, pair_index, ntrans=d)
-        name = f"poincare({d})"
-    else:
-        brackets = _lorentz_brackets(d, pair_index)
-        name = f"lorentz({d})"
-    return LieAlgebra.from_brackets(labels, brackets, name=name)
 
 
 _BUILTIN_RE = re.compile(r"^(abelian|poincare|lorentz)\(?(\d+)\)?$")
@@ -517,7 +502,11 @@ def builtin(name: str) -> LieAlgebra:
                 tuple(f"x{i+1}" for i in range(num)), {}, name=f"abelian({num})")
         if num not in (2, 3, 4):
             raise ValueError(f"{kind}(d) supports spacetime dimension d in {{2, 3, 4}}")
-        return _lorentz(num, with_translations=(kind == "poincare"))
+        labels = [f"J_{a}{b}" for a, b in combinations(range(num), 2)]
+        if kind == "poincare":
+            labels += [f"P_{mu}" for mu in range(num)]
+        return LieAlgebra.from_brackets(
+            labels, _relativistic_brackets(num, len(labels)), name=f"{kind}({num})")
     raise ValueError(f"unknown algebra name: {name!r}")
 
 

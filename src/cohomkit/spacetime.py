@@ -1,8 +1,8 @@
 """Minkowski wedges, their boost one-parameter groups, and the Lie-algebra
 generators those boosts sweep out.
 
-The standard wedge is W1 = {x in R^4 : |x_0| < x_1}, metric diag(+,-,-,-).
-Its boosts act on the (x_0, x_1) coordinates through
+The standard wedge is W1 = {x in R^4 : |x_0| < x_1}, with the metric of
+`liealg.metric_signs`.  Its boosts act on the (x_0, x_1) coordinates through
 
     [ cosh 2 pi t   -sinh 2 pi t ]
     [ -sinh 2 pi t   cosh 2 pi t ]
@@ -10,10 +10,12 @@ Its boosts act on the (x_0, x_1) coordinates through
 and leave x_2, x_3 alone; boosts of any other wedge W = g W1 are defined by
 conjugation, Lambda_W(t) = g Lambda_{W1}(t) g^{-1}.  Differentiating at t = 0
 gives BOOST_SCALE * X with BOOST_SCALE = 2 pi (the Bisognano-Wichmann
-normalization, named once here) and X an element of the Poincare algebra;
-for W1, X is exactly J_01 in the conventions of `liealg`.  Wedges with exact
-(rational) defining elements give X with `Fraction` coefficients, which feed
-`liealg.generated_subalgebra` directly.
+normalization, named once here) and X an element of the Poincare algebra:
+the affine J_01 of `liealg.poincare_basis_matrices` conjugated by the affine
+frame [[g_Lambda, g_a], [0, 1]] of W, read back by `liealg.affine_coefficients`,
+the same matrices the builtin brackets come from.  For W1, X is exactly J_01.
+Wedges with exact (rational) defining elements give X with `Fraction`
+coefficients, which feed `liealg.generated_subalgebra` directly.
 
 Boost matrices accept either numeric parameters (numpy output) or sympy
 expressions (exact output; cosh^2 - sinh^2 = 1 keeps the quadratic form
@@ -36,12 +38,12 @@ import sys
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Sequence
 
 import numpy as np
 
-from .liealg import LieAlgebra, LieElement, builtin, generated_subalgebra
+from .liealg import (LieAlgebra, LieElement, affine_coefficients, builtin,
+                     generated_subalgebra, matmul, metric_signs, poincare_basis_matrices)
 
 __all__ = [
     "BOOST_SCALE",
@@ -59,7 +61,7 @@ __all__ = [
     "minkowski_form",
 ]
 
-METRIC_SIGNS = (1, -1, -1, -1)
+METRIC_SIGNS = metric_signs(4)
 
 # d/dt Lambda_W(t) at t = 0 is BOOST_SCALE times the rational generator
 BOOST_SCALE = 2 * math.pi
@@ -375,34 +377,22 @@ def _stabilizes_standard_wedge(h: PoincareElement, tol: float = 1e-9) -> bool:
 def wedge_boost(w: Wedge, t) -> PoincareElement:
     """Lambda_W(t) = g Lambda_{W1}(t) g^{-1} for W = g W1."""
     m = boost_matrix(t)
-    if isinstance(m, np.ndarray):
-        boost = PoincareElement.from_parts(
-            tuple(tuple(float(m[i, j]) for j in range(4)) for i in range(4)))
-    else:
-        boost = PoincareElement.from_parts(
-            tuple(tuple(m[i, j] for j in range(4)) for i in range(4)))
+    boost = PoincareElement.from_parts([[m[i, j] for j in range(4)] for i in range(4)])
     return w.frame.compose(boost).compose(w.frame.inverse())
 
 
-# vector representation of the Lorentz generators: J_{ab} e_s = eta_{bs} e_a - eta_{as} e_b
-def _j_vector_matrix(a: int, b: int) -> tuple[tuple[Fraction, ...], ...]:
-    m = [[Fraction(0)] * 4 for _ in range(4)]
-    for s in range(4):
-        if s == b:
-            m[a][s] += Fraction(METRIC_SIGNS[b])
-        if s == a:
-            m[b][s] -= Fraction(METRIC_SIGNS[a])
-    return tuple(tuple(r) for r in m)
+def _affine(g: PoincareElement) -> list[list]:
+    """g as the (4+1)x(4+1) matrix [[Lambda, a], [0, 1]]."""
+    return [list(row) + [t] for row, t in zip(g.lorentz, g.translation)] + [[0, 0, 0, 0, 1]]
 
 
 def wedge_boost_generator(w: Wedge) -> LieElement:
     """The element X of poincare(4) with d/dt Lambda_W(t) at t = 0 equal to
-    BOOST_SCALE * X.
+    BOOST_SCALE * X: the affine J_01 conjugated by the affine frame of W.
 
-    For the standard wedge X is J_01.  An exact defining element gives X
-    with `Fraction` coefficients.  A float frame falls back to float
-    coefficients on the same scale with a warning; `generated_subalgebra`
-    refuses those, since they have no exact direction.
+    An exact frame gives X with `Fraction` coefficients.  A float frame
+    falls back to float coefficients on the same scale with a warning;
+    `generated_subalgebra` refuses those, since they have no exact direction.
     """
     alg = poincare4_algebra()
     frame = w.frame
@@ -410,26 +400,15 @@ def wedge_boost_generator(w: Wedge) -> LieElement:
     if not exact:
         warnings.warn("wedge frame is not exact; generator computed numerically",
                       RuntimeWarning)
-    j01 = _j_vector_matrix(0, 1)
-    lam = frame.lorentz
-    lam_inv = _invert4(lam)
-    # N = Lambda J01 Lambda^{-1}; translation part -N a (both up to BOOST_SCALE)
-    n = [[sum(lam[i][k] * j01[k][m] * lam_inv[m][j] for k in range(4) for m in range(4))
-          for j in range(4)] for i in range(4)]
-    c = [-sum(n[i][k] * frame.translation[k] for k in range(4)) for i in range(4)]
-    pairs = list(combinations(range(4), 2))
-    coeffs = []
-    for a, b in pairs:
-        coeffs.append(n[a][b] / METRIC_SIGNS[b])
-    coeffs.extend(c)
-    # defensive: the decomposition must reproduce N (N lies in so(1,3))
-    recon = [[sum(coeffs[idx] * _j_vector_matrix(a, b)[i][j]
-                  for idx, (a, b) in enumerate(pairs)) for j in range(4)] for i in range(4)]
-    for i in range(4):
-        for j in range(4):
-            diff = recon[i][j] - n[i][j]
+    basis = poincare_basis_matrices(4)
+    n = matmul(matmul(_affine(frame), basis[0]), _affine(frame.inverse()))
+    coeffs = affine_coefficients(n)
+    # defensive: the coefficients must reproduce the conjugate (it lies in poincare(4))
+    for i in range(5):
+        for j in range(5):
+            diff = sum(c * m[i][j] for c, m in zip(coeffs, basis)) - n[i][j]
             if (diff != 0) if exact else (abs(diff) > 1e-9):
-                raise RuntimeError("conjugated boost generator left the Lorentz algebra")
+                raise RuntimeError("conjugated boost generator left the Poincare algebra")
     return LieElement(alg, tuple(map(Fraction if exact else float, coeffs)))
 
 

@@ -168,6 +168,9 @@ def test_group_over_dense_budget_exits_two_fast(capsys, cmd):
      "unknown --example thermal; use tracial, product, or p:<value>"),
     (["group", "correspondence", "--cover", "z3", "--base", "z2", "--coeff", "z2"],
      "canonical sigma needs |base| dividing |cover|"),
+    (["modular", "analyze", "--example", "p:1/0", "--seed", "1"],
+     "--example p:1/0 has a zero denominator"),
+    (["spacetime", "boost", "--t", "inf"], "--t must be a finite number, not inf"),
 ])
 def test_usage_errors_exit_two_with_error_prefix(capsys, argv, message):
     code = main(argv)
@@ -373,6 +376,20 @@ def test_spacetime_complement(capsys):
     assert rep["result"]["boost_identity_defect"] < 1e-10
 
 
+def test_json_decimals_are_read_as_written(capsys, tmp_path):
+    # the x_1 x_2 rotation with cos = 3/5: 0.6 must mean 3/5, not its binary value
+    results = []
+    for name, (c, s) in (("dec", (0.6, 0.8)), ("frac", ("3/5", "4/5"))):
+        minus_s = -s if isinstance(s, float) else "-" + s
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"lorentz": [[1, 0, 0, 0], [0, c, minus_s, 0],
+                                                [0, s, c, 0], [0, 0, 0, 1]]}))
+        code, rep = run_json(capsys, "spacetime", "complement", "--wedge", str(path))
+        assert code == EXIT_OK
+        results.append(rep["result"])
+    assert results[0] == results[1]
+
+
 # ---------------------------------------------------------------------------
 # malformed JSON inputs
 
@@ -407,9 +424,23 @@ _Z2Z2 = ["--group", "z2", "--coeff", "z2"]
     (["modular", "analyze", "--seed", "1"], "--state", {"vector": 5},
      {"--algebra": _ALGEBRA}),
     (["spacetime", "complement"], "--wedge", {"lorentz": 3}, {}),
+    (["lie", "generate", "--algebra", "poincare4"], "--generators",
+     '{"generators": [[Infinity, 0, 0, 0, 0, 0, 0, 0, 0, 0]]}', {}),
+    (["lie", "generate", "--algebra", "poincare4"], "--generators",
+     '{"generators": [[1e400, 0, 0, 0, 0, 0, 0, 0, 0, 0]]}', {}),
+    (["lie", "generate", "--algebra", "poincare4"], "--generators",
+     {"generators": [["1/0", 0, 0, 0, 0, 0, 0, 0, 0, 0]]}, {}),
+    (["lie", "validate"], "--algebra",
+     '{"dim": 2, "brackets": [{"i": 0, "j": 1, "coeffs": {"0": Infinity}}]}', {}),
+    (["group", "h", "--coeff", "z2", "--degree", "1"], "--group",
+     '{"table": [[0, 1], [1, Infinity]]}', {}),
+    (_EXT + ["build"] + _Z2Z2, "--cocycle",
+     json.dumps(_Z2_COCYCLE).replace('"value": [0]', '"value": [Infinity]', 1), {}),
 ], ids=["generators-int", "generators-missing", "generators-syntax", "element-int",
         "build-values", "split-values", "value-length", "equiv-values", "sigma-int", "sigma-range",
-        "modular-algebra", "modular-state", "wedge-int"])
+        "modular-algebra", "modular-state", "wedge-int", "generators-infinity",
+        "generators-overflow", "generators-zero-denominator", "algebra-infinity", "group-infinity",
+        "cocycle-infinity"])
 def test_json_input_errors_name_file_and_exit_two(capsys, tmp_path, argv, flag, doc, good):
     path = tmp_path / "bad.json"
     path.write_text(doc if isinstance(doc, str) else json.dumps(doc))

@@ -1,6 +1,7 @@
 import json
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -55,6 +56,41 @@ def test_builtin_name_spellings():
         builtin("su5")
     with pytest.raises(ValueError):
         builtin("poincare(7)")
+
+
+@pytest.mark.parametrize("kind", ["lorentz", "poincare"])
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_builtin_table_matches_convention_formulas(kind, d):
+    # the bracket formulas of CONVENTIONS.md, evaluated here from eta alone
+    eta = [[(1 if a == 0 else -1) if a == b else 0 for b in range(d)] for a in range(d)]
+    g = builtin(f"{kind}({d})")
+
+    def J(a, b):  # J_ba = -J_ab, J_aa = 0
+        if a == b:
+            return g.zero()
+        return g.by_label(f"J_{a}{b}") if a < b else -g.by_label(f"J_{b}{a}")
+
+    def P(a):
+        return g.by_label(f"P_{a}")
+
+    expected = {}
+    for a, b in combinations(range(d), 2):
+        for c, e in combinations(range(d), 2):
+            expected[f"J_{a}{b}", f"J_{c}{e}"] = (
+                eta[b][c] * J(a, e) - eta[a][c] * J(b, e)
+                - eta[b][e] * J(a, c) + eta[a][e] * J(b, c))
+        if kind == "poincare":
+            for c in range(d):
+                expected[f"J_{a}{b}", f"P_{c}"] = eta[b][c] * P(a) - eta[a][c] * P(b)
+                expected[f"P_{c}", f"J_{a}{b}"] = -expected[f"J_{a}{b}", f"P_{c}"]
+    if kind == "poincare":
+        for a in range(d):
+            for b in range(d):
+                expected[f"P_{a}", f"P_{b}"] = g.zero()
+    assert len(expected) == g.dim ** 2
+    for (x, y), want in expected.items():
+        i, j = g.labels.index(x), g.labels.index(y)
+        assert g.constants[i][j] == want.coeffs, (x, y)
 
 
 def test_corrupted_antisymmetry_flagged():
