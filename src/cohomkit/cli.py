@@ -390,7 +390,10 @@ def cmd_spacetime(args, inputs: dict[str, str]) -> tuple[dict, bool]:
     if args.st_cmd == "boost":
         if not math.isfinite(args.t):
             raise ValueError(f"--t must be a finite number, not {args.t}")
-        m = spacetime.boost_matrix(args.t)
+        try:
+            m = spacetime.boost_matrix(args.t)
+        except ValueError as exc:
+            raise ValueError(f"--t is out of range: {exc}") from None
         payload = {"t": args.t, "matrix": [[float(x) for x in row] for row in m],
                    "is_identity": bool(np.allclose(m, np.eye(4)))}
     elif args.st_cmd == "boost-generation":

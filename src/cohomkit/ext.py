@@ -42,11 +42,9 @@ from .grpcoh import (
     coboundary_matrix,
     cocycle_space,
     construct_splitting,
-    enumerate_cochains,
-    hom_group,
     inflation,
 )
-from .exactmat import solve_mod
+from .exactmat import IntegerMatrix, kernel_mod, solve_mod
 
 __all__ = [
     "CentralExtensionTable",
@@ -362,17 +360,12 @@ def _verify_equivalence_map(ext1: CentralExtensionTable, ext2: CentralExtensionT
 
 def is_split(ext: CentralExtensionTable) -> GroupHom | None:
     """A section that is a homomorphism, or None; exists iff the cocycle is a
-    coboundary.  The splitting is s(p) = (phi(p), p) for d_1 phi = omega."""
+    coboundary.  The splitting is the lift of id_P through the extension,
+    s(p) = (phi(p), p) for d_1 phi = omega, verified by `construct_splitting`."""
     phi = _solve_coboundary(ext.base, ext.kernel, ext.cocycle)
     if phi is None:
         return None
-    values = tuple(ext.index_of(phi.value(p), p) for p in ext.base.elements())
-    hom = GroupHom(ext.base, ext.carrier, values)
-    hom.validate()
-    for p in ext.base.elements():
-        if ext.projection(hom(p)) != p:
-            raise RuntimeError("splitting is not a section")  # unreachable
-    return hom
+    return construct_splitting(ext.base, GroupHom.identity_map(ext.base), ext, phi)
 
 
 # ---------------------------------------------------------------------------
@@ -407,22 +400,31 @@ class CorrespondenceReport:
 
 
 def _class_representatives(space: CocycleSpaceDescription) -> list[Cochain]:
-    """One cocycle per cohomology class: the first of each coset z + B^n in
-    the order of `space.elements()`, with B^n the coboundaries of every
-    (n - 1)-cochain."""
-    if space.order > SEARCH_LIMIT:
-        raise SizeLimitExceeded(
-            f"class enumeration over {space.order} cocycles exceeds 2^16",
-            SEARCH_LIMIT, space.order)
+    """One cocycle per class of H^n, sorted by linear keys.
+
+    Over Z/m a cochain is a coboundary exactly when every y with
+    d_(n-1)^T y = 0 (mod m) annihilates it (the dot product on (Z/m)^r is a
+    perfect pairing), so the key y . z_k mod m_k, over each factor k and
+    each `kernel_mod` generator y, decides the class.  From the zero
+    cocycle the walk adds the generators to each representative, first in
+    first out, and keeps the first cocycle that reaches each new key."""
     P, A = space.group, space.coeffs
-    boundaries = {coboundary(f).values for f in enumerate_cochains(P, A, space.degree - 1)}
-    covered: set[tuple] = set()
-    reps: list[Cochain] = []
-    for z in space.elements():
-        if z.values not in covered:
-            reps.append(z)
-            covered.update(tuple(map(A.add, z.values, b)) for b in boundaries)
-    return reps
+    d = coboundary_matrix(P, space.degree - 1)
+    d_t = IntegerMatrix(d.cols, d.rows, tuple(zip(*d.entries)))
+    annihilators = {m: [y for y, _ in kernel_mod(d_t, m)] for m in set(A.orders)}
+    moduli = [m for m in A.orders for _ in annihilators[m]]
+    steps = [(g, tuple(sum(yc * v[k] for yc, v in zip(y, g.values)) % m
+                       for k, m in enumerate(A.orders) for y in annihilators[m]))
+             for g, _ in space.generators]
+    reps = {(0,) * len(moduli): Cochain.zero(P, A, space.degree)}
+    keys = list(reps)
+    for zk in keys:
+        for g, gk in steps:
+            nk = tuple((a + b) % m for a, b, m in zip(zk, gk, moduli))
+            if nk not in reps:
+                reps[nk] = reps[zk] + g
+                keys.append(nk)
+    return list(reps.values())
 
 
 def h1_h2_correspondence_check(E: FiniteGroup, sigma: GroupHom,
@@ -436,6 +438,9 @@ def h1_h2_correspondence_check(E: FiniteGroup, sigma: GroupHom,
     reads as a homomorphism S -> A.  Failure of inflation-splitting for some
     class is reported as non-applicability (the cover is not algebraically
     simply connected enough), not as an error.
+
+    Nothing is enumerated: |H^1(S, A)| = |Z^1(S, A)| = |Hom(S, A)| comes from
+    `cocycle_space`, and the classes of H^2(P, A) from `_class_representatives`.
     """
     if sigma.source.table != E.table:
         raise ValueError("sigma is not defined on E")
@@ -449,8 +454,7 @@ def h1_h2_correspondence_check(E: FiniteGroup, sigma: GroupHom,
             if E.mul(s_old, g) != E.mul(g, s_old):
                 raise ValueError("kernel of sigma is not central; "
                                  "(E, sigma) is not a central extension")
-    homs = hom_group(s_group, A)
-    h1_order = len(homs)
+    h1_order = cocycle_space(s_group, A, 1).order  # Z^1 = Hom(S, A)
 
     space = cocycle_space(P, A, 2)
     reps = _class_representatives(space)
@@ -467,14 +471,8 @@ def h1_h2_correspondence_check(E: FiniteGroup, sigma: GroupHom,
                 E.name, P.name, A.size, h1_order, h2_order,
                 applicable=False, failing_class=ci, class_to_hom=[], injective=False)
         U = construct_splitting(E, sigma, ext, phi)
-        u = ext.normalizer
-        psi = []
-        for s_new, s_old in enumerate(s_embedding):
-            a, base_part = ext.decompose(U(s_old))
-            if base_part != P.identity:
-                raise RuntimeError("restriction of the lift escaped the kernel")
-            psi.append(A.sub(a, u))
-        psi_t = tuple(psi)
+        # U covers sigma, so U(s) = (a, 1) for s in ker sigma; psi(s) = a - u
+        psi_t = tuple(A.sub(ext.decompose(U(s))[0], ext.normalizer) for s in s_embedding)
         psi_tables.append(psi_t)
         class_to_hom.append({
             "class_index": ci,

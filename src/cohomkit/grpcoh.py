@@ -555,28 +555,15 @@ def coboundary_matrix(group: FiniteGroup, degree: int) -> IntegerMatrix:
 
 @dataclass
 class CocycleSpaceDescription:
+    """Z^n(P, A) as generators with their orders: every cocycle is a sum
+    of multiples of the generators, and `order` is |Z^n|.  Elements are
+    not listed; `enumerate_cocycles` is the exhaustive oracle."""
+
     group: FiniteGroup
     coeffs: AbelianCoefficients
     degree: int
     order: int
     generators: list[tuple[Cochain, int]]  # (generator, order in Z^n)
-
-    def elements(self) -> Iterable[Cochain]:
-        """Every cocycle, generated from the description (use only when
-        `order` is reasonably small)."""
-        gens = self.generators
-        zero = Cochain.zero(self.group, self.coeffs, self.degree)
-        seen = {zero.values}
-        frontier = [zero]
-        yield zero
-        while frontier:
-            cur = frontier.pop()
-            for g, _ in gens:
-                nxt = cur + g
-                if nxt.values not in seen:
-                    seen.add(nxt.values)
-                    frontier.append(nxt)
-                    yield nxt
 
 
 def cocycle_space(group: FiniteGroup, coeffs: AbelianCoefficients,

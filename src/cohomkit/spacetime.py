@@ -259,6 +259,8 @@ def boost_matrix(t):
 
     Numeric t gives a float numpy array (scaled by BOOST_SCALE); a sympy
     expression gives an exact sympy Matrix (scaled by sympy's exact 2 pi).
+    A numeric t whose cosh(2 pi t) is not a finite float (|t| above about
+    113, or t not finite) raises ValueError.
     """
     if _is_symbolic(t) and not t.is_Float:
         import sympy as sp
@@ -266,7 +268,10 @@ def boost_matrix(t):
         ch, sh = sp.cosh(2 * sp.pi * t), sp.sinh(2 * sp.pi * t)
         m = sp.eye(4)
     else:
-        ch, sh = np.cosh(BOOST_SCALE * float(t)), np.sinh(BOOST_SCALE * float(t))
+        with np.errstate(over="ignore", invalid="ignore"):
+            ch, sh = np.cosh(BOOST_SCALE * float(t)), np.sinh(BOOST_SCALE * float(t))
+        if not np.isfinite(ch):
+            raise ValueError(f"cosh(2 pi t) is not a finite float at t = {t}")
         m = np.eye(4)
     m[0, 0] = ch
     m[0, 1] = -sh
@@ -375,10 +380,14 @@ def _stabilizes_standard_wedge(h: PoincareElement, tol: float = 1e-9) -> bool:
 
 
 def wedge_boost(w: Wedge, t) -> PoincareElement:
-    """Lambda_W(t) = g Lambda_{W1}(t) g^{-1} for W = g W1."""
+    """Lambda_W(t) = g Lambda_{W1}(t) g^{-1} for W = g W1; ValueError when a
+    numeric t leaves the finite floats."""
     m = boost_matrix(t)
     boost = PoincareElement.from_parts([[m[i, j] for j in range(4)] for i in range(4)])
-    return w.frame.compose(boost).compose(w.frame.inverse())
+    g = w.frame.compose(boost).compose(w.frame.inverse())
+    if g.kind == "float" and not all(map(math.isfinite, sum(g.lorentz, g.translation))):
+        raise ValueError(f"the boost of this wedge is not finite at t = {t}")
+    return g
 
 
 def _affine(g: PoincareElement) -> list[list]:

@@ -171,6 +171,10 @@ def test_group_over_dense_budget_exits_two_fast(capsys, cmd):
     (["modular", "analyze", "--example", "p:1/0", "--seed", "1"],
      "--example p:1/0 has a zero denominator"),
     (["spacetime", "boost", "--t", "inf"], "--t must be a finite number, not inf"),
+    (["spacetime", "boost", "--t", "1000"],
+     "--t is out of range: cosh(2 pi t) is not a finite float at t = 1000.0"),
+    (["spacetime", "boost", "--t", "-1000"],
+     "--t is out of range: cosh(2 pi t) is not a finite float at t = -1000.0"),
 ])
 def test_usage_errors_exit_two_with_error_prefix(capsys, argv, message):
     code = main(argv)
@@ -284,6 +288,16 @@ def test_group_correspondence(capsys):
     assert rep["result"]["h2_P_order"] == 2
     assert rep["result"]["orders_match"] is True
     assert rep["result"]["applicable"] is True
+
+
+@pytest.mark.parametrize("coeff, h2_order", [("z4", 4), ("z6", 2)])
+def test_group_correspondence_z8_over_z8_answers_fast(capsys, coeff, h2_order):
+    start = time.perf_counter()
+    code, rep = run_json(capsys, "group", "correspondence", "--cover", "z8",
+                         "--base", "z8", "--coeff", coeff)
+    assert time.perf_counter() - start < 5.0
+    assert code in (EXIT_OK, EXIT_MATH)
+    assert rep["result"]["h2_P_order"] == h2_order
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import random
 from itertools import product
+from math import prod
 
 import pytest
 
@@ -22,6 +23,7 @@ from cohomkit.grpcoh import (
     coboundary,
     cocycle_space,
     coefficients_by_name,
+    cohomology_group,
     construct_splitting,
     enumerate_cochains,
     enumerate_cocycles,
@@ -455,3 +457,19 @@ def test_extension_json_round_trip_bit_exact():
     again = CentralExtensionTable.from_json(text)
     assert again.to_json() == text
     assert again.carrier.table == ext.carrier.table
+
+
+_ORACLE_GROUPS = ["z2", "z3", "z4", "z6", "klein4", "s3"]
+_ORACLE_COEFFS = ["z2", "z3", "z4", "z2xz2"]
+
+
+@pytest.mark.parametrize("pname, aname", [
+    (p, a) for p in _ORACLE_GROUPS for a in _ORACLE_COEFFS
+    if coefficients_by_name(a).size ** (group_by_name(p).order ** 2) <= 2 ** 20])
+def test_class_representatives_match_enumeration_oracle(pname, aname):
+    P, A = group_by_name(pname), coefficients_by_name(aname)
+    reps = ext_module._class_representatives(cocycle_space(P, A, 2))
+    boundaries = {coboundary(f).values for f in enumerate_cochains(P, A, 1)}
+    for z in enumerate_cocycles(P, A, 2):
+        assert sum((z - r).values in boundaries for r in reps) == 1
+    assert len(reps) == prod(cohomology_group(P, A, 2), start=1)

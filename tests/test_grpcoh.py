@@ -286,15 +286,6 @@ def test_linear_cocycle_count_matches_enumeration(gname, aname):
         assert prod([o for _, o in space.generators], start=1) == space.order
 
 
-def test_cocycle_space_elements_generation():
-    z2 = group_by_name("z2")
-    A = coefficients_by_name("z2")
-    space = cocycle_space(z2, A, 2)
-    elements = list(space.elements())
-    assert len(elements) == space.order == 4
-    assert len({e.values for e in elements}) == 4
-
-
 def test_enumeration_bound_enforced():
     with pytest.raises(SizeLimitExceeded) as err:
         list(enumerate_cochains(group_by_name("s3"), coefficients_by_name("z2"), 2))
