@@ -382,12 +382,12 @@ def _load_wedge(path, inputs):
 
 
 def cmd_spacetime(args, inputs: dict[str, str]) -> tuple[dict, bool]:
-    import numpy as np
-
     from . import spacetime
 
     failed = False
     if args.st_cmd == "boost":
+        import numpy as np
+
         if not math.isfinite(args.t):
             raise ValueError(f"--t must be a finite number, not {args.t}")
         try:
@@ -412,11 +412,8 @@ def cmd_spacetime(args, inputs: dict[str, str]) -> tuple[dict, bool]:
         for t in ts:
             lhs = spacetime.wedge_boost(comp, t)
             rhs = spacetime.wedge_boost(wedge, -t)
-            defect = max(defect, float(np.max(np.abs(
-                np.array(lhs.lorentz, dtype=float) - np.array(rhs.lorentz, dtype=float)))),
-                float(np.max(np.abs(
-                    np.array(lhs.translation, dtype=float)
-                    - np.array(rhs.translation, dtype=float)))))
+            defect = max(defect, *(abs(float(a) - float(b)) for a, b in zip(
+                sum(lhs.lorentz, lhs.translation), sum(rhs.lorentz, rhs.translation))))
         payload = {
             "complement_lorentz": [[str(x) for x in row] for row in comp.frame.lorentz],
             "complement_translation": [str(x) for x in comp.frame.translation],

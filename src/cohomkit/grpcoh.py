@@ -804,10 +804,10 @@ def inflation(sigma: GroupHom, f: Cochain) -> Cochain:
     if not sigma.is_surjective():
         warnings.warn("inflating along a non-surjective map; the pullback is "
                       "still computed", RuntimeWarning)
-    E = sigma.source
-    return Cochain.from_function(
-        E, f.coeffs, f.degree,
-        lambda *args: f.value(*(sigma(g) for g in args)))
+    E, image = sigma.source, sigma.values
+    values = tuple(f.values[_arg_index([image[g] for g in args], f.group.order)]
+                   for args in product(E.elements(), repeat=f.degree))
+    return Cochain(E, f.coeffs, f.degree, values)
 
 
 def construct_splitting(E: FiniteGroup, sigma: GroupHom, extension, phi: Cochain) -> GroupHom:

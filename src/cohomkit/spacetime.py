@@ -17,12 +17,24 @@ the same matrices the builtin brackets come from.  For W1, X is exactly J_01.
 Wedges with exact (rational) defining elements give X with `Fraction`
 coefficients, which feed `liealg.generated_subalgebra` directly.
 
-Boost matrices accept either numeric parameters (numpy output) or sympy
-expressions (exact output; cosh^2 - sinh^2 = 1 keeps the quadratic form
+Boost matrices accept either numeric parameters (a float numpy array) or
+sympy expressions (exact output; cosh^2 - sinh^2 = 1 keeps the quadratic form
 invariant symbolically).  This module never imports sympy on its own: a
 value counts as symbolic only when sympy is already loaded, i.e. when the
-caller passed one in.  Validation, inversion and wedge comparison need
-numeric or exact entries.
+caller passed one in.  numpy is imported only by the numeric boost matrix and
+by `Wedge.sample_points`, so exact frames and their boost generators never
+load it.  Validation, inversion and wedge comparison need numeric or exact
+entries.
+
+Every Lambda here is Lorentz (Lambda^T eta Lambda = eta), so the inverse is
+closed form: (Lambda, a)^{-1} = (eta Lambda^T eta, -eta Lambda^T eta a).  Since
+that is no inverse of a non-Lorentz Lambda, exact entries are checked against
+the metric exactly before inverting; float entries are trusted.  Once the
+metric holds, Lambda = B diag(s, R) with B a pure boost, s = sign Lambda_00
+and R in O(3); the spatial 3x3 block of Lambda is (1 + (gamma - 1) n n^T) R,
+whose determinant has the sign of det R.  Hence det Lambda = s det R is
+sign(Lambda_00) times the sign of the spatial block's determinant, and no 4x4
+determinant is needed.
 
 The causal complement W' is the rotation-by-pi image of W in the x_1 x_2
 plane; it satisfies Lambda_{W'}(t) = Lambda_W(-t) exactly.  Wedge equality is
@@ -39,8 +51,6 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
-
-import numpy as np
 
 from .liealg import (LieAlgebra, LieElement, affine_coefficients, builtin,
                      generated_subalgebra, matmul, metric_signs, poincare_basis_matrices)
@@ -114,7 +124,8 @@ class PoincareElement:
 
     Entries may be exact (Fraction/int), sympy expressions, or floats;
     composition takes all three, validation and inversion only the first
-    and last.
+    and last.  Inversion requires a Lorentz Lambda; exact entries are
+    checked exactly, float entries are trusted.
     """
 
     lorentz: tuple[tuple, ...]
@@ -179,7 +190,13 @@ class PoincareElement:
         return PoincareElement(mat, vec)
 
     def inverse(self) -> "PoincareElement":
-        inv = _invert4(self.lorentz)
+        """(eta Lambda^T eta, -eta Lambda^T eta a).  Exact entries must pass
+        Lambda^T eta Lambda = eta exactly (ValueError otherwise); float
+        entries are taken to be Lorentz; symbolic ones are refused."""
+        if _numeric(_entry_kind(sum(self.lorentz, ()))) == "exact":
+            _check_metric(self.lorentz, "exact", 0)
+        g = METRIC_SIGNS
+        inv = tuple(tuple(g[i] * self.lorentz[j][i] * g[j] for j in range(4)) for i in range(4))
         vec = tuple(-sum(inv[i][k] * self.translation[k] for k in range(4)) for i in range(4))
         return PoincareElement(inv, vec)
 
@@ -188,17 +205,14 @@ class PoincareElement:
                      + self.translation[i] for i in range(4))
 
     def validate(self, tol: float = 1e-10) -> None:
-        """Metric preservation, det = +1, orthochronous."""
+        """Metric preservation, det = +1, orthochronous (checked in that order)."""
         kind = _numeric(self.kind)
-        g = METRIC_SIGNS
-        for i in range(4):
-            for j in range(4):
-                s = sum(g[k] * self.lorentz[k][i] * self.lorentz[k][j] for k in range(4))
-                target = g[i] if i == j else 0
-                _assert_zero(s - target, kind, tol,
-                             f"metric preservation fails at ({i}, {j})")
-        _assert_zero(_det4(self.lorentz) - 1, kind, tol, "determinant is not +1 (improper)")
-        if not self.lorentz[0][0] >= (1 - tol if kind == "float" else 1):
+        m = self.lorentz
+        _check_metric(m, kind, tol)
+        # det Lambda = sign(Lambda_00) * sign(det of the spatial block); see the module doc
+        if (m[0][0] > 0) != (_det3(tuple(row[1:] for row in m[1:])) > 0):
+            raise ValueError("determinant is not +1 (improper)")
+        if not m[0][0] >= (1 - tol if kind == "float" else 1):
             raise ValueError("time orientation reversed (Lambda_00 < 1)")
 
 
@@ -208,46 +222,22 @@ def _coerce(v):
     return v if _is_symbolic(v) else float(v)
 
 
-def _assert_zero(expr, kind: str, tol: float, message: str) -> None:
-    if not (expr == 0 if kind == "exact" else abs(expr) <= tol):
-        raise ValueError(message)
+def _check_metric(m, kind: str, tol: float) -> None:
+    """Lambda^T eta Lambda = eta, exactly or within tol.  The product is
+    symmetric, so the upper triangle names the first failing entry."""
+    g = METRIC_SIGNS
+    for i in range(4):
+        for j in range(i, 4):
+            s = sum(g[k] * m[k][i] * m[k][j] for k in range(4) if m[k][i] and m[k][j])
+            s -= g[i] if i == j else 0
+            if not (s == 0 if kind == "exact" else abs(s) <= tol):
+                raise ValueError(f"metric preservation fails at ({i}, {j})")
 
 
-def _det4(mat) -> object:
-    rows = [list(r) for r in mat]
-    det = 1
-    for c in range(4):
-        piv = next((r for r in range(c, 4) if rows[r][c]), None)
-        if piv is None:
-            return 0 * rows[0][0]
-        if piv != c:
-            rows[c], rows[piv] = rows[piv], rows[c]
-            det = -det
-        det = det * rows[c][c]
-        inv = 1 / rows[c][c]
-        for r in range(c + 1, 4):
-            f = rows[r][c] * inv
-            rows[r] = [a - f * b for a, b in zip(rows[r], rows[c])]
-    return det
-
-
-def _invert4(mat):
-    if _numeric(_entry_kind([v for r in mat for v in r])) == "float":
-        inv = np.linalg.inv(np.array(mat, dtype=float))
-        return tuple(tuple(float(inv[i, j]) for j in range(4)) for i in range(4))
-    # exact Gauss-Jordan
-    a = [list(map(Fraction, r)) + [Fraction(1 if i == j else 0) for j in range(4)]
-         for i, r in enumerate(mat)]
-    for c in range(4):
-        piv = next(r for r in range(c, 4) if a[r][c])
-        a[c], a[piv] = a[piv], a[c]
-        inv = 1 / a[c][c]
-        a[c] = [x * inv for x in a[c]]
-        for r in range(4):
-            if r != c and a[r][c]:
-                f = a[r][c]
-                a[r] = [x - f * y for x, y in zip(a[r], a[c])]
-    return tuple(tuple(a[i][4 + j] for j in range(4)) for i in range(4))
+def _det3(m):
+    return (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +250,8 @@ def boost_matrix(t):
     Numeric t gives a float numpy array (scaled by BOOST_SCALE); a sympy
     expression gives an exact sympy Matrix (scaled by sympy's exact 2 pi).
     A numeric t whose cosh(2 pi t) is not a finite float (|t| above about
-    113, or t not finite) raises ValueError.
+    113, or t not finite) raises ValueError.  The numeric branch keeps
+    numpy's cosh/sinh, whose last bit differs from `math`'s on many t.
     """
     if _is_symbolic(t) and not t.is_Float:
         import sympy as sp
@@ -268,6 +259,8 @@ def boost_matrix(t):
         ch, sh = sp.cosh(2 * sp.pi * t), sp.sinh(2 * sp.pi * t)
         m = sp.eye(4)
     else:
+        import numpy as np
+
         with np.errstate(over="ignore", invalid="ignore"):
             ch, sh = np.cosh(BOOST_SCALE * float(t)), np.sinh(BOOST_SCALE * float(t))
         if not np.isfinite(ch):
@@ -318,6 +311,8 @@ class Wedge:
 
     def sample_points(self, count: int = 8, seed: int = 0) -> list[tuple]:
         """Interior points, mapped from a seeded sample of W1."""
+        import numpy as np
+
         rng = np.random.default_rng(seed)
         pts = []
         for _ in range(count):
@@ -351,7 +346,7 @@ def _stabilizes_standard_wedge(h: PoincareElement, tol: float = 1e-9) -> bool:
     # translation must lie in the edge plane {x_0 = x_1 = 0}
     if not (iszero(h.translation[0]) and iszero(h.translation[1])):
         return False
-    inv = _invert4(h.lorentz)
+    inv = h.inverse().lorentz
 
     def pullback(u):
         return tuple(sum(u[k] * inv[k][j] for k in range(4)) for j in range(4))

@@ -545,9 +545,10 @@ def test_golden_report_boost_generation(capsys, monkeypatch):
     assert out.strip() == golden
 
 
-# The exact path must run without sympy: a subprocess blocks its import
-# (an entry of None in sys.modules makes `import sympy` fail) and replays
-# these commands, whose reports are pinned byte-for-byte.
+# The exact path must run without sympy, and all of it but `spacetime
+# complement` without numpy: a subprocess blocks the import (an entry of None
+# in sys.modules makes `import sympy` fail) and replays these commands, whose
+# reports are pinned byte-for-byte.
 _NO_SYMPY_GOLDENS = [
     (["spacetime", "boost-generation", "--wedges", "six"], EXIT_OK,
      '{"command": "spacetime boost-generation --wedges six", "inputs": {}, '
@@ -567,14 +568,22 @@ _NO_SYMPY_GOLDENS = [
      '{"command": "lie cohomology --algebra poincare4 --degree 2", "inputs": {}, '
      '"result": {"algebra": "poincare(4)", "degree": 2, "dim_B": 10, "dim_H": 0, '
      '"dim_Z": 10}, "threads": 1, "version": "0.1.0"}'),
+    (["group", "h", "--group", "q8", "--coeff", "z4", "--degree", "2"], EXIT_OK,
+     '{"command": "group h --group q8 --coeff z4 --degree 2", "inputs": {}, '
+     '"result": {"coefficients": [4], "degree": 2, "group": "q8", '
+     '"invariant_factors": [2, 2], "order": 4, "trivial": false}, '
+     '"threads": 1, "version": "0.1.0"}'),
 ]
 
-_NO_SYMPY_RUNNER = """
+# `spacetime complement` samples float boosts, which need numpy
+_NO_NUMPY_GOLDENS = [g for g in _NO_SYMPY_GOLDENS if g[0][:2] != ["spacetime", "complement"]]
+
+_BLOCKED_IMPORT_RUNNER = """
 import contextlib, io, json, sys
-sys.modules["sympy"] = None
+sys.modules[sys.argv[1]] = None
 from cohomkit.cli import main
 results = []
-for argv in json.loads(sys.argv[1]):
+for argv in json.loads(sys.argv[2]):
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         code = main(argv)
@@ -592,35 +601,56 @@ def _child_env():
     return env
 
 
-def test_exact_path_runs_without_sympy():
+def _run_with_import_blocked(module, goldens):
     import subprocess
     import sys
 
-    argvs = [argv for argv, _, _ in _NO_SYMPY_GOLDENS]
-    proc = subprocess.run([sys.executable, "-c", _NO_SYMPY_RUNNER, json.dumps(argvs)],
+    argvs = [argv for argv, _, _ in goldens]
+    proc = subprocess.run([sys.executable, "-c", _BLOCKED_IMPORT_RUNNER, module, json.dumps(argvs)],
                           capture_output=True, text=True, env=_child_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
     got = json.loads(proc.stdout)
-    assert got == [[code, out] for _, code, out in _NO_SYMPY_GOLDENS]
+    assert got == [[code, out] for _, code, out in goldens]
+
+
+def test_exact_path_runs_without_sympy():
+    _run_with_import_blocked("sympy", _NO_SYMPY_GOLDENS)
+
+
+def test_exact_path_runs_without_numpy():
+    _run_with_import_blocked("numpy", _NO_NUMPY_GOLDENS)
+
+
+def _packages_loaded_by_importing(package, names):
+    """The modules of `package` in sys.modules after importing `names` in a
+    fresh interpreter."""
+    import subprocess
+    import sys
+
+    script = ("import importlib, sys\n"
+              "for name in sys.argv[2:]:\n"
+              "    importlib.import_module(name)\n"
+              "print(sorted(m for m in sys.modules if m.split('.')[0] == sys.argv[1]))")
+    proc = subprocess.run([sys.executable, "-c", script, package, *names],
+                          capture_output=True, text=True, env=_child_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
 
 
 def test_importing_cohomkit_loads_no_sympy():
     import pkgutil
-    import subprocess
-    import sys
 
     import cohomkit
 
     names = ["cohomkit"] + [f"cohomkit.{m.name}" for m in pkgutil.iter_modules(cohomkit.__path__)]
     assert {"cohomkit.cli", "cohomkit.liealg", "cohomkit.spacetime"} <= set(names)
-    script = ("import importlib, sys\n"
-              "for name in sys.argv[1:]:\n"
-              "    importlib.import_module(name)\n"
-              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'sympy'))")
-    proc = subprocess.run([sys.executable, "-c", script, *names],
-                          capture_output=True, text=True, env=_child_env(), timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert _packages_loaded_by_importing("sympy", names) == "[]"
+
+
+def test_importing_exact_modules_loads_no_numpy():
+    names = [f"cohomkit.{m}" for m in ("cli", "exactmat", "liealg", "liecoh", "grpcoh",
+                                        "ext", "spacetime")]
+    assert _packages_loaded_by_importing("numpy", names) == "[]"
 
 
 def test_group_extension_build_writes_reloadable_table(capsys, tmp_path):

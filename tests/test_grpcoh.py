@@ -1,6 +1,6 @@
 import random
 import warnings
-from itertools import product
+from itertools import permutations, product
 from math import prod
 
 import pytest
@@ -396,6 +396,54 @@ def test_inflation_maps_cocycles_to_cocycles():
     sigma = GroupHom(z4, z2, (0, 1, 0, 1))
     for w in enumerate_cocycles(z2, A, 2):
         assert coboundary(inflation(sigma, w)).is_zero()
+
+
+def _quotient_map(name):
+    """A surjection from a named group: q8 onto klein4 with the centre as
+    kernel, or z4 onto z2 by reduction mod 2."""
+    if name == "z4->z2":
+        return GroupHom(group_by_name("z4"), group_by_name("z2"), (0, 1, 0, 1))
+    q8, k4 = group_by_name("q8"), group_by_name("klein4")
+    centre = [z for z in q8.elements()
+              if all(q8.mul(z, g) == q8.mul(g, z) for g in q8.elements())]
+    assert len(centre) == 2
+    cosets = sorted({frozenset(q8.mul(g, z) for z in centre) for g in q8.elements()},
+                    key=lambda c: (q8.identity not in c, min(c)))
+    others = [a for a in k4.elements() if a != k4.identity]
+    for images in permutations(others):
+        coset_image = dict(zip(cosets, (k4.identity,) + images))
+        sigma = GroupHom(q8, k4, tuple(coset_image[next(c for c in cosets if g in c)]
+                                       for g in q8.elements()))
+        try:
+            sigma.validate()
+        except ValueError:
+            continue
+        return sigma
+    raise AssertionError("no isomorphism q8 / Z(q8) -> klein4")
+
+
+@pytest.mark.parametrize("name", ["q8->klein4", "z4->z2"])
+@pytest.mark.parametrize("degree", [0, 1, 2])
+def test_inflation_matches_pointwise_pullback(name, degree):
+    sigma = _quotient_map(name)
+    assert sigma.is_surjective()
+    E, P = sigma.source, sigma.target
+    rng = random.Random(degree)
+    for coeff in ("z2", "z4", "z2xz2"):
+        A = coefficients_by_name(coeff)
+        for _ in range(4):
+            f = Cochain.random(P, A, degree, rng)
+            got = inflation(sigma, f)
+            assert (got.group, got.coeffs, got.degree) == (E, A, degree)
+            for args in product(E.elements(), repeat=degree):
+                assert got.value(*args) == f.value(*(sigma(g) for g in args))
+
+
+def test_inflation_rejects_cochain_off_the_target():
+    sigma = _quotient_map("z4->z2")
+    f = Cochain.zero(group_by_name("z4"), coefficients_by_name("z2"), 1)
+    with pytest.raises(ValueError, match="not defined on the target"):
+        inflation(sigma, f)
 
 
 def test_inflation_nonsurjective_warns():

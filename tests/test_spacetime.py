@@ -1,5 +1,8 @@
+import random
 import warnings
 from fractions import Fraction
+from itertools import permutations
+from math import prod
 
 import numpy as np
 import pytest
@@ -103,6 +106,131 @@ def test_compose_inverse_apply():
     assert gh.apply(x) == g.apply(h.apply(x))
     back = gh.inverse().apply(gh.apply(x))
     assert tuple(back) == x
+
+
+def _diag(*signs):
+    return [[signs[i] if i == j else 0 for j in range(4)] for i in range(4)]
+
+
+def _pythagorean(rng):
+    """(a, b, c) with a^2 + b^2 = c^2, in random order of the legs."""
+    m = rng.randint(2, 4)
+    n = rng.randint(1, m - 1)
+    a, b = m * m - n * n, 2 * m * n
+    return (a, b, m * m + n * n) if rng.random() < 0.5 else (b, a, m * m + n * n)
+
+
+def _random_lorentz_factor(rng):
+    """An exact boost (cosh = c/a, sinh = +-b/a), rational rotation or sign
+    diagonal; products of these range over improper and time-reversing
+    elements of O(1,3) too."""
+    mat = _diag(1, 1, 1, 1)
+    kind = rng.choice(("boost", "rotation", "signs"))
+    if kind == "boost":
+        a, b, c = _pythagorean(rng)
+        k = rng.randint(1, 3)
+        mat[0][0] = mat[k][k] = Fraction(c, a)
+        mat[0][k] = mat[k][0] = Fraction(rng.choice((1, -1)) * b, a)
+    elif kind == "rotation":
+        a, b, c = _pythagorean(rng)
+        i, j = rng.sample((1, 2, 3), 2)
+        mat[i][i] = mat[j][j] = Fraction(a, c)
+        mat[i][j], mat[j][i] = Fraction(-b, c), Fraction(b, c)
+    else:
+        mat = _diag(*(rng.choice((1, -1)) for _ in range(4)))
+    return PoincareElement.from_parts(mat)
+
+
+def _random_o13(rng, factors=3):
+    g = PoincareElement.translation_by(
+        [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(4)])
+    for _ in range(factors):
+        g = g.compose(_random_lorentz_factor(rng))
+    return g
+
+
+def _leibniz_det(m):
+    total = 0
+    for perm in permutations(range(4)):
+        inversions = sum(perm[i] > perm[j] for i in range(4) for j in range(i + 1, 4))
+        total += (-1) ** inversions * prod(m[i][perm[i]] for i in range(4))
+    return total
+
+
+def test_exact_inverse_is_two_sided_on_random_lorentz_products():
+    rng = random.Random(3)
+    e = PoincareElement.identity()
+    for _ in range(40):
+        g = _random_o13(rng)
+        inv = g.inverse()
+        assert inv.is_exact()
+        assert g.compose(inv) == e
+        assert inv.compose(g) == e
+
+
+def test_exact_non_lorentz_inverse_is_refused():
+    shear = _diag(1, 1, 1, 1)
+    shear[1][2] = Fraction(1, 2)
+    for mat in (_diag(2, 1, 1, 1), shear):
+        g = PoincareElement.from_parts(mat, (1, 0, 0, 0))
+        with pytest.raises(ValueError, match="metric preservation fails"):
+            g.inverse()
+        with pytest.raises(ValueError, match="metric preservation fails"):
+            Wedge.standard() == Wedge(g)
+
+
+_FLOAT_TEST_WEDGES = [
+    Wedge.standard(),
+    Wedge.coordinate(2),
+    Wedge.coordinate(3).translate((1, 0, 2, 0)),
+    wedge_complement(Wedge.standard().translate((0, 1, 0, 3))),
+    Wedge(PoincareElement.from_parts(
+        [[Fraction(5, 4), 0, Fraction(-3, 4), 0], [0, 1, 0, 0],
+         [Fraction(-3, 4), 0, Fraction(5, 4), 0], [0, 0, 0, 1]], (Fraction(1, 3), 2, 0, -1))),
+    Wedge(wedge_boost(Wedge.coordinate(2), 0.37)
+          .compose(PoincareElement.translation_by((0.5, 0.0, 1.0, 2.0)))),
+]
+
+
+@pytest.mark.parametrize("w", _FLOAT_TEST_WEDGES)
+def test_float_inverse_matches_oracles(w):
+    for t in np.linspace(-3.0, 3.0, 13):
+        g = wedge_boost(w, t)
+        assert g.kind == "float"
+        got = np.array(g.inverse().lorentz)
+        # Lambda_W(t)^-1 = Lambda_W(-t), computed independently
+        back = np.array(wedge_boost(w, -t).lorentz)
+        assert np.max(np.abs(got - back)) <= 1e-12 * np.max(np.abs(back))
+        # np.linalg.inv as an oracle is itself only good to about eps * cond,
+        # and cond(Lambda) grows like e^(4 pi |t|), so it only bounds the
+        # relative error by 1e-12 plus its own forward error
+        lam = np.array(g.lorentz)
+        oracle = np.linalg.inv(lam)
+        tol = 1e-12 + 1e-13 * np.linalg.cond(lam)
+        assert np.max(np.abs(got - oracle)) <= tol * np.max(np.abs(oracle))
+
+
+def test_improper_verdict_matches_leibniz_determinant():
+    rng = random.Random(7)
+    samples = [PoincareElement.from_parts(_diag(-1, 1, 1, 1)),
+               PoincareElement.from_parts(_diag(1, -1, 1, 1))]
+    samples += [_random_o13(rng) for _ in range(80)]
+    seen = set()
+    for g in samples:
+        det = _leibniz_det(g.lorentz)
+        assert det in (1, -1)
+        as_float = PoincareElement.from_parts([[float(v) for v in row] for row in g.lorentz])
+        for h in (g, as_float):
+            try:
+                h.validate()
+                verdict = "proper orthochronous"
+            except ValueError as exc:
+                verdict = str(exc)
+            assert ("improper" in verdict) == (det == -1), (g, verdict)
+            if det == 1:
+                assert ("time orientation" in verdict) == (g.lorentz[0][0] < 0)
+        seen.add((det, g.lorentz[0][0] > 0))
+    assert seen == {(1, True), (1, False), (-1, True), (-1, False)}
 
 
 def test_minkowski_form_signature():
