@@ -24,10 +24,10 @@ separately on purpose.
 Two computation routes coexist and are cross-checked in the tests:
 
 * a linear-algebra route over Z: for each cyclic coefficient factor Z_m and
-  each prime power p^e exactly dividing m, H^n is read off the elementary
-  divisors of the integer coboundary matrices d_n and d_(n-1) over Z/p^e
-  (universal coefficients on the free integer cochain complex), and Z^n
-  is the kernel of d_n mod m from the same elimination over Z/p^e;
+  each p^f exactly dividing m with p | |P|, H^n is read by universal
+  coefficients off the elementary divisors of the integer coboundary
+  matrices d_n and d_(n-1) over Z/p^e, e = min(f, v_p(|P|) + 1), memoized
+  per group table, and Z^n is the kernel of d_n mod m over Z/p^f;
 * exhaustive enumeration, available whenever |A|^(|P|^n) <= 2^20, kept as an
   independent oracle.
 
@@ -664,22 +664,33 @@ def _invariant_factors_merge(cyclic_orders: Iterable[int]) -> list[int]:
     return sorted(prod(c[i] for c in chains if i < len(c)) for i in range(depth))
 
 
+@lru_cache(maxsize=128)
+def _exponents(table: tuple[tuple[int, ...], ...], degree: int, p: int, e: int) -> tuple[int, ...]:
+    """Exponents of d_degree over Z/p^e per group table, like `_incidence`; keeps no matrix."""
+    group = FiniteGroup(len(table), table, [row[0] for row in table].index(0))
+    return tuple(local_smith_exponents(coboundary_matrix(group, degree), p, e))
+
+
 def _h_factors_single(group: FiniteGroup, m: int, degree: int) -> list[int]:
     """Cyclic orders of H^degree(P, Z_m), by universal coefficients.
 
     The integer cochain complex is free, so it splits into summands Z and
-    Z --(x s)--> Z.  For p^e exactly dividing m, with a and b the exponents
-    below e of the elementary divisors of d_degree and d_(degree-1) over
-    Z/p^e, the p-part of H^degree is (Z/p^e)^(k - |a| - |b|) plus Z/p^x for
-    each x > 0 in a and b, where k = |P|^degree.
+    Z --(x s)--> Z; |P| kills its torsion, so every nonzero elementary divisor
+    of d_n divides |P|.  For p^f exactly dividing m with p | |P| (other p add
+    nothing), a and b are the exponents below e = min(f, v_p(|P|) + 1) of the
+    divisors of d_degree and d_(degree-1), memoized by `_exponents` (one
+    elimination per group, degree, p and e per process); the p-part of H^degree
+    is (Z/p^f)^(k - |a| - |b|) plus Z/p^x for each x > 0 in a and b, k = |P|^degree.
     """
-    d_n = coboundary_matrix(group, degree)
-    d_prev = coboundary_matrix(group, degree - 1)
     orders = []
-    for p, e in prime_power_factors(m):
-        a = local_smith_exponents(d_n, p, e)
-        b = local_smith_exponents(d_prev, p, e)
-        orders += [p ** e] * (d_n.cols - len(a) - len(b))
+    valuation = dict(prime_power_factors(group.order))
+    for p, f in prime_power_factors(m):
+        if p not in valuation:
+            continue
+        e = min(f, valuation[p] + 1)
+        a = _exponents(group.table, degree, p, e)
+        b = _exponents(group.table, degree - 1, p, e)
+        orders += [p ** f] * (group.order ** degree - len(a) - len(b))
         orders += [p ** x for x in a + b if x > 0]
     return orders
 

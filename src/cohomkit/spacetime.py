@@ -205,10 +205,12 @@ class PoincareElement:
                      + self.translation[i] for i in range(4))
 
     def validate(self, tol: float = 1e-10) -> None:
-        """Metric preservation, det = +1, orthochronous (checked in that order)."""
+        """Metric preservation, det = +1, orthochronous (checked in that order);
+        float rounding grows with the entries, so the metric allows tol * max(1, max|Lambda|)^2."""
         kind = _numeric(self.kind)
         m = self.lorentz
-        _check_metric(m, kind, tol)
+        scale = max(1, *(abs(v) for row in m for v in row)) if kind == "float" else 1
+        _check_metric(m, kind, tol * scale ** 2)
         # det Lambda = sign(Lambda_00) * sign(det of the spatial block); see the module doc
         if (m[0][0] > 0) != (_det3(tuple(row[1:] for row in m[1:])) > 0):
             raise ValueError("determinant is not +1 (improper)")

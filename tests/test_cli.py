@@ -161,6 +161,17 @@ def test_group_over_dense_budget_exits_two_fast(capsys, cmd):
     assert str(64 ** 5) in captured.err and str(2 ** 22) in captured.err
 
 
+def test_group_h_coprime_coefficients_need_no_dense_matrix(capsys):
+    # 3 does not divide 64, so H^2(z64, Z3) = 0 without building d_2
+    start = time.perf_counter()
+    code, rep = run_json(capsys, "group", "h", "--group", "z64", "--coeff", "z3",
+                         "--degree", "2")
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_OK
+    assert rep["result"]["invariant_factors"] == []
+    assert rep["result"]["trivial"] is True
+
+
 @pytest.mark.parametrize("argv, message", [
     (["modular", "analyze", "--seed", "1"],
      "modular analyze needs --algebra and --state, or --example"),

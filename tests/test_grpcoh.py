@@ -23,7 +23,9 @@ from cohomkit.grpcoh import (
     hom_to_cochain,
     inflation,
 )
-from cohomkit.grpcoh import _incidence
+from cohomkit import grpcoh
+from cohomkit.exactmat import local_smith_exponents, prime_power_factors
+from cohomkit.grpcoh import _incidence, _invariant_factors_merge
 from scan_oracle import assert_validate_matches_full_scan
 
 GROUPS = ["z2", "z3", "z4", "klein4", "s3", "q8"]
@@ -523,3 +525,82 @@ def test_q8_composite_coefficients():
     q8 = group_by_name("q8")
     assert cohomology_group(q8, coefficients_by_name("z4"), 2) == [2, 2]
     assert cohomology_group(q8, coefficients_by_name("z8"), 2) == [2, 2]
+
+
+# ---------------------------------------------------------------------------
+# the memoized local exponents behind H^n
+
+MEMO_GROUPS = ["z1", "z2", "z3", "z4", "z5", "z6", "z7", "z8", "klein4", "s3", "q8", "a4"]
+MEMO_COEFFS = [(m,) for m in (2, 3, 4, 5, 6, 8, 9, 12, 16, 27)] + [(2, 2), (2, 4), (3, 6)]
+
+
+def _per_modulus_oracle(d, n, orders, seen):
+    """H^n by universal coefficients, eliminating d_n and d_(n-1) over Z/p^f
+    for every p^f exactly dividing every modulus: no skip and no cap.
+    `seen` holds this group's exponents by (degree, p, f)."""
+    def exponents(k, p, f):
+        if (k, p, f) not in seen:
+            seen[k, p, f] = local_smith_exponents(d[k], p, f)
+        return seen[k, p, f]
+
+    factors = []
+    for m in orders:
+        for p, f in prime_power_factors(m):
+            a, b = exponents(n, p, f), exponents(n - 1, p, f)
+            factors += [p ** f] * (d[n].cols - len(a) - len(b))
+            factors += [p ** x for x in a + b if x > 0]
+    return _invariant_factors_merge(factors)
+
+
+@pytest.mark.parametrize("gname", MEMO_GROUPS)
+def test_memoized_cohomology_matches_per_modulus_oracle(gname):
+    P = group_by_name(gname)
+    d, seen = [coboundary_matrix(P, n) for n in (0, 1, 2)], {}
+    for orders in MEMO_COEFFS:
+        for n in (1, 2):
+            expected = _per_modulus_oracle(d, n, orders, seen)
+            assert cohomology_group(P, AbelianCoefficients(orders), n) == expected, \
+                (gname, orders, n)
+
+
+def test_repeated_cohomology_builds_no_coboundary_matrix(monkeypatch):
+    calls = []
+
+    def counting(group, degree):
+        calls.append(degree)
+        return coboundary_matrix(group, degree)
+
+    monkeypatch.setattr(grpcoh, "coboundary_matrix", counting)
+    grpcoh._exponents.cache_clear()
+    a4, z6 = group_by_name("a4"), coefficients_by_name("z6")
+    assert cohomology_group(a4, z6, 2) == [6]
+    assert sorted(calls) == [1, 1, 2, 2]  # d_2 and d_1, once per prime 2 and 3
+    calls.clear()
+    assert cohomology_group(group_by_name("a4"), z6, 2) == [6]
+    assert calls == []
+    # H^1 shares the d_1 entries; only d_0 is new
+    assert cohomology_group(a4, z6, 1) == [3]
+    assert sorted(calls) == [0, 0]
+
+
+# H^2(P, Z) = P^ab and H^3(P, Z) = the Schur multiplier, as divisor chains
+INTEGRAL_COHOMOLOGY = {
+    "z2": ([2], []), "z3": ([3], []), "z4": ([4], []), "z5": ([5], []),
+    "z6": ([6], []), "z7": ([7], []), "z8": ([8], []),
+    "klein4": ([2, 2], [2]), "s3": ([2], []), "q8": ([2, 2], []), "a4": ([3], [2]),
+}
+
+
+@pytest.mark.parametrize("gname", sorted(INTEGRAL_COHOMOLOGY))
+def test_integral_cohomology_from_memoized_exponents(gname):
+    # the torsion of coker d_n is H^(n+1)(P, Z), killed by |P|: at
+    # e = v_p(|P|) + 1 every nonzero elementary divisor of d_n shows, and
+    # raising e changes nothing
+    P = group_by_name(gname)
+    for n, expected in zip((1, 2), INTEGRAL_COHOMOLOGY[gname]):
+        torsion = []
+        for p, v in prime_power_factors(P.order):
+            exps = grpcoh._exponents(P.table, n, p, v + 1)
+            assert exps == grpcoh._exponents(P.table, n, p, v + 2)
+            torsion += [p ** x for x in exps if x > 0]
+        assert _invariant_factors_merge(torsion) == expected, (gname, n)

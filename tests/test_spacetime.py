@@ -210,6 +210,23 @@ def test_float_inverse_matches_oracles(w):
         assert np.max(np.abs(got - oracle)) <= tol * np.max(np.abs(oracle))
 
 
+@pytest.mark.parametrize("w", _FLOAT_TEST_WEDGES)
+def test_float_wedge_boosts_validate_and_perturbations_do_not(w):
+    # entries grow like cosh(2 pi t), and so does the rounding in
+    # Lambda^T eta Lambda; a 1e-6 relative error in the largest entry is
+    # still far outside the scaled tolerance
+    for t in np.arange(0.5, 3.01, 0.25):
+        for s in (t, -t):
+            g = wedge_boost(w, float(s))
+            g.validate()
+            lam = [list(row) for row in g.lorentz]
+            k, i = max(((k, i) for k in range(4) for i in range(4)),
+                       key=lambda ki: abs(lam[ki[0]][ki[1]]))
+            lam[k][i] *= 1 + 1e-6
+            with pytest.raises(ValueError, match="metric preservation fails"):
+                PoincareElement.from_parts(lam, g.translation).validate()
+
+
 def test_improper_verdict_matches_leibniz_determinant():
     rng = random.Random(7)
     samples = [PoincareElement.from_parts(_diag(-1, 1, 1, 1)),
