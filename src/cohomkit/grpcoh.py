@@ -27,7 +27,8 @@ Two computation routes coexist and are cross-checked in the tests:
   each p^f exactly dividing m with p | |P|, H^n is read by universal
   coefficients off the elementary divisors of the integer coboundary
   matrices d_n and d_(n-1) over Z/p^e, e = min(f, v_p(|P|) + 1), memoized
-  per group table, and Z^n is the kernel of d_n mod m over Z/p^f;
+  per group table (a call builds each d_n at most once), and Z^n is the
+  kernel of d_n mod m over Z/p^f;
 * exhaustive enumeration, available whenever |A|^(|P|^n) <= 2^20, kept as an
   independent oracle.
 
@@ -653,57 +654,68 @@ def enumerate_cocycles(group: FiniteGroup, coeffs: AbelianCoefficients,
 # H^n as invariant factors
 
 
-def _invariant_factors_merge(cyclic_orders: Iterable[int]) -> list[int]:
-    """Canonical divisor chain of a direct sum of cyclic groups."""
-    primary: dict[int, list[int]] = {}
-    for m in cyclic_orders:
-        for p, e in prime_power_factors(m):
-            primary.setdefault(p, []).append(p ** e)
+def _divisor_chain(primary: dict[int, list[int]]) -> list[int]:
+    """Canonical divisor chain of a direct sum of cyclic groups whose orders,
+    powers of p, are listed in primary[p]: the i-th factor from the top is
+    the product of the i-th largest powers of each p."""
     chains = [sorted(powers, reverse=True) for powers in primary.values()]
-    depth = max(map(len, chains), default=0)
-    return sorted(prod(c[i] for c in chains if i < len(c)) for i in range(depth))
+    factors = [1] * max(map(len, chains), default=0)
+    for chain in chains:
+        for i, q in enumerate(chain):
+            factors[i] *= q
+    return factors[::-1]
 
 
-@lru_cache(maxsize=128)
-def _exponents(table: tuple[tuple[int, ...], ...], degree: int, p: int, e: int) -> tuple[int, ...]:
-    """Exponents of d_degree over Z/p^e per group table, like `_incidence`; keeps no matrix."""
-    group = FiniteGroup(len(table), table, [row[0] for row in table].index(0))
-    return tuple(local_smith_exponents(coboundary_matrix(group, degree), p, e))
+# (group table, degree, p, e) -> `_exponents` entry; past 128 entries the oldest goes
+_EXPONENTS: dict[tuple, tuple[int, tuple[int, ...]]] = {}
 
 
-def _h_factors_single(group: FiniteGroup, m: int, degree: int) -> list[int]:
-    """Cyclic orders of H^degree(P, Z_m), by universal coefficients.
-
-    The integer cochain complex is free, so it splits into summands Z and
-    Z --(x s)--> Z; |P| kills its torsion, so every nonzero elementary divisor
-    of d_n divides |P|.  For p^f exactly dividing m with p | |P| (other p add
-    nothing), a and b are the exponents below e = min(f, v_p(|P|) + 1) of the
-    divisors of d_degree and d_(degree-1), memoized by `_exponents` (one
-    elimination per group, degree, p and e per process); the p-part of H^degree
-    is (Z/p^f)^(k - |a| - |b|) plus Z/p^x for each x > 0 in a and b, k = |P|^degree.
-    """
-    orders = []
-    valuation = dict(prime_power_factors(group.order))
-    for p, f in prime_power_factors(m):
-        if p not in valuation:
-            continue
-        e = min(f, valuation[p] + 1)
-        a = _exponents(group.table, degree, p, e)
-        b = _exponents(group.table, degree - 1, p, e)
-        orders += [p ** f] * (group.order ** degree - len(a) - len(b))
-        orders += [p ** x for x in a + b if x > 0]
-    return orders
+def _exponents(group: FiniteGroup, degree: int, parts) -> list[tuple[int, tuple[int, ...]]]:
+    """For each (p, f, e) in parts, how many exponents below e the elementary
+    divisors of d_degree have over Z/p^e, and the nonzero ones among them;
+    memoized per (group table, degree, p, e) like `_incidence`.  The misses
+    of one call share one build of d_degree; no matrix is kept."""
+    table = group.table
+    found = [_EXPONENTS.get((table, degree, p, e)) for p, _, e in parts]
+    if None in found:
+        d = coboundary_matrix(group, degree)
+        for p, _, e in parts:
+            if (table, degree, p, e) not in _EXPONENTS:
+                exps = local_smith_exponents(d, p, e)
+                _EXPONENTS[table, degree, p, e] = len(exps), tuple(x for x in exps if x > 0)
+        found = [_EXPONENTS[table, degree, p, e] for p, _, e in parts]
+        while len(_EXPONENTS) > 128:
+            del _EXPONENTS[next(iter(_EXPONENTS))]
+    return found
 
 
 def cohomology_group(group: FiniteGroup, coeffs: AbelianCoefficients,
                      degree: int) -> list[int]:
-    """Invariant factors of H^degree(P, A); [] means the trivial group."""
+    """Invariant factors of H^degree(P, A); [] means the trivial group.
+
+    By universal coefficients, one cyclic factor Z_m at a time: the integer
+    cochain complex is free, so it splits into summands Z and Z --(x s)--> Z;
+    |P| kills its torsion, so every nonzero elementary divisor of d_n divides
+    |P|.  For p^f exactly dividing m with p | |P| (other p add nothing), a
+    and b are the exponents below e = min(f, v_p(|P|) + 1) of the divisors of
+    d_degree and d_(degree-1), read from `_exponents` (one elimination per
+    group, degree, p and e per process, and one build of each d_n per call);
+    the p-part of H^degree(P, Z_m) is (Z/p^f)^(k - |a| - |b|) plus Z/p^x for
+    each x > 0 in a and b, k = |P|^degree.
+    """
     if degree not in (1, 2):
         raise ValueError("cohomology computed for degrees 1 and 2 only")
-    orders: list[int] = []
-    for m in coeffs.orders:
-        orders.extend(_h_factors_single(group, m, degree))
-    return _invariant_factors_merge(orders)
+    valuation = dict(prime_power_factors(group.order))
+    parts = [(p, f, min(f, valuation[p] + 1)) for m in coeffs.orders
+             for p, f in prime_power_factors(m) if p in valuation]
+    k = group.order ** degree
+    primary: dict[int, list[int]] = {}
+    for (p, f, _), (len_a, a), (len_b, b) in zip(parts, _exponents(group, degree, parts),
+                                                 _exponents(group, degree - 1, parts)):
+        powers = primary.setdefault(p, [])
+        powers += [p ** f] * (k - len_a - len_b)
+        powers += [p ** x for x in a + b]
+    return _divisor_chain(primary)
 
 
 # ---------------------------------------------------------------------------

@@ -100,16 +100,14 @@ class MatrixAlgebra:
     """Unital *-closed subalgebra of M_d(C), stored through a basis
     orthonormal under the trace pairing <a, b> = tr(a* b)."""
 
-    def __init__(self, dim: int, basis: np.ndarray, tol: float = DEFAULT_TOL,
-                 check: bool = True):
+    def __init__(self, dim: int, basis: np.ndarray, tol: float = DEFAULT_TOL):
         self.dim = int(dim)
         self.basis = np.asarray(basis, dtype=complex)
         self.tol = float(tol)
         if self.basis.ndim != 3 or self.basis.shape[1:] != (self.dim, self.dim):
             raise ValueError("basis must be a stack of d x d matrices")
-        if check:
-            self._check_orthonormal()
-            self.verify_closure()
+        self._check_orthonormal()
+        self.verify_closure()
 
     @property
     def size(self) -> int:

@@ -14,17 +14,13 @@ normalization, named once here) and X an element of the Poincare algebra:
 the affine J_01 of `liealg.poincare_basis_matrices` conjugated by the affine
 frame [[g_Lambda, g_a], [0, 1]] of W, read back by `liealg.affine_coefficients`,
 the same matrices the builtin brackets come from.  For W1, X is exactly J_01.
-Wedges with exact (rational) defining elements give X with `Fraction`
-coefficients, which feed `liealg.generated_subalgebra` directly.
 
-Boost matrices accept either numeric parameters (a float numpy array) or
-sympy expressions (exact output; cosh^2 - sinh^2 = 1 keeps the quadratic form
-invariant symbolically).  This module never imports sympy on its own: a
-value counts as symbolic only when sympy is already loaded, i.e. when the
-caller passed one in.  numpy is imported only by the numeric boost matrix and
-by `Wedge.sample_points`, so exact frames and their boost generators never
-load it.  Validation, inversion and wedge comparison need numeric or exact
-entries.
+Every entry is exact (int and Fraction become Fraction) or a float; any
+other value is refused when an element is built.  Exact frames give X with
+`Fraction` coefficients, which feed `liealg.generated_subalgebra` directly;
+a float frame has no generator.  Boost matrices are float numpy arrays.
+numpy is imported only by `boost_matrix` and by `Wedge.sample_points`, so
+exact frames and their boost generators never load it.
 
 Every Lambda here is Lorentz (Lambda^T eta Lambda = eta), so the inverse is
 closed form: (Lambda, a)^{-1} = (eta Lambda^T eta, -eta Lambda^T eta a).  Since
@@ -46,10 +42,9 @@ scale, and the translation part must lie in the edge plane {x_0 = x_1 = 0}.
 from __future__ import annotations
 
 import math
-import sys
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Real
 from typing import Sequence
 
 from .liealg import (LieAlgebra, LieElement, affine_coefficients, builtin,
@@ -91,41 +86,16 @@ def minkowski_form(x: Sequence, y: Sequence):
     return sum(s * a * b for s, a, b in zip(METRIC_SIGNS, x, y))
 
 
-def _is_symbolic(v) -> bool:
-    sp = sys.modules.get("sympy")
-    return sp is not None and isinstance(v, sp.Expr)
-
-
-def _entry_kind(values) -> str:
-    kinds = set()
-    for v in values:
-        if isinstance(v, (Fraction, int)):
-            kinds.add("exact")
-        elif _is_symbolic(v):
-            kinds.add("symbolic")
-        else:
-            kinds.add("float")
-    if kinds <= {"exact"}:
-        return "exact"
-    if "symbolic" in kinds:
-        return "symbolic"
-    return "float"
-
-
-def _numeric(kind: str) -> str:
-    if kind == "symbolic":
-        raise ValueError("needs numeric or exact entries, not symbolic ones")
-    return kind
+def _is_exact(values) -> bool:
+    return all(isinstance(v, (int, Fraction)) for v in values)
 
 
 @dataclass(frozen=True)
 class PoincareElement:
     """Affine map x -> Lambda x + a with Lambda proper orthochronous Lorentz.
 
-    Entries may be exact (Fraction/int), sympy expressions, or floats;
-    composition takes all three, validation and inversion only the first
-    and last.  Inversion requires a Lorentz Lambda; exact entries are
-    checked exactly, float entries are trusted.
+    Entries are exact (Fraction) or floats.  Inversion requires a Lorentz
+    Lambda; exact entries are checked exactly, float entries are trusted.
     """
 
     lorentz: tuple[tuple, ...]
@@ -172,13 +142,8 @@ class PoincareElement:
         mat[1][j] = -1
         return cls.from_parts(mat)
 
-    @property
-    def kind(self) -> str:
-        flat = [v for row in self.lorentz for v in row] + list(self.translation)
-        return _entry_kind(flat)
-
     def is_exact(self) -> bool:
-        return self.kind == "exact"
+        return _is_exact(sum(self.lorentz, self.translation))
 
     def compose(self, other: "PoincareElement") -> "PoincareElement":
         """(self o other)(x) = self(other(x))."""
@@ -192,9 +157,9 @@ class PoincareElement:
     def inverse(self) -> "PoincareElement":
         """(eta Lambda^T eta, -eta Lambda^T eta a).  Exact entries must pass
         Lambda^T eta Lambda = eta exactly (ValueError otherwise); float
-        entries are taken to be Lorentz; symbolic ones are refused."""
-        if _numeric(_entry_kind(sum(self.lorentz, ()))) == "exact":
-            _check_metric(self.lorentz, "exact", 0)
+        entries are taken to be Lorentz."""
+        if _is_exact(sum(self.lorentz, ())):
+            _check_metric(self.lorentz, 0)
         g = METRIC_SIGNS
         inv = tuple(tuple(g[i] * self.lorentz[j][i] * g[j] for j in range(4)) for i in range(4))
         vec = tuple(-sum(inv[i][k] * self.translation[k] for k in range(4)) for i in range(4))
@@ -207,32 +172,35 @@ class PoincareElement:
     def validate(self, tol: float = 1e-10) -> None:
         """Metric preservation, det = +1, orthochronous (checked in that order);
         float rounding grows with the entries, so the metric allows tol * max(1, max|Lambda|)^2."""
-        kind = _numeric(self.kind)
         m = self.lorentz
-        scale = max(1, *(abs(v) for row in m for v in row)) if kind == "float" else 1
-        _check_metric(m, kind, tol * scale ** 2)
+        if self.is_exact():
+            tol = 0
+        _check_metric(m, tol * max(1, *(abs(v) for row in m for v in row)) ** 2)
         # det Lambda = sign(Lambda_00) * sign(det of the spatial block); see the module doc
         if (m[0][0] > 0) != (_det3(tuple(row[1:] for row in m[1:])) > 0):
             raise ValueError("determinant is not +1 (improper)")
-        if not m[0][0] >= (1 - tol if kind == "float" else 1):
+        if not m[0][0] >= 1 - tol:
             raise ValueError("time orientation reversed (Lambda_00 < 1)")
 
 
 def _coerce(v):
     if isinstance(v, (int, Fraction)):
         return Fraction(v)
-    return v if _is_symbolic(v) else float(v)
+    if isinstance(v, Real):
+        return float(v)
+    raise ValueError(f"entry {v!r} is not a real number")
 
 
-def _check_metric(m, kind: str, tol: float) -> None:
-    """Lambda^T eta Lambda = eta, exactly or within tol.  The product is
-    symmetric, so the upper triangle names the first failing entry."""
+def _check_metric(m, tol) -> None:
+    """Lambda^T eta Lambda = eta within tol (exactly for tol = 0 on exact
+    entries).  The product is symmetric, so the upper triangle names the
+    first failing entry."""
     g = METRIC_SIGNS
     for i in range(4):
         for j in range(i, 4):
             s = sum(g[k] * m[k][i] * m[k][j] for k in range(4) if m[k][i] and m[k][j])
             s -= g[i] if i == j else 0
-            if not (s == 0 if kind == "exact" else abs(s) <= tol):
+            if not abs(s) <= tol:
                 raise ValueError(f"metric preservation fails at ({i}, {j})")
 
 
@@ -247,27 +215,20 @@ def _det3(m):
 
 
 def boost_matrix(t):
-    """The W1 boost at parameter t: cosh/sinh(2 pi t) block on (x_0, x_1).
+    """The W1 boost at parameter t as a float numpy array: the
+    cosh/sinh(BOOST_SCALE t) block on (x_0, x_1).
 
-    Numeric t gives a float numpy array (scaled by BOOST_SCALE); a sympy
-    expression gives an exact sympy Matrix (scaled by sympy's exact 2 pi).
-    A numeric t whose cosh(2 pi t) is not a finite float (|t| above about
-    113, or t not finite) raises ValueError.  The numeric branch keeps
-    numpy's cosh/sinh, whose last bit differs from `math`'s on many t.
+    A t whose cosh(2 pi t) is not a finite float (|t| above about 113, or t
+    not finite) raises ValueError.  It keeps numpy's cosh/sinh, whose last
+    bit differs from `math`'s on many t.
     """
-    if _is_symbolic(t) and not t.is_Float:
-        import sympy as sp
+    import numpy as np
 
-        ch, sh = sp.cosh(2 * sp.pi * t), sp.sinh(2 * sp.pi * t)
-        m = sp.eye(4)
-    else:
-        import numpy as np
-
-        with np.errstate(over="ignore", invalid="ignore"):
-            ch, sh = np.cosh(BOOST_SCALE * float(t)), np.sinh(BOOST_SCALE * float(t))
-        if not np.isfinite(ch):
-            raise ValueError(f"cosh(2 pi t) is not a finite float at t = {t}")
-        m = np.eye(4)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ch, sh = np.cosh(BOOST_SCALE * float(t)), np.sinh(BOOST_SCALE * float(t))
+    if not np.isfinite(ch):
+        raise ValueError(f"cosh(2 pi t) is not a finite float at t = {t}")
+    m = np.eye(4)
     m[0, 0] = ch
     m[0, 1] = -sh
     m[1, 0] = -sh
@@ -340,10 +301,11 @@ _U_MINUS = (1, 1, 0, 0)
 
 
 def _stabilizes_standard_wedge(h: PoincareElement, tol: float = 1e-9) -> bool:
-    kind = _numeric(h.kind)
+    if h.is_exact():
+        tol = 0
 
     def iszero(v):
-        return v == 0 if kind == "exact" else abs(v) <= tol
+        return abs(v) <= tol
 
     # translation must lie in the edge plane {x_0 = x_1 = 0}
     if not (iszero(h.translation[0]) and iszero(h.translation[1])):
@@ -368,7 +330,7 @@ def _stabilizes_standard_wedge(h: PoincareElement, tol: float = 1e-9) -> bool:
                     return False
         if lam is None:
             return False
-        return lam > 0 if kind == "exact" else lam > tol
+        return lam > tol
 
     w_plus, w_minus = pullback(_U_PLUS), pullback(_U_MINUS)
     straight = positive_multiple(w_plus, _U_PLUS) and positive_multiple(w_minus, _U_MINUS)
@@ -377,12 +339,12 @@ def _stabilizes_standard_wedge(h: PoincareElement, tol: float = 1e-9) -> bool:
 
 
 def wedge_boost(w: Wedge, t) -> PoincareElement:
-    """Lambda_W(t) = g Lambda_{W1}(t) g^{-1} for W = g W1; ValueError when a
-    numeric t leaves the finite floats."""
+    """Lambda_W(t) = g Lambda_{W1}(t) g^{-1} for W = g W1, in floats;
+    ValueError when t leaves the finite floats."""
     m = boost_matrix(t)
     boost = PoincareElement.from_parts([[m[i, j] for j in range(4)] for i in range(4)])
     g = w.frame.compose(boost).compose(w.frame.inverse())
-    if g.kind == "float" and not all(map(math.isfinite, sum(g.lorentz, g.translation))):
+    if not all(map(math.isfinite, sum(g.lorentz, g.translation))):
         raise ValueError(f"the boost of this wedge is not finite at t = {t}")
     return g
 
@@ -396,16 +358,12 @@ def wedge_boost_generator(w: Wedge) -> LieElement:
     """The element X of poincare(4) with d/dt Lambda_W(t) at t = 0 equal to
     BOOST_SCALE * X: the affine J_01 conjugated by the affine frame of W.
 
-    An exact frame gives X with `Fraction` coefficients.  A float frame
-    falls back to float coefficients on the same scale with a warning;
-    `generated_subalgebra` refuses those, since they have no exact direction.
+    X has `Fraction` coefficients; a float frame raises ValueError, since
+    its generator has no exact direction.
     """
-    alg = poincare4_algebra()
     frame = w.frame
-    exact = frame.is_exact()
-    if not exact:
-        warnings.warn("wedge frame is not exact; generator computed numerically",
-                      RuntimeWarning)
+    if not frame.is_exact():
+        raise ValueError("wedge frame is not exact; its boost generator needs exact entries")
     basis = poincare_basis_matrices(4)
     n = matmul(matmul(_affine(frame), basis[0]), _affine(frame.inverse()))
     coeffs = affine_coefficients(n)
@@ -413,9 +371,9 @@ def wedge_boost_generator(w: Wedge) -> LieElement:
     for i in range(5):
         for j in range(5):
             diff = sum(c * m[i][j] for c, m in zip(coeffs, basis)) - n[i][j]
-            if (diff != 0) if exact else (abs(diff) > 1e-9):
+            if diff != 0:
                 raise RuntimeError("conjugated boost generator left the Poincare algebra")
-    return LieElement(alg, tuple(map(Fraction if exact else float, coeffs)))
+    return LieElement(poincare4_algebra(), tuple(map(Fraction, coeffs)))
 
 
 def wedge_complement(w: Wedge) -> "Wedge":
