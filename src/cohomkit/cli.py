@@ -309,6 +309,8 @@ def cmd_modular(args, inputs: dict[str, str]) -> tuple[dict, bool]:
 
     from . import modular
 
+    if args.samples < 1:
+        raise ValueError(f"--samples must be at least 1, not {args.samples}")
     if args.example:
         if args.example == "tracial":
             algebra = modular.qubit_factor()
@@ -329,11 +331,17 @@ def cmd_modular(args, inputs: dict[str, str]) -> tuple[dict, bool]:
     else:
         if not (args.algebra and args.state):
             raise ValueError("modular analyze needs --algebra and --state, or --example")
-        gens = _load(args.algebra, inputs,
-                     lambda obj: [_complex_matrix(m) for m in obj["generators"]])
-        omega = _load(args.state, inputs, lambda obj: modular.StateVector(
-            np.array([complex(re, im) for re, im in obj["vector"]])))
-        algebra = modular.algebra_closure(gens)
+        algebra = _load(args.algebra, inputs, lambda obj: modular.algebra_closure(
+            [_complex_matrix(m) for m in obj["generators"]]))
+
+        def parse_state(obj):
+            vector = [complex(re, im) for re, im in obj["vector"]]
+            if len(vector) != algebra.dim:
+                raise ValueError(f"the state has {len(vector)} entries, but the generators "
+                                 f"are {algebra.dim}x{algebra.dim}")
+            return modular.StateVector(np.array(vector))
+
+        omega = _load(args.state, inputs, parse_state)
 
     cyclic = modular.is_cyclic(algebra, omega)
     witness = modular.separating_violation(algebra, omega)

@@ -17,9 +17,10 @@ Antilinear operators are represented as (matrix, conjugation) pairs acting as
 v -> U conj(v); with S = S_mat o conj one gets Delta = S_mat^T conj(S_mat)
 and J = S_mat conj(Delta^{-1/2}) o conj.
 
-Everything is double precision with explicit tolerances (1e-10 default);
-polar decomposition is inherently numeric.  Dimensions stay small (d <= 16
-in all shipped examples), so dense eigendecompositions are fine.
+Everything is double precision with named tolerances (DEFAULT_TOL, 1e-10,
+for membership and the triple's identities); polar decomposition is
+inherently numeric.  Dimensions stay small (d <= 16 in all shipped
+examples), so dense eigendecompositions are fine.
 """
 
 from __future__ import annotations
@@ -48,6 +49,8 @@ __all__ = [
 ]
 
 DEFAULT_TOL = 1e-10
+_BASIS_TOL = 1e-8  # how far a stored basis may miss orthonormality and closure
+_ORTHONORMAL_CUTOFF = 1e-12  # Gram-Schmidt drops a remainder with a smaller norm
 
 
 def _as_matrix_list(mats) -> list[np.ndarray]:
@@ -100,10 +103,9 @@ class MatrixAlgebra:
     """Unital *-closed subalgebra of M_d(C), stored through a basis
     orthonormal under the trace pairing <a, b> = tr(a* b)."""
 
-    def __init__(self, dim: int, basis: np.ndarray, tol: float = DEFAULT_TOL):
+    def __init__(self, dim: int, basis: np.ndarray):
         self.dim = int(dim)
         self.basis = np.asarray(basis, dtype=complex)
-        self.tol = float(tol)
         if self.basis.ndim != 3 or self.basis.shape[1:] != (self.dim, self.dim):
             raise ValueError("basis must be a stack of d x d matrices")
         self._check_orthonormal()
@@ -117,7 +119,7 @@ class MatrixAlgebra:
     def _check_orthonormal(self):
         k = self.size
         gram = np.einsum("aij,bij->ab", self.basis.conj(), self.basis)
-        if np.max(np.abs(gram - np.eye(k))) > 1e-8:
+        if np.max(np.abs(gram - np.eye(k))) > _BASIS_TOL:
             raise ValueError("basis is not orthonormal under the trace pairing")
 
     def coefficients(self, x: np.ndarray) -> np.ndarray:
@@ -131,20 +133,20 @@ class MatrixAlgebra:
         """Frobenius distance from x to the algebra."""
         return float(np.linalg.norm(np.asarray(x, dtype=complex) - self.project(x)))
 
-    def contains(self, x: np.ndarray, tol: float | None = None) -> bool:
-        return self.distance(x) <= (self.tol if tol is None else tol)
+    def contains(self, x: np.ndarray) -> bool:
+        return self.distance(x) <= DEFAULT_TOL
 
     def verify_closure(self) -> None:
         """Unit, adjoints, and products of basis elements must stay inside."""
         eye = np.eye(self.dim)
-        if self.distance(eye) > 1e-8:
+        if self.distance(eye) > _BASIS_TOL:
             raise ValueError("algebra does not contain the identity")
         for a in self.basis:
-            if self.distance(a.conj().T) > 1e-8:
+            if self.distance(a.conj().T) > _BASIS_TOL:
                 raise ValueError("algebra is not closed under adjoints")
         for a in self.basis:
             for b in self.basis:
-                if self.distance(a @ b) > 1e-8:
+                if self.distance(a @ b) > _BASIS_TOL:
                     raise ValueError("algebra is not closed under products")
 
     def random_element(self, rng: np.random.Generator) -> np.ndarray:
@@ -153,15 +155,15 @@ class MatrixAlgebra:
         x = np.einsum("a,aij->ij", c, self.basis)
         return x / np.linalg.norm(x)
 
-    def contains_algebra(self, other: "MatrixAlgebra", tol: float | None = None) -> bool:
-        return all(self.contains(b, tol) for b in other.basis)
+    def contains_algebra(self, other: "MatrixAlgebra") -> bool:
+        return all(self.contains(b) for b in other.basis)
 
-    def equals(self, other: "MatrixAlgebra", tol: float | None = None) -> bool:
-        return (self.size == other.size and self.contains_algebra(other, tol)
-                and other.contains_algebra(self, tol))
+    def equals(self, other: "MatrixAlgebra") -> bool:
+        return (self.size == other.size and self.contains_algebra(other)
+                and other.contains_algebra(self))
 
 
-def _orthonormalize(dim: int, mats: Sequence[np.ndarray], tol: float) -> np.ndarray:
+def _orthonormalize(dim: int, mats: Sequence[np.ndarray]) -> np.ndarray:
     """Gram-Schmidt on vectorized matrices under the trace pairing."""
     basis: list[np.ndarray] = []
     for m in mats:
@@ -169,12 +171,12 @@ def _orthonormalize(dim: int, mats: Sequence[np.ndarray], tol: float) -> np.ndar
         for b in basis:
             v -= np.einsum("ij,ij->", b.conj(), v) * b
         n = np.linalg.norm(v)
-        if n > tol:
+        if n > _ORTHONORMAL_CUTOFF:
             basis.append(v / n)
     return np.stack(basis) if basis else np.zeros((0, dim, dim), dtype=complex)
 
 
-def algebra_closure(generators, tol: float = DEFAULT_TOL) -> MatrixAlgebra:
+def algebra_closure(generators) -> MatrixAlgebra:
     """Smallest unital *-closed algebra containing the generators.
 
     Span closure under adjoints and products; terminates because the
@@ -186,15 +188,15 @@ def algebra_closure(generators, tol: float = DEFAULT_TOL) -> MatrixAlgebra:
     for g in gens:
         seed.append(g)
         seed.append(g.conj().T)
-    basis = _orthonormalize(d, seed, 1e-12)
+    basis = _orthonormalize(d, seed)
     while True:
         products = []
         for a in basis:
             for b in basis:
                 products.append(a @ b)
-        new_basis = _orthonormalize(d, list(basis) + products, 1e-12)
+        new_basis = _orthonormalize(d, list(basis) + products)
         if new_basis.shape[0] == basis.shape[0]:
-            return MatrixAlgebra(d, new_basis, tol)
+            return MatrixAlgebra(d, new_basis)
         basis = new_basis
 
 
@@ -228,8 +230,7 @@ def commutant(m: MatrixAlgebra) -> MatrixAlgebra:
     null = [vecs[:, i].reshape(d, d).T for i in range(d * d)
             if vals[i] <= 1e-12 * scale]
     # vec convention: vec(x)[i*d+j] = x[j, i]; transpose restores x
-    basis = _orthonormalize(d, null, 1e-12)
-    return MatrixAlgebra(d, basis, m.tol)
+    return MatrixAlgebra(d, _orthonormalize(d, null))
 
 
 def is_cyclic(m: MatrixAlgebra, omega) -> bool:
@@ -303,9 +304,10 @@ class ModularTriple:
         powers = np.power(self.eigenvalues.astype(complex), t)
         return (self.eigenvectors * powers) @ self.eigenvectors.conj().T
 
-    def validate(self, m: MatrixAlgebra, tol: float = DEFAULT_TOL) -> None:
-        d = self.dim
-        eye = np.eye(d)
+    def validate(self, m: MatrixAlgebra) -> None:
+        """The triple's identities, each to DEFAULT_TOL in the Frobenius norm."""
+        tol = DEFAULT_TOL
+        eye = np.eye(self.dim)
         if np.linalg.norm(self.j_matrix @ np.conj(self.j_matrix) - eye) > tol:
             raise ValueError("J^2 != 1")
         jdj = self.j_matrix @ np.conj(self.delta) @ np.conj(self.j_matrix)
@@ -329,7 +331,7 @@ def _matrix_power_psd(a: np.ndarray, p: float) -> np.ndarray:
     return (vecs * np.power(vals, p)) @ vecs.conj().T
 
 
-def tomita(m: MatrixAlgebra, omega, tol: float = DEFAULT_TOL) -> ModularTriple:
+def tomita(m: MatrixAlgebra, omega) -> ModularTriple:
     """Modular triple of (M, Omega); Omega must be cyclic and separating.
 
     With basis {b_i} and B = [b_1 Omega ... b_k Omega],
@@ -360,7 +362,7 @@ def tomita(m: MatrixAlgebra, omega, tol: float = DEFAULT_TOL) -> ModularTriple:
     j_mat = s_mat @ np.conj(inv_sqrt)
     triple = ModularTriple(v, delta, j_mat, s_mat, vals, vecs,
                            basis_conditioning=float(np.linalg.cond(b_cols)))
-    triple.validate(m, tol=max(tol, 1e-10))
+    triple.validate(m)
     return triple
 
 
@@ -379,8 +381,10 @@ def modular_flow_defect(triple: ModularTriple, m: MatrixAlgebra,
 
 def kms_defect(m: MatrixAlgebra, omega, samples: int = 100, seed: int = 0,
                triple: ModularTriple | None = None) -> float:
-    """max |<Omega, x Delta y Omega> - <Omega, y x Omega>| over seeded random
-    unit-norm pairs x, y in M."""
+    """max |<Omega, x Delta y Omega> - <Omega, y x Omega>| over `samples`
+    (at least 1) seeded random unit-norm pairs x, y in M."""
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, not {samples}")
     v = _as_state(omega)
     if triple is None:
         triple = tomita(m, v)

@@ -33,10 +33,12 @@ sign(Lambda_00) times the sign of the spatial block's determinant, and no 4x4
 determinant is needed.
 
 The causal complement W' is the rotation-by-pi image of W in the x_1 x_2
-plane; it satisfies Lambda_{W'}(t) = Lambda_W(-t) exactly.  Wedge equality is
-decided by reducing the defining element modulo the stabilizer of W1: the
-linear part must permute the two boundary covectors of W1 up to positive
-scale, and the translation part must lie in the edge plane {x_0 = x_1 = 0}.
+plane; it satisfies Lambda_{W'}(t) = Lambda_W(-t) exactly.  A wedge is its
+boost: every frame is checked proper orthochronous when the wedge is built,
+and in that group the stabilizer of W1 is exactly the centralizer of the
+affine J_01 (boosts along x_1, rotations about it, translations in the edge
+{x_0 = x_1 = 0}).  So g W1 = g' W1 iff g J_01 g^{-1} = g' J_01 g'^{-1}, and
+wedge equality compares these two exact 5x5 conjugates.
 """
 
 from __future__ import annotations
@@ -70,6 +72,8 @@ METRIC_SIGNS = metric_signs(4)
 
 # d/dt Lambda_W(t) at t = 0 is BOOST_SCALE times the rational generator
 BOOST_SCALE = 2 * math.pi
+# how far float entries may miss the Lorentz conditions in PoincareElement.validate
+_FLOAT_TOL = 1e-10
 
 _POINCARE4: LieAlgebra | None = None
 
@@ -169,12 +173,12 @@ class PoincareElement:
         return tuple(sum(self.lorentz[i][k] * x[k] for k in range(4))
                      + self.translation[i] for i in range(4))
 
-    def validate(self, tol: float = 1e-10) -> None:
-        """Metric preservation, det = +1, orthochronous (checked in that order);
-        float rounding grows with the entries, so the metric allows tol * max(1, max|Lambda|)^2."""
+    def validate(self) -> None:
+        """Metric preservation, det = +1, orthochronous (checked in that order),
+        exactly for exact entries.  Float rounding grows with the entries, so
+        for floats the metric allows _FLOAT_TOL * max(1, max|Lambda|)^2."""
         m = self.lorentz
-        if self.is_exact():
-            tol = 0
+        tol = 0 if self.is_exact() else _FLOAT_TOL
         _check_metric(m, tol * max(1, *(abs(v) for row in m for v in row)) ** 2)
         # det Lambda = sign(Lambda_00) * sign(det of the spatial block); see the module doc
         if (m[0][0] > 0) != (_det3(tuple(row[1:] for row in m[1:])) > 0):
@@ -242,9 +246,13 @@ def boost_matrix(t):
 
 @dataclass(frozen=True)
 class Wedge:
-    """A Poincare image g W1 of the standard wedge, carried by g."""
+    """A Poincare image g W1 of the standard wedge, carried by g, which must be
+    proper orthochronous; two wedges are equal when their boosts are."""
 
     frame: PoincareElement
+
+    def __post_init__(self):
+        self.frame.validate()
 
     @classmethod
     def standard(cls) -> "Wedge":
@@ -257,9 +265,8 @@ class Wedge:
 
     @classmethod
     def from_frame(cls, lorentz, translation=(0, 0, 0, 0)) -> "Wedge":
-        g = PoincareElement.from_parts(lorentz, translation)
-        g.validate()
-        return cls(g)
+        """The wedge of x -> lorentz x + translation, entries as in `from_parts`."""
+        return cls(PoincareElement.from_parts(lorentz, translation))
 
     def translate(self, vec) -> "Wedge":
         return Wedge(PoincareElement.translation_by(vec).compose(self.frame))
@@ -288,54 +295,10 @@ class Wedge:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Wedge):
             return NotImplemented
-        h = other.frame.inverse().compose(self.frame)
-        return _stabilizes_standard_wedge(h)
+        return _conjugated_j01(self.frame) == _conjugated_j01(other.frame)
 
     def __hash__(self):
         return 0  # wedges with distinct frames may still be equal
-
-
-# boundary covectors of W1: u.x > 0 for both is exactly x in W1
-_U_PLUS = (-1, 1, 0, 0)
-_U_MINUS = (1, 1, 0, 0)
-
-
-def _stabilizes_standard_wedge(h: PoincareElement, tol: float = 1e-9) -> bool:
-    if h.is_exact():
-        tol = 0
-
-    def iszero(v):
-        return abs(v) <= tol
-
-    # translation must lie in the edge plane {x_0 = x_1 = 0}
-    if not (iszero(h.translation[0]) and iszero(h.translation[1])):
-        return False
-    inv = h.inverse().lorentz
-
-    def pullback(u):
-        return tuple(sum(u[k] * inv[k][j] for k in range(4)) for j in range(4))
-
-    def positive_multiple(v, u):
-        # v == lambda * u with lambda > 0?
-        lam = None
-        for a, b in zip(v, u):
-            if iszero(b):
-                if not iszero(a):
-                    return False
-            else:
-                cand = a / b
-                if lam is None:
-                    lam = cand
-                elif not iszero(cand - lam):
-                    return False
-        if lam is None:
-            return False
-        return lam > tol
-
-    w_plus, w_minus = pullback(_U_PLUS), pullback(_U_MINUS)
-    straight = positive_multiple(w_plus, _U_PLUS) and positive_multiple(w_minus, _U_MINUS)
-    swapped = positive_multiple(w_plus, _U_MINUS) and positive_multiple(w_minus, _U_PLUS)
-    return straight or swapped
 
 
 def wedge_boost(w: Wedge, t) -> PoincareElement:
@@ -354,18 +317,22 @@ def _affine(g: PoincareElement) -> list[list]:
     return [list(row) + [t] for row, t in zip(g.lorentz, g.translation)] + [[0, 0, 0, 0, 1]]
 
 
+def _conjugated_j01(frame: PoincareElement) -> list[list]:
+    """g J_01 g^{-1} as a 5x5 affine matrix for an exact frame g; a float
+    frame raises ValueError, since its generator has no exact direction."""
+    if not frame.is_exact():
+        raise ValueError("wedge frame is not exact; its boost generator needs exact entries")
+    return matmul(matmul(_affine(frame), poincare_basis_matrices(4)[0]), _affine(frame.inverse()))
+
+
 def wedge_boost_generator(w: Wedge) -> LieElement:
     """The element X of poincare(4) with d/dt Lambda_W(t) at t = 0 equal to
     BOOST_SCALE * X: the affine J_01 conjugated by the affine frame of W.
 
-    X has `Fraction` coefficients; a float frame raises ValueError, since
-    its generator has no exact direction.
+    X has `Fraction` coefficients; a float frame raises ValueError.
     """
-    frame = w.frame
-    if not frame.is_exact():
-        raise ValueError("wedge frame is not exact; its boost generator needs exact entries")
+    n = _conjugated_j01(w.frame)
     basis = poincare_basis_matrices(4)
-    n = matmul(matmul(_affine(frame), basis[0]), _affine(frame.inverse()))
     coeffs = affine_coefficients(n)
     # defensive: the coefficients must reproduce the conjugate (it lies in poincare(4))
     for i in range(5):

@@ -186,6 +186,10 @@ def test_group_h_coprime_coefficients_need_no_dense_matrix(capsys):
      "--t is out of range: cosh(2 pi t) is not a finite float at t = 1000.0"),
     (["spacetime", "boost", "--t", "-1000"],
      "--t is out of range: cosh(2 pi t) is not a finite float at t = -1000.0"),
+    (["modular", "analyze", "--example", "tracial", "--seed", "1", "--samples", "0"],
+     "--samples must be at least 1, not 0"),
+    (["modular", "analyze", "--example", "tracial", "--seed", "1", "--samples", "-5"],
+     "--samples must be at least 1, not -5"),
 ])
 def test_usage_errors_exit_two_with_error_prefix(capsys, argv, message):
     code = main(argv)
@@ -448,6 +452,8 @@ _Z2Z2 = ["--group", "z2", "--coeff", "z2"]
      {"--state": _STATE}),
     (["modular", "analyze", "--seed", "1"], "--state", {"vector": 5},
      {"--algebra": _ALGEBRA}),
+    (["modular", "analyze", "--seed", "1"], "--state", {"vector": [[1, 0], [0, 0], [0, 0]]},
+     {"--algebra": _ALGEBRA}),
     (["spacetime", "complement"], "--wedge", {"lorentz": 3}, {}),
     (["lie", "generate", "--algebra", "poincare4"], "--generators",
      '{"generators": [[Infinity, 0, 0, 0, 0, 0, 0, 0, 0, 0]]}', {}),
@@ -461,11 +467,13 @@ _Z2Z2 = ["--group", "z2", "--coeff", "z2"]
      '{"table": [[0, 1], [1, Infinity]]}', {}),
     (_EXT + ["build"] + _Z2Z2, "--cocycle",
      json.dumps(_Z2_COCYCLE).replace('"value": [0]', '"value": [Infinity]', 1), {}),
+    (["modular", "analyze", "--seed", "1"], "--algebra", {"generators": [[[[1, 0], [0, 0]]]]},
+     {"--state": _STATE}),
 ], ids=["generators-int", "generators-missing", "generators-syntax", "element-int",
         "build-values", "split-values", "value-length", "equiv-values", "sigma-int", "sigma-range",
-        "modular-algebra", "modular-state", "wedge-int", "generators-infinity",
+        "modular-algebra", "modular-state", "modular-state-length", "wedge-int", "generators-infinity",
         "generators-overflow", "generators-zero-denominator", "algebra-infinity", "group-infinity",
-        "cocycle-infinity"])
+        "cocycle-infinity", "algebra-non-square"])
 def test_json_input_errors_name_file_and_exit_two(capsys, tmp_path, argv, flag, doc, good):
     path = tmp_path / "bad.json"
     path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
@@ -480,6 +488,17 @@ def test_json_input_errors_name_file_and_exit_two(capsys, tmp_path, argv, flag, 
     assert captured.out == ""
     assert captured.err.startswith(f"error: {path}: ")
     assert "Traceback" not in captured.err
+
+
+def test_state_length_error_gives_both_dimensions(capsys, tmp_path):
+    algebra, state = tmp_path / "algebra.json", tmp_path / "state.json"
+    algebra.write_text(json.dumps(_ALGEBRA))
+    state.write_text(json.dumps({"vector": [[1, 0], [0, 0], [0, 0]]}))
+    code = main(["modular", "analyze", "--seed", "1", "--algebra", str(algebra),
+                 "--state", str(state)])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        f"error: {state}: the state has 3 entries, but the generators are 4x4\n")
 
 
 # ---------------------------------------------------------------------------

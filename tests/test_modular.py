@@ -197,7 +197,7 @@ def test_triple_structural_identities():
     m = qubit_factor()
     om = schmidt_state(2 / 3)
     triple = tomita(m, om)
-    triple.validate(m, tol=TOL)
+    triple.validate(m)
     eye = np.eye(4)
     assert np.linalg.norm(triple.j_matrix @ np.conj(triple.j_matrix) - eye) < TOL
     jdj = triple.j_matrix @ np.conj(triple.delta) @ np.conj(triple.j_matrix)
@@ -306,6 +306,12 @@ def test_kms_defect_tiny_for_true_triple():
     m = qubit_factor()
     om = schmidt_state(2 / 3)
     assert kms_defect(m, om, samples=100, seed=7) < TOL
+
+
+@pytest.mark.parametrize("samples", [0, -5])
+def test_kms_defect_refuses_fewer_than_one_sample(samples):
+    with pytest.raises(ValueError, match="samples must be at least 1"):
+        kms_defect(qubit_factor(), schmidt_state(0.5), samples=samples, seed=0)
 
 
 def test_kms_defect_tracial_is_zero_without_delta():

@@ -409,7 +409,7 @@ def test_complement_commutes_with_translation():
 
 
 # ---------------------------------------------------------------------------
-# wedge equality modulo the stabilizer
+# wedge equality: equal boost generators, on proper orthochronous frames
 
 
 def test_wedge_equals_its_boosted_self():
@@ -437,3 +437,96 @@ def test_wedge_differs_from_shifts_and_complement():
     assert w1 != w1.translate((1, 0, 0, 0))
     assert w1 != wedge_complement(w1)
     assert w1 != Wedge.coordinate(2)
+
+
+@pytest.mark.parametrize("signs, message", [
+    ((-1, 1, -1, 1), "time orientation"),
+    ((-1, -1, 1, 1), "time orientation"),
+    ((1, -1, 1, 1), "improper"),
+])
+def test_wedge_refuses_frames_outside_proper_orthochronous(signs, message):
+    # the first two map W1 onto W1 and onto W1', but reverse the boost
+    g = PoincareElement.from_parts(_diag(*signs))
+    with pytest.raises(ValueError, match=message):
+        Wedge(g)
+    with pytest.raises(ValueError, match=message):
+        Wedge.standard().transform(g)
+
+
+def _boost(axis, cosh, sinh):
+    mat = _diag(1, 1, 1, 1)
+    mat[0][0] = mat[axis][axis] = cosh
+    mat[0][axis] = mat[axis][0] = sinh
+    return PoincareElement.from_parts(mat)
+
+
+def _rotation(i, j, cos, sin):
+    mat = _diag(1, 1, 1, 1)
+    mat[i][i] = mat[j][j] = cos
+    mat[i][j], mat[j][i] = -sin, sin
+    return PoincareElement.from_parts(mat)
+
+
+_RATIONAL_BOOSTS = ((Fraction(5, 4), Fraction(3, 4)), (Fraction(13, 12), Fraction(5, 12)))
+
+
+def _random_proper_orthochronous(rng, factors=4):
+    """Rational boosts, (3/5, 4/5) rotations and quarter turns after a
+    rational translation: an exact element of the proper orthochronous group."""
+    g = PoincareElement.translation_by(
+        [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(4)])
+    for _ in range(factors):
+        kind = rng.choice(("boost", "rotation", "quarter"))
+        if kind == "boost":
+            cosh, sinh = rng.choice(_RATIONAL_BOOSTS)
+            factor = _boost(rng.randint(1, 3), cosh, rng.choice((1, -1)) * sinh)
+        elif kind == "rotation":
+            i, j = rng.choice(((1, 2), (1, 3), (2, 3)))
+            factor = _rotation(i, j, Fraction(3, 5), rng.choice((1, -1)) * Fraction(4, 5))
+        else:
+            factor = PoincareElement.axis_swap_rotation(rng.choice((2, 3)))
+        g = g.compose(factor)
+    return g
+
+
+# the stabilizer of W1 in closed form: x_1 boosts, x_2 x_3 rotations, edge translations
+_STABILIZER = [
+    _boost(1, Fraction(5, 4), Fraction(3, 4)),
+    _boost(1, Fraction(13, 12), Fraction(-5, 12)),
+    _rotation(2, 3, Fraction(3, 5), Fraction(4, 5)),
+    PoincareElement.plane_rotation_pi(2, 3),
+    PoincareElement.translation_by((0, 0, Fraction(7, 2), -2)),
+    _boost(1, Fraction(5, 4), Fraction(-3, 4)).compose(
+        _rotation(2, 3, Fraction(3, 5), Fraction(-4, 5))).compose(
+        PoincareElement.translation_by((0, 0, -1, Fraction(1, 3)))),
+]
+_OUTSIDE_STABILIZER = [
+    PoincareElement.translation_by((Fraction(1, 2), 0, 0, 0)),
+    PoincareElement.translation_by((0, -3, 1, 0)),
+    PoincareElement.translation_by((1, 1, 0, 0)),
+    PoincareElement.plane_rotation_pi(1, 2),
+    _boost(2, Fraction(5, 4), Fraction(3, 4)),
+    _boost(2, Fraction(13, 12), Fraction(-5, 12)),
+]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_wedge_equality_is_the_stabilizer_of_w1(seed):
+    rng = random.Random(seed)
+    for _ in range(4):
+        g = _random_proper_orthochronous(rng)
+        w = Wedge(g)
+        for s in _STABILIZER:
+            assert Wedge(g.compose(s)) == w
+        for s in _OUTSIDE_STABILIZER:
+            assert Wedge(g.compose(s)) != w
+
+
+def test_float_frame_equality_is_refused():
+    frame = PoincareElement.from_parts(
+        [[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0],
+         [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]], (0.0, 0.0, 1.0, 0.0))
+    with pytest.raises(ValueError, match="not exact"):
+        Wedge(frame) == Wedge.standard()
+    with pytest.raises(ValueError, match="not exact"):
+        Wedge.standard() == Wedge(frame)
