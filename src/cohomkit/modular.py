@@ -19,8 +19,12 @@ and J = S_mat conj(Delta^{-1/2}) o conj.
 
 Everything is double precision with named tolerances (DEFAULT_TOL, 1e-10,
 for membership and the triple's identities); polar decomposition is
-inherently numeric.  Dimensions stay small (d <= 16 in all shipped
-examples), so dense eigendecompositions are fine.
+inherently numeric.  The dense kernels are a few BLAS calls each:
+`commutant` solves only on the eigenspaces of one Hermitian element of M
+(M' lies inside its commutant; eigenvalues within the relative gap
+_CLUSTER_GAP = 1e-3 share an eigenspace), a space of dimension
+sum n_lambda^2 rather than d^2, and closure checks measure candidates
+against a basis B in batched residuals x - (x B^H) B.
 """
 
 from __future__ import annotations
@@ -51,6 +55,8 @@ __all__ = [
 DEFAULT_TOL = 1e-10
 _BASIS_TOL = 1e-8  # how far a stored basis may miss orthonormality and closure
 _ORTHONORMAL_CUTOFF = 1e-12  # Gram-Schmidt drops a remainder with a smaller norm
+_CLUSTER_GAP = 1e-3  # commutant: relative eigenvalue gap of h that splits two blocks
+_STATE_TOL = 1e-12  # how far a state vector's norm may miss 1
 
 
 def _as_matrix_list(mats) -> list[np.ndarray]:
@@ -76,8 +82,10 @@ class StateVector:
 
     def __post_init__(self):
         v = np.asarray(self.data, dtype=complex).reshape(-1)
-        if abs(np.linalg.norm(v) - 1.0) > 1e-12:
-            raise ValueError("state vector is not normalized to 1e-12")
+        norm = float(np.linalg.norm(v))
+        if abs(norm - 1.0) > _STATE_TOL:
+            raise ValueError(f"state vector has norm {norm!r}, "
+                             f"not 1 to within {_STATE_TOL:g}")
         object.__setattr__(self, "data", v)
 
     @classmethod
@@ -137,17 +145,17 @@ class MatrixAlgebra:
         return self.distance(x) <= DEFAULT_TOL
 
     def verify_closure(self) -> None:
-        """Unit, adjoints, and products of basis elements must stay inside."""
-        eye = np.eye(self.dim)
-        if self.distance(eye) > _BASIS_TOL:
+        """Unit, adjoints, and products of basis elements must stay inside.
+        Adjoints are checked in one batched residual, products one row
+        a @ basis at a time (see `_residuals`)."""
+        if self.distance(np.eye(self.dim)) > _BASIS_TOL:
             raise ValueError("algebra does not contain the identity")
+        adjoints = self.basis.conj().transpose(0, 2, 1)
+        if np.max(_residuals(self.basis, adjoints)) > _BASIS_TOL:
+            raise ValueError("algebra is not closed under adjoints")
         for a in self.basis:
-            if self.distance(a.conj().T) > _BASIS_TOL:
-                raise ValueError("algebra is not closed under adjoints")
-        for a in self.basis:
-            for b in self.basis:
-                if self.distance(a @ b) > _BASIS_TOL:
-                    raise ValueError("algebra is not closed under products")
+            if np.max(_residuals(self.basis, a @ self.basis)) > _BASIS_TOL:
+                raise ValueError("algebra is not closed under products")
 
     def random_element(self, rng: np.random.Generator) -> np.ndarray:
         """Unit-Frobenius-norm element with Gaussian coefficients."""
@@ -161,6 +169,15 @@ class MatrixAlgebra:
     def equals(self, other: "MatrixAlgebra") -> bool:
         return (self.size == other.size and self.contains_algebra(other)
                 and other.contains_algebra(self))
+
+
+def _residuals(basis: np.ndarray, mats: np.ndarray) -> np.ndarray:
+    """Frobenius distance of each matrix in the stack `mats` from the span
+    of the trace-orthonormal stack `basis`: the rows of x - (x B^H) B with
+    x and B the stacks flattened to rows."""
+    flat = basis.reshape(basis.shape[0], -1)
+    x = mats.reshape(mats.shape[0], -1)
+    return np.linalg.norm(x - (x @ flat.conj().T) @ flat, axis=1)
 
 
 def _orthonormalize(dim: int, mats: Sequence[np.ndarray]) -> np.ndarray:
@@ -180,7 +197,11 @@ def algebra_closure(generators) -> MatrixAlgebra:
     """Smallest unital *-closed algebra containing the generators.
 
     Span closure under adjoints and products; terminates because the
-    dimension is bounded by d^2.
+    dimension is bounded by d^2.  Each round screens the products a @ basis
+    against the current basis one row at a time and hands Gram-Schmidt only
+    those farther than `_ORTHONORMAL_CUTOFF` from it: a product Gram-Schmidt
+    would drop leaves its basis unchanged, so the result is the same as
+    orthonormalizing all k^2 products.
     """
     gens = _as_matrix_list(generators)
     d = gens[0].shape[0]
@@ -190,29 +211,46 @@ def algebra_closure(generators) -> MatrixAlgebra:
         seed.append(g.conj().T)
     basis = _orthonormalize(d, seed)
     while True:
-        products = []
-        for a in basis:
-            for b in basis:
-                products.append(a @ b)
-        new_basis = _orthonormalize(d, list(basis) + products)
+        outside = [a @ b for a in basis
+                   for b, r in zip(basis, _residuals(basis, a @ basis))
+                   if r > _ORTHONORMAL_CUTOFF]
+        new_basis = _orthonormalize(d, list(basis) + outside)
         if new_basis.shape[0] == basis.shape[0]:
             return MatrixAlgebra(d, new_basis)
         basis = new_basis
 
 
 def commutant(m: MatrixAlgebra) -> MatrixAlgebra:
-    """M' = {x : [x, b] = 0 for all b in M}, from the null space of the
-    stacked commutator operators op_b = 1 (x) b - b^T (x) 1 on vec(x).
+    """M' = {x : [x, b] = 0 for all b in M}: the null space of the stacked
+    commutator operators op_b = 1 (x) b - b^T (x) 1 on vec(x), searched only
+    on the eigenspaces of one Hermitian h in M.
 
-    Their Gram matrix is built in closed form,
+    M' lies inside {h}', the matrices block diagonal on the eigenspaces
+    E_lambda of h, a space of dimension sum n_lambda^2 rather than d^2.  Here
+    h = sum_b w_b b + conj(w_b) b^H with fixed weights w_b = exp(i b^2):
+    complex, so anti-Hermitian basis elements count, and quadratic, since
+    exp(i b) factors over the matrix units of M_n (x) 1 and leaves h of rank
+    2.  Eigenvalues closer than `_CLUSTER_GAP` times max |lambda| share a
+    block; merging is safe, it only enlarges the space searched.
 
-        sum_b op_b^H op_b = 1 (x) (sum_b b^H b) + (sum_b conj(b) b^T) (x) 1
-                            - X - X^H,   X = sum_b b^T (x) b^H,
+    In the eigenbasis U of h the Gram matrix G of the op_b is built in
+    closed form,
 
-    where X is one (k x d^2)^T (k x d^2) product with its axes permuted, so
-    the cost is O(k d^4) rather than a d^2 x d^2 product per basis element."""
+        G = 1 (x) (sum_b b^H b) + (sum_b conj(b) b^T) (x) 1 - X - X^H,
+        X = sum_b b^T (x) b^H,
+
+    with X one (k x d^2)^T (k x d^2) product with its axes permuted, and only
+    its principal submatrix on the block-diagonal coordinates is
+    diagonalized.  That is exact: G is positive semidefinite, so for x in
+    that space x^H G x = 0 exactly when G x = 0."""
     d = m.dim
-    flat = m.basis.reshape(m.size, d * d)  # row b holds b[j, i] at j*d + i
+    h = np.tensordot(np.exp(1j * np.arange(1, m.size + 1) ** 2.0), m.basis, axes=1)
+    lam, u = np.linalg.eigh(h + h.conj().T)
+    split = np.diff(lam) > _CLUSTER_GAP * np.max(np.abs(lam))
+    block = np.concatenate(([0], np.cumsum(split)))
+    keep = np.flatnonzero(block[:, None] == block[None, :])  # symmetric: either vec order
+    rotated = u.conj().T @ m.basis @ u
+    flat = rotated.reshape(m.size, d * d)  # row b holds b[j, i] at j*d + i
     # cross[j, i, l, k] = sum_b b[j, i] conj(b[l, k]) = X[(i, k), (j, l)]
     cross = (flat.T @ flat.conj()).reshape(d, d, d, d)
     gram = np.empty((d * d, d * d), dtype=complex)
@@ -220,17 +258,18 @@ def commutant(m: MatrixAlgebra) -> MatrixAlgebra:
     np.negative(cross.transpose(1, 3, 0, 2), out=g4)
     del cross
     gram += gram.conj().T
-    left = np.einsum("bji,bjl->il", m.basis.conj(), m.basis)  # sum b^H b
-    right = np.einsum("bij,blj->il", m.basis.conj(), m.basis)  # sum conj(b) b^T
+    left = np.einsum("bji,bjl->il", rotated.conj(), rotated)  # sum b^H b
+    right = np.einsum("bij,blj->il", rotated.conj(), rotated)  # sum conj(b) b^T
     for i in range(d):
         g4[i, :, i, :] += left
         g4[:, i, :, i] += right
-    vals, vecs = np.linalg.eigh(gram)
-    scale = max(np.max(vals), 1.0)
-    null = [vecs[:, i].reshape(d, d).T for i in range(d * d)
-            if vals[i] <= 1e-12 * scale]
+    vals, vecs = np.linalg.eigh(gram[np.ix_(keep, keep)])
+    null = vecs[:, vals <= 1e-12 * max(np.max(vals), 1.0)]
+    vec = np.zeros((null.shape[1], d * d), dtype=complex)
+    vec[:, keep] = null.T
     # vec convention: vec(x)[i*d+j] = x[j, i]; transpose restores x
-    return MatrixAlgebra(d, _orthonormalize(d, null))
+    x = u @ vec.reshape(-1, d, d).transpose(0, 2, 1) @ u.conj().T
+    return MatrixAlgebra(d, _orthonormalize(d, x))
 
 
 def is_cyclic(m: MatrixAlgebra, omega) -> bool:

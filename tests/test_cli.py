@@ -335,6 +335,15 @@ def test_modular_p_two_thirds(capsys):
     assert rep["result"]["kms_defect"] < 1e-10
 
 
+@pytest.mark.parametrize("example", ["tracial", "p:2/3", "p:0.9"])
+def test_modular_jmj_commutant_defect_is_roundoff(capsys, example):
+    # J M J = M' holds exactly; what the report shows is the roundoff of the
+    # commutant basis and of J
+    code, rep = run_json(capsys, "modular", "analyze", "--example", example, "--seed", "7")
+    assert code == EXIT_OK
+    assert rep["result"]["jmj_commutant_defect"] <= 1e-15
+
+
 def test_modular_product_state_refused(capsys):
     code, rep = run_json(capsys, "modular", "analyze", "--example", "product",
                          "--seed", "7")
@@ -428,6 +437,8 @@ _Z2_COCYCLE = {"degree": 2, "group_order": 2, "coefficient_orders": [2],
 _STATE = {"vector": [[0.5, 0], [0.5, 0], [0.5, 0], [0.5, 0]]}
 _ALGEBRA = {"generators": [[[[1, 0], [0, 0], [0, 0], [0, 0]], [[0, 0], [1, 0], [0, 0], [0, 0]],
                             [[0, 0], [0, 0], [1, 0], [0, 0]], [[0, 0], [0, 0], [0, 0], [1, 0]]]]}
+# sqrt(0.3) and sqrt(0.7) to six decimals: the norm misses 1 by 2.2e-7
+_STATE_6_DECIMALS = {"vector": [[0.547723, 0], [0, 0], [0, 0], [0.836660, 0]]}
 _EXT = ["group", "extension"]
 _Z2Z2 = ["--group", "z2", "--coeff", "z2"]
 
@@ -469,11 +480,13 @@ _Z2Z2 = ["--group", "z2", "--coeff", "z2"]
      json.dumps(_Z2_COCYCLE).replace('"value": [0]', '"value": [Infinity]', 1), {}),
     (["modular", "analyze", "--seed", "1"], "--algebra", {"generators": [[[[1, 0], [0, 0]]]]},
      {"--state": _STATE}),
+    (["modular", "analyze", "--seed", "1"], "--state", _STATE_6_DECIMALS,
+     {"--algebra": _ALGEBRA}),
 ], ids=["generators-int", "generators-missing", "generators-syntax", "element-int",
         "build-values", "split-values", "value-length", "equiv-values", "sigma-int", "sigma-range",
         "modular-algebra", "modular-state", "modular-state-length", "wedge-int", "generators-infinity",
         "generators-overflow", "generators-zero-denominator", "algebra-infinity", "group-infinity",
-        "cocycle-infinity", "algebra-non-square"])
+        "cocycle-infinity", "algebra-non-square", "modular-state-norm"])
 def test_json_input_errors_name_file_and_exit_two(capsys, tmp_path, argv, flag, doc, good):
     path = tmp_path / "bad.json"
     path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
@@ -499,6 +512,18 @@ def test_state_length_error_gives_both_dimensions(capsys, tmp_path):
     assert code == EXIT_USAGE
     assert capsys.readouterr().err == (
         f"error: {state}: the state has 3 entries, but the generators are 4x4\n")
+
+
+def test_state_norm_error_gives_the_norm(capsys, tmp_path):
+    algebra, state = tmp_path / "algebra.json", tmp_path / "state.json"
+    algebra.write_text(json.dumps(_ALGEBRA))
+    state.write_text(json.dumps(_STATE_6_DECIMALS))
+    code = main(["modular", "analyze", "--seed", "1", "--algebra", str(algebra),
+                 "--state", str(state)])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {state}: state vector has norm 1.00000022")
+    assert err.endswith(", not 1 to within 1e-12\n")
 
 
 # ---------------------------------------------------------------------------

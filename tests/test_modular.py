@@ -65,6 +65,89 @@ def test_closure_input_validation():
         algebra_closure([np.eye(2), np.eye(3)])
 
 
+def _unitary(rng, d):
+    q, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    return q
+
+
+def _direct_sum_units(blocks, u=None):
+    """Matrix units of the direct sum of M_n (x) 1_m over `blocks` = [(n, m), ...],
+    conjugated by the unitary u when one is given."""
+    d = sum(n * m for n, m in blocks)
+    units, offset = [], 0
+    for n, m in blocks:
+        for i in range(n):
+            for j in range(n):
+                x = np.zeros((d, d), dtype=complex)
+                e = np.zeros((n, n))
+                e[i, j] = 1.0
+                x[offset:offset + n * m, offset:offset + n * m] = np.kron(e, np.eye(m))
+                units.append(x if u is None else u @ x @ u.conj().T)
+        offset += n * m
+    return units
+
+
+E11 = np.diag([1.0, 0.0]).astype(complex)
+E12 = np.array([[0, 1], [0, 0]], dtype=complex)
+
+
+@pytest.mark.parametrize("basis, message", [
+    ([E11], "does not contain the identity"),
+    ([np.eye(2) / np.sqrt(2), E12], "not closed under adjoints"),
+    ([np.eye(2) / np.sqrt(2), SX / np.sqrt(2), SZ / np.sqrt(2)], "not closed under products"),
+], ids=["no-identity", "no-adjoint", "no-product"])
+def test_matrix_algebra_refuses_unclosed_basis(basis, message):
+    # each basis is trace-orthonormal and fails exactly one closure check
+    with pytest.raises(ValueError, match=message):
+        MatrixAlgebra(2, np.stack(basis))
+
+
+def _closure_by_all_products(generators):
+    """The closure loop without screening: Gram-Schmidt over the basis and
+    every product, each round, until the dimension stops growing."""
+    def gram_schmidt(mats):
+        out = []
+        for x in mats:
+            v = x.astype(complex).copy()
+            for b in out:
+                v -= np.einsum("ij,ij->", b.conj(), v) * b
+            n = np.linalg.norm(v)
+            if n > 1e-12:
+                out.append(v / n)
+        return out
+
+    gens = [np.asarray(g, dtype=complex) for g in generators]
+    seed = [np.eye(gens[0].shape[0], dtype=complex)]
+    for g in gens:
+        seed += [g, g.conj().T]
+    basis = gram_schmidt(seed)
+    while True:
+        new = gram_schmidt(basis + [a @ b for a in basis for b in basis])
+        if len(new) == len(basis):
+            return np.stack(new)
+        basis = new
+
+
+@pytest.mark.parametrize("case", ["qubit-factor", "m2", "m3", "m4", "rotated-blocks",
+                                  "random-3x3"])
+def test_closure_bitwise_equals_all_products_gram_schmidt(case):
+    if case == "qubit-factor":
+        gens, got = _direct_sum_units([(2, 2)]), qubit_factor().basis
+    else:
+        if case == "random-3x3":
+            # one non-normal generator: several rounds, several new products in each
+            rng = np.random.default_rng(3)
+            gens = [rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))]
+        elif case == "rotated-blocks":
+            u = _unitary(np.random.default_rng(5), 5)
+            gens = [u @ np.diag([1.0, 1.0, 2.0, 3.0, 3.0]) @ u.conj().T]
+        else:
+            k = int(case[1])
+            gens = _direct_sum_units([(k, k)])
+        got = algebra_closure(gens).basis
+    assert np.array_equal(got, _closure_by_all_products(gens))
+
+
 # ---------------------------------------------------------------------------
 # commutants
 
@@ -103,7 +186,19 @@ def _stacked_kron_commutant(m):
     return MatrixAlgebra(d, np.stack([v.reshape(d, d).T for v in null.T]))
 
 
-@pytest.mark.parametrize("case", ["m2", "m3", "m4", "diag5", "blocks", "rotated-blocks"])
+def _check_commutant(m, expected):
+    mc = commutant(m)
+    oracle = _stacked_kron_commutant(m)
+    assert mc.size == oracle.size == expected
+    assert mc.equals(oracle)
+    for x in mc.basis:
+        for b in m.basis:
+            assert np.max(np.abs(x @ b - b @ x)) <= 1e-10
+    assert commutant(mc).equals(m)
+
+
+@pytest.mark.parametrize("case", ["m2", "m3", "m4", "diag5", "blocks", "rotated-blocks",
+                                  "m2x1_3", "m3x1_2", "rotated-sum", "near-degenerate"])
 def test_commutant_matches_stacked_kron_oracle(case):
     if case == "diag5":
         m, expected = diagonal_algebra(5), 5
@@ -113,23 +208,45 @@ def test_commutant_matches_stacked_kron_oracle(case):
         # block-diagonal Gram terms cannot stand in for each other
         gen = np.diag([1.0, 1.0, 2.0, 3.0, 3.0]).astype(complex)
         if case == "rotated-blocks":
-            rng = np.random.default_rng(5)
-            u, _ = np.linalg.qr(rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5)))
+            u = _unitary(np.random.default_rng(5), 5)
             gen = u @ gen @ u.conj().T
         m, expected = algebra_closure([gen]), 9
+    elif case in ("m2x1_3", "m3x1_2"):
+        # unequal factor and multiplicity: M' = 1_n (x) M_m
+        n, mult = int(case[1]), int(case[-1])
+        m, expected = algebra_closure(_direct_sum_units([(n, mult)])), mult * mult
+    elif case == "rotated-sum":
+        # (M_2 (x) 1_2) + (M_1 (x) 1_3): M' = (1_2 (x) M_2) + M_3, dimension 4 + 9
+        u = _unitary(np.random.default_rng(7), 7)
+        m, expected = algebra_closure(_direct_sum_units([(2, 2), (1, 3)], u)), 13
+    elif case == "near-degenerate":
+        # eigenvalues 1 and 1 + 1e-9 are distinct, so M' = C + C + C + M_2
+        m = algebra_closure([np.diag([1.0, 1.0 + 1e-9, 2.0, 3.0, 3.0]).astype(complex)])
+        expected = 7
     else:
         k = int(case[1])
         rng = np.random.default_rng(k)
         gens = [np.kron(rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)),
                         np.eye(k)) for _ in range(2)]
         m, expected = algebra_closure(gens), k * k
-    mc = commutant(m)
-    oracle = _stacked_kron_commutant(m)
-    assert mc.size == oracle.size == expected
-    assert mc.equals(oracle)
-    for x in mc.basis:
-        for b in m.basis:
-            assert np.max(np.abs(x @ b - b @ x)) <= 1e-10
+    _check_commutant(m, expected)
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_commutant_of_random_direct_sum(seed):
+    # M = sum_i M_{n_i} (x) 1_{m_i} in a random complex frame, d <= 9:
+    # dim M = sum n_i^2 and dim M' = sum m_i^2
+    rng = np.random.default_rng(1000 + seed)
+    blocks = [(int(rng.integers(1, 4)), int(rng.integers(1, 4)))]
+    while True:
+        n, mult = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+        if sum(a * b for a, b in blocks) + n * mult > 9:
+            break
+        blocks.append((n, mult))
+    d = sum(n * mult for n, mult in blocks)
+    m = algebra_closure(_direct_sum_units(blocks, _unitary(rng, d)))
+    assert m.size == sum(n * n for n, _ in blocks)
+    _check_commutant(m, sum(mult * mult for _, mult in blocks))
 
 
 def test_double_commutant_is_identity_operation():
@@ -167,7 +284,7 @@ def test_full_algebra_cyclic_not_separating():
 
 
 def test_state_vector_norm_enforced():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"norm 1\.414213562373095\d*, not 1 to within 1e-12"):
         StateVector(np.array([1.0, 1.0]))
     sv = StateVector.normalized(np.array([3.0, 4.0]))
     assert abs(np.linalg.norm(sv.data) - 1) < 1e-14
