@@ -76,13 +76,6 @@ def _fractions(values):
     return [Fraction(str(v)) if isinstance(v, float) else Fraction(v) for v in values]
 
 
-def _threads() -> int:
-    try:
-        return max(1, int(os.environ.get("TOOLKIT_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def _emit(args, payload: dict, inputs: dict[str, str], started: float,
           seed=None, failed: bool = False) -> int:
     report = {
@@ -90,7 +83,6 @@ def _emit(args, payload: dict, inputs: dict[str, str], started: float,
         "inputs": inputs,
         "result": payload,
         "version": __version__,
-        "threads": _threads(),
     }
     if seed is not None:
         report["seed"] = seed
@@ -358,12 +350,16 @@ def cmd_modular(args, inputs: dict[str, str]) -> tuple[dict, bool]:
                 [[round(z.real, 12), round(z.imag, 12)] for z in row] for row in witness]
         raise MathFailure(payload)
 
-    triple = modular.tomita(algebra, omega)
+    try:
+        triple = modular.tomita(algebra, omega)
+    except modular.IdentityDefect as exc:
+        payload.update({"error": str(exc), "identity": exc.identity,
+                        "residual": exc.residual, "bound": exc.bound})
+        raise MathFailure(payload) from exc
     comm = modular.commutant(algebra)
     t_samples = [0.1, 0.5, 1.0, float(np.pi)]
-    jmj_defect = max(
-        max(comm.distance(triple.conjugate_by_j(b)) for b in algebra.basis),
-        max(algebra.distance(triple.conjugate_by_j(b)) for b in comm.basis))
+    jmj_defect = max(np.max(comm.distance(triple.conjugate_by_j(algebra.basis))),
+                     np.max(algebra.distance(triple.conjugate_by_j(comm.basis))))
     payload.update({
         "delta_spectrum": [round(float(v), 12) for v in np.sort(triple.eigenvalues)],
         "basis_conditioning": round(triple.basis_conditioning, 6),

@@ -18,13 +18,13 @@ v -> U conj(v); with S = S_mat o conj one gets Delta = S_mat^T conj(S_mat)
 and J = S_mat conj(Delta^{-1/2}) o conj.
 
 Everything is double precision with named tolerances (DEFAULT_TOL, 1e-10,
-for membership and the triple's identities); polar decomposition is
-inherently numeric.  The dense kernels are a few BLAS calls each:
-`commutant` solves only on the eigenspaces of one Hermitian element of M
-(M' lies inside its commutant; eigenvalues within the relative gap
-_CLUSTER_GAP = 1e-3 share an eigenspace), a space of dimension
-sum n_lambda^2 rather than d^2, and closure checks measure candidates
-against a basis B in batched residuals x - (x B^H) B.
+for membership, _RANK_TOL for the frame {b_i Omega}); polar decomposition is
+numeric, so the triple's identities are bounded relative to their
+conditioning.  The dense kernels are a few BLAS calls each: `commutant`
+solves only on the eigenspaces of one Hermitian element of M (M' lies inside
+its commutant; eigenvalues within the relative gap _CLUSTER_GAP = 1e-3 share
+an eigenspace), and every distance to an algebra is a batched residual
+x - (x B^H) B against its basis B.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ import numpy as np
 
 __all__ = [
     "DEFAULT_TOL",
+    "IdentityDefect",
     "MatrixAlgebra",
     "StateVector",
     "ModularTriple",
@@ -56,7 +57,12 @@ DEFAULT_TOL = 1e-10
 _BASIS_TOL = 1e-8  # how far a stored basis may miss orthonormality and closure
 _ORTHONORMAL_CUTOFF = 1e-12  # Gram-Schmidt drops a remainder with a smaller norm
 _CLUSTER_GAP = 1e-3  # commutant: relative eigenvalue gap of h that splits two blocks
+_NULL_TOL = 1e-12  # commutant: Gram eigenvalues this small, relative to the largest, are null
 _STATE_TOL = 1e-12  # how far a state vector's norm may miss 1
+_RANK_TOL = 1e-10  # frame singular values at or below this count as zero
+# validate's c: valid triples gave residuals up to 5.1e-15 kappa(B)
+# sqrt(kappa(Delta)) ||rhs||, and c eps = 5.1e-13 is 100x that
+_IDENTITY_C = 2300
 
 
 def _as_matrix_list(mats) -> list[np.ndarray]:
@@ -130,31 +136,26 @@ class MatrixAlgebra:
         if np.max(np.abs(gram - np.eye(k))) > _BASIS_TOL:
             raise ValueError("basis is not orthonormal under the trace pairing")
 
-    def coefficients(self, x: np.ndarray) -> np.ndarray:
-        return np.einsum("aij,ij->a", self.basis.conj(), np.asarray(x, dtype=complex))
-
-    def project(self, x: np.ndarray) -> np.ndarray:
-        c = self.coefficients(x)
-        return np.einsum("a,aij->ij", c, self.basis)
-
-    def distance(self, x: np.ndarray) -> float:
-        """Frobenius distance from x to the algebra."""
-        return float(np.linalg.norm(np.asarray(x, dtype=complex) - self.project(x)))
+    def distance(self, x: np.ndarray):
+        """Frobenius distance from x to the algebra: a float for one matrix,
+        an array of them for a stack."""
+        x = np.asarray(x, dtype=complex)
+        dist = _residuals(self.basis, x.reshape(-1, self.dim, self.dim))
+        return float(dist[0]) if x.ndim == 2 else dist
 
     def contains(self, x: np.ndarray) -> bool:
         return self.distance(x) <= DEFAULT_TOL
 
     def verify_closure(self) -> None:
         """Unit, adjoints, and products of basis elements must stay inside.
-        Adjoints are checked in one batched residual, products one row
-        a @ basis at a time (see `_residuals`)."""
+        Adjoints are measured in one batched distance, products one row
+        a @ basis at a time."""
         if self.distance(np.eye(self.dim)) > _BASIS_TOL:
             raise ValueError("algebra does not contain the identity")
-        adjoints = self.basis.conj().transpose(0, 2, 1)
-        if np.max(_residuals(self.basis, adjoints)) > _BASIS_TOL:
+        if np.max(self.distance(self.basis.conj().transpose(0, 2, 1))) > _BASIS_TOL:
             raise ValueError("algebra is not closed under adjoints")
         for a in self.basis:
-            if np.max(_residuals(self.basis, a @ self.basis)) > _BASIS_TOL:
+            if np.max(self.distance(a @ self.basis)) > _BASIS_TOL:
                 raise ValueError("algebra is not closed under products")
 
     def random_element(self, rng: np.random.Generator) -> np.ndarray:
@@ -164,7 +165,7 @@ class MatrixAlgebra:
         return x / np.linalg.norm(x)
 
     def contains_algebra(self, other: "MatrixAlgebra") -> bool:
-        return all(self.contains(b) for b in other.basis)
+        return bool(np.max(self.distance(other.basis)) <= DEFAULT_TOL)
 
     def equals(self, other: "MatrixAlgebra") -> bool:
         return (self.size == other.size and self.contains_algebra(other)
@@ -264,7 +265,7 @@ def commutant(m: MatrixAlgebra) -> MatrixAlgebra:
         g4[i, :, i, :] += left
         g4[:, i, :, i] += right
     vals, vecs = np.linalg.eigh(gram[np.ix_(keep, keep)])
-    null = vecs[:, vals <= 1e-12 * max(np.max(vals), 1.0)]
+    null = vecs[:, vals <= _NULL_TOL * max(np.max(vals), 1.0)]
     vec = np.zeros((null.shape[1], d * d), dtype=complex)
     vec[:, keep] = null.T
     # vec convention: vec(x)[i*d+j] = x[j, i]; transpose restores x
@@ -272,24 +273,27 @@ def commutant(m: MatrixAlgebra) -> MatrixAlgebra:
     return MatrixAlgebra(d, _orthonormalize(d, x))
 
 
+def _frame(m: MatrixAlgebra, omega):
+    """The d x k frame B = [b_1 Omega ... b_k Omega], its singular values and
+    right singular vectors, and its rank (values above _RANK_TOL): Omega is
+    cyclic for M when the rank is d and separating when it is k."""
+    b = (m.basis @ _as_state(omega)).T
+    _, svals, vh = np.linalg.svd(b)
+    return b, svals, vh, int(np.sum(svals > _RANK_TOL))
+
+
 def is_cyclic(m: MatrixAlgebra, omega) -> bool:
     """{x Omega : x in M} spans C^d (numerical rank test)."""
-    v = _as_state(omega)
-    cols = np.stack([b @ v for b in m.basis], axis=1)
-    return bool(np.linalg.matrix_rank(cols, tol=1e-10) == m.dim)
+    return _frame(m, omega)[3] == m.dim
 
 
 def separating_violation(m: MatrixAlgebra, omega) -> np.ndarray | None:
     """A nonzero x in M with x Omega = 0, or None when Omega separates M."""
-    v = _as_state(omega)
-    cols = np.stack([b @ v for b in m.basis], axis=1)  # d x k
-    _, svals, vh = np.linalg.svd(cols)
-    k = m.size
-    if len(svals) < k or svals[-1] <= 1e-10:
-        coef = vh[-1].conj()
-        x = np.einsum("a,aij->ij", coef, m.basis)
-        return x / np.linalg.norm(x)
-    return None
+    _, _, vh, rank = _frame(m, omega)
+    if rank == m.size:
+        return None
+    x = np.einsum("a,aij->ij", vh[-1].conj(), m.basis)
+    return x / np.linalg.norm(x)
 
 
 def is_separating(m: MatrixAlgebra, omega) -> bool:
@@ -302,6 +306,15 @@ def is_separating(m: MatrixAlgebra, omega) -> bool:
             "separating tests disagree (kernel test vs commutant cyclicity); "
             "the example is too ill-conditioned to trust")
     return direct
+
+
+class IdentityDefect(ValueError):
+    """An identity of the modular triple misses its bound: a mathematical
+    failure of the computed data, not a malformed input."""
+
+    def __init__(self, identity: str, residual: float, bound: float):
+        super().__init__(f"{identity} fails: residual {residual:.3e} exceeds the bound {bound:.3e}")
+        self.identity, self.residual, self.bound = identity, residual, bound
 
 
 @dataclass(frozen=True)
@@ -344,30 +357,24 @@ class ModularTriple:
         return (self.eigenvectors * powers) @ self.eigenvectors.conj().T
 
     def validate(self, m: MatrixAlgebra) -> None:
-        """The triple's identities, each to DEFAULT_TOL in the Frobenius norm."""
-        tol = DEFAULT_TOL
-        eye = np.eye(self.dim)
-        if np.linalg.norm(self.j_matrix @ np.conj(self.j_matrix) - eye) > tol:
-            raise ValueError("J^2 != 1")
-        jdj = self.j_matrix @ np.conj(self.delta) @ np.conj(self.j_matrix)
-        if np.linalg.norm(jdj - np.linalg.inv(self.delta)) > tol:
-            raise ValueError("J Delta J != Delta^{-1}")
-        if np.linalg.norm(self.delta @ self.omega - self.omega) > tol:
-            raise ValueError("Delta Omega != Omega")
-        if np.linalg.norm(self.apply_j(self.omega) - self.omega) > tol:
-            raise ValueError("J Omega != Omega")
-        jd = self.j_matrix @ np.conj(_matrix_power_psd(self.delta, 0.5))
-        if np.linalg.norm(jd - self.s_matrix) > tol:
-            raise ValueError("S != J Delta^{1/2}")
-        for b in m.basis:
-            if np.linalg.norm(self.apply_s(b @ self.omega) - b.conj().T @ self.omega) > tol:
-                raise ValueError("S x Omega != x* Omega on the algebra")
-
-
-def _matrix_power_psd(a: np.ndarray, p: float) -> np.ndarray:
-    vals, vecs = np.linalg.eigh(a)
-    vals = np.clip(vals, 0.0, None)
-    return (vecs * np.power(vals, p)) @ vecs.conj().T
+        """Each identity to within _IDENTITY_C eps kappa(B) sqrt(kappa(Delta))
+        max(||rhs||, 1) in the Frobenius norm; IdentityDefect for the first miss."""
+        scale = (_IDENTITY_C * np.finfo(float).eps * self.basis_conditioning
+                 * np.sqrt(np.max(self.eigenvalues) / np.min(self.eigenvalues)))
+        j, om = self.j_matrix, self.omega
+        for name, lhs, rhs in (
+                ("J^2 = 1", j @ np.conj(j), np.eye(self.dim)),
+                ("J Delta J = Delta^{-1}", self.conjugate_by_j(self.delta),
+                 np.linalg.inv(self.delta)),
+                ("Delta Omega = Omega", self.delta @ om, om),
+                ("J Omega = Omega", self.apply_j(om), om),
+                ("S = J Delta^{1/2}", j @ np.conj(self.delta_power(0.5)), self.s_matrix),
+                ("S x Omega = x* Omega on the algebra", self.apply_s((m.basis @ om).T),
+                 (m.basis.conj().transpose(0, 2, 1) @ om).T)):
+            residual = float(np.linalg.norm(lhs - rhs))
+            bound = float(scale * max(np.linalg.norm(rhs), 1.0))
+            if not residual <= bound:
+                raise IdentityDefect(name, residual, bound)
 
 
 def tomita(m: MatrixAlgebra, omega) -> ModularTriple:
@@ -380,17 +387,14 @@ def tomita(m: MatrixAlgebra, omega) -> ModularTriple:
     v = _as_state(omega)
     if v.shape[0] != m.dim:
         raise ValueError("state vector dimension does not match the algebra")
-    if not is_cyclic(m, v):
+    b_cols, svals, _, rank = _frame(m, v)
+    if rank < m.dim:
         raise ValueError("state is not cyclic for the algebra")
-    witness = separating_violation(m, v)
-    if witness is not None:
+    if rank < m.size:
         raise ValueError("state is not separating for the algebra; "
                          "an annihilating element exists")
-    if m.size != m.dim:
-        raise ValueError("cyclic + separating forces dim M = d; basis is inconsistent")
-    b_cols = np.stack([b @ v for b in m.basis], axis=1)
-    c_cols = np.stack([b.conj().T @ v for b in m.basis], axis=1)
-    s_mat = c_cols @ np.conj(np.linalg.inv(b_cols))
+    c_cols = (m.basis.conj().transpose(0, 2, 1) @ v).T
+    s_mat = c_cols @ np.conj(np.linalg.inv(b_cols))  # rank d = k: B is invertible
     delta = s_mat.T @ np.conj(s_mat)
     delta = 0.5 * (delta + delta.conj().T)
     vals, vecs = np.linalg.eigh(delta)
@@ -400,7 +404,7 @@ def tomita(m: MatrixAlgebra, omega) -> ModularTriple:
     inv_sqrt = (vecs * np.power(vals, -0.5)) @ vecs.conj().T
     j_mat = s_mat @ np.conj(inv_sqrt)
     triple = ModularTriple(v, delta, j_mat, s_mat, vals, vecs,
-                           basis_conditioning=float(np.linalg.cond(b_cols)))
+                           basis_conditioning=float(svals[0] / svals[-1]))
     triple.validate(m)
     return triple
 
@@ -413,8 +417,7 @@ def modular_flow_defect(triple: ModularTriple, m: MatrixAlgebra,
     for t in t_samples:
         u = triple.delta_power(1j * t)
         u_inv = triple.delta_power(-1j * t)
-        for b in m.basis:
-            worst = max(worst, m.distance(u @ b @ u_inv))
+        worst = max(worst, float(np.max(m.distance(u @ m.basis @ u_inv))))
     return worst
 
 

@@ -358,7 +358,9 @@ def test_modular_seed_required(capsys):
     assert err.value.code == EXIT_USAGE
 
 
-def test_modular_from_files(capsys, tmp_path):
+def _qubit_factor_files(tmp_path):
+    """An algebra file with sigma_x (x) 1 and sigma_z (x) 1 and a state file
+    with the Schmidt state of p = 2/3."""
     x = [[[0, 0], [1, 0]], [[1, 0], [0, 0]]]
     z = [[[1, 0], [0, 0]], [[0, 0], [-1, 0]]]
 
@@ -376,10 +378,34 @@ def test_modular_from_files(capsys, tmp_path):
     p = 2 / 3
     state.write_text(json.dumps(
         {"vector": [[p ** 0.5, 0], [0, 0], [0, 0], [(1 - p) ** 0.5, 0]]}))
+    return alg, state
+
+
+def test_modular_from_files(capsys, tmp_path):
+    alg, state = _qubit_factor_files(tmp_path)
     code, rep = run_json(capsys, "modular", "analyze", "--algebra", str(alg),
                          "--state", str(state), "--seed", "3")
     assert code == EXIT_OK
     assert rep["result"]["delta_spectrum"] == [0.5, 1.0, 1.0, 2.0]
+
+
+def test_modular_identity_defect_is_a_math_failure(capsys, tmp_path, monkeypatch):
+    from cohomkit import modular
+
+    def fail(self, m):
+        raise modular.IdentityDefect("J^2 = 1", 2e-6, 1e-12)
+
+    monkeypatch.setattr(modular.ModularTriple, "validate", fail)
+    alg, state = _qubit_factor_files(tmp_path)
+    code, rep = run_json(capsys, "modular", "analyze", "--algebra", str(alg),
+                         "--state", str(state), "--seed", "3")
+    assert code == EXIT_MATH
+    assert rep["inputs"] == {str(f): hashlib.sha256(f.read_bytes()).hexdigest()
+                             for f in (alg, state)}
+    assert rep["result"] == {
+        "ambient_dim": 4, "algebra_dim": 4, "cyclic": True, "separating": True,
+        "error": "J^2 = 1 fails: residual 2.000e-06 exceeds the bound 1.000e-12",
+        "identity": "J^2 = 1", "residual": 2e-6, "bound": 1e-12}
 
 
 # ---------------------------------------------------------------------------
@@ -575,27 +601,25 @@ def test_format_flag_before_or_after_subcommand(capsys):
     assert "  invariant_factors: [2]" in outs[0]
 
 
-def test_golden_report_group_h(capsys, monkeypatch):
+def test_golden_report_group_h(capsys):
     # pins the report schema byte-for-byte
-    monkeypatch.delenv("TOOLKIT_THREADS", raising=False)
     code, out = run(capsys, "group", "h", "--group", "z2", "--coeff", "z2",
                     "--degree", "2")
     golden = (
         '{"command": "group h --group z2 --coeff z2 --degree 2", "inputs": {}, '
         '"result": {"coefficients": [2], "degree": 2, "group": "z2", '
         '"invariant_factors": [2], "order": 2, "trivial": false}, '
-        '"threads": 1, "version": "0.1.0"}'
+        '"version": "0.1.0"}'
     )
     assert out.strip() == golden
 
 
-def test_golden_report_boost_generation(capsys, monkeypatch):
-    monkeypatch.delenv("TOOLKIT_THREADS", raising=False)
+def test_golden_report_boost_generation(capsys):
     code, out = run(capsys, "spacetime", "boost-generation")
     golden = (
         '{"command": "spacetime boost-generation", "inputs": {}, '
         '"result": {"algebra_dim": 10, "closure_dim": 10, "success": true, '
-        '"wedge_count": 6, "wedges": "six"}, "threads": 1, "version": "0.1.0"}'
+        '"wedge_count": 6, "wedges": "six"}, "version": "0.1.0"}'
     )
     assert out.strip() == golden
 
@@ -608,26 +632,26 @@ _NO_SYMPY_GOLDENS = [
     (["spacetime", "boost-generation", "--wedges", "six"], EXIT_OK,
      '{"command": "spacetime boost-generation --wedges six", "inputs": {}, '
      '"result": {"algebra_dim": 10, "closure_dim": 10, "success": true, '
-     '"wedge_count": 6, "wedges": "six"}, "threads": 1, "version": "0.1.0"}'),
+     '"wedge_count": 6, "wedges": "six"}, "version": "0.1.0"}'),
     (["spacetime", "boost-generation", "--wedges", "coordinate-only"], EXIT_MATH,
      '{"command": "spacetime boost-generation --wedges coordinate-only", "inputs": {}, '
      '"result": {"algebra_dim": 10, "closure_dim": 6, "success": false, '
-     '"wedge_count": 3, "wedges": "coordinate-only"}, "threads": 1, "version": "0.1.0"}'),
+     '"wedge_count": 3, "wedges": "coordinate-only"}, "version": "0.1.0"}'),
     (["spacetime", "complement"], EXIT_OK,
      '{"command": "spacetime complement", "inputs": {}, "result": '
      '{"boost_identity_defect": 0.0, "complement_lorentz": [["1", "0", "0", "0"], '
      '["0", "-1", "0", "0"], ["0", "0", "-1", "0"], ["0", "0", "0", "1"]], '
      '"complement_translation": ["0", "0", "0", "0"], "involution": true, '
-     '"t_samples": [0.1, 0.5, 1.0]}, "threads": 1, "version": "0.1.0"}'),
+     '"t_samples": [0.1, 0.5, 1.0]}, "version": "0.1.0"}'),
     (["lie", "cohomology", "--algebra", "poincare4", "--degree", "2"], EXIT_OK,
      '{"command": "lie cohomology --algebra poincare4 --degree 2", "inputs": {}, '
      '"result": {"algebra": "poincare(4)", "degree": 2, "dim_B": 10, "dim_H": 0, '
-     '"dim_Z": 10}, "threads": 1, "version": "0.1.0"}'),
+     '"dim_Z": 10}, "version": "0.1.0"}'),
     (["group", "h", "--group", "q8", "--coeff", "z4", "--degree", "2"], EXIT_OK,
      '{"command": "group h --group q8 --coeff z4 --degree 2", "inputs": {}, '
      '"result": {"coefficients": [4], "degree": 2, "group": "q8", '
      '"invariant_factors": [2, 2], "order": 4, "trivial": false}, '
-     '"threads": 1, "version": "0.1.0"}'),
+     '"version": "0.1.0"}'),
 ]
 
 # `spacetime complement` samples float boosts, which need numpy
@@ -650,7 +674,7 @@ print(json.dumps(results))
 def _child_env():
     import cohomkit
 
-    env = {k: v for k, v in os.environ.items() if k != "TOOLKIT_THREADS"}
+    env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(os.path.abspath(cohomkit.__file__)))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return env

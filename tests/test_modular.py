@@ -1,7 +1,12 @@
+import json
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from cohomkit.cli import EXIT_OK, main
 from cohomkit.modular import (
+    IdentityDefect,
     MatrixAlgebra,
     ModularTriple,
     StateVector,
@@ -324,6 +329,101 @@ def test_triple_structural_identities():
     for b in m.basis:
         assert np.linalg.norm(triple.apply_s(b @ triple.omega)
                               - b.conj().T @ triple.omega) < TOL
+
+
+def _wide_spectrum_draws(count):
+    """`count` random M_2 (x) 1 inputs from one np.random.default_rng(3): per
+    draw a random unitary frame u, two random complex 2 x 2 generators (x) 1_2
+    conjugated by u, and a random unit state.  Draw 0 has frame condition
+    26.7 and Delta spectrum {1.4e-3, 1, 1, 714}."""
+    rng = np.random.default_rng(3)
+    for _ in range(count):
+        u = _unitary(rng, 4)
+        gens = [u @ np.kron(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)),
+                            np.eye(2)) @ u.conj().T for _ in range(2)]
+        v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        yield gens, u, v / np.linalg.norm(v)
+
+
+def _partial_trace_spectrum(state):
+    """Oracle: Delta of M_2 (x) 1 acts as rho (.) rho^{-1} on C^2 x C^2 ~ M_2,
+    with rho the reduced density of the first factor, so its spectrum is
+    {l_i / l_j} over the eigenvalues l of rho."""
+    psi = state.reshape(2, 2)
+    lam = np.linalg.eigvalsh(psi @ psi.conj().T)
+    return np.sort([a / b for a in lam for b in lam])
+
+
+def test_wide_delta_spectra_are_accepted():
+    # the identities are bounded relative to kappa(B) sqrt(kappa(Delta)), so a
+    # spectrum spread over 1e7 is not refused for roundoff
+    for gens, u, v in _wide_spectrum_draws(200):
+        triple = tomita(algebra_closure(gens), v)
+        np.testing.assert_allclose(np.sort(triple.eigenvalues),
+                                   _partial_trace_spectrum(u.conj().T @ v), rtol=1e-8, atol=0)
+
+
+def _complex_entries(a):
+    return [[z.real, z.imag] for z in a] if a.ndim == 1 else [_complex_entries(r) for r in a]
+
+
+def test_cli_accepts_wide_spectrum_draw(capsys, tmp_path):
+    gens, _, v = next(_wide_spectrum_draws(1))
+    algebra, state = tmp_path / "algebra.json", tmp_path / "state.json"
+    algebra.write_text(json.dumps({"generators": [_complex_entries(g) for g in gens]}))
+    state.write_text(json.dumps({"vector": _complex_entries(v)}))
+    code = main(["modular", "analyze", "--seed", "1", "--algebra", str(algebra),
+                 "--state", str(state)])
+    assert code == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["result"]["basis_conditioning"] == 26.727777
+
+
+def _corrupted(triple, m, identity, eps=1e-8):
+    """The triple (and algebra) with one term of `identity` moved by relative
+    eps, leaving every identity validate checks before it intact."""
+    omega = triple.omega
+    if identity == "J^2 = 1":
+        return replace(triple, j_matrix=(1 + eps) * triple.j_matrix), m
+    if identity == "J Delta J = Delta^{-1}":
+        return replace(triple, delta=(1 + eps) * triple.delta), m
+    if identity == "Delta Omega = Omega":
+        # along the top eigenvector, away from Delta's eigenvalue 1
+        return replace(triple, omega=omega + eps * triple.eigenvectors[:, -1]), m
+    if identity == "J Omega = Omega":
+        # a phase keeps Delta Omega = Omega, but J is antilinear
+        return replace(triple, omega=np.exp(1j * eps) * omega), m
+    if identity == "S = J Delta^{1/2}":
+        return replace(triple, s_matrix=(1 + eps) * triple.s_matrix), m
+    # x -> w x w^H with w = exp(i eta h) for a random Hermitian h, eta such
+    # that max ||x' - x|| = eps to first order: the algebra moved out of the
+    # frame S was solved on
+    a = np.random.default_rng(0).standard_normal((2, m.dim, m.dim))
+    h = a[0] + a[0].T + 1j * (a[1] - a[1].T)
+    vals, vecs = np.linalg.eigh(h)
+    eta = eps / max(np.linalg.norm(h @ x - x @ h) for x in m.basis)
+    w = (vecs * np.exp(1j * eta * vals)) @ vecs.conj().T
+    return triple, MatrixAlgebra(m.dim, w @ m.basis @ w.conj().T)
+
+
+IDENTITIES = ["J^2 = 1", "J Delta J = Delta^{-1}", "Delta Omega = Omega", "J Omega = Omega",
+              "S = J Delta^{1/2}", "S x Omega = x* Omega on the algebra"]
+
+
+@pytest.mark.parametrize("identity", IDENTITIES)
+@pytest.mark.parametrize("case", ["p:2/3", "wide-spectrum"])
+def test_validate_refuses_each_corrupted_identity(case, identity):
+    if case == "p:2/3":
+        m, v = qubit_factor(), schmidt_state(2 / 3)
+    else:
+        gens, _, v = next(_wide_spectrum_draws(1))
+        m = algebra_closure(gens)
+    triple = tomita(m, v)
+    bad, bad_m = _corrupted(triple, m, identity)
+    with pytest.raises(IdentityDefect) as err:
+        bad.validate(bad_m)
+    assert err.value.identity == identity
+    assert err.value.residual > err.value.bound
+    assert str(err.value).startswith(f"{identity} fails: residual ")
 
 
 def test_spectrum_closed_under_inversion():
