@@ -335,8 +335,9 @@ def cmd_modular(args, inputs: dict[str, str]) -> tuple[dict, bool]:
 
         omega = _load(args.state, inputs, parse_state)
 
-    cyclic = modular.is_cyclic(algebra, omega)
-    witness = modular.separating_violation(algebra, omega)
+    frame = modular.Frame.of(algebra, omega)
+    cyclic = frame.cyclic
+    witness = frame.annihilator()
     payload = {
         "ambient_dim": algebra.dim,
         "algebra_dim": algebra.size,
@@ -351,7 +352,7 @@ def cmd_modular(args, inputs: dict[str, str]) -> tuple[dict, bool]:
         raise MathFailure(payload)
 
     try:
-        triple = modular.tomita(algebra, omega)
+        triple = modular.tomita(algebra, omega, frame=frame)
     except modular.IdentityDefect as exc:
         payload.update({"error": str(exc), "identity": exc.identity,
                         "residual": exc.residual, "bound": exc.bound})

@@ -228,7 +228,8 @@ class RationalMatrix:
         return RationalMatrix(self.rows, self.cols, tuple(tuple(row) for row in m)), tuple(pivots)
 
     def kernel_basis(self) -> list[tuple[Fraction, ...]]:
-        """Basis of the right null space; len == cols - rank."""
+        """Basis of the right null space; len == cols - rank.  Each vector
+        ends in a 1 at its own free column, where every other vector is 0."""
         red, pivots = self.rref()
         pivot_set = set(pivots)
         free = [c for c in range(self.cols) if c not in pivot_set]

@@ -17,21 +17,30 @@ Element coefficients are `fractions.Fraction` throughout.  Subspace
 computations normalize every vector to a rational direction first (spans and
 bracket closures are invariant under scaling by a nonzero constant), and
 refuse a coefficient that is not exact rather than guess a rational for it.
+
+`LieAlgebra.grading` is the eigenbasis of ad(x) for the first basis element
+x whose adjoint is diagonalizable over Q with integer eigenvalues, not all
+zero (on poincare(d) and lorentz(d) that is the wedge boost J_01; on sl2,
+h).  It is computed on first use and kept on the algebra object; the
+Chevalley-Eilenberg layer reads its cohomology off the weight-0 part.
 """
 
 from __future__ import annotations
 
 import json
 import re
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
+from math import isqrt
 from typing import Iterable, Sequence
 
 __all__ = [
     "LieAlgebra",
     "LieElement",
+    "Grading",
     "Subspace",
     "StructureConstantError",
     "derived_subalgebra",
@@ -130,6 +139,11 @@ class LieAlgebra:
     def bracket_vector(self, i: int, j: int) -> tuple[Fraction, ...]:
         return self.constants[i][j]
 
+    @cached_property
+    def grading(self) -> "Grading":
+        """The ad-eigenbasis of the first grading basis element; see `Grading`."""
+        return Grading.of(self)
+
     def antisymmetry_defect(self) -> Fraction:
         worst = Fraction(0)
         for i in range(self.dim):
@@ -186,6 +200,81 @@ class LieAlgebra:
             raise StructureConstantError(
                 f"Jacobi identity fails at basis triple "
                 f"({self.labels[i]}, {self.labels[j]}, {self.labels[k]})", bad)
+
+
+def sparse_brackets(constants) -> tuple[tuple[tuple[tuple[int, Fraction], ...], ...], ...]:
+    """The nonzero (k, c_ijk) of each bracket [x_i, x_j] of a dense table."""
+    return tuple(tuple(tuple((k, c) for k, c in enumerate(vec) if c) for vec in row)
+                 for row in constants)
+
+
+@dataclass(frozen=True)
+class Grading:
+    """A basis of eigenvectors f_a of ad(x) with integer weights, ascending.
+
+    `element` is the index of the grading element x, or None for the trivial
+    grading (f_a = x_a, every weight 0) of an algebra where no basis element
+    grades.  `vectors[a]` holds f_a in the original basis, and `brackets[a][b]`
+    the nonzero (c, coefficient) of [f_a, f_b] in the eigenbasis, exact.  A
+    bracket [f_a, f_b] has weight weights[a] + weights[b].
+    """
+
+    element: int | None
+    weights: tuple[int, ...]
+    vectors: tuple[tuple[Fraction, ...], ...]
+    brackets: tuple[tuple[tuple[tuple[int, Fraction], ...], ...], ...]
+
+    @classmethod
+    def of(cls, g: LieAlgebra) -> "Grading":
+        # imported here so that the spacetime commands do not load exactmat
+        from .exactmat import RationalMatrix
+
+        n = g.dim
+        for x in range(n):
+            ad = [[g.constants[x][j][i] for j in range(n)] for i in range(n)]
+            # integer weights w of a diagonalizable ad(x) have sum w^2 =
+            # tr(ad(x)^2): an integer, 0 only for ad(x) = 0 (no nonzero
+            # weight), and a bound on every w^2
+            square = sum((c * ad[j][i] for i, row in enumerate(ad) for j, c in enumerate(row) if c),
+                         Fraction(0))
+            if square <= 0 or square.denominator != 1:
+                continue
+            bound = isqrt(square.numerator)
+            spaces = []
+            for lam in sorted(range(-bound, bound + 1), key=abs):
+                shifted = RationalMatrix(n, n, tuple(
+                    tuple(c - lam if i == j else c for j, c in enumerate(row))
+                    for i, row in enumerate(ad)))
+                spaces += [(lam, v) for v in shifted.kernel_basis()]
+                if len(spaces) == n:
+                    break
+            if len(spaces) == n:
+                break
+        else:
+            x, spaces = None, [(0, g.basis_element(a).coeffs) for a in range(n)]
+        spaces.sort(key=lambda space: space[0])
+        weights = tuple(lam for lam, _ in spaces)
+        vectors = tuple(v for _, v in spaces)
+        # a kernel basis vector is the only one of its eigenspace that is
+        # nonzero at its last nonzero entry, a 1: that entry of a vector in
+        # the eigenspace is its coordinate there
+        lead = [max(i for i, c in enumerate(v) if c) for v in vectors]
+        supports = [[(i, c) for i, c in enumerate(v) if c] for v in vectors]
+        sparse = sparse_brackets(g.constants)
+        brackets = [[()] * n for _ in range(n)]
+        for a, b in combinations(range(n), 2):
+            vec = defaultdict(Fraction)
+            for i, p in supports[a]:
+                for j, q in supports[b]:
+                    for k, c in sparse[i][j]:
+                        vec[k] += p * q * c
+            # [f_a, f_b] lies in the eigenspace of weight weights[a] + weights[b]
+            total = weights[a] + weights[b]
+            support = tuple((c, vec[lead[c]]) for c in range(n)
+                            if weights[c] == total and vec.get(lead[c]))
+            brackets[a][b] = support
+            brackets[b][a] = tuple((c, -v) for c, v in support)
+        return cls(x, weights, vectors, tuple(map(tuple, brackets)))
 
 
 @dataclass(frozen=True)

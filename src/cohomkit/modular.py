@@ -40,6 +40,7 @@ __all__ = [
     "MatrixAlgebra",
     "StateVector",
     "ModularTriple",
+    "Frame",
     "algebra_closure",
     "commutant",
     "is_cyclic",
@@ -273,27 +274,45 @@ def commutant(m: MatrixAlgebra) -> MatrixAlgebra:
     return MatrixAlgebra(d, _orthonormalize(d, x))
 
 
-def _frame(m: MatrixAlgebra, omega):
-    """The d x k frame B = [b_1 Omega ... b_k Omega], its singular values and
-    right singular vectors, and its rank (values above _RANK_TOL): Omega is
-    cyclic for M when the rank is d and separating when it is k."""
-    b = (m.basis @ _as_state(omega)).T
-    _, svals, vh = np.linalg.svd(b)
-    return b, svals, vh, int(np.sum(svals > _RANK_TOL))
+@dataclass(frozen=True)
+class Frame:
+    """The d x k frame B = [b_1 Omega ... b_k Omega] of (M, Omega), its
+    singular values and right singular vectors from one SVD, and its rank
+    (values above _RANK_TOL): Omega is cyclic for M when the rank is d and
+    separating when it is k."""
+
+    algebra: MatrixAlgebra
+    matrix: np.ndarray
+    svals: np.ndarray
+    vh: np.ndarray
+    rank: int
+
+    @classmethod
+    def of(cls, m: MatrixAlgebra, omega) -> "Frame":
+        b = (m.basis @ _as_state(omega)).T
+        _, svals, vh = np.linalg.svd(b)
+        return cls(m, b, svals, vh, int(np.sum(svals > _RANK_TOL)))
+
+    @property
+    def cyclic(self) -> bool:
+        return self.rank == self.algebra.dim
+
+    def annihilator(self) -> np.ndarray | None:
+        """A unit x in M with x Omega = 0, or None when Omega separates M."""
+        if self.rank == self.algebra.size:
+            return None
+        x = np.einsum("a,aij->ij", self.vh[-1].conj(), self.algebra.basis)
+        return x / np.linalg.norm(x)
 
 
 def is_cyclic(m: MatrixAlgebra, omega) -> bool:
     """{x Omega : x in M} spans C^d (numerical rank test)."""
-    return _frame(m, omega)[3] == m.dim
+    return Frame.of(m, omega).cyclic
 
 
 def separating_violation(m: MatrixAlgebra, omega) -> np.ndarray | None:
     """A nonzero x in M with x Omega = 0, or None when Omega separates M."""
-    _, _, vh, rank = _frame(m, omega)
-    if rank == m.size:
-        return None
-    x = np.einsum("a,aij->ij", vh[-1].conj(), m.basis)
-    return x / np.linalg.norm(x)
+    return Frame.of(m, omega).annihilator()
 
 
 def is_separating(m: MatrixAlgebra, omega) -> bool:
@@ -377,8 +396,9 @@ class ModularTriple:
                 raise IdentityDefect(name, residual, bound)
 
 
-def tomita(m: MatrixAlgebra, omega) -> ModularTriple:
+def tomita(m: MatrixAlgebra, omega, frame: Frame | None = None) -> ModularTriple:
     """Modular triple of (M, Omega); Omega must be cyclic and separating.
+    `frame` is Frame.of(m, omega) when the caller has already taken it.
 
     With basis {b_i} and B = [b_1 Omega ... b_k Omega],
     C = [b_1* Omega ... b_k* Omega], the antilinear S has linear part
@@ -387,7 +407,9 @@ def tomita(m: MatrixAlgebra, omega) -> ModularTriple:
     v = _as_state(omega)
     if v.shape[0] != m.dim:
         raise ValueError("state vector dimension does not match the algebra")
-    b_cols, svals, _, rank = _frame(m, v)
+    if frame is None:
+        frame = Frame.of(m, v)
+    b_cols, svals, rank = frame.matrix, frame.svals, frame.rank
     if rank < m.dim:
         raise ValueError("state is not cyclic for the algebra")
     if rank < m.size:

@@ -352,6 +352,24 @@ def test_modular_product_state_refused(capsys):
     assert "annihilating_element" in rep["result"]
 
 
+@pytest.mark.parametrize("example, expected", [("p:2/3", EXIT_OK), ("product", EXIT_MATH)])
+def test_modular_analyze_takes_one_svd(capsys, monkeypatch, example, expected):
+    # cyclicity, the separating witness and S all come from one frame B
+    import numpy as np
+
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    code, _ = run_json(capsys, "modular", "analyze", "--example", example, "--seed", "7")
+    assert code == expected
+    assert len(calls) == 1
+
+
 def test_modular_seed_required(capsys):
     with pytest.raises(SystemExit) as err:
         main(["modular", "analyze", "--example", "tracial"])

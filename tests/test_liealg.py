@@ -353,3 +353,82 @@ def test_json_rationals_as_strings():
     obj = {"dim": 2, "labels": ["x", "y"], "brackets": [{"i": 0, "j": 1, "coeffs": {"y": "3/7"}}]}
     g = algebra_from_json(json.dumps(obj))
     assert g.constants[0][1][1] == Fraction(3, 7)
+
+
+# ---------------------------------------------------------------------------
+# the ad-eigenbasis grading
+
+
+def so3() -> LieAlgebra:
+    # [L_i, L_j] = eps_ijk L_k: ad(L_i) has eigenvalues 0, +-i, so no
+    # basis element grades over Q
+    return LieAlgebra.from_brackets(
+        ("L1", "L2", "L3"), {(0, 1): {2: 1}, (1, 2): {0: 1}, (0, 2): {1: -1}}, name="so(3)")
+
+
+def test_grading_of_poincare_and_lorentz_is_the_wedge_boost():
+    for name, weights in (("poincare(4)", (-1,) * 3 + (0,) * 4 + (1,) * 3),
+                          ("lorentz(4)", (-1,) * 2 + (0,) * 2 + (1,) * 2),
+                          ("poincare(2)", (-1, 0, 1))):
+        g = builtin(name)
+        assert g.grading.element == g.labels.index("J_01")
+        assert g.grading.weights == weights
+    sl2 = builtin("sl2")
+    assert (sl2.grading.element, sl2.grading.weights) == (0, (-2, 0, 2))
+
+
+@pytest.mark.parametrize("name", ["heisenberg", "abelian(3)", "so(3)"])
+def test_no_grading_basis_element_gives_the_trivial_grading(name):
+    g = so3() if name == "so(3)" else builtin(name)
+    grading = g.grading
+    assert grading.element is None
+    assert grading.weights == (0,) * g.dim
+    assert grading.vectors == tuple(b.coeffs for b in g.basis())
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES + ["so(3)"])
+def test_grading_eigenvectors_and_brackets(name):
+    g = so3() if name == "so(3)" else builtin(name)
+    grading = g.grading
+    f = [g.element(v) for v in grading.vectors]
+    assert Subspace(g, f).dim == g.dim
+    x = g.zero() if grading.element is None else g.basis_element(grading.element)
+    for fa, w in zip(f, grading.weights):
+        assert x.bracket(fa) == w * fa
+    for a, b in combinations(range(g.dim), 2):
+        expected = g.zero()
+        for c, coef in grading.brackets[a][b]:
+            assert grading.weights[c] == grading.weights[a] + grading.weights[b]
+            expected = expected + coef * f[c]
+        assert f[a].bracket(f[b]) == expected
+        assert grading.brackets[b][a] == tuple((c, -v) for c, v in grading.brackets[a][b])
+
+
+def test_grading_is_computed_once_on_first_use():
+    g = builtin("poincare(4)")
+    assert "grading" not in g.__dict__  # nothing at construction
+    assert g.grading is g.grading
+    assert builtin("poincare(4)").grading is not g.grading  # one per object
+
+
+def test_grading_search_skips_nilpotent_and_compact_elements(monkeypatch):
+    # tr(ad(x)^2) is 0 for a nilpotent ad(x) and negative for a compact one,
+    # so neither costs a kernel, however large the structure constants
+    from cohomkit.exactmat import RationalMatrix
+
+    calls = []
+    kernel_basis = RationalMatrix.kernel_basis
+
+    def counted(self):
+        calls.append(self.rows)
+        return kernel_basis(self)
+
+    monkeypatch.setattr(RationalMatrix, "kernel_basis", counted)
+    heis = LieAlgebra.from_brackets([f"x{i}" for i in range(12)], {(0, 1): {2: 1000}})
+    big_so3 = LieAlgebra.from_brackets(
+        ("L1", "L2", "L3"), {(0, 1): {2: 500}, (1, 2): {0: 500}, (0, 2): {1: -500}})
+    assert heis.grading.element is None and big_so3.grading.element is None
+    assert calls == []
+    # a grading element costs one kernel per weight tried, 0 first
+    assert builtin("poincare(4)").grading.element == 0
+    assert calls == [10, 10, 10]

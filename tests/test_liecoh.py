@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from math import comb
 
@@ -6,6 +7,7 @@ import pytest
 
 from cohomkit.exactmat import DENSE_CELL_LIMIT, RationalMatrix, SizeLimitExceeded
 from cohomkit.liealg import (
+    LieAlgebra,
     StructureConstantError,
     builtin,
     derived_subalgebra,
@@ -16,6 +18,7 @@ from cohomkit.liecoh import (
     LieCocycle2,
     _pair_index,
     _wedge_basis,
+    _weight_counts,
     ce_differential,
     cohomology_report,
     lie_central_extension,
@@ -249,3 +252,153 @@ def test_pair_index_matches_wedge_basis():
     g = builtin("sl2")
     with pytest.raises(ValueError):
         LieCocycle2.from_pairs(g, {(0, 3): 1})
+
+
+# ---------------------------------------------------------------------------
+# the weight-0 route against the full dense complex
+
+
+ALL_BUILTINS = ["abelian(1)", "abelian(2)", "abelian(3)", "abelian(4)", "heisenberg", "sl2",
+                "lorentz(2)", "lorentz(3)", "lorentz(4)",
+                "poincare(2)", "poincare(3)", "poincare(4)"]
+
+
+def _assert_report_matches_dense_oracle(g):
+    for k in range(g.dim + 1):
+        dk = ce_differential(g, k)
+        dim_z = dk.cols - dk.rank()
+        dim_b = ce_differential(g, k - 1).rank() if k > 0 else 0
+        rep = cohomology_report(g, k)
+        assert (rep["dim_Z"], rep["dim_B"], rep["dim_H"]) == (dim_z, dim_b, dim_z - dim_b), k
+
+
+@pytest.mark.parametrize("name", ALL_BUILTINS)
+def test_report_matches_dense_oracle_on_builtins(name):
+    _assert_report_matches_dense_oracle(builtin(name))
+
+
+def test_report_matches_dense_oracle_without_rational_grading():
+    so3 = LieAlgebra.from_brackets(
+        ("L1", "L2", "L3"), {(0, 1): {2: 1}, (1, 2): {0: 1}, (0, 2): {1: -1}}, name="so(3)")
+    assert so3.grading.element is None
+    _assert_report_matches_dense_oracle(so3)
+    assert [lie_cohomology_dim(so3, k) for k in range(4)] == [1, 0, 0, 1]
+
+
+def _inverse(cols):
+    """Exact inverse of the matrix with these columns, by Gauss-Jordan."""
+    n = len(cols)
+    m = [[Fraction(cols[j][i]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
+         for i in range(n)]
+    for c in range(n):
+        piv = next(r for r in range(c, n) if m[r][c])
+        m[c], m[piv] = m[piv], m[c]
+        m[c] = [x / m[c][c] for x in m[c]]
+        for r in range(n):
+            if r != c and m[r][c]:
+                m[r] = [a - m[r][c] * b for a, b in zip(m[r], m[c])]
+    return [row[n:] for row in m]
+
+
+def _in_basis(g, cols, name):
+    """g with the basis cols (coefficient vectors in g's basis)."""
+    n = g.dim
+    inv = _inverse(cols)
+    elems = [g.element(c) for c in cols]
+    consts = [[[sum((inv[c][i] * v for i, v in enumerate(elems[a].bracket(elems[b]).coeffs)),
+                    Fraction(0)) for c in range(n)] for b in range(n)] for a in range(n)]
+    return LieAlgebra.from_structure_constants([f"y{a}" for a in range(n)], consts, name)
+
+
+def test_report_matches_dense_oracle_when_first_basis_element_does_not_grade():
+    # sl2 + heisenberg: a random element has a nilpotent heisenberg part, so
+    # only the planted h + z grades
+    sl2_heis = LieAlgebra.from_brackets(
+        ("h", "e", "f", "x", "y", "z"),
+        {(0, 1): {1: 2}, (0, 2): {2: -2}, (1, 2): {0: 1}, (3, 4): {5: 1}})
+    rng = random.Random(17)
+    while True:
+        cols = [[Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(6)]
+                for _ in range(6)]
+        cols[2] = [1, 0, 0, 0, 0, 1]
+        if RationalMatrix.from_rows(cols).rank() == 6:
+            break
+    g = _in_basis(sl2_heis, cols, "sl2+heisenberg")
+    assert g.grading.element == 2
+    assert sorted(g.grading.weights) == [-2, 0, 0, 0, 0, 2]
+    _assert_report_matches_dense_oracle(g)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_report_matches_dense_oracle_on_central_extensions_of_poincare2(seed):
+    p2 = builtin("poincare(2)")
+    closed = ce_differential(p2, 2).kernel_basis()
+    rng = random.Random(seed)
+    vec = [Fraction(0)] * 3
+    while not any(vec):
+        combo = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in closed]
+        vec = [sum(c * v[i] for c, v in zip(combo, closed)) for i in range(3)]
+    ext = lie_central_extension(p2, LieCocycle2(p2, tuple(vec)))
+    assert ext.grading.element is not None
+    _assert_report_matches_dense_oracle(ext)
+
+
+def test_poincare4_nonzero_weight_blocks_have_the_closed_form_ranks():
+    g = builtin("poincare(4)")
+    counts = _weight_counts(g.grading.weights)
+    assert sum(counts[k][0] * counts[k + 1][0] for k in range(10)) == 15664
+    for k in range(g.dim + 1):
+        for w in counts[k]:
+            block = ce_differential(g, k, weight=w)
+            assert (block.rows, block.cols) == (counts[k + 1][w] if k < 10 else 0, counts[k][w])
+            if w:
+                closed_form = sum((-1) ** (k - j) * counts[j][w] for j in range(k + 1))
+                assert block.rank() == closed_form, (k, w)
+
+
+def test_poincare4_differential_preserves_weight():
+    # d in the whole eigenbasis: no entry joins cochains of different
+    # weights, and the weight-0 rows and columns are the weight-0 block
+    g = builtin("poincare(4)")
+    w = g.grading.weights
+    brackets = {(a, b): dict(g.grading.brackets[a][b])
+                for a in range(g.dim) for b in range(a + 1, g.dim) if g.grading.brackets[a][b]}
+    eigen = LieAlgebra.from_brackets(g.labels, brackets)
+    for k in range(g.dim + 1):
+        full = ce_differential(eigen, k)
+        row_w = [sum(w[a] for a in t) for t in _wedge_basis(g.dim, k + 1)]
+        col_w = [sum(w[a] for a in t) for t in _wedge_basis(g.dim, k)]
+        for r, row in enumerate(full.entries):
+            for c, x in enumerate(row):
+                assert not x or row_w[r] == col_w[c], (k, r, c)
+        rows = [r for r, x in enumerate(row_w) if x == 0]
+        cols = [c for c, x in enumerate(col_w) if x == 0]
+        assert ce_differential(g, k, weight=0).entries == tuple(
+            tuple(full.entries[r][c] for c in cols) for r in rows)
+
+
+def _boost_semidirect(m):
+    # x acts by +1 on a_1..a_m and by -1 on b_1..b_m, which span an abelian
+    # ideal V; Hochschild-Serre gives dim H^k = dim (L^k V*)_0 + dim (L^(k-1) V*)_0
+    labels = ["x"] + [f"a{i}" for i in range(m)] + [f"b{i}" for i in range(m)]
+    brackets = {(0, 1 + i): {1 + i: 1} for i in range(m)}
+    brackets.update({(0, 1 + m + i): {1 + m + i: -1} for i in range(m)})
+    return LieAlgebra.from_brackets(labels, brackets, name=f"R+R^{2 * m}")
+
+
+def test_budget_is_checked_on_the_weight_zero_block():
+    # the full d_7 of the 15-dimensional algebra is 6435 x 6435, over the
+    # bound; its weight-0 blocks are 1225 x 1225
+    g = _boost_semidirect(7)
+    with pytest.raises(SizeLimitExceeded):
+        ce_differential(g, 7)
+    assert cohomology_report(g, 7)["dim_H"] == 0 + comb(7, 3) ** 2
+    # a weight-0 block over the bound is refused before it is built
+    big = _boost_semidirect(8)
+    start = time.perf_counter()
+    with pytest.raises(SizeLimitExceeded) as err:
+        cohomology_report(big, 8)
+    assert time.perf_counter() - start < 1.0
+    assert err.value.requested == comb(8, 4) ** 4 == 4900 * 4900
+    assert str(err.value).startswith(
+        "the weight-0 block of d_8 of a 17-dimensional algebra is a 4900 x 4900 matrix")
