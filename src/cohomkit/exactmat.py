@@ -14,37 +14,45 @@ primitive multiples of Gaussian-elimination rows, so Hadamard's bound on the
 minors bounds their entries, and a sparse matrix (a Chevalley-Eilenberg
 differential) costs about its nonzeros rather than rows x cols per pivot.
 Dense rational matrices are about twice as slow as under a dense Bareiss
-sweep; no caller has them.
+sweep; no caller has them.  Reduced echelon forms are another algorithm on
+purpose: `Echelon` grows the unique RREF basis of a subspace one vector at a
+time on sparse Fraction rows, pivots leftmost, and `RationalMatrix.rref`
+(so `kernel_basis` and `solve`) and `liealg.Subspace` run on it.
 
 Over Z/p^e one elimination on reduced residues, where no entry grows, gives
 the elementary divisors (GF(p) rank is the e = 1 case) and, by the column
 transforms it records, `kernel_mod` and `solve_mod` for each p^e exactly
 dividing any modulus.  Over GF(2) rows pack into Python ints, so a
 row operation is one XOR; coboundary matrices are the largest matrices the
-toolkit sees.  Smith form with transforms over Z serves `smith_normal_form`.
+toolkit sees.  Smith form with transforms over Z, `smith_transforms`, has no
+caller left in the package.
 
-All matrix values are immutable after construction and safe to share.
+All matrix values are immutable after construction and safe to share; an
+`Echelon` is mutable and belongs to its owner.  `check_dense` refuses a
+dense object of more than DENSE_CELL_LIMIT cells before it is built.
 """
 
 from __future__ import annotations
 
+from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, prod
 from typing import Iterable, Sequence
 
 __all__ = [
+    "Echelon",
     "RationalMatrix",
     "PrimeFieldMatrix",
     "IntegerMatrix",
     "SmithDecomposition",
     "local_smith_exponents",
     "prime_power_factors",
-    "smith_normal_form",
     "smith_transforms",
     "solve_mod",
     "kernel_mod",
     "SizeLimitExceeded",
+    "check_dense",
 ]
 
 DENSE_CELL_LIMIT = 2 ** 22  # cells of one dense matrix a caller may build
@@ -57,6 +65,15 @@ class SizeLimitExceeded(ValueError):
         super().__init__(message)
         self.bound = bound
         self.requested = requested
+
+
+def check_dense(what: str, cells: int) -> None:
+    """Refuse `what`, a dense object of `cells` cells, before it is built
+    when it exceeds DENSE_CELL_LIMIT."""
+    if cells > DENSE_CELL_LIMIT:
+        raise SizeLimitExceeded(
+            f"{what}: {cells} cells exceed the dense bound of {DENSE_CELL_LIMIT} (2^22)",
+            DENSE_CELL_LIMIT, cells)
 
 
 def prime_power_factors(n: int) -> list[tuple[int, int]]:
@@ -78,6 +95,51 @@ def prime_power_factors(n: int) -> list[tuple[int, int]]:
 
 # ---------------------------------------------------------------------------
 # rational matrices
+
+
+class Echelon:
+    """The reduced row echelon basis of a subspace of Q^n, grown one vector
+    at a time.  Row i maps the columns of its nonzeros to Fractions, with 1
+    at its pivot `pivots[i]` and 0 at the other pivots; pivots ascend.  The
+    basis is unique for the subspace, whatever the insertion order."""
+
+    def __init__(self, n: int):
+        self.n = n
+        self.pivots: list[int] = []
+        self._rows: list[dict[int, Fraction]] = []
+
+    def reduce(self, vec: Sequence) -> list:
+        """vec minus its projection along the basis; zero iff vec is in the span."""
+        out = list(vec)
+        for c, row in zip(self.pivots, self._rows):
+            f = out[c]
+            if f:
+                for j, x in row.items():
+                    out[j] -= f * x
+        return out
+
+    def add(self, vec: Sequence) -> bool:
+        """Insert vec; True when the dimension grew.  The new row is 0 at the
+        held pivots, so only its own pivot column is cleared from the rows."""
+        out = self.reduce(vec)
+        c = next((j for j, x in enumerate(out) if x), None)
+        if c is None:
+            return False
+        inv = 1 / Fraction(out[c])
+        new = {j: x * inv for j, x in enumerate(out) if x}
+        for i, row in enumerate(self._rows):
+            f = row.get(c)
+            if f:
+                row = {**row, **{j: row.get(j, 0) - f * x for j, x in new.items()}}
+                self._rows[i] = {j: y for j, y in row.items() if y}
+        i = bisect(self.pivots, c)
+        self.pivots.insert(i, c)
+        self._rows.insert(i, new)
+        return True
+
+    def rows(self) -> list[tuple[Fraction, ...]]:
+        zero = Fraction(0)
+        return [tuple(row.get(j, zero) for j in range(self.n)) for row in self._rows]
 
 
 @dataclass(frozen=True)
@@ -207,25 +269,11 @@ class RationalMatrix:
 
     def rref(self) -> tuple["RationalMatrix", tuple[int, ...]]:
         """Reduced row echelon form and its pivot columns."""
-        m = [list(row) for row in self.entries]
-        pivots = []
-        r = 0
-        for c in range(self.cols):
-            piv = next((i for i in range(r, self.rows) if m[i][c]), None)
-            if piv is None:
-                continue
-            m[r], m[piv] = m[piv], m[r]
-            inv = 1 / m[r][c]
-            m[r] = [x * inv for x in m[r]]
-            for i in range(self.rows):
-                if i != r and m[i][c]:
-                    f = m[i][c]
-                    m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-            pivots.append(c)
-            r += 1
-            if r == self.rows:
-                break
-        return RationalMatrix(self.rows, self.cols, tuple(tuple(row) for row in m)), tuple(pivots)
+        ech = Echelon(self.cols)
+        for row in self.entries:
+            ech.add(row)
+        rows = ech.rows() + [(Fraction(0),) * self.cols] * (self.rows - len(ech.pivots))
+        return RationalMatrix(self.rows, self.cols, tuple(rows)), tuple(ech.pivots)
 
     def kernel_basis(self) -> list[tuple[Fraction, ...]]:
         """Basis of the right null space; len == cols - rank.  Each vector
@@ -414,9 +462,6 @@ class IntegerMatrix:
             raise ValueError("vector length does not match column count")
         return tuple(sum(row[j] * vec[j] for j in range(self.cols)) for row in self.entries)
 
-    def smith_normal_form(self) -> list[int]:
-        return list(smith_transforms(self, want_u=False, want_v=False).factors)
-
 
 @dataclass(frozen=True)
 class SmithDecomposition:
@@ -586,7 +631,3 @@ def kernel_mod(m: IntegerMatrix, modulus: int) -> list[tuple[tuple[int, ...], in
         vec = tuple(sum(col) % modulus for col in zip(*(x for _, x in links)))
         gens.append((vec, prod(order for order, _ in links)))
     return gens[::-1]
-
-
-def smith_normal_form(m: IntegerMatrix) -> list[int]:
-    return m.smith_normal_form()

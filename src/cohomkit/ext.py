@@ -44,7 +44,7 @@ from .grpcoh import (
     construct_splitting,
     inflation,
 )
-from .exactmat import IntegerMatrix, kernel_mod, solve_mod
+from .exactmat import IntegerMatrix, check_dense, kernel_mod, solve_mod
 
 __all__ = [
     "CentralExtensionTable",
@@ -189,17 +189,20 @@ def build_extension(P: FiniteGroup, A: AbelianCoefficients, omega: Cochain,
     is exactly associativity of the table.  The table is one integer pass:
     with `add` the addition table of A on indices and negw the indices of
     -omega, (a, p)(b, q) has index add[add[a][b]][negw[p|P| + q]] |P| + pq.
+    A carrier table of more than DENSE_CELL_LIMIT cells is refused first.
     """
     if omega.degree != 2 or omega.group.table != P.table or omega.coeffs != A:
         raise ValueError("omega must be a degree-2 cochain on P with values in A")
+    n, K = P.order, A.size
+    size = K * n
+    check_dense(f"an extension of a group of order {n} by one of order {K} has a "
+                f"{size} x {size} multiplication table", size * size)
     if validate:
         bad = coboundary(omega).first_nonzero()
         if bad is not None:
             raise NotACocycleError(
                 f"cochain is not a 2-cocycle: associativity of the extension "
                 f"table fails on triple {bad}", bad)
-    n, K = P.order, A.size
-    size = K * n
     add = _index_addition(A.orders)
     # (a, p)(b, q) = (a + b - omega(p, q), pq) on indices a * n + p
     negw = [A.index(A.neg(v)) for v in omega.values]

@@ -47,7 +47,7 @@ from math import gcd, prod
 from operator import ne
 from typing import Iterable, Sequence
 
-from .exactmat import (DENSE_CELL_LIMIT, IntegerMatrix, SizeLimitExceeded, kernel_mod,
+from .exactmat import (IntegerMatrix, SizeLimitExceeded, check_dense, kernel_mod,
                        local_smith_exponents, prime_power_factors)
 
 __all__ = [
@@ -162,6 +162,7 @@ class FiniteGroup:
     def cyclic(cls, n: int) -> "FiniteGroup":
         if n < 1:
             raise ValueError(f"cyclic group order must be at least 1, got {n}")
+        check_dense(f"z{n} has a {n} x {n} multiplication table", n * n)
         table = tuple(tuple((i + j) % n for j in range(n)) for i in range(n))
         return cls(n, table, 0, f"z{n}")
 
@@ -344,6 +345,7 @@ class AbelianCoefficients:
         """The same abelian group as a multiplication table, elements in
         index order (compatible with `index`/`element`)."""
         n = self.size
+        check_dense(f"the coefficient group of order {n} has a {n} x {n} addition table", n * n)
         table = tuple(
             tuple(self.index(self.add(self.element(i), self.element(j))) for j in range(n))
             for i in range(n)
@@ -537,11 +539,8 @@ def coboundary_matrix(group: FiniteGroup, degree: int) -> IntegerMatrix:
     face columns of `_incidence` with their signs +-1.  A matrix of more
     than DENSE_CELL_LIMIT cells is refused before anything is built."""
     rows, cols = group.order ** (degree + 1), group.order ** degree
-    if rows * cols > DENSE_CELL_LIMIT:
-        raise SizeLimitExceeded(
-            f"d_{degree} of a group of order {group.order} is a {rows} x {cols} matrix: "
-            f"{rows * cols} cells exceed the dense bound of {DENSE_CELL_LIMIT} (2^22)",
-            DENSE_CELL_LIMIT, rows * cols)
+    check_dense(f"d_{degree} of a group of order {group.order} is a {rows} x {cols} matrix",
+                rows * cols)
     mat = [[0] * cols for _ in range(rows)]
     for i, col in enumerate(_incidence(group.table, degree)):
         sign = (-1) ** i
@@ -781,13 +780,13 @@ def _generating_set(group: FiniteGroup) -> list[int]:
 def hom_group(group: FiniteGroup, coeffs: AbelianCoefficients) -> list[GroupHom]:
     """All homomorphisms P -> A, enumerated on a generating set of P and
     extended by multiplicativity; serves as the independent oracle for H^1."""
-    target = coeffs.as_group()
     gens = _generating_set(group)
     count = coeffs.size ** len(gens)
     if count > ENUMERATION_LIMIT:
         raise SizeLimitExceeded(
             f"{count} generator assignments exceed the enumeration bound",
             ENUMERATION_LIMIT, count)
+    target = coeffs.as_group()
     homs = []
     for images in product(range(target.order), repeat=len(gens)):
         values = [-1] * group.order

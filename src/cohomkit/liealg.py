@@ -13,10 +13,13 @@ matrices, read back by `affine_coefficients`.  The bracket formulas of
 CONVENTIONS.md are consequences of that definition; the physics boost
 generator with [K_i, P_0] = P_i is K_i = J_i0 = -J_0i.
 
-Element coefficients are `fractions.Fraction` throughout.  Subspace
-computations normalize every vector to a rational direction first (spans and
-bracket closures are invariant under scaling by a nonzero constant), and
-refuse a coefficient that is not exact rather than guess a rational for it.
+Element coefficients are `fractions.Fraction` throughout.  A `Subspace`
+keeps the reduced echelon basis of an `exactmat.Echelon`; it normalizes every
+vector to a rational direction first (spans and bracket closures are
+invariant under scaling by a nonzero constant), and refuses a coefficient
+that is not exact rather than guess a rational for it.  An algebra whose
+n^3 structure constants exceed the 2^22-cell dense budget (n > 161) is
+refused before anything sized by n is built.
 
 `LieAlgebra.grading` is the eigenbasis of ad(x) for the first basis element
 x whose adjoint is diagonalizable over Q with integer eigenvalues, not all
@@ -37,6 +40,8 @@ from itertools import combinations
 from math import isqrt
 from typing import Iterable, Sequence
 
+from .exactmat import Echelon, RationalMatrix, check_dense
+
 __all__ = [
     "LieAlgebra",
     "LieElement",
@@ -54,6 +59,13 @@ __all__ = [
     "algebra_to_json",
     "algebra_from_json",
 ]
+
+
+def _check_table(n: int) -> None:
+    """Refuse dimension n when its n^3 structure constants exceed the dense
+    budget (n > 161), before anything sized by n is built."""
+    check_dense(f"a {n}-dimensional algebra has a {n} x {n} x {n} table of structure "
+                f"constants", n ** 3)
 
 
 class StructureConstantError(ValueError):
@@ -97,6 +109,7 @@ class LieAlgebra:
         """Build from a sparse {(i, j): {k: coeff}} table, i < j; the
         antisymmetric completion is filled in automatically."""
         n = len(labels)
+        _check_table(n)
         c = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
         for (i, j), coeffs in brackets.items():
             if i == j:
@@ -226,9 +239,6 @@ class Grading:
 
     @classmethod
     def of(cls, g: LieAlgebra) -> "Grading":
-        # imported here so that the spacetime commands do not load exactmat
-        from .exactmat import RationalMatrix
-
         n = g.dim
         for x in range(n):
             ad = [[g.constants[x][j][i] for j in range(n)] for i in range(n)]
@@ -364,59 +374,31 @@ def rational_direction(elem: LieElement) -> LieElement:
 class Subspace:
     """Subspace of a Lie algebra held as a reduced echelon basis.
 
-    The internal basis is deterministic for a fixed insertion order, and two
+    The basis (an `Echelon`) does not depend on the insertion order, and two
     subspaces compare equal iff they contain each other's basis vectors.
     """
 
     def __init__(self, algebra: LieAlgebra, vectors: Iterable[LieElement] = ()):
         self.algebra = algebra
-        self._rows: list[tuple[int, tuple[Fraction, ...]]] = []  # (pivot, vector)
+        self._echelon = Echelon(algebra.dim)
         for v in vectors:
             self.add(v)
 
     @property
     def dim(self) -> int:
-        return len(self._rows)
+        return len(self._echelon.pivots)
 
     def add(self, elem: LieElement) -> bool:
         """Insert an element; returns True when the dimension grew."""
         if elem.algebra is not self.algebra:
             raise ValueError("element belongs to a different algebra")
-        vec = list(rational_direction(elem).coeffs)
-        for pivot, row in self._rows:
-            if vec[pivot]:
-                f = vec[pivot]
-                vec = [a - f * b for a, b in zip(vec, row)]
-        piv = next((i for i, x in enumerate(vec) if x), None)
-        if piv is None:
-            return False
-        inv = 1 / vec[piv]
-        vec = tuple(x * inv for x in vec)
-        self._rows.append((piv, vec))
-        self._rows.sort(key=lambda r: r[0])
-        self._reduce_up()
-        return True
-
-    def _reduce_up(self):
-        rows = self._rows
-        for i in range(len(rows) - 1, -1, -1):
-            piv, row = rows[i]
-            for j in range(i):
-                pj, rj = rows[j]
-                if rj[piv]:
-                    f = rj[piv]
-                    rows[j] = (pj, tuple(a - f * b for a, b in zip(rj, row)))
+        return self._echelon.add(rational_direction(elem).coeffs)
 
     def contains(self, elem: LieElement) -> bool:
-        vec = list(rational_direction(elem).coeffs)
-        for pivot, row in self._rows:
-            if vec[pivot]:
-                f = vec[pivot]
-                vec = [a - f * b for a, b in zip(vec, row)]
-        return not any(vec)
+        return not any(self._echelon.reduce(rational_direction(elem).coeffs))
 
     def basis(self) -> list[LieElement]:
-        return [LieElement(self.algebra, row) for _, row in self._rows]
+        return [LieElement(self.algebra, row) for row in self._echelon.rows()]
 
     def contains_subspace(self, other: "Subspace") -> bool:
         return all(self.contains(b) for b in other.basis())
@@ -457,22 +439,17 @@ def is_perfect(g: LieAlgebra) -> bool:
 def generated_subalgebra(g: LieAlgebra, gens: Sequence[LieElement]) -> Subspace:
     """Smallest bracket-closed subspace containing the generators.
 
-    Span-closure iteration: brackets of the current basis against the
-    generators first, then against itself, repeated until the dimension
-    stabilizes (at most dim(g) rounds).  Generators are normalized to
+    Span-closure iteration: brackets of every pair of basis elements,
+    repeated until the dimension stabilizes (at most dim(g) rounds); the
+    generators' brackets are among them.  Generators are normalized to
     rational directions, which leaves the closure unchanged; a generator
     with an inexact coefficient raises ValueError.
     """
     if not gens:
         raise ValueError("generator list is empty")
-    directions = [rational_direction(x) for x in gens]
-    span = Subspace(g, directions)
+    span = Subspace(g, gens)
     while True:
         before = span.dim
-        current = span.basis()
-        for a in current:
-            for b in directions:
-                span.add(a.bracket(b))
         current = span.basis()
         for i, a in enumerate(current):
             for b in current[i + 1:]:
@@ -587,6 +564,7 @@ def builtin(name: str) -> LieAlgebra:
         if kind == "abelian":
             if num < 1:
                 raise ValueError("abelian(n) needs n >= 1")
+            _check_table(num)
             return LieAlgebra.from_brackets(
                 tuple(f"x{i+1}" for i in range(num)), {}, name=f"abelian({num})")
         if num not in (2, 3, 4):
@@ -625,6 +603,7 @@ def algebra_from_json(text: str | dict, name: str = "", validate: bool = True) -
     """
     obj = json.loads(text) if isinstance(text, str) else text
     n = int(obj["dim"])
+    _check_table(n)
     labels = [str(x) for x in obj.get("labels", [f"x{i+1}" for i in range(n)])]
     if len(labels) != n:
         raise ValueError("label count does not match dim")

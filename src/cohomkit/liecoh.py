@@ -40,7 +40,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb
 
-from .exactmat import DENSE_CELL_LIMIT, RationalMatrix, SizeLimitExceeded
+from .exactmat import RationalMatrix, check_dense
 from .liealg import LieAlgebra, LieElement, StructureConstantError, sparse_brackets
 
 __all__ = [
@@ -120,11 +120,8 @@ def ce_differential(g: LieAlgebra, k: int, weight: int | None = None) -> Rationa
         cols = counts[k][weight]
         what = (f"d_{k}" if g.grading.element is None
                 else f"the weight-{weight} block of d_{k}")
-    if rows * cols > DENSE_CELL_LIMIT:
-        raise SizeLimitExceeded(
-            f"{what} of a {n}-dimensional algebra is a {rows} x {cols} "
-            f"matrix: {rows * cols} cells exceed the dense bound of {DENSE_CELL_LIMIT} (2^22)",
-            DENSE_CELL_LIMIT, rows * cols)
+    check_dense(f"{what} of a {n}-dimensional algebra is a {rows} x {cols} matrix",
+                rows * cols)
     if weight is None:
         return _differential(sparse_brackets(g.constants),
                              _wedge_basis(n, k + 1), _wedge_basis(n, k))

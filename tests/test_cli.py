@@ -217,6 +217,62 @@ def test_lie_over_dense_budget_exits_two_fast(capsys):
     assert "147232800" in captured.err and str(2 ** 22) in captured.err
 
 
+BUDGET = "cells exceed the dense bound of 4194304 (2^22)"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["lie", "cohomology", "--algebra", "abelian(400)", "--degree", "0"],
+     f"a 400-dimensional algebra has a 400 x 400 x 400 table of structure constants: "
+     f"64000000 {BUDGET}"),
+    (["lie", "perfect", "--algebra", "abelian(162)"],
+     f"a 162-dimensional algebra has a 162 x 162 x 162 table of structure constants: "
+     f"4251528 {BUDGET}"),
+    (["group", "h", "--group", "z100000", "--coeff", "z2", "--degree", "2"],
+     f"z100000 has a 100000 x 100000 multiplication table: 10000000000 {BUDGET}"),
+    (["group", "cocycles", "--group", "z2049", "--coeff", "z2", "--degree", "1"],
+     f"z2049 has a 2049 x 2049 multiplication table: 4198401 {BUDGET}"),
+])
+def test_input_sized_tables_exit_two_fast(capsys, argv, message):
+    start = time.perf_counter()
+    code = main(argv)
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_oversized_json_algebra_exits_two_fast_naming_the_file(capsys, tmp_path):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"dim": 100000}))
+    start = time.perf_counter()
+    code = main(["lie", "validate", "--algebra", str(path)])
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == ""
+    assert captured.err == (f"error: {path}: a 100000-dimensional algebra has a "
+                            f"100000 x 100000 x 100000 table of structure constants: "
+                            f"{10 ** 15} {BUDGET}\n")
+
+
+def test_oversized_extension_carrier_exits_two_fast(capsys, tmp_path):
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps({
+        "degree": 2, "group_order": 2, "coefficient_orders": [100000],
+        "values": [{"args": [p, q], "value": [0]} for p in range(2) for q in range(2)]}))
+    start = time.perf_counter()
+    code = main(["group", "extension", "build", "--group", "z2", "--coeff", "z100000",
+                 "--cocycle", str(path)])
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == ""
+    assert captured.err == ("error: an extension of a group of order 2 by one of order 100000 "
+                            f"has a 200000 x 200000 multiplication table: {4 * 10 ** 10} "
+                            f"{BUDGET}\n")
+
+
 def _nontrivial_cocycle_file(tmp_path):
     values = [{"args": [p, q], "value": [1 if p == 1 and q == 1 else 0]}
               for p in range(2) for q in range(2)]

@@ -7,15 +7,22 @@ from math import gcd, prod
 import pytest
 
 from cohomkit.exactmat import (
+    DENSE_CELL_LIMIT,
+    Echelon,
     IntegerMatrix,
     PrimeFieldMatrix,
     RationalMatrix,
+    SizeLimitExceeded,
+    check_dense,
     kernel_mod,
     local_smith_exponents,
-    smith_normal_form,
     smith_transforms,
     solve_mod,
 )
+
+
+def smith_normal_form(m: IntegerMatrix) -> list[int]:
+    return list(smith_transforms(m, want_u=False, want_v=False).factors)
 
 
 # ---------------------------------------------------------------------------
@@ -164,6 +171,66 @@ def test_sparse_rank_matches_rref_pivots():
         assert m.rank() == len(m.rref()[1]), m.entries
 
 
+def _gauss_jordan(rows: list[list[Fraction]], ncols: int):
+    """Dense Gauss-Jordan oracle: the reduced echelon rows and pivots."""
+    m = [list(row) for row in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        m[r] = [x / m[r][c] for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                m[i] = [a - m[i][c] * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+    return [tuple(row) for row in m[:len(pivots)]], pivots
+
+
+def test_echelon_in_any_order_is_the_unique_rref():
+    rng = random.Random(1818)
+    for trial in range(240):
+        nrows, ncols = rng.randint(1, 10), rng.randint(1, 10)
+        rows = _sparse_rational_rows(rng, nrows, ncols)
+        red, pivots = RationalMatrix.from_rows(rows).rref()
+        expected, oracle_pivots = _gauss_jordan(rows, ncols)
+        assert list(pivots) == oracle_pivots
+        assert list(red.entries[:len(pivots)]) == expected
+        assert not any(map(any, red.entries[len(pivots):]))
+        shuffled = rows[:]
+        rng.shuffle(shuffled)
+        ech = Echelon(ncols)
+        grew = [ech.add(row) for row in shuffled]
+        assert sum(grew) == len(pivots)
+        basis = ech.rows()
+        assert ech.pivots == oracle_pivots and basis == expected
+        for i, row in enumerate(basis):  # 1 at its own pivot, 0 at the others
+            assert [row[c] for c in ech.pivots] == [int(k == i) for k in range(len(basis))]
+        assert not any(any(ech.reduce(row)) for row in rows)
+
+
+def test_echelon_reduce_leaves_the_part_outside_the_span():
+    ech = Echelon(3)
+    assert ech.add([0, 2, 4]) and not ech.add([0, -1, -2])
+    assert ech.reduce([5, 1, 7]) == [5, 0, 5]
+    assert ech.add([1, 0, 1]) and ech.pivots == [0, 1]
+    assert ech.rows() == [(1, 0, 1), (0, 1, 2)]
+    assert not any(ech.reduce([3, -2, -1]))
+
+
+def test_dense_budget_boundary():
+    check_dense("at the bound", DENSE_CELL_LIMIT)
+    with pytest.raises(SizeLimitExceeded) as err:
+        check_dense("one past", DENSE_CELL_LIMIT + 1)
+    assert str(err.value) == "one past: 4194305 cells exceed the dense bound of 4194304 (2^22)"
+    assert (err.value.bound, err.value.requested) == (DENSE_CELL_LIMIT, DENSE_CELL_LIMIT + 1)
+    # the largest sizes accepted: n = 161 for n^3 structure constants, 2048 for n x n tables
+    assert 161 ** 3 <= DENSE_CELL_LIMIT < 162 ** 3
+    assert 2048 ** 2 == DENSE_CELL_LIMIT
+
+
 def test_rank_of_hilbert_matrix_and_its_stack():
     hilbert = [[Fraction(1, i + j + 1) for j in range(8)] for i in range(8)]
     assert RationalMatrix.from_rows(hilbert).rank() == 8
@@ -228,7 +295,7 @@ def test_gf2_matches_generic_route():
         m2 = PrimeFieldMatrix.from_rows(2, rows)
         r = m2.rank()
         # second route: rank over GF(2) = #invariant factors odd
-        snf = IntegerMatrix.from_rows(rows).smith_normal_form()
+        snf = smith_normal_form(IntegerMatrix.from_rows(rows))
         assert r == sum(1 for d in snf if d % 2)
         _assert_gfp_kernel(rows, ncols, 2, r)
 
@@ -241,7 +308,7 @@ def test_gfp_rank_and_kernel():
             rows = [[rng.randint(0, p - 1) for _ in range(ncols)] for _ in range(nrows)]
             m = PrimeFieldMatrix.from_rows(p, rows)
             r = m.rank()
-            snf = IntegerMatrix.from_rows(rows).smith_normal_form()
+            snf = smith_normal_form(IntegerMatrix.from_rows(rows))
             assert r == sum(1 for d in snf if d % p)
             _assert_gfp_kernel(rows, ncols, p, r)
 

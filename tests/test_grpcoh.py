@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 import warnings
 from itertools import permutations, product
 from math import prod
@@ -24,6 +25,7 @@ from cohomkit.grpcoh import (
     inflation,
 )
 from cohomkit import grpcoh
+from cohomkit.ext import build_extension
 from cohomkit.exactmat import local_smith_exponents, prime_power_factors
 from cohomkit.grpcoh import _incidence
 from scan_oracle import assert_validate_matches_full_scan
@@ -292,6 +294,46 @@ def test_enumeration_bound_enforced():
     with pytest.raises(SizeLimitExceeded) as err:
         list(enumerate_cochains(group_by_name("s3"), coefficients_by_name("z2"), 2))
     assert err.value.requested > err.value.bound
+
+
+BIG = 10 ** 6
+Z2_BIG = AbelianCoefficients((BIG,))
+TABLE_BUDGET = "cells exceed the dense bound of 4194304 (2^22)"
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: FiniteGroup.cyclic(BIG),
+     f"z{BIG} has a {BIG} x {BIG} multiplication table: {BIG ** 2} {TABLE_BUDGET}"),
+    (lambda: group_by_name("z2049"),
+     f"z2049 has a 2049 x 2049 multiplication table: {2049 ** 2} {TABLE_BUDGET}"),
+    (lambda: Z2_BIG.as_group(),
+     f"the coefficient group of order {BIG} has a {BIG} x {BIG} addition table: "
+     f"{BIG ** 2} {TABLE_BUDGET}"),
+    # 10^6 generator assignments pass hom_group's own count bound
+    (lambda: hom_group(group_by_name("z2"), Z2_BIG),
+     f"the coefficient group of order {BIG} has a {BIG} x {BIG} addition table: "
+     f"{BIG ** 2} {TABLE_BUDGET}"),
+    (lambda: build_extension(group_by_name("z2"), Z2_BIG,
+                             Cochain.zero(group_by_name("z2"), Z2_BIG, 2)),
+     f"an extension of a group of order 2 by one of order {BIG} has a "
+     f"{2 * BIG} x {2 * BIG} multiplication table: {4 * BIG ** 2} {TABLE_BUDGET}"),
+], ids=["cyclic", "by-name", "as_group", "hom_group", "build_extension"])
+def test_input_sized_tables_refused_before_allocation(build, message):
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeLimitExceeded) as err:
+            build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(err.value) == message
+    assert peak < 2 ** 16  # one table row of 10^6 indices alone takes 8 MB
+
+
+def test_hom_group_count_bound_comes_before_the_table():
+    with pytest.raises(SizeLimitExceeded) as err:
+        hom_group(group_by_name("z2"), AbelianCoefficients((2 ** 21,)))
+    assert str(err.value) == f"{2 ** 21} generator assignments exceed the enumeration bound"
 
 
 # ---------------------------------------------------------------------------

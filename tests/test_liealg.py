@@ -1,10 +1,12 @@
 import json
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
+from cohomkit.exactmat import RationalMatrix, SizeLimitExceeded
 from cohomkit.liealg import (
     LieAlgebra,
     LieElement,
@@ -320,6 +322,45 @@ def test_subspace_membership_and_equality():
     assert s1 == s2
     assert s1.contains(3 * g.by_label("P_0") - 7 * g.by_label("P_1"))
     assert not s1.contains(g.by_label("P_2"))
+
+
+@pytest.mark.parametrize("name", ["poincare(4)", "poincare(3)", "lorentz(4)", "sl2", "heisenberg"])
+def test_subspace_contains_agrees_with_rank_of_stacked_rows(name):
+    g = builtin(name)
+    rng = random.Random(name)
+    for _ in range(40):
+        span = Subspace(g, [random_element(g, rng, -2, 2) for _ in range(rng.randint(0, g.dim - 1))])
+        rows = [x.coeffs for x in span.basis()]
+        assert RationalMatrix.from_rows(rows).rank() == span.dim
+        combo = sum((rng.randint(-3, 3) * x for x in span.basis()), g.zero())
+        for x in (combo, random_element(g, rng, -2, 2)):
+            stacked = RationalMatrix.from_rows(rows + [x.coeffs]).rank()
+            assert span.contains(x) == (stacked == span.dim)
+        assert span.contains(combo)
+
+
+@pytest.mark.parametrize("build", [
+    lambda n: builtin(f"abelian({n})"),
+    lambda n: algebra_from_json({"dim": n}),
+    lambda n: LieAlgebra.from_brackets(range(n), {}),
+], ids=["builtin", "json", "from_brackets"])
+def test_oversized_algebra_refused_before_any_table(build):
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeLimitExceeded) as err:
+            build(10 ** 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 16  # a list of 10^6 labels alone takes megabytes
+    assert str(err.value) == (
+        "a 1000000-dimensional algebra has a 1000000 x 1000000 x 1000000 table of "
+        "structure constants: 1000000000000000000 cells exceed the dense bound of "
+        "4194304 (2^22)")
+    assert builtin("abelian(3)").dim == 3
+    with pytest.raises(SizeLimitExceeded) as err:  # 161 is the largest accepted
+        builtin("abelian(162)")
+    assert err.value.requested == 162 ** 3 > err.value.bound >= 161 ** 3
 
 
 # ---------------------------------------------------------------------------
