@@ -610,9 +610,10 @@ def enumerate_cocycles(group: FiniteGroup, coeffs: AbelianCoefficients,
                        degree: int) -> list[Cochain]:
     """Exhaustive oracle: all f with d f = 0, by scanning every cochain.
 
-    The scan runs on raw coefficient-index tables with precomputed addition
-    tables (the full search space can reach 2^20 entries); survivors are
-    wrapped into Cochain values.
+    The scan runs on raw coefficient-index tables with the addition table of
+    `coeffs.as_group()`, refused past the 2^22-cell dense budget (the full
+    search space can reach 2^20 entries); survivors are wrapped into Cochain
+    values.
     """
     if degree not in (1, 2):
         raise ValueError("cocycle enumeration implemented for degrees 1 and 2")
@@ -623,8 +624,8 @@ def enumerate_cocycles(group: FiniteGroup, coeffs: AbelianCoefficients,
             ENUMERATION_LIMIT, count)
     N = group.order
     size = coeffs.size
+    add = coeffs.as_group().table
     elems = [coeffs.element(i) for i in range(size)]
-    add = [[coeffs.index(coeffs.add(a, b)) for b in elems] for a in elems]
     mul = group.table
     survivors = []
     if degree == 1:

@@ -1,10 +1,14 @@
 """Finite-dimensional Lie algebras over Q presented by structure constants.
 
-An algebra is a table c[i][j][k] with [x_i, x_j] = sum_k c[i][j][k] x_k,
-validated for antisymmetry and the Jacobi identity on construction.  The
-module provides the bracket-closure procedures the rest of the toolkit leans
-on: the derived subalgebra, the subalgebra generated by a finite family, and
-the ideal generated by a single element.
+An algebra stores one canonical sparse table: `brackets[i][j]` holds the
+nonzero (k, c_ijk) of [x_i, x_j] = sum_k c_ijk x_k, k ascending, for both
+orders of i and j, and the dense view `constants` is built only on request.
+Antisymmetry and the Jacobi identity are validated on construction (unless
+validate=False), skipping every basis triple whose pair brackets all vanish,
+so the cost follows the nonzero brackets.  The module provides the
+bracket-closure procedures the rest of the toolkit leans on: the derived
+subalgebra, the subalgebra generated by a finite family, and the ideal
+generated by a single element.
 
 The relativistic builtins lorentz(d) and poincare(d) are defined once, by
 the integer affine matrices of `poincare_basis_matrices` (metric
@@ -17,9 +21,9 @@ Element coefficients are `fractions.Fraction` throughout.  A `Subspace`
 keeps the reduced echelon basis of an `exactmat.Echelon`; it normalizes every
 vector to a rational direction first (spans and bracket closures are
 invariant under scaling by a nonzero constant), and refuses a coefficient
-that is not exact rather than guess a rational for it.  An algebra whose
-n^3 structure constants exceed the 2^22-cell dense budget (n > 161) is
-refused before anything sized by n is built.
+that is not exact rather than guess a rational for it.  An algebra of
+dimension n > 161, whose dense view would exceed the 2^22-cell budget
+(n^3 cells), is refused before anything sized by n is built.
 
 `LieAlgebra.grading` is the eigenbasis of ad(x) for the first basis element
 x whose adjoint is diagonalizable over Q with integer eigenvalues, not all
@@ -36,7 +40,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 from math import isqrt
 from typing import Iterable, Sequence
 
@@ -60,12 +64,23 @@ __all__ = [
     "algebra_from_json",
 ]
 
+Support = tuple[tuple[int, Fraction], ...]
+
 
 def _check_table(n: int) -> None:
     """Refuse dimension n when its n^3 structure constants exceed the dense
     budget (n > 161), before anything sized by n is built."""
     check_dense(f"a {n}-dimensional algebra has a {n} x {n} x {n} table of structure "
                 f"constants", n ** 3)
+
+
+def _support(vec) -> Support:
+    """The nonzero (k, c) of a coefficient vector, as Fractions."""
+    return tuple((k, c) for k, c in enumerate(map(Fraction, vec)) if c)
+
+
+def _negated(support: Support) -> Support:
+    return tuple((k, -c) for k, c in support)
 
 
 class StructureConstantError(ValueError):
@@ -83,7 +98,7 @@ class StructureConstantError(ValueError):
 @dataclass(frozen=True)
 class LieAlgebra:
     labels: tuple[str, ...]
-    constants: tuple[tuple[tuple[Fraction, ...], ...], ...]
+    brackets: tuple[tuple[Support, ...], ...]
     name: str = ""
 
     @property
@@ -91,17 +106,20 @@ class LieAlgebra:
         return len(self.labels)
 
     @classmethod
-    def from_structure_constants(cls, labels: Sequence[str], constants,
-                                 name: str = "", validate: bool = True) -> "LieAlgebra":
-        n = len(labels)
-        table = tuple(
-            tuple(tuple(Fraction(constants[i][j][k]) for k in range(n)) for j in range(n))
-            for i in range(n)
-        )
-        alg = cls(tuple(str(l) for l in labels), table, name)
+    def _build(cls, labels: Sequence[str], rows, name: str, validate: bool) -> "LieAlgebra":
+        alg = cls(tuple(str(l) for l in labels), tuple(map(tuple, rows)), name)
         if validate:
             alg.validate()
         return alg
+
+    @classmethod
+    def from_structure_constants(cls, labels: Sequence[str], constants,
+                                 name: str = "", validate: bool = True) -> "LieAlgebra":
+        """Build from a dense table c[i][j][k], read once into the sparse table."""
+        n = len(labels)
+        rows = [[_support(constants[i][j][k] for k in range(n)) for j in range(n)]
+                for i in range(n)]
+        return cls._build(labels, rows, name, validate)
 
     @classmethod
     def from_brackets(cls, labels: Sequence[str], brackets: dict, name: str = "",
@@ -110,14 +128,26 @@ class LieAlgebra:
         antisymmetric completion is filled in automatically."""
         n = len(labels)
         _check_table(n)
-        c = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
+        given: dict[tuple[int, int], dict[int, Fraction]] = defaultdict(dict)
         for (i, j), coeffs in brackets.items():
             if i == j:
                 raise ValueError("diagonal brackets are identically zero")
+            if not all(0 <= m < n for m in (i, j, *coeffs)):
+                raise ValueError(f"bracket ({i}, {j}) has an index outside 0..{n - 1}")
             for k, val in coeffs.items():
-                c[i][j][k] = Fraction(val)
-                c[j][i][k] = -Fraction(val)
-        return cls.from_structure_constants(labels, c, name, validate)
+                given[i, j][k] = Fraction(val)
+                given[j, i][k] = -Fraction(val)
+        rows = [[()] * n for _ in range(n)]
+        for (i, j), coeffs in given.items():
+            rows[i][j] = tuple(sorted((k, c) for k, c in coeffs.items() if c))
+        return cls._build(labels, rows, name, validate)
+
+    @cached_property
+    def constants(self) -> tuple[tuple[tuple[Fraction, ...], ...], ...]:
+        """The dense table c[i][j][k], built from `brackets` on first use."""
+        zero, rows = Fraction(0), [list(map(dict, row)) for row in self.brackets]
+        return tuple(tuple(tuple(c.get(k, zero) for k in range(self.dim)) for c in row)
+                     for row in rows)
 
     # -- element construction ------------------------------------------------
 
@@ -149,76 +179,57 @@ class LieAlgebra:
 
     # -- validation ----------------------------------------------------------
 
-    def bracket_vector(self, i: int, j: int) -> tuple[Fraction, ...]:
-        return self.constants[i][j]
-
     @cached_property
     def grading(self) -> "Grading":
         """The ad-eigenbasis of the first grading basis element; see `Grading`."""
         return Grading.of(self)
 
     def antisymmetry_defect(self) -> Fraction:
-        worst = Fraction(0)
-        for i in range(self.dim):
-            for j in range(self.dim):
-                for k in range(self.dim):
-                    d = abs(self.constants[i][j][k] + self.constants[j][i][k])
-                    if d > worst:
-                        worst = d
-        return worst
+        """Max |c_ijk + c_jik| over all i, j, k."""
+        total = defaultdict(Fraction)
+        for i, j in combinations_with_replacement(range(self.dim), 2):
+            for k, c in self.brackets[i][j] + self.brackets[j][i]:
+                total[i, j, k] += c
+        return max(map(abs, total.values()), default=Fraction(0))
 
     def jacobi_defect(self) -> Fraction:
         """Max |coefficient| of [x_i,[x_j,x_k]] + [x_j,[x_k,x_i]] + [x_k,[x_i,x_j]]
         over basis triples i < j < k; zero iff the table is a Lie algebra."""
-        worst = Fraction(0)
-        n = self.dim
-        for i, j, k in combinations(range(n), 3):
-            s = self._jacobi_sum(i, j, k)
-            m = max((abs(x) for x in s), default=Fraction(0))
-            if m > worst:
-                worst = m
-        return worst
+        return max((abs(c) for _, s in self._jacobi_sums() for c in s.values()),
+                   default=Fraction(0))
 
-    def _jacobi_sum(self, i: int, j: int, k: int) -> tuple[Fraction, ...]:
-        n = self.dim
-        out = [Fraction(0)] * n
-        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-            inner = self.constants[b][c]
-            for m in range(n):
-                if inner[m]:
-                    outer = self.constants[a][m]
-                    coef = inner[m]
-                    for t in range(n):
-                        if outer[t]:
-                            out[t] += coef * outer[t]
-        return tuple(out)
+    def _jacobi_sums(self):
+        """(triple, {t: coefficient}) of the Jacobi sum of each basis triple
+        i < j < k in order, skipping the triples whose three inner brackets
+        vanish (their sum is 0)."""
+        b = self.brackets
+        for i, j, k in combinations(range(self.dim), 3):
+            if not (b[j][k] or b[k][i] or b[i][j]):
+                continue
+            out = defaultdict(Fraction)
+            for a, inner in ((i, b[j][k]), (j, b[k][i]), (k, b[i][j])):
+                for m, coef in inner:
+                    for t, c in b[a][m]:
+                        out[t] += coef * c
+            yield (i, j, k), out
 
     def first_jacobi_violation(self) -> tuple[int, int, int] | None:
-        for i, j, k in combinations(range(self.dim), 3):
-            if any(self._jacobi_sum(i, j, k)):
-                return (i, j, k)
-        return None
+        return next((t for t, s in self._jacobi_sums() if any(s.values())), None)
 
     def validate(self) -> None:
+        b = self.brackets
         for i in range(self.dim):
             for j in range(self.dim):
-                for k in range(self.dim):
-                    if self.constants[i][j][k] != -self.constants[j][i][k]:
-                        raise StructureConstantError(
-                            f"antisymmetry fails at basis pair "
-                            f"({self.labels[i]}, {self.labels[j]})", (i, j))
+                if b[i][j] != _negated(b[j][i]):
+                    raise StructureConstantError(
+                        f"antisymmetry fails at basis pair "
+                        f"({self.labels[i]}, {self.labels[j]})", (i, j))
         bad = self.first_jacobi_violation()
         if bad is not None:
             i, j, k = bad
             raise StructureConstantError(
                 f"Jacobi identity fails at basis triple "
                 f"({self.labels[i]}, {self.labels[j]}, {self.labels[k]})", bad)
-
-
-def sparse_brackets(constants) -> tuple[tuple[tuple[tuple[int, Fraction], ...], ...], ...]:
-    """The nonzero (k, c_ijk) of each bracket [x_i, x_j] of a dense table."""
-    return tuple(tuple(tuple((k, c) for k, c in enumerate(vec) if c) for vec in row)
-                 for row in constants)
 
 
 @dataclass(frozen=True)
@@ -228,27 +239,30 @@ class Grading:
     `element` is the index of the grading element x, or None for the trivial
     grading (f_a = x_a, every weight 0) of an algebra where no basis element
     grades.  `vectors[a]` holds f_a in the original basis, and `brackets[a][b]`
-    the nonzero (c, coefficient) of [f_a, f_b] in the eigenbasis, exact.  A
-    bracket [f_a, f_b] has weight weights[a] + weights[b].
+    the nonzero (c, coefficient) of [f_a, f_b] in the eigenbasis, exact (for
+    the trivial grading, the algebra's own table).  A bracket [f_a, f_b] has
+    weight weights[a] + weights[b].
     """
 
     element: int | None
     weights: tuple[int, ...]
     vectors: tuple[tuple[Fraction, ...], ...]
-    brackets: tuple[tuple[tuple[tuple[int, Fraction], ...], ...], ...]
+    brackets: tuple[tuple[Support, ...], ...]
 
     @classmethod
     def of(cls, g: LieAlgebra) -> "Grading":
         n = g.dim
         for x in range(n):
-            ad = [[g.constants[x][j][i] for j in range(n)] for i in range(n)]
+            # cols[j][i] is the entry (i, j) of ad(x): column j is [x, x_j]
+            cols = [dict(support) for support in g.brackets[x]]
             # integer weights w of a diagonalizable ad(x) have sum w^2 =
             # tr(ad(x)^2): an integer, 0 only for ad(x) = 0 (no nonzero
             # weight), and a bound on every w^2
-            square = sum((c * ad[j][i] for i, row in enumerate(ad) for j, c in enumerate(row) if c),
-                         Fraction(0))
+            square = sum((c * cols[i].get(j, 0) for j, col in enumerate(cols)
+                          for i, c in col.items()), Fraction(0))
             if square <= 0 or square.denominator != 1:
                 continue
+            ad = [[cols[j].get(i, Fraction(0)) for j in range(n)] for i in range(n)]
             bound = isqrt(square.numerator)
             spaces = []
             for lam in sorted(range(-bound, bound + 1), key=abs):
@@ -261,7 +275,8 @@ class Grading:
             if len(spaces) == n:
                 break
         else:
-            x, spaces = None, [(0, g.basis_element(a).coeffs) for a in range(n)]
+            return cls(None, (0,) * n, tuple(g.basis_element(a).coeffs for a in range(n)),
+                       g.brackets)
         spaces.sort(key=lambda space: space[0])
         weights = tuple(lam for lam, _ in spaces)
         vectors = tuple(v for _, v in spaces)
@@ -269,21 +284,20 @@ class Grading:
         # nonzero at its last nonzero entry, a 1: that entry of a vector in
         # the eigenspace is its coordinate there
         lead = [max(i for i, c in enumerate(v) if c) for v in vectors]
-        supports = [[(i, c) for i, c in enumerate(v) if c] for v in vectors]
-        sparse = sparse_brackets(g.constants)
+        supports = [_support(v) for v in vectors]
         brackets = [[()] * n for _ in range(n)]
         for a, b in combinations(range(n), 2):
             vec = defaultdict(Fraction)
             for i, p in supports[a]:
                 for j, q in supports[b]:
-                    for k, c in sparse[i][j]:
+                    for k, c in g.brackets[i][j]:
                         vec[k] += p * q * c
             # [f_a, f_b] lies in the eigenspace of weight weights[a] + weights[b]
             total = weights[a] + weights[b]
             support = tuple((c, vec[lead[c]]) for c in range(n)
                             if weights[c] == total and vec.get(lead[c]))
             brackets[a][b] = support
-            brackets[b][a] = tuple((c, -v) for c, v in support)
+            brackets[b][a] = _negated(support)
         return cls(x, weights, vectors, tuple(map(tuple, brackets)))
 
 
@@ -327,20 +341,16 @@ class LieElement:
 
     def bracket(self, other: "LieElement") -> "LieElement":
         self._check_parent(other)
-        n = self.algebra.dim
-        out = [Fraction(0)] * n
-        consts = self.algebra.constants
+        out = [Fraction(0)] * self.algebra.dim
         for i, a in enumerate(self.coeffs):
             if not a:
                 continue
+            row = self.algebra.brackets[i]
             for j, b in enumerate(other.coeffs):
-                if not b:
-                    continue
-                cij = consts[i][j]
-                ab = a * b
-                for k in range(n):
-                    if cij[k]:
-                        out[k] = out[k] + ab * cij[k]
+                if b:
+                    ab = a * b
+                    for k, c in row[j]:
+                        out[k] += ab * c
         return LieElement(self.algebra, tuple(out))
 
     def _check_parent(self, other: "LieElement") -> None:
@@ -424,11 +434,9 @@ class Subspace:
 def derived_subalgebra(g: LieAlgebra) -> Subspace:
     """Span of all brackets of basis pairs, [g, g]."""
     span = Subspace(g)
-    for i in range(g.dim):
-        for j in range(i + 1, g.dim):
-            vec = g.bracket_vector(i, j)
-            if any(vec):
-                span.add(LieElement(g, vec))
+    for i, j in combinations(range(g.dim), 2):
+        if g.brackets[i][j]:
+            span.add(g.basis_element(i).bracket(g.basis_element(j)))
     return span
 
 
@@ -582,13 +590,8 @@ def builtin(name: str) -> LieAlgebra:
 
 
 def algebra_to_json(g: LieAlgebra) -> str:
-    brackets = []
-    for i in range(g.dim):
-        for j in range(i + 1, g.dim):
-            vec = g.bracket_vector(i, j)
-            coeffs = {g.labels[k]: str(vec[k]) for k in range(g.dim) if vec[k]}
-            if coeffs:
-                brackets.append({"i": i, "j": j, "coeffs": coeffs})
+    brackets = [{"i": i, "j": j, "coeffs": {g.labels[k]: str(c) for k, c in g.brackets[i][j]}}
+                for i, j in combinations(range(g.dim), 2) if g.brackets[i][j]]
     return json.dumps(
         {"dim": g.dim, "labels": list(g.labels), "brackets": brackets},
         sort_keys=True)

@@ -41,7 +41,7 @@ from itertools import combinations
 from math import comb
 
 from .exactmat import RationalMatrix, check_dense
-from .liealg import LieAlgebra, LieElement, StructureConstantError, sparse_brackets
+from .liealg import LieAlgebra, LieElement, StructureConstantError
 
 __all__ = [
     "CEComplex",
@@ -123,8 +123,7 @@ def ce_differential(g: LieAlgebra, k: int, weight: int | None = None) -> Rationa
     check_dense(f"{what} of a {n}-dimensional algebra is a {rows} x {cols} matrix",
                 rows * cols)
     if weight is None:
-        return _differential(sparse_brackets(g.constants),
-                             _wedge_basis(n, k + 1), _wedge_basis(n, k))
+        return _differential(g.brackets, _wedge_basis(n, k + 1), _wedge_basis(n, k))
     w = g.grading.weights
     target, source = ([t for t in combinations(range(n), j) if sum(w[a] for a in t) == weight]
                       for j in (k + 1, k))
@@ -238,7 +237,8 @@ class LieCocycle2:
 
 def lie_central_extension(g: LieAlgebra, omega: LieCocycle2,
                           central_label: str = "Z", validate: bool = True) -> LieAlgebra:
-    """Algebra of dimension dim(g) + 1 with [x, y] += omega(x, y) * z, z central.
+    """Algebra of dimension dim(g) + 1 with [x, y] += omega(x, y) * z, z central,
+    built from the brackets [x_i, x_j], i < j, of g.
 
     A non-closed omega is rejected with the violating basis triple; building
     anyway (validate=False) produces a table whose Jacobi defect is nonzero,
@@ -258,16 +258,10 @@ def lie_central_extension(g: LieAlgebra, omega: LieCocycle2,
     label = central_label
     while label in g.labels:
         label += "'"
-    zero = Fraction(0)
-    c = [[[zero] * (n + 1) for _ in range(n + 1)] for _ in range(n + 1)]
-    for i in range(n):
-        for j in range(n):
-            vec = g.constants[i][j]
-            for k in range(n):
-                c[i][j][k] = vec[k]
-            c[i][j][n] = omega.value(i, j)
-    return LieAlgebra.from_structure_constants(
-        tuple(g.labels) + (label,), c,
+    brackets = {(i, j): dict(g.brackets[i][j]) | {n: omega.value(i, j)}
+                for i, j in combinations(range(n), 2)}
+    return LieAlgebra.from_brackets(
+        tuple(g.labels) + (label,), brackets,
         name=(g.name + "+R" if g.name else "central extension"),
         validate=validate)
 

@@ -1,4 +1,5 @@
 import random
+import time
 import tracemalloc
 import warnings
 from itertools import permutations, product
@@ -328,6 +329,17 @@ def test_input_sized_tables_refused_before_allocation(build, message):
         tracemalloc.stop()
     assert str(err.value) == message
     assert peak < 2 ** 16  # one table row of 10^6 indices alone takes 8 MB
+
+
+def test_cocycle_enumeration_refuses_an_oversized_addition_table():
+    # 4096 degree-1 cochains of z1 pass the 2^20 count bound; the 4096 x 4096
+    # addition table of the coefficients does not pass the dense one
+    start = time.perf_counter()
+    with pytest.raises(SizeLimitExceeded) as err:
+        enumerate_cocycles(group_by_name("z1"), AbelianCoefficients((4096,)), 1)
+    assert time.perf_counter() - start < 1
+    assert str(err.value) == (f"the coefficient group of order 4096 has a 4096 x 4096 "
+                              f"addition table: {4096 ** 2} {TABLE_BUDGET}")
 
 
 def test_hom_group_count_bound_comes_before_the_table():

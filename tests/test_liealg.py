@@ -40,6 +40,8 @@ def test_builtins_validate(name):
     g = builtin(name)
     assert g.antisymmetry_defect() == 0
     assert g.jacobi_defect() == 0
+    back = LieAlgebra.from_structure_constants(g.labels, g.constants, name=g.name)
+    assert back == g and hash(back) == hash(g)  # the dense view round-trips
 
 
 def test_builtin_dims():
@@ -117,6 +119,69 @@ def test_corrupted_jacobi_flagged_and_defect_nonzero():
     with pytest.raises(StructureConstantError) as err:
         bad.validate()
     assert len(err.value.triple) == 3
+
+
+def _random_dense_table(rng, n, cells, antisymmetric):
+    """A dense integer table c[i][j][k], zero but for `cells` random draws."""
+    c = [[[0] * n for _ in range(n)] for _ in range(n)]
+    for _ in range(cells):
+        c[rng.randrange(n)][rng.randrange(n)][rng.randrange(n)] = rng.randint(-3, 3)
+    if antisymmetric:
+        for i in range(n):
+            c[i][i] = [0] * n
+            for j in range(i):
+                c[i][j] = [-x for x in c[j][i]]
+    return c
+
+
+def _dense_jacobi_sums(c, n):
+    """The Jacobi sum of every basis triple i < j < k, in order, by n^3 loops."""
+    sums = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                s = [0] * n
+                for a, b, e in ((i, j, k), (j, k, i), (k, i, j)):
+                    for m in range(n):
+                        for t in range(n):
+                            s[t] += c[b][e][m] * c[a][m][t]
+                sums.append(((i, j, k), s))
+    return sums
+
+
+def test_sparse_table_matches_dense_oracle_on_random_tables():
+    rng = random.Random(19)
+    for case in range(40):
+        n = rng.randint(1, 7)
+        c = _random_dense_table(rng, n, rng.randint(0, n * n), case % 3 != 0)
+        g = LieAlgebra.from_structure_constants([f"y{a}" for a in range(n)], c, validate=False)
+        assert g.constants == tuple(tuple(tuple(map(Fraction, vec)) for vec in row) for row in c)
+        assert g.antisymmetry_defect() == max(
+            (abs(c[i][j][k] + c[j][i][k]) for i in range(n) for j in range(n) for k in range(n)),
+            default=0)
+        sums = _dense_jacobi_sums(c, n)
+        assert g.jacobi_defect() == max((abs(x) for _, s in sums for x in s), default=0)
+        assert g.first_jacobi_violation() == next((t for t, s in sums if any(s)), None)
+        for _ in range(3):
+            x, y = random_element(g, rng, -3, 3), random_element(g, rng, -3, 3)
+            want = [sum(x.coeffs[i] * y.coeffs[j] * c[i][j][k]
+                        for i in range(n) for j in range(n)) for k in range(n)]
+            assert x.bracket(y).coeffs == tuple(want)
+        same = LieAlgebra.from_structure_constants(g.labels, g.constants, validate=False)
+        assert same == g and hash(same) == hash(g)
+        if case % 3:  # the same table from brackets given in shuffled order
+            pairs = {}
+            for i, j in rng.sample(list(combinations(range(n), 2)), n * (n - 1) // 2):
+                ks = rng.sample(range(n), n)
+                pairs[i, j] = {k: c[i][j][k] for k in ks}
+            assert LieAlgebra.from_brackets(g.labels, pairs, validate=False) == g
+
+
+@pytest.mark.parametrize("brackets", [{(1, 1): {0: 1}}, {(0, 1): {2: 1}}, {(0, 1): {-1: 1}},
+                                      {(0, 2): {1: 1}}])
+def test_from_brackets_refuses_diagonal_and_out_of_range_indices(brackets):
+    with pytest.raises(ValueError):
+        LieAlgebra.from_brackets(("a", "b"), brackets)
 
 
 # ---------------------------------------------------------------------------
@@ -361,6 +426,22 @@ def test_oversized_algebra_refused_before_any_table(build):
     with pytest.raises(SizeLimitExceeded) as err:  # 161 is the largest accepted
         builtin("abelian(162)")
     assert err.value.requested == 162 ** 3 > err.value.bound >= 161 ** 3
+
+
+def test_largest_abelian_algebra_costs_its_brackets_not_n_cubed():
+    tracemalloc.start()
+    try:
+        g = builtin("abelian(161)")  # validated on construction
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.dim == 161 and is_perfect(g) is False
+    assert peak < 4 * 2 ** 20  # a dense table of 161^3 Fraction cells takes 33 MB
+    with pytest.raises(SizeLimitExceeded) as err:
+        builtin("abelian(162)")
+    assert str(err.value) == (
+        "a 162-dimensional algebra has a 162 x 162 x 162 table of structure constants: "
+        "4251528 cells exceed the dense bound of 4194304 (2^22)")
 
 
 # ---------------------------------------------------------------------------
