@@ -31,6 +31,7 @@ from . import __version__
 EXIT_OK = 0
 EXIT_MATH = 1
 EXIT_USAGE = 2
+EXIT_PIPE = 141  # 128 + SIGPIPE: the reader of stdout went away
 
 
 class MathFailure(Exception):
@@ -185,7 +186,7 @@ def _get_group(spec: str, inputs: dict):
 
 
 def cmd_group(args, inputs: dict[str, str]) -> tuple[dict, bool]:
-    from . import ext, grpcoh
+    from . import grpcoh
 
     failed = False
     if args.group_cmd == "h":
@@ -208,6 +209,8 @@ def cmd_group(args, inputs: dict[str, str]) -> tuple[dict, bool]:
     elif args.group_cmd == "extension":
         payload, failed = _cmd_group_extension(args, inputs)
     elif args.group_cmd == "correspondence":
+        from . import ext
+
         E = _get_group(args.cover, inputs)
         P = _get_group(args.base, inputs)
         A = grpcoh.coefficients_by_name(args.coeff)
@@ -521,6 +524,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    try:
+        code = _run(argv)
+        sys.stdout.flush()  # a reader gone early (`| head -c 300`) shows here
+        return code
+    except BrokenPipeError:  # no traceback, and no second failure at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
+
+
+def _run(argv) -> int:
     args = build_parser().parse_args(argv)
     args._command_echo = " ".join(argv if argv is not None else sys.argv[1:])
     started = time.perf_counter()

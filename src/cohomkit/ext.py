@@ -25,10 +25,12 @@ cocycle reproduces omega exactly.
 from __future__ import annotations
 
 import json
+import operator
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
+from itertools import chain, product
+from operator import itemgetter
 from typing import Sequence
 
 from .grpcoh import (
@@ -38,6 +40,7 @@ from .grpcoh import (
     FiniteGroup,
     GroupHom,
     SizeLimitExceeded,
+    _gather,
     coboundary,
     coboundary_matrix,
     cocycle_space,
@@ -126,8 +129,7 @@ class CentralExtensionTable:
         if len(set(img)) != K:
             raise ValueError("kernel embedding is not injective")
         for x, add_a in zip(img, add):
-            row = G.table[x]
-            if any(row[y] != img[ab] for y, ab in zip(img, add_a)):
+            if _gather(G.table[x], img) != _gather(img, add_a):
                 raise ValueError("kernel embedding is not a homomorphism")
         self.projection.validate()
         if not self.projection.is_surjective():
@@ -135,7 +137,7 @@ class CentralExtensionTable:
         if sorted(self.projection.kernel_elements()) != sorted(img):
             raise ValueError("kernel of the projection is not the embedded A")
         for x in img:
-            if any(G.table[x][g] != G.table[g][x] for g in G.elements()):
+            if any(map(operator.ne, G.table[x], map(itemgetter(x), G.table))):
                 raise ValueError(f"embedded kernel element {x} is not central")
 
     def to_json(self) -> str:
@@ -186,9 +188,10 @@ def build_extension(P: FiniteGroup, A: AbelianCoefficients, omega: Cochain,
 
     A non-cocycle omega is rejected up front with the violating triple, the
     arguments of the first nonzero value of d_2 omega; the cocycle condition
-    is exactly associativity of the table.  The table is one integer pass:
-    with `add` the addition table of A on indices and negw the indices of
-    -omega, (a, p)(b, q) has index add[add[a][b]][negw[p|P| + q]] |P| + pq.
+    is exactly associativity of the table.  Only the |P| rows (0, p) are
+    built entry by entry: row (a, p) is row (0, p) under T[a], which adds a
+    to the A-coordinate (c |P| + r -> add[a][c] |P| + r, with `add` the
+    addition table of A on indices), i.e. multiplies by the central i(a).
     A carrier table of more than DENSE_CELL_LIMIT cells is refused first.
     """
     if omega.degree != 2 or omega.group.table != P.table or omega.coeffs != A:
@@ -204,23 +207,20 @@ def build_extension(P: FiniteGroup, A: AbelianCoefficients, omega: Cochain,
                 f"cochain is not a 2-cocycle: associativity of the extension "
                 f"table fails on triple {bad}", bad)
     add = _index_addition(A.orders)
-    # (a, p)(b, q) = (a + b - omega(p, q), pq) on indices a * n + p
-    negw = [A.index(A.neg(v)) for v in omega.values]
-    table = []
-    for add_a in add:
-        for p, mul_p in enumerate(P.table):
-            negw_p = negw[p * n:(p + 1) * n]
-            row = []
-            for ab in add_a:
-                add_ab = add[ab]
-                row.extend(add_ab[w] * n + pq for w, pq in zip(negw_p, mul_p))
-            table.append(tuple(row))
+    negw = [add[A.index(v)].index(0) for v in omega.values]  # indices of -omega
+    T = [[c * n + r for c in add_a for r in range(n)] for add_a in add]
+    base = []
+    for p, mul_p in enumerate(P.table):
+        # (0, p)(0, q) = (-omega(p, q), pq), and T[b] of it is (0, p)(b, q)
+        first = [w * n + pq for w, pq in zip(negw[p * n:(p + 1) * n], mul_p)]
+        base.append(tuple(list(chain.from_iterable(_gather(T_b, first) for T_b in T))))
+    table = [_gather(T_a, row) for T_a in T for row in base]
     identity = A.index(omega.value(P.identity, P.identity)) * n + P.identity
     labels = tuple(f"({'+'.join(map(str, a))},{P.labels[p]})"
                    for a in A.elements() for p in range(n))
     carrier = FiniteGroup(size, tuple(table), identity,
                           f"ext({P.name};{','.join(map(str, A.orders))})", labels)
-    projection = GroupHom(carrier, P, tuple(g % n for g in range(size)))
+    projection = GroupHom(carrier, P, tuple(range(n)) * K)
     ext = CentralExtensionTable(P, A, omega, carrier, projection)
     if validate:
         ext.validate()
@@ -349,13 +349,11 @@ def _verify_equivalence_map(ext1: CentralExtensionTable, ext2: CentralExtensionT
     if len(set(images)) != size:
         raise RuntimeError("equivalence witness does not induce a bijection")
     mul1, mul2 = ext1.carrier.table, ext2.carrier.table
-    for g in range(size):
-        row1 = mul1[images[g]]
-        if any(images[gh] != row1[images[h]] for h, gh in enumerate(mul2[g])):
+    for g, row2 in enumerate(mul2):
+        if _gather(images, row2) != _gather(mul1[images[g]], images):
             raise RuntimeError("equivalence witness does not induce a homomorphism")
-    for g in range(size):
-        if ext1.projection(images[g]) != ext2.projection(g):
-            raise RuntimeError("equivalence map does not commute with the projections")
+    if _gather(ext1.projection.values, images) != tuple(ext2.projection.values):
+        raise RuntimeError("equivalence map does not commute with the projections")
     for x2, x1 in zip(ext2.kernel_image(), ext1.kernel_image()):
         if images[x2] != x1:
             raise RuntimeError("equivalence map moves the embedded kernel")
@@ -453,10 +451,9 @@ def h1_h2_correspondence_check(E: FiniteGroup, sigma: GroupHom,
     P = sigma.target
     s_group, s_embedding = E.subgroup(sigma.kernel_elements(), name="ker(sigma)")
     for s_old in s_embedding:
-        for g in E.elements():
-            if E.mul(s_old, g) != E.mul(g, s_old):
-                raise ValueError("kernel of sigma is not central; "
-                                 "(E, sigma) is not a central extension")
+        if any(map(operator.ne, E.table[s_old], map(itemgetter(s_old), E.table))):
+            raise ValueError("kernel of sigma is not central; "
+                             "(E, sigma) is not a central extension")
     h1_order = cocycle_space(s_group, A, 1).order  # Z^1 = Hom(S, A)
 
     space = cocycle_space(P, A, 2)

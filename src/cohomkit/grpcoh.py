@@ -39,12 +39,13 @@ generating set; everything here is desk scale.
 
 from __future__ import annotations
 
+import operator
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations, compress, product, repeat
 from math import gcd, prod
-from operator import ne
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .exactmat import (IntegerMatrix, SizeLimitExceeded, check_dense, kernel_mod,
@@ -113,30 +114,32 @@ class FiniteGroup:
                    for a in self.elements() for b in self.elements())
 
     def validate(self) -> None:
-        n = self.order
-        if len(self.table) != n or any(len(r) != n for r in self.table):
+        n, t, e = self.order, self.table, self.identity
+        if len(t) != n or any(len(r) != n for r in t):
             raise ValueError("multiplication table is not square of the declared order")
         full = set(range(n))
-        for i, row in enumerate(self.table):
+        for i, row in enumerate(t):
             if set(row) != full:
                 raise ValueError(f"row {i} is not a permutation (Latin square fails)")
-        for j in range(n):
-            if {self.table[i][j] for i in range(n)} != full:
+        columns = list(zip(*t))
+        for j, col in enumerate(columns):
+            if set(col) != full:
                 raise ValueError(f"column {j} is not a permutation (Latin square fails)")
-        e = self.identity
+        ident = tuple(range(n))
+        if tuple(t[e]) != ident or columns[e] != ident:
+            a = next(a for a in ident if t[e][a] != a or t[a][e] != a)
+            raise ValueError(f"declared identity {e} does not act as identity on {a}")
         for a in range(n):
-            if self.table[e][a] != a or self.table[a][e] != a:
-                raise ValueError(f"declared identity {e} does not act as identity on {a}")
-        for a in range(n):
-            if self.identity not in self.table[a]:
+            if e not in t[a]:
                 raise ValueError(f"element {a} has no inverse")
         # Light's test: the s with (x s) y = x (s y) for all x, y contain the
         # identity and are closed under products, so checking them on a
-        # generating set proves associativity in O(n^2) per generator.  Only
-        # a failure pays for the full scan, which names the first triple.
-        t = self.table
-        if any(any(map(ne, map(t[x].__getitem__, t[s]), t[t[x][s]]))
-               for s in _generating_set(self) for x in range(n)):
+        # generating set proves associativity in O(n^2) per generator, row
+        # against row: x (s y) is row x read at the entries of row s, and
+        # (x s) y is the row of x s.  Only a failure pays for the full scan,
+        # which names the first triple.
+        if any(any(map(operator.ne, map(itemgetter(*t[s]), t), _gather(t, columns[s])))
+               for s in _generating_set(self)):
             for a, b, c in product(range(n), repeat=3):
                 if t[t[a][b]][c] != t[a][t[b][c]]:
                     raise ValueError(f"associativity fails on triple ({a}, {b}, {c})")
@@ -434,9 +437,8 @@ class Cochain:
     def first_nonzero(self) -> tuple[int, ...] | None:
         """The arguments of the first nonzero value in mixed-radix
         (lexicographic) order, or None for the zero cochain."""
-        z = self.coeffs.zero()
-        args = product(range(self.group.order), repeat=self.degree)
-        return next((a for a, v in zip(args, self.values) if v != z), None)
+        nonzero = map(operator.ne, self.values, repeat(self.coeffs.zero()))
+        return next(compress(product(range(self.group.order), repeat=self.degree), nonzero), None)
 
     def _same_space(self, other: "Cochain") -> None:
         if (self.group is not other.group and self.group != other.group) or \
@@ -514,6 +516,11 @@ def _incidence(table: tuple[tuple[int, ...], ...], n: int) -> tuple[tuple[int, .
     return tuple(cols)
 
 
+def _gather(seq: Sequence[int], indices: Sequence[int]) -> tuple[int, ...]:
+    """(seq[i] for i in indices) as a tuple by one itemgetter, even for one index."""
+    return itemgetter(*indices)(seq) if len(indices) > 1 else (seq[indices[0]],)
+
+
 def coboundary(f: Cochain) -> Cochain:
     """d_n f for n <= 2: the face columns of the incidence summed with their
     signs, one coordinate mod m_k at a time."""
@@ -523,12 +530,12 @@ def coboundary(f: Cochain) -> Cochain:
     faces = _incidence(f.group.table, n)
     coords = []
     for k, m in enumerate(f.coeffs.orders):
-        x = [v[k] for v in f.values]
-        acc = [0] * len(faces[0])
-        for i, col in enumerate(faces):
-            sign = (-1) ** i
-            acc = [a + sign * x[c] for a, c in zip(acc, col)]
-        coords.append([a % m for a in acc])
+        x = list(map(itemgetter(k), f.values))
+        terms = [_gather(x, col) for col in faces]
+        acc = terms[0]
+        for i, term in enumerate(terms[1:], 1):
+            acc = map(operator.sub if i % 2 else operator.add, acc, term)
+        coords.append(list(map(m.__rmod__, acc)))
     values = tuple(zip(*coords)) if coords else ((),) * len(faces[0])
     return Cochain(f.group, f.coeffs, n + 1, values)
 
@@ -738,12 +745,13 @@ class GroupHom:
     def validate(self) -> None:
         if self.values[self.source.identity] != self.target.identity:
             raise ValueError("map does not send identity to identity")
+        # v(a b) = v(a) v(b) on row a at once; a failing row is rescanned
         v, target = self.values, self.target.table
         for a, row in enumerate(self.source.table):
             image_row = target[v[a]]
-            for b, ab in enumerate(row):
-                if v[ab] != image_row[v[b]]:
-                    raise ValueError(f"multiplicativity fails on pair ({a}, {b})")
+            if _gather(v, row) != _gather(image_row, v):
+                b = next(b for b, ab in enumerate(row) if v[ab] != image_row[v[b]])
+                raise ValueError(f"multiplicativity fails on pair ({a}, {b})")
 
     def is_surjective(self) -> bool:
         return set(self.values) == set(self.target.elements())
@@ -767,9 +775,9 @@ def _generating_set(group: FiniteGroup) -> list[int]:
         frontier = [group.identity]
         generated = {group.identity}
         while frontier:
-            x = frontier.pop()
+            row = group.table[frontier.pop()]
             for g in gens:
-                y = group.mul(x, g)
+                y = row[g]
                 if y not in generated:
                     generated.add(y)
                     frontier.append(y)
@@ -857,7 +865,6 @@ def construct_splitting(E: FiniteGroup, sigma: GroupHom, extension, phi: Cochain
         values.append(G.mul(s_idx, i_idx))
     U = GroupHom(E, G, tuple(values))
     U.validate()
-    for g in E.elements():
-        if extension.projection(U(g)) != sigma(g):
-            raise RuntimeError("lift does not cover sigma")  # unreachable if phi valid
+    if _gather(extension.projection.values, values) != tuple(sigma.values):
+        raise RuntimeError("lift does not cover sigma")  # unreachable if phi valid
     return U

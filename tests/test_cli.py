@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from cohomkit.cli import EXIT_MATH, EXIT_OK, EXIT_USAGE, main
+from cohomkit.cli import EXIT_MATH, EXIT_OK, EXIT_PIPE, EXIT_USAGE, main
 
 
 def run(capsys, *argv):
@@ -817,3 +817,38 @@ def test_group_extension_build_writes_reloadable_table(capsys, tmp_path):
     reloaded = CentralExtensionTable.from_json(out.read_text())
     reloaded.validate()
     assert reloaded.to_json() == out.read_text()
+
+
+def test_closed_stdout_exits_141_without_traceback():
+    # the reader of the pipe is gone before the child writes its report
+    import subprocess
+    import sys
+
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "cohomkit.cli", "group", "correspondence",
+                               "--cover", "z8", "--base", "z4", "--coeff", "z2"],
+                              stdout=write_end, stderr=subprocess.PIPE, env=_child_env(),
+                              timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == EXIT_PIPE == 141
+    assert proc.stderr == b""
+
+
+def test_group_h_does_not_import_the_extension_module():
+    import subprocess
+    import sys
+
+    script = ("import sys\n"
+              "from cohomkit.cli import main\n"
+              "main(sys.argv[1:])\n"
+              "sys.exit(3 if 'cohomkit.ext' in sys.modules else 0)")
+    h = ["group", "h", "--group", "q8", "--coeff", "z2", "--degree", "2"]
+    cocycles = ["group", "cocycles", "--group", "s3", "--coeff", "z2", "--degree", "1"]
+    correspondence = ["group", "correspondence", "--cover", "z4", "--base", "z2", "--coeff", "z2"]
+    codes = [subprocess.run([sys.executable, "-c", script, *argv], capture_output=True,
+                            env=_child_env(), timeout=120).returncode
+             for argv in (h, cocycles, correspondence)]
+    assert codes == [0, 0, 3]  # the last one needs ext and loads it

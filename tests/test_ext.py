@@ -448,6 +448,83 @@ def test_correspondence_requires_central_kernel():
 
 
 # ---------------------------------------------------------------------------
+# validation of hand-built extension tables: one bad table per raise site
+# (an injectivity failure of the embedding cannot be built: i(a) is read off
+# the addition table of A, whose rows differ)
+
+
+def _relabelled(table, perm):
+    """The group table with element x renamed perm[x]."""
+    inv = {v: k for k, v in enumerate(perm)}
+    return tuple(tuple(perm[table[inv[a]][inv[b]]] for b in range(len(perm)))
+                 for a in range(len(perm)))
+
+
+def _hand_built(P, A, carrier_table, projection=None):
+    n = P.order
+    carrier = FiniteGroup(len(carrier_table), carrier_table, 0, "hand-built")
+    values = projection or tuple(g % n for g in range(carrier.order))
+    return CentralExtensionTable(P, A, Cochain.zero(P, A, 2), carrier,
+                                 GroupHom(carrier, P, values))
+
+
+def _klein_over_z2(projection):
+    """Z2 x Z2 = ext(z2; 2) of the zero cocycle, with a hand-set projection."""
+    carrier = ext_module.build_extension(Z2, A2, Cochain.zero(Z2, A2, 2)).carrier
+    return _hand_built(Z2, A2, carrier.table, projection)
+
+
+def _s3_over_z2():
+    """S3 as r^a s^p at index 2a + p: the projection to Z2 is the sign, and
+    its kernel A3 = i(Z3) is normal but not central."""
+    def idx(a, p):
+        return 2 * (a % 3) + p
+
+    table = tuple(tuple(idx(a + (b if p == 0 else -b), (p + q) % 2)
+                        for b in range(3) for q in range(2))
+                  for a in range(3) for p in range(2))
+    return _hand_built(Z2, coefficients_by_name("z3"), table)
+
+
+_BAD_TABLES = [
+    ("carrier-order", lambda: _hand_built(Z2, A2, group_by_name("z8").table),
+     "carrier order is not |A| * |P|"),
+    # Z4 renamed so that i(1), index 2, is a generator: i(1) i(1) != i(0)
+    ("embedding", lambda: _hand_built(Z2, A2, _relabelled(group_by_name("z4").table,
+                                                          (0, 2, 1, 3))),
+     "kernel embedding is not a homomorphism"),
+    ("projection-hom", lambda: _klein_over_z2((0, 1, 1, 1)),
+     "multiplicativity fails on pair (1, 2)"),
+    ("projection-onto", lambda: _klein_over_z2((0, 0, 0, 0)), "projection is not surjective"),
+    # (a, p) -> a is onto, with kernel {(0, 0), (0, 1)}, not i(A) = {(0, 0), (1, 0)}
+    ("projection-kernel", lambda: _klein_over_z2((0, 0, 1, 1)),
+     "kernel of the projection is not the embedded A"),
+    ("centrality", _s3_over_z2, "embedded kernel element 2 is not central"),
+]
+
+
+@pytest.mark.parametrize("build, message", [case[1:] for case in _BAD_TABLES],
+                         ids=[case[0] for case in _BAD_TABLES])
+def test_validate_names_the_defect_of_a_hand_built_table(build, message):
+    with pytest.raises(ValueError) as err:
+        build().validate()
+    assert str(err.value) == message
+
+
+def test_validate_reports_a_carrier_that_is_no_group():
+    # a normalized non-cocycle gives a loop: the carrier check fails first,
+    # with the full-scan oracle's message
+    P, A = group_by_name("s3"), coefficients_by_name("z2")
+    e = P.identity
+    w = Cochain.from_function(P, A, 2, lambda p, q: (0,) if e in (p, q) else (p * q % 2,))
+    forced = build_extension(P, A, w, validate=False)
+    with pytest.raises(ValueError) as err:
+        forced.validate()
+    assert str(err.value).startswith("associativity fails on triple")
+    assert str(err.value) == assert_validate_matches_full_scan(forced.carrier)
+
+
+# ---------------------------------------------------------------------------
 # JSON export
 
 

@@ -514,10 +514,64 @@ def test_inflation_nonsurjective_warns():
     assert any("non-surjective" in str(w.message) for w in caught)
 
 
+def _hom_verdict(h):
+    """Test-local oracle for `GroupHom.validate`: the same checks by a plain
+    double loop over (a, b) in lexicographic order."""
+    if h.values[h.source.identity] != h.target.identity:
+        return "map does not send identity to identity"
+    for a in h.source.elements():
+        for b in h.source.elements():
+            if h.values[h.source.mul(a, b)] != h.target.mul(h.values[a], h.values[b]):
+                return f"multiplicativity fails on pair ({a}, {b})"
+    return None
+
+
+def _hom_message(h):
+    try:
+        h.validate()
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
 def test_hom_validation_rejects_bad_table():
     z4, z2 = group_by_name("z4"), group_by_name("z2")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^multiplicativity fails on pair \(1, 1\)$"):
         GroupHom(z4, z2, (0, 1, 1, 0)).validate()
+    # seeded value tables that fix the identity: uniformly random ones,
+    # homomorphisms with one or two values changed, and maps constant on the
+    # four cosets of a normal subgroup that holds element 1, whose rows then
+    # pass, so the first failure lies in a later row; the message names the
+    # oracle's first pair
+    rng = random.Random(2020)
+    Q8, A2 = group_by_name("q8"), AbelianCoefficients((2,))
+    w = cocycle_space(Q8, A2, 2).generators[-1][0]
+    sources = [z4, Q8, group_by_name("s3"), build_extension(Q8, A2, w).carrier]
+    cosets = {"q8": lambda x: x // 2, "ext(q8;2)": lambda x: x % 8 // 2}
+    rejected = 0
+    for source in sources:
+        homs = [GroupHom.identity_map(source)]
+        for orders in ((2,), (2, 2), (4,)):
+            homs += hom_group(source, AbelianCoefficients(orders))
+        for trial in range(24):
+            h = homs[trial % len(homs)] if trial % 3 else rng.choice(homs)
+            values = list(h.values)
+            if trial % 4 == 0:
+                values = [rng.randrange(h.target.order) for _ in values]
+            elif trial % 4 == 1 and source.name in cosets:
+                f = [h.target.identity] + [rng.randrange(h.target.order) for _ in range(3)]
+                values = [f[cosets[source.name](x)] for x in source.elements()]
+            else:
+                for _ in range(1 + trial % 2):
+                    values[rng.choice(range(1, source.order))] = rng.randrange(h.target.order)
+            values[source.identity] = h.target.identity
+            bad = GroupHom(source, h.target, tuple(values))
+            expected = _hom_verdict(bad)
+            assert _hom_message(bad) == expected, (source.name, trial)
+            rejected += expected is not None
+        for h in homs:
+            assert _hom_message(h) is None and _hom_verdict(h) is None
+    assert rejected >= 50
 
 
 def test_delta_delta_zero_s3_z6_fifty_cochains():
