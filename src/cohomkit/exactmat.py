@@ -1,23 +1,22 @@
 """Exact linear algebra over the rationals, prime fields, and the integers.
 
 Every rank, kernel, and quotient computation in the toolkit bottoms out here,
-so nothing in this module touches floating point.  Rational matrices carry
-`fractions.Fraction` entries; prime-field matrices carry reduced residues;
-integer matrices carry arbitrary-precision ints and support Smith normal form
-(the presentation of finitely generated abelian groups as divisor chains).
+so nothing in this module touches floating point.  Over Q a matrix is sparse
+rows, {column: Fraction} maps of the nonzeros, and a vector is a dense
+tuple; prime-field matrices carry reduced residues; integer matrices carry
+arbitrary-precision ints and support Smith normal form (the presentation of
+finitely generated abelian groups as divisor chains).
 
-Rational rank runs a sparse fraction-free elimination over Z: each row is a
-{column: int} map of its nonzeros, cleared of denominators once; the
-sparsest row is the next pivot, only rows with a nonzero in its column are
-updated, and each updated row is divided by its content.  Stored rows stay
-primitive multiples of Gaussian-elimination rows, so Hadamard's bound on the
-minors bounds their entries, and a sparse matrix (a Chevalley-Eilenberg
-differential) costs about its nonzeros rather than rows x cols per pivot.
-Dense rational matrices are about twice as slow as under a dense Bareiss
-sweep; no caller has them.  Reduced echelon forms are another algorithm on
-purpose: `Echelon` grows the unique RREF basis of a subspace one vector at a
-time on sparse Fraction rows, pivots leftmost, and `RationalMatrix.rref`
-(so `kernel_basis` and `solve`) and `liealg.Subspace` run on it.
+Rational rank clears each row of denominators into a {column: int} map and
+runs a sparse fraction-free elimination over Z: the sparsest row is the next
+pivot, only rows with a nonzero in its column are updated, and each updated
+row is divided by its content, so rows stay primitive multiples of
+Gaussian-elimination rows (Hadamard's bound holds their entries) and a
+matrix costs about its nonzeros per pivot.  Reduced echelon forms are
+another algorithm on purpose: `Echelon` grows the unique RREF basis of a
+subspace one dense vector at a time on sparse Fraction rows, pivots
+leftmost, and `RationalMatrix.rref` (so `kernel_basis` and `solve`) and
+`liealg.Subspace` run on it.
 
 Over Z/p^e one elimination on reduced residues, where no entry grows, gives
 the elementary divisors (GF(p) rank is the e = 1 case) and, by the column
@@ -27,9 +26,10 @@ row operation is one XOR; coboundary matrices are the largest matrices the
 toolkit sees.  Smith form with transforms over Z, `smith_transforms`, has no
 caller left in the package.
 
-All matrix values are immutable after construction and safe to share; an
-`Echelon` is mutable and belongs to its owner.  `check_dense` refuses a
-dense object of more than DENSE_CELL_LIMIT cells before it is built.
+All matrix values are immutable after construction (no code writes to a row
+map) and safe to share; an `Echelon` is mutable and belongs to its owner.
+`check_dense` refuses a dense object of more than DENSE_CELL_LIMIT cells
+before it is built.
 """
 
 from __future__ import annotations
@@ -144,74 +144,39 @@ class Echelon:
 
 @dataclass(frozen=True)
 class RationalMatrix:
-    """Dense matrix over Q, row-major, immutable."""
+    """Matrix over Q, immutable.  Row i is a {column: Fraction} map of its
+    nonzero entries, columns in 0..cols-1; a zero row is an empty map."""
 
     rows: int
     cols: int
-    entries: tuple[tuple[Fraction, ...], ...]
+    entries: tuple[dict[int, Fraction], ...]
 
     def __post_init__(self):
         if len(self.entries) != self.rows:
-            raise ValueError("row count does not match entry grid")
+            raise ValueError("row count does not match the stored rows")
         for row in self.entries:
-            if len(row) != self.cols:
-                raise ValueError("column count does not match entry grid")
+            if row and not (0 <= min(row) and max(row) < self.cols):
+                raise ValueError(f"column index outside 0..{self.cols - 1}")
+            if not all(row.values()):
+                raise ValueError("a sparse row stores a zero entry")
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable]) -> "RationalMatrix":
-        data = tuple(tuple(Fraction(x) for x in row) for row in rows)
-        nrows = len(data)
+        """The matrix of dense rows of equal length."""
+        data = [[Fraction(x) for x in row] for row in rows]
         ncols = len(data[0]) if data else 0
-        return cls(nrows, ncols, data)
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "RationalMatrix":
-        zero = Fraction(0)
-        return cls(rows, cols, tuple(tuple(zero for _ in range(cols)) for _ in range(rows)))
-
-    @classmethod
-    def identity(cls, n: int) -> "RationalMatrix":
-        return cls(n, n, tuple(tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n)))
-
-    def __getitem__(self, key):
-        i, j = key
-        return self.entries[i][j]
-
-    def transpose(self) -> "RationalMatrix":
-        return RationalMatrix(
-            self.cols, self.rows,
-            tuple(tuple(self.entries[i][j] for i in range(self.rows)) for j in range(self.cols)),
-        )
-
-    def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch in matrix product")
-        zero = Fraction(0)
-        out = [[zero] * other.cols for _ in range(self.rows)]
-        for i in range(self.rows):
-            row = self.entries[i]
-            acc = out[i]
-            for k in range(self.cols):
-                a = row[k]
-                if not a:
-                    continue
-                orow = other.entries[k]
-                for j in range(other.cols):
-                    b = orow[j]
-                    if b:
-                        acc[j] += a * b
-        return RationalMatrix(self.rows, other.cols, tuple(tuple(r) for r in out))
+        if any(len(row) != ncols for row in data):
+            raise ValueError("rows differ in length")
+        return cls(len(data), ncols,
+                   tuple({j: x for j, x in enumerate(row) if x} for row in data))
 
     def apply(self, vec: Sequence) -> tuple[Fraction, ...]:
         """Matrix-vector product over Q."""
         if len(vec) != self.cols:
             raise ValueError("vector length does not match column count")
         v = [Fraction(x) for x in vec]
-        return tuple(sum((row[j] * v[j] for j in range(self.cols) if row[j]), Fraction(0))
+        return tuple(sum((x * v[j] for j, x in row.items()), Fraction(0))
                      for row in self.entries)
-
-    def is_zero(self) -> bool:
-        return all(not x for row in self.entries for x in row)
 
     def rank(self) -> int:
         """Rank by sparse fraction-free elimination over Z.
@@ -224,14 +189,13 @@ class RationalMatrix:
         on the minors bounds its entries."""
         live = []
         for row in self.entries:
-            nz = {j: x for j, x in enumerate(row) if x}
-            if nz:
+            if row:
                 # lcm of the denominators over gcd of the numerators scales
                 # the row to its primitive integer multiple
-                den = lcm(*(x.denominator for x in nz.values()))
-                num = gcd(*(x.numerator for x in nz.values()))
+                den = lcm(*(x.denominator for x in row.values()))
+                num = gcd(*(x.numerator for x in row.values()))
                 live.append({j: x.numerator * (den // x.denominator) // num
-                             for j, x in nz.items()})
+                             for j, x in row.items()})
         r = 0
         while live:
             k = min(range(len(live)), key=lambda i: len(live[i]))
@@ -268,11 +232,12 @@ class RationalMatrix:
         return r
 
     def rref(self) -> tuple["RationalMatrix", tuple[int, ...]]:
-        """Reduced row echelon form and its pivot columns."""
+        """Reduced row echelon form and its pivot columns; the rows past
+        the rank are empty."""
         ech = Echelon(self.cols)
         for row in self.entries:
-            ech.add(row)
-        rows = ech.rows() + [(Fraction(0),) * self.cols] * (self.rows - len(ech.pivots))
+            ech.add([row.get(j, 0) for j in range(self.cols)])
+        rows = ech._rows + [{} for _ in range(self.rows - len(ech.pivots))]
         return RationalMatrix(self.rows, self.cols, tuple(rows)), tuple(ech.pivots)
 
     def kernel_basis(self) -> list[tuple[Fraction, ...]]:
@@ -285,8 +250,9 @@ class RationalMatrix:
         for f in free:
             v = [Fraction(0)] * self.cols
             v[f] = Fraction(1)
-            for r, c in enumerate(pivots):
-                v[c] = -red.entries[r][f]
+            for row, c in zip(red.entries, pivots):
+                if f in row:
+                    v[c] = -row[f]
             basis.append(tuple(v))
         return basis
 
@@ -294,15 +260,15 @@ class RationalMatrix:
         """One solution of M x = rhs, or None when inconsistent."""
         if len(rhs) != self.rows:
             raise ValueError("right-hand side length does not match row count")
-        aug = RationalMatrix.from_rows(
-            [list(self.entries[i]) + [Fraction(rhs[i])] for i in range(self.rows)]
-        )
+        n = self.cols
+        aug = RationalMatrix(self.rows, n + 1, tuple(
+            {**row, n: b} if b else row for row, b in zip(self.entries, map(Fraction, rhs))))
         red, pivots = aug.rref()
-        if self.cols in pivots:
+        if n in pivots:
             return None
-        x = [Fraction(0)] * self.cols
-        for r, c in enumerate(pivots):
-            x[c] = red.entries[r][self.cols]
+        x = [Fraction(0)] * n
+        for row, c in zip(red.entries, pivots):
+            x[c] = row.get(n, x[c])
         return tuple(x)
 
 

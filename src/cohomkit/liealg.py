@@ -262,12 +262,12 @@ class Grading:
                           for i, c in col.items()), Fraction(0))
             if square <= 0 or square.denominator != 1:
                 continue
-            ad = [[cols[j].get(i, Fraction(0)) for j in range(n)] for i in range(n)]
+            ad = [{j: col[i] for j, col in enumerate(cols) if i in col} for i in range(n)]
             bound = isqrt(square.numerator)
             spaces = []
             for lam in sorted(range(-bound, bound + 1), key=abs):
                 shifted = RationalMatrix(n, n, tuple(
-                    tuple(c - lam if i == j else c for j, c in enumerate(row))
+                    {j: c for j, c in {**row, i: row.get(i, Fraction(0)) - lam}.items() if c}
                     for i, row in enumerate(ad)))
                 spaces += [(lam, v) for v in shifted.kernel_basis()]
                 if len(spaces) == n:

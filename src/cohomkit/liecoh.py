@@ -37,6 +37,7 @@ from bisect import bisect
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from math import comb
 
@@ -44,10 +45,8 @@ from .exactmat import RationalMatrix, check_dense
 from .liealg import LieAlgebra, LieElement, StructureConstantError
 
 __all__ = [
-    "CEComplex",
     "LieCocycle2",
     "ce_differential",
-    "lie_cohomology_dim",
     "lie_central_extension",
     "splitting_cochain",
     "cohomology_report",
@@ -65,27 +64,29 @@ def _pair_index(n: int, i: int, j: int) -> int:
     return i * (2 * n - i - 1) // 2 + j - i - 1
 
 
-def _weight_counts(weights) -> list[Counter]:
+@lru_cache
+def _weight_counts(weights: tuple[int, ...]) -> tuple[Counter, ...]:
     """Coefficients of prod_a (1 + y z^weights[a]): entry k maps each weight
-    w to dim C^k_w, the number of k-subsets T with sum_{a in T} weights[a] = w."""
+    w to dim C^k_w, the number of k-subsets T with sum_{a in T} weights[a] = w.
+    Cached per weight tuple; callers only read the counts."""
     counts = [Counter({0: 1})]
     for w in weights:
         counts.append(Counter())
         for k in range(len(counts) - 1, 0, -1):
             for total, c in counts[k - 1].items():
                 counts[k][total + w] += c
-    return counts
+    return tuple(counts)
 
 
 def _differential(brackets, target, source) -> RationalMatrix:
     """Matrix of d from the cochains on the `source` wedge tuples to those on
     `target`, for a sparse bracket table; every T minus {i, j} plus one index
-    of the support of [x_i, x_j] must lie in `source`."""
+    of the support of [x_i, x_j] must lie in `source`.  Each row holds only
+    its nonzero entries."""
     col_index = {t: c for c, t in enumerate(source)}
-    zero = Fraction(0)
     rows = []
     for tup in target:
-        row = [zero] * len(source)
+        row = {}
         for i in range(len(tup)):
             for j in range(i + 1, len(tup)):
                 support = brackets[tup[i]][tup[j]]
@@ -97,8 +98,9 @@ def _differential(brackets, target, source) -> RationalMatrix:
                         continue
                     pos = bisect(rest, m)
                     col = col_index[rest[:pos] + (m,) + rest[pos:]]
-                    row[col] += -coef if (i + j + pos) % 2 else coef
-        rows.append(tuple(row))
+                    x = -coef if (i + j + pos) % 2 else coef
+                    row[col] = row[col] + x if col in row else x
+        rows.append({c: x for c, x in row.items() if x})
     return RationalMatrix(len(target), len(source), tuple(rows))
 
 
@@ -128,30 +130,6 @@ def ce_differential(g: LieAlgebra, k: int, weight: int | None = None) -> Rationa
     target, source = ([t for t in combinations(range(n), j) if sum(w[a] for a in t) == weight]
                       for j in (k + 1, k))
     return _differential(g.grading.brackets, target, source)
-
-
-@dataclass(frozen=True)
-class CEComplex:
-    """Differentials d_0 ... d_max of the wedge cochain complex of one algebra."""
-
-    algebra: LieAlgebra
-    differentials: tuple[RationalMatrix, ...]
-
-    @classmethod
-    def build(cls, g: LieAlgebra, up_to: int = 3) -> "CEComplex":
-        top = min(up_to, g.dim)
-        return cls(g, tuple(ce_differential(g, k) for k in range(top + 1)))
-
-    def verify_d_squared(self) -> bool:
-        for k in range(len(self.differentials) - 1):
-            if not (self.differentials[k + 1] @ self.differentials[k]).is_zero():
-                return False
-        return True
-
-
-def lie_cohomology_dim(g: LieAlgebra, k: int) -> int:
-    """dim H^k(g, R) = dim ker d_k - rank d_{k-1}."""
-    return cohomology_report(g, k)["dim_H"]
 
 
 def cohomology_report(g: LieAlgebra, k: int) -> dict:
@@ -273,6 +251,6 @@ def splitting_cochain(g: LieAlgebra, omega: LieCocycle2):
     H^2(g, R) = 0; the returned phi splits the central extension through the
     change of basis x -> x - phi(x) z.
     """
-    d1 = ce_differential(g, 1)
-    sol = d1.solve(list(omega.coeffs))
-    return sol
+    if omega.algebra is not g:
+        raise ValueError("cocycle belongs to a different algebra")
+    return ce_differential(g, 1).solve(omega.coeffs)

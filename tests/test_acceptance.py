@@ -254,10 +254,10 @@ def test_criterion_07_lie_inputs():
     ab2 = liealg.builtin("abelian(2)")
     checks = {
         "perfect(p4)": liealg.is_perfect(p4),
-        "H2(p4)=0": liecoh.lie_cohomology_dim(p4, 2) == 0,
+        "H2(p4)=0": liecoh.cohomology_report(p4, 2)["dim_H"] == 0,
         "not perfect(p2)": not liealg.is_perfect(p2),
-        "H2(abelian2)=1": liecoh.lie_cohomology_dim(ab2, 2) == 1,
-        "H2(p2)=1": liecoh.lie_cohomology_dim(p2, 2) == 1,
+        "H2(abelian2)=1": liecoh.cohomology_report(ab2, 2)["dim_H"] == 1,
+        "H2(p2)=1": liecoh.cohomology_report(p2, 2)["dim_H"] == 1,
     }
     elapsed = time.perf_counter() - start
     ok = all(checks.values())
