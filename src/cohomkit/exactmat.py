@@ -198,8 +198,8 @@ class RationalMatrix:
                              for j, x in row.items()})
         r = 0
         while live:
-            k = min(range(len(live)), key=lambda i: len(live[i]))
-            piv = live.pop(k)
+            piv = min(live, key=len)  # the first sparsest row: no earlier row equals it
+            live.remove(piv)
             r += 1
             c = min(piv, key=lambda j: abs(piv[j]))
             p = piv[c]

@@ -449,21 +449,24 @@ def generated_subalgebra(g: LieAlgebra, gens: Sequence[LieElement]) -> Subspace:
 
     Span-closure iteration: brackets of every pair of basis elements,
     repeated until the dimension stabilizes (at most dim(g) rounds); the
-    generators' brackets are among them.  Generators are normalized to
-    rational directions, which leaves the closure unchanged; a generator
+    generators' brackets are among them.  A span that reaches dim(g) is
+    returned at once, since g itself is closed.  Generators are normalized
+    to rational directions, which leaves the closure unchanged; a generator
     with an inexact coefficient raises ValueError.
     """
     if not gens:
         raise ValueError("generator list is empty")
     span = Subspace(g, gens)
-    while True:
+    while span.dim < g.dim:
         before = span.dim
         current = span.basis()
         for i, a in enumerate(current):
             for b in current[i + 1:]:
-                span.add(a.bracket(b))
+                if span.add(a.bracket(b)) and span.dim == g.dim:
+                    return span
         if span.dim == before:
-            return span
+            break
+    return span
 
 
 def ideal_closure(g: LieAlgebra, x: LieElement) -> Subspace:

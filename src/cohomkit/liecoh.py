@@ -38,7 +38,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import chain, combinations, product
 from math import comb
 
 from .exactmat import RationalMatrix, check_dense
@@ -76,6 +76,35 @@ def _weight_counts(weights: tuple[int, ...]) -> tuple[Counter, ...]:
             for total, c in counts[k - 1].items():
                 counts[k][total + w] += c
     return tuple(counts)
+
+
+@lru_cache(maxsize=256)
+def _weight_tuples(weights: tuple[int, ...], k: int, w: int) -> tuple[tuple[int, ...], ...]:
+    """The k-subsets T of range(len(weights)) with sum_{a in T} weights[a] =
+    w, as increasing tuples in lexicographic order.
+
+    Each such T is a union of combinations within the weight classes, so
+    only the class counts (c_x) with sum c_x = k are listed, and only those
+    with sum c_x x = w are expanded; no subset outside the block is formed.
+    Cached per (weights, k, w) like `_weight_counts`: d_k and d_(k-1) both
+    need the degree-k tuples, and callers only read them."""
+    classes: dict[int, list[int]] = {}
+    for a, x in enumerate(weights):
+        classes.setdefault(x, []).append(a)
+    # (indices still to pick, weight so far, count per class so far)
+    partial = [(k, 0, ())]
+    room = len(weights)  # indices in the classes not yet counted
+    for x, idx in classes.items():
+        room -= len(idx)
+        partial = [(r - j, s + j * x, counts + (j,)) for r, s, counts in partial
+                   for j in range(max(0, r - room), min(len(idx), r) + 1)]
+    tuples = []
+    for r, s, counts in partial:
+        if r == 0 and s == w:
+            tuples.extend(map(tuple, map(sorted, map(chain.from_iterable, product(
+                *map(combinations, classes.values(), counts))))))
+    tuples.sort()
+    return tuple(tuples)
 
 
 def _differential(brackets, target, source) -> RationalMatrix:
@@ -127,9 +156,8 @@ def ce_differential(g: LieAlgebra, k: int, weight: int | None = None) -> Rationa
     if weight is None:
         return _differential(g.brackets, _wedge_basis(n, k + 1), _wedge_basis(n, k))
     w = g.grading.weights
-    target, source = ([t for t in combinations(range(n), j) if sum(w[a] for a in t) == weight]
-                      for j in (k + 1, k))
-    return _differential(g.grading.brackets, target, source)
+    return _differential(g.grading.brackets, _weight_tuples(w, k + 1, weight),
+                         _weight_tuples(w, k, weight))
 
 
 def cohomology_report(g: LieAlgebra, k: int) -> dict:

@@ -23,8 +23,10 @@ numeric, so the triple's identities are bounded relative to their
 conditioning.  The dense kernels are a few BLAS calls each: `commutant`
 solves only on the eigenspaces of one Hermitian element of M (M' lies inside
 its commutant; eigenvalues within the relative gap _CLUSTER_GAP = 1e-3 share
-an eigenspace), and every distance to an algebra is a batched residual
-x - (x B^H) B against its basis B.
+an eigenspace) and builds only the block of its Gram matrix on those
+eigenspaces, and every distance to an algebra is a batched residual
+x - (x B^H) B against its basis B; the product checks of closure run it row
+by row in work arrays allocated once per call.
 """
 
 from __future__ import annotations
@@ -141,7 +143,8 @@ class MatrixAlgebra:
         """Frobenius distance from x to the algebra: a float for one matrix,
         an array of them for a stack."""
         x = np.asarray(x, dtype=complex)
-        dist = _residuals(self.basis, x.reshape(-1, self.dim, self.dim))
+        stack = x.reshape(-1, self.dim, self.dim)
+        dist = _Distances(self.basis, stack.shape[0])(stack)
         return float(dist[0]) if x.ndim == 2 else dist
 
     def contains(self, x: np.ndarray) -> bool:
@@ -155,8 +158,8 @@ class MatrixAlgebra:
             raise ValueError("algebra does not contain the identity")
         if np.max(self.distance(self.basis.conj().transpose(0, 2, 1))) > _BASIS_TOL:
             raise ValueError("algebra is not closed under adjoints")
-        for a in self.basis:
-            if np.max(self.distance(a @ self.basis)) > _BASIS_TOL:
+        for _, dist in _product_residuals(self.basis):
+            if np.max(dist) > _BASIS_TOL:
                 raise ValueError("algebra is not closed under products")
 
     def random_element(self, rng: np.random.Generator) -> np.ndarray:
@@ -173,13 +176,42 @@ class MatrixAlgebra:
                 and other.contains_algebra(self))
 
 
-def _residuals(basis: np.ndarray, mats: np.ndarray) -> np.ndarray:
-    """Frobenius distance of each matrix in the stack `mats` from the span
-    of the trace-orthonormal stack `basis`: the rows of x - (x B^H) B with
-    x and B the stacks flattened to rows."""
-    flat = basis.reshape(basis.shape[0], -1)
-    x = mats.reshape(mats.shape[0], -1)
-    return np.linalg.norm(x - (x @ flat.conj().T) @ flat, axis=1)
+def _product_residuals(basis: np.ndarray):
+    """Yield, for each a in the trace-orthonormal stack `basis`, the stack
+    a @ basis and the distance of each of its matrices from the span.  Every
+    step reuses the same arrays, so both are overwritten by the next one:
+    fresh k x d^2 temporaries per row are mapped from the system and faulted
+    in again on every call once d is large."""
+    distances = _Distances(basis, basis.shape[0])
+    prods = np.empty_like(basis)
+    for a in basis:
+        np.matmul(a, basis, out=prods)
+        yield prods, distances(prods)
+
+
+class _Distances:
+    """Frobenius distance of each matrix in a stack of `rows` matrices from
+    the span of the trace-orthonormal stack `basis`: the row norms of
+    x - (x B^H) B with x and B the stacks flattened to rows, with the
+    arithmetic of np.linalg.norm(..., axis=1) but in work arrays allocated
+    once; each call overwrites the array the previous one returned."""
+
+    def __init__(self, basis: np.ndarray, rows: int):
+        self.flat = basis.reshape(basis.shape[0], -1)
+        self.flat_h = self.flat.conj().T
+        self.coef = np.empty((rows, self.flat.shape[0]), dtype=complex)
+        self.res = np.empty((rows, self.flat.shape[1]), dtype=complex)
+        self.sq = np.empty_like(self.res)
+        self.dist = np.empty(rows)
+
+    def __call__(self, mats: np.ndarray) -> np.ndarray:
+        x = mats.reshape(self.res.shape)
+        np.matmul(x, self.flat_h, out=self.coef)
+        np.matmul(self.coef, self.flat, out=self.res)
+        np.subtract(x, self.res, out=self.res)
+        np.multiply(np.conjugate(self.res, out=self.sq), self.res, out=self.sq)
+        np.add.reduce(self.sq.real, axis=1, out=self.dist)
+        return np.sqrt(self.dist, out=self.dist)
 
 
 def _orthonormalize(dim: int, mats: Sequence[np.ndarray]) -> np.ndarray:
@@ -213,9 +245,8 @@ def algebra_closure(generators) -> MatrixAlgebra:
         seed.append(g.conj().T)
     basis = _orthonormalize(d, seed)
     while True:
-        outside = [a @ b for a in basis
-                   for b, r in zip(basis, _residuals(basis, a @ basis))
-                   if r > _ORTHONORMAL_CUTOFF]
+        outside = [p for prods, dist in _product_residuals(basis)
+                   for p in prods[dist > _ORTHONORMAL_CUTOFF]]
         new_basis = _orthonormalize(d, list(basis) + outside)
         if new_basis.shape[0] == basis.shape[0]:
             return MatrixAlgebra(d, new_basis)
@@ -235,16 +266,34 @@ def commutant(m: MatrixAlgebra) -> MatrixAlgebra:
     2.  Eigenvalues closer than `_CLUSTER_GAP` times max |lambda| share a
     block; merging is safe, it only enlarges the space searched.
 
-    In the eigenbasis U of h the Gram matrix G of the op_b is built in
-    closed form,
-
-        G = 1 (x) (sum_b b^H b) + (sum_b conj(b) b^T) (x) 1 - X - X^H,
-        X = sum_b b^T (x) b^H,
-
-    with X one (k x d^2)^T (k x d^2) product with its axes permuted, and only
-    its principal submatrix on the block-diagonal coordinates is
+    In the eigenbasis U of h, `_kept_gram` builds the Gram matrix G of the
+    op_b only on the block-diagonal coordinates, and only that block is
     diagonalized.  That is exact: G is positive semidefinite, so for x in
     that space x^H G x = 0 exactly when G x = 0."""
+    d = m.dim
+    u, keep, gram = _kept_gram(m)
+    vals, vecs = np.linalg.eigh(gram)
+    null = vecs[:, vals <= _NULL_TOL * max(np.max(vals), 1.0)]
+    vec = np.zeros((null.shape[1], d * d), dtype=complex)
+    vec[:, keep] = null.T
+    # vec convention: vec(x)[i*d+j] = x[j, i]; transpose restores x
+    x = u @ vec.reshape(-1, d, d).transpose(0, 2, 1) @ u.conj().T
+    return MatrixAlgebra(d, _orthonormalize(d, x))
+
+
+def _kept_gram(m: MatrixAlgebra):
+    """h's eigenbasis U (columns), the block-diagonal coordinates `keep`
+    (vec index i*d + k for i, k in one eigenspace, ascending) and the
+    principal block on `keep` of the Gram matrix of the op_b in that basis,
+
+        G = 1 (x) (sum_b b^H b) + (sum_b conj(b) b^T) (x) 1 - X - X^H,
+        X[(i, k), (j, l)] = sum_b b[j, i] conj(b[l, k]).
+
+    The whole of G is never formed.  For (i, k) in block beta and (j, l) in
+    block gamma, X reads only the tile b[gamma, beta], so the kept part of X
+    costs k (sum n_lambda^2)^2 multiply-adds against k d^4 for all of it:
+    one batched product over the tiles for each pair of block sizes (one
+    product in all when the blocks are equal, as on M_n (x) 1_m)."""
     d = m.dim
     h = np.tensordot(np.exp(1j * np.arange(1, m.size + 1) ** 2.0), m.basis, axes=1)
     lam, u = np.linalg.eigh(h + h.conj().T)
@@ -252,26 +301,37 @@ def commutant(m: MatrixAlgebra) -> MatrixAlgebra:
     block = np.concatenate(([0], np.cumsum(split)))
     keep = np.flatnonzero(block[:, None] == block[None, :])  # symmetric: either vec order
     rotated = u.conj().T @ m.basis @ u
-    flat = rotated.reshape(m.size, d * d)  # row b holds b[j, i] at j*d + i
-    # cross[j, i, l, k] = sum_b b[j, i] conj(b[l, k]) = X[(i, k), (j, l)]
-    cross = (flat.T @ flat.conj()).reshape(d, d, d, d)
-    gram = np.empty((d * d, d * d), dtype=complex)
-    g4 = gram.reshape(d, d, d, d)  # g4[i, k, j, l] = gram[i*d + k, j*d + l]
-    np.negative(cross.transpose(1, 3, 0, 2), out=g4)
-    del cross
+    by_index = rotated.transpose(1, 2, 0)  # by_index[j, i] = (b[j, i] for each b)
+    # eigenvalues are sorted, so block beta holds the indices starts[beta] +
+    # 0..sizes[beta]-1, and its kept coordinates (i, k) sit at offsets[beta]
+    # + i*sizes[beta] + k in `keep`
+    sizes = np.bincount(block)
+    starts = np.cumsum(sizes) - sizes
+    offsets = np.cumsum(sizes * sizes) - sizes * sizes
+    groups = []  # per block size s: that size, the indices (beta, 0..s-1), the kept positions
+    for s in sorted(set(sizes.tolist())):
+        blocks = np.flatnonzero(sizes == s)
+        groups.append((s, starts[blocks, None] + np.arange(s),
+                       (offsets[blocks, None] + np.arange(s * s)).ravel()))
+    gram = np.empty((keep.size, keep.size), dtype=complex)
+    for s, beta, kept_s in groups:
+        for t, gamma, kept_t in groups:
+            # tiles[gamma, beta, j*s + i] = (b[j, i] for each b) over gamma x beta
+            tiles = by_index[gamma[:, None, :, None], beta[None, :, None, :]].reshape(
+                gamma.shape[0], beta.shape[0], t * s, m.size)
+            # cross[gamma, beta, j, i, l, k] = X[(i, k), (j, l)]
+            cross = (tiles @ tiles.conj().swapaxes(2, 3)).reshape(
+                gamma.shape[0], beta.shape[0], t, s, t, s)
+            gram[np.ix_(kept_s, kept_t)] = cross.transpose(1, 3, 5, 0, 2, 4).reshape(
+                kept_s.size, kept_t.size)
     gram += gram.conj().T
+    np.negative(gram, out=gram)
     left = np.einsum("bji,bjl->il", rotated.conj(), rotated)  # sum b^H b
     right = np.einsum("bij,blj->il", rotated.conj(), rotated)  # sum conj(b) b^T
-    for i in range(d):
-        g4[i, :, i, :] += left
-        g4[:, i, :, i] += right
-    vals, vecs = np.linalg.eigh(gram[np.ix_(keep, keep)])
-    null = vecs[:, vals <= _NULL_TOL * max(np.max(vals), 1.0)]
-    vec = np.zeros((null.shape[1], d * d), dtype=complex)
-    vec[:, keep] = null.T
-    # vec convention: vec(x)[i*d+j] = x[j, i]; transpose restores x
-    x = u @ vec.reshape(-1, d, d).transpose(0, 2, 1) @ u.conj().T
-    return MatrixAlgebra(d, _orthonormalize(d, x))
+    row, col = np.divmod(keep, d)  # keep[p] = i*d + k holds (i, k)
+    gram += np.where(row[:, None] == row, left[col[:, None], col], 0)
+    gram += np.where(col[:, None] == col, right[row[:, None], row], 0)
+    return u, keep, gram
 
 
 @dataclass(frozen=True)

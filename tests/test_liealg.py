@@ -305,6 +305,38 @@ def test_generated_order_independent():
         assert generated_subalgebra(p4, shuffled) == reference
 
 
+def _closure_without_early_exit(g, gens):
+    """generated_subalgebra as it was before the full-dimension exit: rounds
+    of pairwise brackets of the basis until a round adds nothing."""
+    span = Subspace(g, gens)
+    while True:
+        before = span.dim
+        current = span.basis()
+        for i, a in enumerate(current):
+            for b in current[i + 1:]:
+                span.add(a.bracket(b))
+        if span.dim == before:
+            return span
+
+
+@pytest.mark.parametrize("name", ["poincare(4)", "poincare(3)", "lorentz(4)", "sl2"])
+def test_generated_matches_closure_without_early_exit(name):
+    g = builtin(name)
+    rng = random.Random(name)
+    dims = set()
+    for _ in range(12):
+        gens = []
+        for _ in range(rng.randint(1, 3)):
+            support = rng.sample(range(g.dim), rng.randint(1, g.dim))
+            gens.append(g.element([rng.randint(-3, 3) if i in support else 0
+                                   for i in range(g.dim)]))
+        got = generated_subalgebra(g, gens)
+        expected = _closure_without_early_exit(g, gens)
+        assert [b.coeffs for b in got.basis()] == [b.coeffs for b in expected.basis()]
+        dims.add(got.dim == g.dim)
+    assert dims == {True, False}  # both the early exit and a proper closure ran
+
+
 def test_generated_requires_generators():
     with pytest.raises(ValueError):
         generated_subalgebra(builtin("sl2"), [])

@@ -19,6 +19,7 @@ from cohomkit.liecoh import (
     _pair_index,
     _wedge_basis,
     _weight_counts,
+    _weight_tuples,
     ce_differential,
     cohomology_report,
     lie_central_extension,
@@ -405,6 +406,22 @@ def test_poincare4_differential_preserves_weight():
         dense = _dense(full)
         assert _dense(ce_differential(g, k, weight=0)) == [
             tuple(dense[r][c] for c in cols) for r in rows]
+
+
+ALL_BUILTINS = ["sl2", "heisenberg", "abelian(2)", "abelian(4)", "poincare(2)", "poincare(3)",
+                "poincare(4)", "lorentz(2)", "lorentz(3)", "lorentz(4)"]
+
+
+@pytest.mark.parametrize("name", ALL_BUILTINS + ["R+R^6", "zero"])
+def test_weight_tuples_match_the_full_scan(name):
+    g = {"R+R^6": lambda: _boost_semidirect(3),
+         "zero": lambda: LieAlgebra.from_brackets((), {})}.get(name, lambda: builtin(name))()
+    n, w = g.dim, g.grading.weights
+    counts = _weight_counts(w)
+    for k in range(n + 2):
+        for weight in sorted(set(counts[k]) if k <= n else set()) + [n * max(w, default=0) + 1]:
+            scan = [t for t in _wedge_basis(n, k) if sum(w[a] for a in t) == weight]
+            assert list(_weight_tuples(w, k, weight)) == scan, (k, weight)
 
 
 def _perm_sign(seq):

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -10,6 +11,7 @@ from cohomkit.modular import (
     MatrixAlgebra,
     ModularTriple,
     StateVector,
+    _kept_gram,
     algebra_closure,
     commutant,
     diagonal_algebra,
@@ -191,7 +193,30 @@ def _stacked_kron_commutant(m):
     return MatrixAlgebra(d, np.stack([v.reshape(d, d).T for v in null.T]))
 
 
+def _full_gram(m, u):
+    """The whole d^2 x d^2 Gram of the op_b in the eigenbasis u, by the
+    closed form G = 1 (x) sum b^H b + sum conj(b) b^T (x) 1 - X - X^H with
+    X = sum_b b^T (x) b^H from one (k x d^2)^T (k x d^2) product."""
+    d = m.dim
+    rotated = u.conj().T @ m.basis @ u
+    flat = rotated.reshape(m.size, d * d)  # row b holds b[j, i] at j*d + i
+    cross = (flat.T @ flat.conj()).reshape(d, d, d, d)  # cross[j, i, l, k]
+    gram = np.empty((d * d, d * d), dtype=complex)
+    g4 = gram.reshape(d, d, d, d)  # g4[i, k, j, l] = gram[i*d + k, j*d + l]
+    np.negative(cross.transpose(1, 3, 0, 2), out=g4)
+    gram += gram.conj().T
+    left = np.einsum("bji,bjl->il", rotated.conj(), rotated)
+    right = np.einsum("bij,blj->il", rotated.conj(), rotated)
+    for i in range(d):
+        g4[i, :, i, :] += left
+        g4[:, i, :, i] += right
+    return gram
+
+
 def _check_commutant(m, expected):
+    u, keep, kept = _kept_gram(m)
+    full = _full_gram(m, u)[np.ix_(keep, keep)]
+    assert np.max(np.abs(kept - full)) <= 1e-12 * np.max(np.abs(full))
     mc = commutant(m)
     oracle = _stacked_kron_commutant(m)
     assert mc.size == oracle.size == expected
@@ -252,6 +277,19 @@ def test_commutant_of_random_direct_sum(seed):
     m = algebra_closure(_direct_sum_units(blocks, _unitary(rng, d)))
     assert m.size == sum(n * n for n, _ in blocks)
     _check_commutant(m, sum(mult * mult for _, mult in blocks))
+
+
+def test_commutant_of_m5_x_1_5_stays_under_4_mb():
+    # the whole Gram of M_5 (x) 1_5 alone is 625 x 625 complex, 6.25 MB
+    m = MatrixAlgebra(25, np.stack(_direct_sum_units([(5, 5)])) / np.sqrt(5))
+    tracemalloc.start()
+    try:
+        mc = commutant(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert mc.size == 25
+    assert peak < 4_000_000
 
 
 def test_double_commutant_is_identity_operation():
