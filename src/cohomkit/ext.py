@@ -56,7 +56,6 @@ __all__ = [
     "build_extension",
     "extract_section",
     "cocycle_of_section",
-    "section_difference",
     "are_equivalent",
     "is_split",
     "h1_h2_correspondence_check",
@@ -266,19 +265,6 @@ def cocycle_of_section(ext: CentralExtensionTable, s: Section) -> Cochain:
         return ext.kernel.neg(ext.kernel.sub(a, u))
 
     return Cochain.from_function(P, ext.kernel, 2, omega_val)
-
-
-def section_difference(ext: CentralExtensionTable, s1: Section, s2: Section) -> Cochain:
-    """Degree-1 cochain c with s1(p) = s2(p) * i-part, read off coordinates:
-    c(p) = A-part of s1(p) minus A-part of s2(p)."""
-    P = ext.base
-
-    def diff(p):
-        a1, _ = ext.decompose(s1(p))
-        a2, _ = ext.decompose(s2(p))
-        return ext.kernel.sub(a1, a2)
-
-    return Cochain.from_function(P, ext.kernel, 1, diff)
 
 
 def _solve_coboundary(P: FiniteGroup, A: AbelianCoefficients,

@@ -817,12 +817,6 @@ def hom_group(group: FiniteGroup, coeffs: AbelianCoefficients) -> list[GroupHom]
     return homs
 
 
-def hom_to_cochain(h: GroupHom, coeffs: AbelianCoefficients) -> Cochain:
-    """View a homomorphism into A (as_group indexing) as a degree-1 cochain."""
-    vals = tuple(coeffs.element(h(a)) for a in h.source.elements())
-    return Cochain(h.source, coeffs, 1, vals)
-
-
 # ---------------------------------------------------------------------------
 # inflation and the splitting construction
 

@@ -25,8 +25,16 @@ solves only on the eigenspaces of one Hermitian element of M (M' lies inside
 its commutant; eigenvalues within the relative gap _CLUSTER_GAP = 1e-3 share
 an eigenspace) and builds only the block of its Gram matrix on those
 eigenspaces, and every distance to an algebra is a batched residual
-x - (x B^H) B against its basis B; the product checks of closure run it row
-by row in work arrays allocated once per call.
+x - (x B^H) B against its basis B.
+
+Every algebra has its products checked once, at _BASIS_TOL or tighter:
+`MatrixAlgebra(d, basis)` checks all k^2 of them, row a @ B after row in
+work arrays allocated once per call; `algebra_closure` relies on its last
+screening round, which found every product of the span within
+_ORTHONORMAL_CUTOFF of it; `commutant` checks them block by block on the
+eigenspaces of h, where its null vectors live.  Both build the result
+through `MatrixAlgebra._products_checked`, which still checks
+orthonormality, the unit and adjoints.
 """
 
 from __future__ import annotations
@@ -63,6 +71,11 @@ _CLUSTER_GAP = 1e-3  # commutant: relative eigenvalue gap of h that splits two b
 _NULL_TOL = 1e-12  # commutant: Gram eigenvalues this small, relative to the largest, are null
 _STATE_TOL = 1e-12  # how far a state vector's norm may miss 1
 _RANK_TOL = 1e-10  # frame singular values at or below this count as zero
+# commutant: complex entries per chunk of blockwise products; at 128 KB a
+# chunk's work arrays are reused from the heap, while on M5 (x) 1_5 chunks of
+# 1 MB were mapped and faulted in again on every call and took twice as long
+_PRODUCT_CHUNK = 1 << 13
+_NOT_CLOSED = "algebra is not closed under products"
 # validate's c: valid triples gave residuals up to 5.1e-15 kappa(B)
 # sqrt(kappa(Delta)) ||rhs||, and c eps = 5.1e-13 is 100x that
 _IDENTITY_C = 2300
@@ -118,15 +131,32 @@ def _as_state(omega) -> np.ndarray:
 
 class MatrixAlgebra:
     """Unital *-closed subalgebra of M_d(C), stored through a basis
-    orthonormal under the trace pairing <a, b> = tr(a* b)."""
+    orthonormal under the trace pairing <a, b> = tr(a* b).
+
+    The constructor runs every check of `verify_closure` on the basis it is
+    given.  `algebra_closure` and `commutant` build theirs through
+    `_products_checked`, which skips only the k^2 product rows: each has
+    already checked the products of its span at _BASIS_TOL or tighter."""
 
     def __init__(self, dim: int, basis: np.ndarray):
+        self._store(dim, basis)
+        self.verify_closure()
+
+    @classmethod
+    def _products_checked(cls, dim: int, basis: np.ndarray) -> "MatrixAlgebra":
+        """The algebra on `basis`, whose products the caller has checked;
+        orthonormality, the unit and adjoints are checked here."""
+        m = cls.__new__(cls)
+        m._store(dim, basis)
+        m._verify_unit_and_adjoints()
+        return m
+
+    def _store(self, dim: int, basis: np.ndarray) -> None:
         self.dim = int(dim)
         self.basis = np.asarray(basis, dtype=complex)
         if self.basis.ndim != 3 or self.basis.shape[1:] != (self.dim, self.dim):
             raise ValueError("basis must be a stack of d x d matrices")
         self._check_orthonormal()
-        self.verify_closure()
 
     @property
     def size(self) -> int:
@@ -154,13 +184,16 @@ class MatrixAlgebra:
         """Unit, adjoints, and products of basis elements must stay inside.
         Adjoints are measured in one batched distance, products one row
         a @ basis at a time."""
+        self._verify_unit_and_adjoints()
+        for _, dist in _product_residuals(self.basis):
+            if np.max(dist) > _BASIS_TOL:
+                raise ValueError(_NOT_CLOSED)
+
+    def _verify_unit_and_adjoints(self) -> None:
         if self.distance(np.eye(self.dim)) > _BASIS_TOL:
             raise ValueError("algebra does not contain the identity")
         if np.max(self.distance(self.basis.conj().transpose(0, 2, 1))) > _BASIS_TOL:
             raise ValueError("algebra is not closed under adjoints")
-        for _, dist in _product_residuals(self.basis):
-            if np.max(dist) > _BASIS_TOL:
-                raise ValueError("algebra is not closed under products")
 
     def random_element(self, rng: np.random.Generator) -> np.ndarray:
         """Unit-Frobenius-norm element with Gaussian coefficients."""
@@ -215,15 +248,20 @@ class _Distances:
 
 
 def _orthonormalize(dim: int, mats: Sequence[np.ndarray]) -> np.ndarray:
-    """Gram-Schmidt on vectorized matrices under the trace pairing."""
+    """Gram-Schmidt on vectorized matrices under the trace pairing.  A
+    remainder is dropped when its norm is at most _ORTHONORMAL_CUTOFF times
+    that of its input, so the roundoff left from a large input (about eps
+    ||m||) never becomes a basis direction of its own."""
     basis: list[np.ndarray] = []
+    conjugates: list[np.ndarray] = []
     for m in mats:
         v = m.astype(complex).copy()
-        for b in basis:
-            v -= np.einsum("ij,ij->", b.conj(), v) * b
+        for b, b_conj in zip(basis, conjugates):
+            v -= np.einsum("ij,ij->", b_conj, v) * b
         n = np.linalg.norm(v)
-        if n > _ORTHONORMAL_CUTOFF:
+        if n > _ORTHONORMAL_CUTOFF * np.linalg.norm(m):
             basis.append(v / n)
+            conjugates.append(basis[-1].conj())
     return np.stack(basis) if basis else np.zeros((0, dim, dim), dtype=complex)
 
 
@@ -236,6 +274,11 @@ def algebra_closure(generators) -> MatrixAlgebra:
     those farther than `_ORTHONORMAL_CUTOFF` from it: a product Gram-Schmidt
     would drop leaves its basis unchanged, so the result is the same as
     orthonormalizing all k^2 products.
+
+    The round that adds no direction is the product check: every product
+    of the span (each of norm at most 1) lies within _ORTHONORMAL_CUTOFF of
+    it, 10^4 below _BASIS_TOL, so the result is built without repeating the
+    k^2 product rows.
     """
     gens = _as_matrix_list(generators)
     d = gens[0].shape[0]
@@ -249,7 +292,7 @@ def algebra_closure(generators) -> MatrixAlgebra:
                    for p in prods[dist > _ORTHONORMAL_CUTOFF]]
         new_basis = _orthonormalize(d, list(basis) + outside)
         if new_basis.shape[0] == basis.shape[0]:
-            return MatrixAlgebra(d, new_basis)
+            return MatrixAlgebra._products_checked(d, new_basis)
         basis = new_basis
 
 
@@ -269,22 +312,64 @@ def commutant(m: MatrixAlgebra) -> MatrixAlgebra:
     In the eigenbasis U of h, `_kept_gram` builds the Gram matrix G of the
     op_b only on the block-diagonal coordinates, and only that block is
     diagonalized.  That is exact: G is positive semidefinite, so for x in
-    that space x^H G x = 0 exactly when G x = 0."""
+    that space x^H G x = 0 exactly when G x = 0.
+
+    The null vectors eigh returns are orthonormal and vanish off the kept
+    coordinates, so their products are checked block by block in U
+    (`_check_block_products`), at sum n_lambda^3 per product and
+    sum n_lambda^2 coordinates per residual instead of d^3 and d^2."""
     d = m.dim
-    u, keep, gram = _kept_gram(m)
+    u, keep, gram, groups = _kept_gram(m)
     vals, vecs = np.linalg.eigh(gram)
     null = vecs[:, vals <= _NULL_TOL * max(np.max(vals), 1.0)]
+    # the Gram and its eigenvectors are not needed again: freed before the
+    # check allocates its work arrays, they do not add to the peak memory
+    del gram, vecs
+    _check_block_products([null[kept_s].T.reshape(null.shape[1], -1, s, s)
+                           for s, kept_s in groups])
     vec = np.zeros((null.shape[1], d * d), dtype=complex)
     vec[:, keep] = null.T
     # vec convention: vec(x)[i*d+j] = x[j, i]; transpose restores x
     x = u @ vec.reshape(-1, d, d).transpose(0, 2, 1) @ u.conj().T
-    return MatrixAlgebra(d, _orthonormalize(d, x))
+    return MatrixAlgebra._products_checked(d, _orthonormalize(d, x))
+
+
+def _check_block_products(groups: list[np.ndarray]) -> None:
+    """Raise unless the span of k trace-orthonormal block-diagonal matrices
+    is closed under products.  `groups` holds one array (k, blocks, s, s)
+    per block size s; each matrix is its blocks, a product is blockwise, and
+    its distance from the span is a residual on the block coordinates alone.
+
+    Rows a @ basis go in chunks of at most _PRODUCT_CHUNK entries (one row
+    when a row alone is larger).  For each block, one (rows*s x s) @
+    (s x k*s) product of the stacked blocks gives that block of all of a
+    chunk's products, which are copied in place to one row per product."""
+    k = groups[0].shape[0]
+    flat = np.concatenate([g.reshape(k, -1) for g in groups], axis=1)
+    rows = max(1, min(k, _PRODUCT_CHUNK // max(k * flat.shape[1], 1)))
+    factors = []  # per group: the blocks of the chunk's left factors and of all right factors
+    for g in groups:
+        n, s = g.shape[1], g.shape[2]
+        factors.append((n, s, g.transpose(1, 0, 2, 3).reshape(n, k * s, s),
+                        g.transpose(1, 2, 0, 3).reshape(n, s, k * s)))
+    prods = np.empty((rows, k, flat.shape[1]), dtype=complex)
+    distances = _Distances(flat, rows * k)
+    for start in range(0, k, rows):
+        a = min(start, k - rows)  # the last chunk ends at row k, overlapping the one before
+        col = 0
+        for n, s, left, right in factors:
+            x = left[:, a * s:(a + rows) * s] @ right  # x[block, (a, i), (b, j)]
+            np.copyto(prods[:, :, col:col + n * s * s].reshape(rows, k, n, s, s),
+                      x.reshape(n, rows, s, k, s).transpose(1, 3, 0, 2, 4))
+            col += n * s * s
+        if np.max(distances(prods)) > _BASIS_TOL:
+            raise ValueError(_NOT_CLOSED)
 
 
 def _kept_gram(m: MatrixAlgebra):
     """h's eigenbasis U (columns), the block-diagonal coordinates `keep`
-    (vec index i*d + k for i, k in one eigenspace, ascending) and the
-    principal block on `keep` of the Gram matrix of the op_b in that basis,
+    (vec index i*d + k for i, k in one eigenspace, ascending), the principal
+    block on `keep` of the Gram matrix of the op_b in that basis,
 
         G = 1 (x) (sum_b b^H b) + (sum_b conj(b) b^T) (x) 1 - X - X^H,
         X[(i, k), (j, l)] = sum_b b[j, i] conj(b[l, k]).
@@ -293,7 +378,9 @@ def _kept_gram(m: MatrixAlgebra):
     block gamma, X reads only the tile b[gamma, beta], so the kept part of X
     costs k (sum n_lambda^2)^2 multiply-adds against k d^4 for all of it:
     one batched product over the tiles for each pair of block sizes (one
-    product in all when the blocks are equal, as on M_n (x) 1_m)."""
+    product in all when the blocks are equal, as on M_n (x) 1_m).  Last come
+    the pairs (s, positions in `keep` of the blocks of size s, block by
+    block and row-major within each)."""
     d = m.dim
     h = np.tensordot(np.exp(1j * np.arange(1, m.size + 1) ** 2.0), m.basis, axes=1)
     lam, u = np.linalg.eigh(h + h.conj().T)
@@ -331,7 +418,7 @@ def _kept_gram(m: MatrixAlgebra):
     row, col = np.divmod(keep, d)  # keep[p] = i*d + k holds (i, k)
     gram += np.where(row[:, None] == row, left[col[:, None], col], 0)
     gram += np.where(col[:, None] == col, right[row[:, None], row], 0)
-    return u, keep, gram
+    return u, keep, gram, [(s, kept_s) for s, _, kept_s in groups]
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,6 @@ from cohomkit.ext import (
     extract_section,
     h1_h2_correspondence_check,
     is_split,
-    section_difference,
 )
 from cohomkit.grpcoh import (
     AbelianCoefficients,
@@ -237,6 +236,17 @@ def test_round_trip_on_all_klein4_cocycles():
     for w in enumerate_cocycles(k4, A2, 2):
         ext = build_extension(k4, A2, w)
         assert cocycle_of_section(ext, extract_section(ext)).values == w.values
+
+
+def section_difference(ext, s1, s2):
+    """Degree-1 cochain c with s1(p) = s2(p) * i-part, read off coordinates:
+    c(p) = A-part of s1(p) minus A-part of s2(p)."""
+    def diff(p):
+        a1, _ = ext.decompose(s1(p))
+        a2, _ = ext.decompose(s2(p))
+        return ext.kernel.sub(a1, a2)
+
+    return Cochain.from_function(ext.base, ext.kernel, 1, diff)
 
 
 def test_section_cocycles_differ_by_difference_coboundary():

@@ -22,7 +22,6 @@ from cohomkit.grpcoh import (
     enumerate_cocycles,
     group_by_name,
     hom_group,
-    hom_to_cochain,
     inflation,
 )
 from cohomkit import grpcoh
@@ -364,6 +363,12 @@ def test_hom_counts_small():
     assert len(hom_group(group_by_name("z2"), coefficients_by_name("z2"))) == 2
     assert len(hom_group(group_by_name("s3"), coefficients_by_name("z3"))) == 1
     assert len(hom_group(group_by_name("klein4"), coefficients_by_name("z2"))) == 4
+
+
+def hom_to_cochain(h, coeffs):
+    """View a homomorphism into A (as_group indexing) as a degree-1 cochain."""
+    vals = tuple(coeffs.element(h(a)) for a in h.source.elements())
+    return Cochain(h.source, coeffs, 1, vals)
 
 
 def test_homs_validate_and_match_z1():

@@ -5,12 +5,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from cohomkit import modular
 from cohomkit.cli import EXIT_OK, main
 from cohomkit.modular import (
     IdentityDefect,
     MatrixAlgebra,
     ModularTriple,
     StateVector,
+    _check_block_products,
     _kept_gram,
     algebra_closure,
     commutant,
@@ -61,6 +63,53 @@ def test_closure_of_tensor_generators():
     assert alg.size == 4
     assert alg.contains(np.kron(SX @ SZ, eye2))
     assert not alg.contains(np.kron(eye2, SX))
+
+
+@pytest.mark.parametrize("scale", [1e-14, 1e-12, 1e-8, 1e-3, 1.0, 1e3, 1e5, 1e8, 1e12])
+def test_closure_size_does_not_depend_on_generator_scale(scale):
+    # the roundoff Gram-Schmidt leaves of g^H = g grows with ||g||; it must
+    # not survive as a basis direction at any scale
+    x = np.array([[1, 2], [2, 5]], dtype=complex)
+    alg = algebra_closure([scale * x])
+    assert alg.size == 2
+    alg.verify_closure()
+
+
+def test_cli_scaled_generator_gives_the_unscaled_answer(capsys, tmp_path):
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps({"vector": [[0.6, 0], [0.8, 0]]}))
+    results = []
+    for scale in (1.0, 1e5):
+        algebra = tmp_path / f"algebra-{scale:g}.json"
+        gen = [[[scale * v, 0] for v in row] for row in ([1, 2], [2, 5])]
+        algebra.write_text(json.dumps({"generators": [gen]}))
+        code = main(["modular", "analyze", "--seed", "1", "--algebra", str(algebra),
+                     "--state", str(state)])
+        result = json.loads(capsys.readouterr().out)["result"]
+        results.append((code, result["algebra_dim"], result["separating"]))
+    assert results == [(EXIT_OK, 2, True)] * 2
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_returned_algebras_pass_the_full_closure_check(seed):
+    # algebra_closure and commutant skip the k^2 product rows of the
+    # constructor; the public check over every row must still pass
+    rng = np.random.default_rng(2000 + seed)
+    d = int(rng.integers(2, 7))
+    gens = [rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            for _ in range(int(rng.integers(1, 3)))]
+    if seed % 3 == 0:
+        gens = [g + g.conj().T for g in gens]  # Hermitian: often a proper subalgebra
+    elif seed % 3 == 1:
+        # block diagonal in a random frame: M_a + M_b, a proper noncommutative algebra
+        a = int(rng.integers(1, d))
+        u = _unitary(rng, d)
+        gens = [u @ np.block([[g[:a, :a], np.zeros((a, d - a))],
+                              [np.zeros((d - a, a)), g[a:, a:]]]) @ u.conj().T for g in gens]
+    m = algebra_closure(gens)
+    mc = commutant(m)
+    for alg in (m, mc, commutant(mc)):
+        alg.verify_closure()
 
 
 def test_closure_input_validation():
@@ -178,6 +227,51 @@ def test_commutant_of_scalars_is_everything():
     assert commutant(algebra_closure([np.eye(2)])).size == 4
 
 
+def _blocks(*mats):
+    """Stack per-block matrices as one group (k, 1, s, s)."""
+    return np.stack(mats).astype(complex)[:, None]
+
+
+# {1, sx, sz}/sqrt(2) is trace-orthonormal and *-closed, but sx sz is not in it;
+# with a 1x1 block beside it the same holds with two block sizes
+ONE_BLOCK = ([_blocks(np.eye(2), SX, SZ) / np.sqrt(2)],
+             [_blocks(np.eye(2), SX, SX @ SZ / 1j, SZ) / np.sqrt(2)])
+TWO_SIZES = ([_blocks(np.eye(2) / np.sqrt(2), np.zeros((2, 2)), SX / np.sqrt(2), SZ / np.sqrt(2)),
+              _blocks([[0]], [[1]], [[0]], [[0]])],
+             [_blocks(np.eye(2) / np.sqrt(2), np.zeros((2, 2)), SX / np.sqrt(2)),
+              _blocks([[0]], [[1]], [[0]])])
+
+
+@pytest.mark.parametrize("chunk", [1 << 13, 1, 24], ids=["one-chunk", "row-by-row",
+                                                        "two-rows-overlapping"])
+@pytest.mark.parametrize("case", [ONE_BLOCK, TWO_SIZES], ids=["one-block", "two-sizes"])
+def test_block_product_check_refuses_an_unclosed_span(case, chunk, monkeypatch):
+    monkeypatch.setattr(modular, "_PRODUCT_CHUNK", chunk)
+    unclosed, closed = case
+    with pytest.raises(ValueError, match="not closed under products"):
+        _check_block_products(unclosed)
+    _check_block_products(closed)
+
+
+def test_commutant_refuses_a_null_space_that_is_not_closed(monkeypatch):
+    # swap one null direction of the kept Gram for a non-null one: the span
+    # returned is still orthonormal and block diagonal, but not an algebra
+    m = qubit_factor()
+    real_eigh = np.linalg.eigh
+
+    def eigh(a):
+        vals, vecs = real_eigh(a)
+        if a.shape[0] != m.dim:
+            vals = vals.copy()
+            null = int(np.sum(vals <= 1e-12 * max(np.max(vals), 1.0)))
+            vals[0], vals[null] = vals[null], 0.0
+        return vals, vecs
+
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    with pytest.raises(ValueError, match="not closed under products"):
+        commutant(m)
+
+
 def _stacked_kron_commutant(m):
     """Oracle: the null space of the Gram matrix summed term by term from
     op_b = 1 (x) b - b^T (x) 1, as vec(x) -> vec(b x - x b); eigh returns it
@@ -214,10 +308,12 @@ def _full_gram(m, u):
 
 
 def _check_commutant(m, expected):
-    u, keep, kept = _kept_gram(m)
+    u, keep, kept, _ = _kept_gram(m)
     full = _full_gram(m, u)[np.ix_(keep, keep)]
     assert np.max(np.abs(kept - full)) <= 1e-12 * np.max(np.abs(full))
     mc = commutant(m)
+    m.verify_closure()
+    mc.verify_closure()
     oracle = _stacked_kron_commutant(m)
     assert mc.size == oracle.size == expected
     assert mc.equals(oracle)
