@@ -7,7 +7,12 @@ lives on the set A x P with
 
 the additive reading of the multiplicative rule (a,p)(b,q) = (ab w(p,q)^{-1}, pq).
 Associativity of this table is literally the cocycle condition, and a
-non-cocycle input is rejected with a triple witnessing the failure.
+non-cocycle input is rejected with a triple witnessing the failure.  The
+condition is decided on Light's rows (p, s, r) of d_2, s the identity or a
+generator of P, and the full d_2 omega runs only to name the triple; a
+cocycle is a coboundary d_1 phi iff it is one on the rows (p, s), so
+`_solve_coboundary` eliminates only those and then compares the full d_1 phi
+(see `grpcoh._light_incidence`).
 
 The carrier element (a, p) is encoded as index(a) * |P| + p, fixed so exported
 tables are reproducible.  The identity of the carrier is (u, 1) with
@@ -29,7 +34,7 @@ import operator
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, product
+from itertools import chain, product, repeat
 from operator import itemgetter
 from typing import Sequence
 
@@ -40,7 +45,13 @@ from .grpcoh import (
     FiniteGroup,
     GroupHom,
     SizeLimitExceeded,
+    _check_coboundary_size,
+    _face_matrix,
+    _face_sums,
     _gather,
+    _index_tables,
+    _light_incidence,
+    _value_indices,
     coboundary,
     coboundary_matrix,
     cocycle_space,
@@ -70,6 +81,21 @@ def _index_addition(orders: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     """Addition table of A = Z_{m_1} + ... + Z_{m_r} on mixed-radix element
     indices (the order of `AbelianCoefficients.index`)."""
     return AbelianCoefficients(orders).as_group().table
+
+
+@lru_cache(maxsize=32)
+def _light_d1(table: tuple[tuple[int, ...], ...],
+              identity: int) -> tuple[tuple[int, ...], IntegerMatrix]:
+    """Light's rows (p, s) of d_1, as indices in P^2, and d_1 on them as an
+    integer matrix; cached per (table, identity)."""
+    rows, faces = _light_incidence(table, identity, 1)
+    return rows, _face_matrix(faces, len(table))
+
+
+def _is_cocycle(P: FiniteGroup, omega: Cochain) -> bool:
+    """d_2 omega = 0, decided on Light's rows (p, s, r) of
+    `_light_incidence` alone: |S| / |P| of the full d_2."""
+    return not any(map(any, _face_sums(omega, _light_incidence(P.table, P.identity, 2)[1])))
 
 
 class NotACocycleError(ValueError):
@@ -187,10 +213,15 @@ def build_extension(P: FiniteGroup, A: AbelianCoefficients, omega: Cochain,
 
     A non-cocycle omega is rejected up front with the violating triple, the
     arguments of the first nonzero value of d_2 omega; the cocycle condition
-    is exactly associativity of the table.  Only the |P| rows (0, p) are
-    built entry by entry: row (a, p) is row (0, p) under T[a], which adds a
-    to the A-coordinate (c |P| + r -> add[a][c] |P| + r, with `add` the
-    addition table of A on indices), i.e. multiplies by the central i(a).
+    is exactly associativity of the table.  It is decided on Light's rows
+    (p, s, r) of d_2 alone, s the identity or a generator of P (the
+    middles (0, s) and (a, 1) generate the carrier); only a failure pays
+    for the full d_2 omega that names the triple.
+
+    Only the |P| rows (0, p) are built entry by entry: row (a, p) is row
+    (0, p) under T[a], which adds a to the A-coordinate (c |P| + r ->
+    add[a][c] |P| + r, with `add` the addition table of A on indices),
+    i.e. multiplies by the central i(a).
     A carrier table of more than DENSE_CELL_LIMIT cells is refused first.
     """
     if omega.degree != 2 or omega.group.table != P.table or omega.coeffs != A:
@@ -199,14 +230,13 @@ def build_extension(P: FiniteGroup, A: AbelianCoefficients, omega: Cochain,
     size = K * n
     check_dense(f"an extension of a group of order {n} by one of order {K} has a "
                 f"{size} x {size} multiplication table", size * size)
-    if validate:
+    if validate and not _is_cocycle(P, omega):
         bad = coboundary(omega).first_nonzero()
-        if bad is not None:
-            raise NotACocycleError(
-                f"cochain is not a 2-cocycle: associativity of the extension "
-                f"table fails on triple {bad}", bad)
+        raise NotACocycleError(
+            f"cochain is not a 2-cocycle: associativity of the extension "
+            f"table fails on triple {bad}", bad)
     add = _index_addition(A.orders)
-    negw = [add[A.index(v)].index(0) for v in omega.values]  # indices of -omega
+    negw = _gather(_index_tables(A.orders)[2], _value_indices(A.orders, omega.values))  # -omega
     T = [[c * n + r for c in add_a for r in range(n)] for add_a in add]
     base = []
     for p, mul_p in enumerate(P.table):
@@ -215,8 +245,7 @@ def build_extension(P: FiniteGroup, A: AbelianCoefficients, omega: Cochain,
         base.append(tuple(list(chain.from_iterable(_gather(T_b, first) for T_b in T))))
     table = [_gather(T_a, row) for T_a in T for row in base]
     identity = A.index(omega.value(P.identity, P.identity)) * n + P.identity
-    labels = tuple(f"({'+'.join(map(str, a))},{P.labels[p]})"
-                   for a in A.elements() for p in range(n))
+    labels = tuple(f"({a},{p})" for a in _index_tables(A.orders)[1] for p in P.labels)
     carrier = FiniteGroup(size, tuple(table), identity,
                           f"ext({P.name};{','.join(map(str, A.orders))})", labels)
     projection = GroupHom(carrier, P, tuple(range(n)) * K)
@@ -252,36 +281,56 @@ def cocycle_of_section(ext: CentralExtensionTable, s: Section) -> Cochain:
     omega.  For the canonical section the round trip
     cocycle_of_section(build_extension(P, A, w), canonical) == w holds
     exactly, normalized or not.
+
+    The products are read for all pairs (p, q) at once, by whole-row
+    gathers: s(pq)^{-1} from the inverses of the |P| section values, then
+    two lookups in the carrier table per pair.
     """
-    G = ext.carrier
-    P = ext.base
-    u = ext.normalizer
-
-    def omega_val(p, q):
-        g = G.mul(G.mul(s(q), G.inv(s(P.mul(p, q)))), s(p))
-        a, base_part = ext.decompose(g)
-        if base_part != P.identity:
-            raise RuntimeError("section product escaped the kernel")  # impossible
-        return ext.kernel.neg(ext.kernel.sub(a, u))
-
-    return Cochain.from_function(P, ext.kernel, 2, omega_val)
+    G, N, A = ext.carrier.table, ext.base.order, ext.kernel
+    sec = s.values
+    inv = [G[x].index(ext.carrier.identity) for x in sec]
+    left = map(operator.getitem, _gather(G, sec * N),
+               _gather(inv, list(chain.from_iterable(ext.base.table))))
+    g = list(map(operator.getitem, _gather(G, list(left)),
+                 chain.from_iterable(map(repeat, sec, repeat(N)))))
+    if set(map(N.__rmod__, g)) != {ext.base.identity}:
+        raise RuntimeError("section product escaped the kernel")  # impossible
+    # g = (a, 1) and the value is u - a: -a through the negation column,
+    # then u added through the addition table, on indices
+    elements, _, neg = _index_tables(A.orders)
+    add_u = _index_addition(A.orders)[A.index(ext.normalizer)]
+    values = _gather(elements, _gather(add_u, _gather(neg, list(map(N.__rfloordiv__, g)))))
+    return Cochain(ext.base, A, 2, values)
 
 
 def _solve_coboundary(P: FiniteGroup, A: AbelianCoefficients,
                       target: Cochain) -> Cochain | None:
     """phi with d_1 phi = target, solved factor by factor mod each cyclic
-    order; None when target is not a coboundary."""
-    dmat = coboundary_matrix(P, 1)
+    order; None when target is not a coboundary.
+
+    Only Light's rows (p, s) of d_1 are eliminated, s the identity or a
+    generator of P (|P| |S| rows instead of |P|^2): for a cocycle target
+    they decide (see `_light_incidence`).  A target that is no cocycle may
+    still be solved on them, so phi is returned only when the full d_1 phi
+    equals the target, read mod m as `solve_mod` reads it.  A group whose
+    full d_1 exceeds DENSE_CELL_LIMIT cells is refused before anything is
+    built, as the full-row solve refused it.
+    """
+    _check_coboundary_size(P.order, 1)
+    rows, dmat = _light_d1(P.table, P.identity)
+    rhs = _gather(target.values, rows)
     per_factor: list[list[int]] = []
     for fi, m in enumerate(A.orders):
-        rhs = [target.values[i][fi] for i in range(P.order ** 2)]
-        sol = solve_mod(dmat, rhs, m)
+        sol = solve_mod(dmat, list(map(itemgetter(fi), rhs)), m)
         if sol is None:
             return None
         per_factor.append(sol)
     vals = tuple(tuple(per_factor[fi][p] for fi in range(A.rank))
                  for p in range(P.order))
-    return Cochain(P, A, 1, vals)
+    phi = Cochain(P, A, 1, vals)
+    if not (coboundary(phi) - Cochain(P, A, 2, target.values)).is_zero():
+        return None
+    return phi
 
 
 def _search_coboundary(P: FiniteGroup, A: AbelianCoefficients,

@@ -12,14 +12,19 @@ so d_{n+1} d_n = 0 and Z^1 = H^1 is the homomorphism group.  Degrees 0..2 are
 supported, which covers H^1 and H^2 (the groups classifying central
 extensions).
 
-The sum is written once, as the incidence `_incidence`: n + 2 face
-columns, column i holding the column index of the i-th term (sign (-1)^i)
-for every argument tuple of P^(n+1), cached per (table, degree).
-`coboundary` sums the columns over a value table, `coboundary_matrix` adds
-them into a dense integer matrix (refused beyond DENSE_CELL_LIMIT cells),
-and the first nonzero value of d_2 omega is the cocycle witness of
-`ext.build_extension`.  The enumeration oracle writes its equations out
-separately on purpose.
+The sum is written once, as the face columns of `_faces`: n + 2 columns,
+column i holding the column index of the i-th term (sign (-1)^i) for each
+argument tuple; the incidence `_incidence` holds them for every argument
+tuple of P^(n+1), cached per (table, degree).
+`coboundary` sums the columns over a value table, and `coboundary_matrix`
+adds them into a dense integer matrix (refused beyond DENSE_CELL_LIMIT
+cells).  `_light_incidence` builds the same columns on Light's rows only,
+those whose second argument is the identity or a generator:
+`ext.build_extension` decides d_2 omega = 0 on the rows (p, s, r) alone
+and runs the full d_2 omega only on a failure, whose first nonzero value
+is the cocycle witness; `ext._solve_coboundary` eliminates only the rows
+(p, s) of d_1, then checks the full d_1 phi.  The enumeration oracle
+writes its equations out separately on purpose.
 
 Two computation routes coexist and are cross-checked in the tests:
 
@@ -353,8 +358,29 @@ class AbelianCoefficients:
             tuple(self.index(self.add(self.element(i), self.element(j))) for j in range(n))
             for i in range(n)
         )
-        labels = tuple("+".join(map(str, self.element(i))) for i in range(n))
-        return FiniteGroup(n, table, 0, name or "+".join(f"z{m}" for m in self.orders), labels)
+        return FiniteGroup(n, table, 0, name or "+".join(f"z{m}" for m in self.orders),
+                           _index_tables(tuple(self.orders))[1])
+
+
+@lru_cache(maxsize=32)
+def _index_tables(orders: tuple[int, ...]) -> tuple[tuple, tuple[str, ...], tuple[int, ...]]:
+    """Beside `as_group`, in the same index order: the elements of
+    A = Z_{m_1} + ... + Z_{m_r}, their labels as `as_group` writes them, and
+    the negation column (the index of -a at the index of a)."""
+    A = AbelianCoefficients(orders)
+    elements = tuple(A.elements())
+    return (elements, tuple("+".join(map(str, a)) for a in elements),
+            tuple(A.index(A.neg(a)) for a in elements))
+
+
+def _value_indices(orders: Sequence[int], values) -> list[int]:
+    """`AbelianCoefficients.index` of every value of a table, by Horner's
+    rule one coordinate column at a time."""
+    idx = [0] * len(values)
+    for k, m in enumerate(orders):
+        idx = list(map(operator.add, map(m.__mul__, idx),
+                       map(m.__rmod__, map(itemgetter(k), values))))
+    return idx
 
 
 _NAMED_COEFFS = {
@@ -448,12 +474,12 @@ class Cochain:
     def __add__(self, other: "Cochain") -> "Cochain":
         self._same_space(other)
         return Cochain(self.group, self.coeffs, self.degree,
-                       tuple(self.coeffs.add(a, b) for a, b in zip(self.values, other.values)))
+                       _columnwise(operator.add, self.coeffs.orders, self.values, other.values))
 
     def __sub__(self, other: "Cochain") -> "Cochain":
         self._same_space(other)
         return Cochain(self.group, self.coeffs, self.degree,
-                       tuple(self.coeffs.sub(a, b) for a, b in zip(self.values, other.values)))
+                       _columnwise(operator.sub, self.coeffs.orders, self.values, other.values))
 
     def __neg__(self) -> "Cochain":
         return Cochain(self.group, self.coeffs, self.degree,
@@ -483,7 +509,19 @@ class Cochain:
         degree = int(obj["degree"])
         if int(obj.get("group_order", group.order)) != group.order:
             raise ValueError("cochain JSON was written for a group of different order")
-        table = {tuple(item["args"]): tuple(item["value"]) for item in obj["values"]}
+        table = {}
+        elements = range(group.order)
+        for item in obj["values"]:
+            args, value = tuple(item["args"]), item["value"]
+            if len(args) != degree or not all(p in elements for p in args):
+                raise ValueError(f"cochain JSON arguments {args} are not {degree} "
+                                 f"elements of a group of order {group.order}")
+            if args in table:
+                raise ValueError(f"cochain JSON lists arguments {args} more than once")
+            if not isinstance(value, (list, tuple)) or not all(isinstance(x, int) for x in value):
+                raise ValueError(f"cochain JSON value at arguments {args} is not a list of "
+                                 f"integers")
+            table[args] = tuple(value)
         vals = []
         for args in product(range(group.order), repeat=degree):
             if args not in table:
@@ -499,15 +537,11 @@ class Cochain:
 # the coboundary: one signed incidence of the alternating sum
 
 
-@lru_cache(maxsize=32)
-def _incidence(table: tuple[tuple[int, ...], ...], n: int) -> tuple[tuple[int, ...], ...]:
-    """d_n of the group with multiplication table `table` as n + 2 face
-    columns: column i holds, for each argument tuple of P^(n+1) in
-    mixed-radix order, the column index of the i-th term of the alternating
-    sum, whose sign is (-1)^i.  Cached per (table, n); a few small tables
-    recur across the calls of one process."""
+def _faces(table: tuple[tuple[int, ...], ...], args_list, n: int) -> tuple[tuple[int, ...], ...]:
+    """The n + 2 face columns of d_n on the argument tuples `args_list` of
+    P^(n+1): column i holds, per tuple, the mixed-radix index of the i-th
+    term of the alternating sum, whose sign is (-1)^i."""
     N = len(table)
-    args_list = list(product(range(N), repeat=n + 1))
     cols = [tuple(_arg_index(args[1:], N) for args in args_list)]
     for i in range(n):
         cols.append(tuple(_arg_index(args[:i] + (table[args[i]][args[i + 1]],) + args[i + 2:], N)
@@ -516,18 +550,51 @@ def _incidence(table: tuple[tuple[int, ...], ...], n: int) -> tuple[tuple[int, .
     return tuple(cols)
 
 
+@lru_cache(maxsize=32)
+def _incidence(table: tuple[tuple[int, ...], ...], n: int) -> tuple[tuple[int, ...], ...]:
+    """d_n of the group with multiplication table `table` as n + 2 face
+    columns over every argument tuple of P^(n+1) in mixed-radix order.
+    Cached per (table, n); a few small tables recur across the calls of one
+    process."""
+    return _faces(table, list(product(range(len(table)), repeat=n + 1)), n)
+
+
+@lru_cache(maxsize=32)
+def _light_incidence(table: tuple[tuple[int, ...], ...], identity: int,
+                     n: int) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """`_incidence` on Light's rows only, the argument tuples (p, s, ...) of
+    P^(n+1) whose second argument lies in S = {1} + `_generating_set`:
+    their mixed-radix indices and their face columns, in mixed-radix order,
+    built without the full incidence.  Cached per (table, identity, n).
+
+    A 2-cochain omega is a cocycle iff d_2 omega vanishes on the rows
+    (p, s, r): they are Light's associativity test on the carrier A x P of
+    `ext.build_extension`, whose middles (0, s) and (a, 1) generate it.  A
+    2-cocycle t is d_1 phi iff it is on the rows (p, s): c = t - d_1 phi
+    is then a cocycle zero there, and c(p, s r) = c(p s, r) - c(s, r) +
+    c(p, s) makes it zero everywhere by induction on word length."""
+    N = len(table)
+    S = sorted({identity, *_generating_set(FiniteGroup(N, table, identity))})
+    args_list = [(p, s, *rest) for p in range(N) for s in S
+                 for rest in product(range(N), repeat=n - 1)]
+    return tuple(_arg_index(args, N) for args in args_list), _faces(table, args_list, n)
+
+
 def _gather(seq: Sequence[int], indices: Sequence[int]) -> tuple[int, ...]:
     """(seq[i] for i in indices) as a tuple by one itemgetter, even for one index."""
     return itemgetter(*indices)(seq) if len(indices) > 1 else (seq[indices[0]],)
 
 
-def coboundary(f: Cochain) -> Cochain:
-    """d_n f for n <= 2: the face columns of the incidence summed with their
-    signs, one coordinate mod m_k at a time."""
-    n = f.degree
-    if n > 2:
-        raise ValueError("coboundary implemented for degrees 0, 1, 2 only")
-    faces = _incidence(f.group.table, n)
+def _columnwise(op, orders: Sequence[int], xs, ys) -> tuple[tuple[int, ...], ...]:
+    """op(x, y) mod m_k on two value tables, one coordinate column at a time."""
+    cols = [map(m.__rmod__, map(op, map(itemgetter(k), xs), map(itemgetter(k), ys)))
+            for k, m in enumerate(orders)]
+    return tuple(zip(*cols)) if cols else ((),) * len(xs)
+
+
+def _face_sums(f: Cochain, faces) -> tuple[tuple[int, ...], ...]:
+    """The face columns summed with their signs (-1)^i over the values of f,
+    one coordinate mod m_k at a time: d f on the rows the columns cover."""
     coords = []
     for k, m in enumerate(f.coeffs.orders):
         x = list(map(itemgetter(k), f.values))
@@ -536,8 +603,36 @@ def coboundary(f: Cochain) -> Cochain:
         for i, term in enumerate(terms[1:], 1):
             acc = map(operator.sub if i % 2 else operator.add, acc, term)
         coords.append(list(map(m.__rmod__, acc)))
-    values = tuple(zip(*coords)) if coords else ((),) * len(faces[0])
-    return Cochain(f.group, f.coeffs, n + 1, values)
+    return tuple(zip(*coords)) if coords else ((),) * len(faces[0])
+
+
+def _face_matrix(faces, cols: int) -> IntegerMatrix:
+    """The integer matrix of the face columns: row j adds (-1)^i at column
+    faces[i][j] for every i."""
+    mat = [[0] * cols for _ in faces[0]]
+    for i, col in enumerate(faces):
+        sign = (-1) ** i
+        for dense, c in zip(mat, col):
+            dense[c] += sign
+    return IntegerMatrix(len(mat), cols, tuple(map(tuple, mat)))
+
+
+def coboundary(f: Cochain) -> Cochain:
+    """d_n f for n <= 2: the face columns of the incidence summed with their
+    signs, one coordinate mod m_k at a time."""
+    n = f.degree
+    if n > 2:
+        raise ValueError("coboundary implemented for degrees 0, 1, 2 only")
+    return Cochain(f.group, f.coeffs, n + 1, _face_sums(f, _incidence(f.group.table, n)))
+
+
+def _check_coboundary_size(order: int, degree: int) -> tuple[int, int]:
+    """The shape of d_degree for a group of the given order, refused with
+    SizeLimitExceeded beyond DENSE_CELL_LIMIT cells."""
+    rows, cols = order ** (degree + 1), order ** degree
+    check_dense(f"d_{degree} of a group of order {order} is a {rows} x {cols} matrix",
+                rows * cols)
+    return rows, cols
 
 
 def coboundary_matrix(group: FiniteGroup, degree: int) -> IntegerMatrix:
@@ -545,15 +640,8 @@ def coboundary_matrix(group: FiniteGroup, degree: int) -> IntegerMatrix:
     rows indexed by P^{degree+1}, columns by P^{degree}, built by adding the
     face columns of `_incidence` with their signs +-1.  A matrix of more
     than DENSE_CELL_LIMIT cells is refused before anything is built."""
-    rows, cols = group.order ** (degree + 1), group.order ** degree
-    check_dense(f"d_{degree} of a group of order {group.order} is a {rows} x {cols} matrix",
-                rows * cols)
-    mat = [[0] * cols for _ in range(rows)]
-    for i, col in enumerate(_incidence(group.table, degree)):
-        sign = (-1) ** i
-        for dense, c in zip(mat, col):
-            dense[c] += sign
-    return IntegerMatrix(rows, cols, tuple(map(tuple, mat)))
+    _, cols = _check_coboundary_size(group.order, degree)
+    return _face_matrix(_incidence(group.table, degree), cols)
 
 
 # ---------------------------------------------------------------------------

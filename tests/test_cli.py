@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import random
 import time
 
 import pytest
@@ -273,6 +274,20 @@ def test_oversized_extension_carrier_exits_two_fast(capsys, tmp_path):
                             f"{BUDGET}\n")
 
 
+def test_oversized_correspondence_solve_exits_two_fast(capsys):
+    # the steps before the d_1 solve fit their budgets (d_2 of z20 is 3.2M
+    # cells); the solve on the cover is refused before anything is built
+    start = time.perf_counter()
+    code = main(["group", "correspondence", "--cover", "z320", "--base", "z20",
+                 "--coeff", "z2"])
+    assert time.perf_counter() - start < 10.0
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == ""
+    assert captured.err == (f"error: d_1 of a group of order 320 is a 102400 x 320 matrix: "
+                            f"32768000 {BUDGET}\n")
+
+
 def _nontrivial_cocycle_file(tmp_path):
     values = [{"args": [p, q], "value": [1 if p == 1 and q == 1 else 0]}
               for p in range(2) for q in range(2)]
@@ -349,6 +364,121 @@ def test_group_extension_split_and_equiv(capsys, tmp_path):
     code, rep = run_json(capsys, "group", "extension", "equiv", "--group", "z2",
                          "--coeff", "z2", "--cocycle1", str(w), "--cocycle2", str(zero))
     assert code == EXIT_MATH and rep["result"]["equivalent"] is False
+
+
+def _z2_cocycle_entries(extra):
+    """The nontrivial z2 cocycle's value entries followed by `extra`."""
+    return [{"args": [p, q], "value": [1 if p == 1 and q == 1 else 0]}
+            for p in range(2) for q in range(2)] + extra
+
+
+@pytest.mark.parametrize("extra, message", [
+    ([{"args": [1, 1], "value": [0]}], "cochain JSON lists arguments (1, 1) more than once"),
+    ([{"args": [5, 0], "value": [0]}],
+     "cochain JSON arguments (5, 0) are not 2 elements of a group of order 2"),
+    ([{"args": [0, 0, 0], "value": [0]}],
+     "cochain JSON arguments (0, 0, 0) are not 2 elements of a group of order 2"),
+])
+def test_group_extension_refuses_ambiguous_cochain_entries(capsys, tmp_path, extra, message):
+    # a repeated, out-of-range or wrong-arity entry was once dropped or let
+    # overwrite the first, and the nontrivial cocycle then read as split
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps({"degree": 2, "group_order": 2, "coefficient_orders": [2],
+                                "values": _z2_cocycle_entries(extra)}))
+    code = main(["group", "extension", "split", "--group", "z2", "--coeff", "z2",
+                 "--cocycle", str(path)])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: {message}\n"
+
+
+@pytest.mark.parametrize("value", [1, [1.0], [1.5], ["1"]])
+def test_group_extension_refuses_a_cochain_value_that_is_no_integer_list(
+        capsys, tmp_path, value):
+    # a float coordinate once stayed a float residue, and d omega then held
+    # NotImplemented (int.__rmod__ of a float), so a cocycle read as none
+    entries = _z2_cocycle_entries([])
+    entries[3]["value"] = value
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps({"degree": 2, "group_order": 2, "coefficient_orders": [2],
+                                "values": entries}))
+    code = main(["group", "extension", "split", "--group", "z2", "--coeff", "z2",
+                 "--cocycle", str(path)])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == ""
+    assert captured.err == (f"error: {path}: cochain JSON value at arguments (1, 1) "
+                            f"is not a list of integers\n")
+
+
+def _write_cochain(path, w):
+    path.write_text(json.dumps(w.to_json()))
+    return path.name
+
+
+def _witness_argvs(tmp_path):
+    """Three commands whose reports print the particular solution of
+    d_1 phi = target that the solve picks: an equivalence witness between
+    two cohomologous q8 cocycles (the carry cocycle of q8 -> q8/<i> plus
+    two seeded coboundaries), a splitting section of a seeded s3
+    coboundary, and the homomorphisms of a correspondence.  File names are
+    relative to tmp_path, so the reports do not depend on it."""
+    from cohomkit.grpcoh import Cochain, coboundary, coefficients_by_name, group_by_name
+
+    rng = random.Random(24)
+    q8, a = group_by_name("q8"), coefficients_by_name("z2xz2")
+    pi = [x // 2 >= 2 for x in range(8)]  # 1 on the cosets of j and k
+    carry = Cochain.from_function(q8, a, 2, lambda p, q: (1, 0) if pi[p] and pi[q] else (0, 0))
+    w1, w2 = (_write_cochain(tmp_path / name, carry + coboundary(Cochain.random(q8, a, 1, rng)))
+              for name in ("w1.json", "w2.json"))
+    s3, z4 = group_by_name("s3"), coefficients_by_name("z4")
+    d = _write_cochain(tmp_path / "d.json", coboundary(Cochain.random(s3, z4, 1, rng)))
+    return [
+        ["group", "extension", "equiv", "--group", "q8", "--coeff", "z2xz2",
+         "--cocycle1", w1, "--cocycle2", w2],
+        ["group", "extension", "split", "--group", "s3", "--coeff", "z4", "--cocycle", d],
+        ["group", "correspondence", "--cover", "z8", "--base", "z4", "--coeff", "z2"],
+    ]
+
+
+_WITNESS_GOLDENS = [
+    (EXIT_OK,
+     '{"command": "group extension equiv --group q8 --coeff z2xz2 '
+     '--cocycle1 w1.json --cocycle2 w2.json", "inputs": {'
+     '"w1.json": "9675830517be62e32d5280a20fc985b774e05542ac6b1469b8fc1d7581ad0b0d", '
+     '"w2.json": "8887371243a563e003858db6963ecbd576c7cdaab4e7e8bf79172beb8a7a9c9a"}'
+     ', "result": {"equivalent": true, "witness": [[0, 1], [1, 0], [0, 1], [0, 0]'
+     ', [0, 0], [0, 0], [1, 1], [0, 0]]}, "version": "0.1.0"}\n',
+     ''),
+    (EXIT_OK,
+     '{"command": "group extension split --group s3 --coeff z4 --cocycle d.json"'
+     ', "inputs": {"d.json": "a48ccc4580e3303568e2371f5778b3304569685f287c390fc83a673ac8d2c8db"}'
+     ', "result": {"is_split": true, "splitting_section": [0, 19, 20, 21, 16, 5]}'
+     ', "version": "0.1.0"}\n',
+     ''),
+    (EXIT_OK,
+     '{"command": "group correspondence --cover z8 --base z4 --coeff z2"'
+     ', "inputs": {}, "result": {"applicable": true, "base": "z4"'
+     ', "class_to_hom": [{"class_index": 0, "cocycle_values": [[0], [0], [0], [0]'
+     ', [0], [0], [0], [0], [0], [0], [0], [0], [0], [0], [0], [0]]'
+     ', "hom_on_kernel": [[0], [0]]}, {"class_index": 1, "cocycle_values": [[0], [0]'
+     ', [0], [0], [0], [0], [1], [0], [0], [1], [1], [0], [0], [0], [0], [1]]'
+     ', "hom_on_kernel": [[0], [1]]}], "cover": "z8", "failing_class": null'
+     ', "h1_S_order": 2, "h2_P_order": 2, "kernel_order": 2, "map_injective": true'
+     ', "orders_match": true}, "version": "0.1.0"}\n',
+     ''),
+]
+
+
+def test_golden_reports_pin_the_solved_witnesses(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    got = []
+    for argv in _witness_argvs(tmp_path):
+        code = main(argv)
+        captured = capsys.readouterr()
+        got.append((code, captured.out, captured.err))
+    assert got == _WITNESS_GOLDENS
 
 
 def test_group_correspondence(capsys):

@@ -1,4 +1,5 @@
 import random
+import time
 from itertools import product
 from math import prod
 
@@ -20,6 +21,7 @@ from cohomkit.grpcoh import (
     FiniteGroup,
     GroupHom,
     coboundary,
+    coboundary_matrix,
     cocycle_space,
     coefficients_by_name,
     cohomology_group,
@@ -29,6 +31,7 @@ from cohomkit.grpcoh import (
     group_by_name,
     inflation,
 )
+from cohomkit.exactmat import SizeLimitExceeded, solve_mod
 from scan_oracle import assert_validate_matches_full_scan
 
 Z2 = group_by_name("z2")
@@ -560,3 +563,147 @@ def test_class_representatives_match_enumeration_oracle(pname, aname):
     for z in enumerate_cocycles(P, A, 2):
         assert sum((z - r).values in boundaries for r in reps) == 1
     assert len(reps) == prod(cohomology_group(P, A, 2), start=1)
+
+
+# ---------------------------------------------------------------------------
+# Light's rows: the cocycle decision and the d_1 solve on (p, s, r) and (p, s)
+
+_LIGHT_GROUPS = ["z2", "z3", "z4", "z5", "z6", "z8", "klein4", "s3", "q8", "a4"]
+_LIGHT_COEFFS = ["z2", "z3", "z4", "z2xz2", "z6"]
+
+
+def _relabelled_group(P, rng):
+    """P with its elements renamed by a seeded permutation that moves the
+    identity off 0."""
+    perm = list(range(P.order))
+    while perm[P.identity] == 0:
+        rng.shuffle(perm)
+    return FiniteGroup(P.order, _relabelled(P.table, perm), perm[P.identity],
+                       f"{P.name}-relabelled")
+
+
+def _seeded_cochains(P, A, rng):
+    """Cocycles (a coboundary plus a random combination of the generators of
+    Z^2), the same with one value changed, and random 2-cochains."""
+    gens = cocycle_space(P, A, 2).generators
+    out = []
+    for _ in range(3):
+        w = coboundary(Cochain.random(P, A, 1, rng))
+        for g, order in gens:
+            w = w + g.scale(rng.randrange(order))
+        vals = list(w.values)
+        i = rng.randrange(len(vals))
+        vals[i] = A.add(vals[i], tuple(1 + rng.randrange(m - 1) for m in A.orders))
+        out += [w, Cochain(P, A, 2, tuple(vals)), Cochain.random(P, A, 2, rng)]
+    return out
+
+
+def _light_cases(seed):
+    rng = random.Random(seed)
+    for gname in _LIGHT_GROUPS:
+        named = group_by_name(gname)
+        for P in (named, _relabelled_group(named, rng)):
+            for aname in _LIGHT_COEFFS:
+                A = coefficients_by_name(aname)
+                for w in _seeded_cochains(P, A, rng):
+                    yield P, A, w
+
+
+def test_light_rows_decide_the_cocycle_condition():
+    verdicts = set()
+    for P, A, w in _light_cases(24):
+        is_cocycle = coboundary(w).is_zero()
+        assert ext_module._is_cocycle(P, w) == is_cocycle, (P.name, A.orders, w.values)
+        verdicts.add((P.identity != 0, is_cocycle))
+    assert verdicts == {(False, False), (False, True), (True, False), (True, True)}
+
+
+def _full_row_solve(P, A, target):
+    """The full-row solve: `solve_mod` on the whole of d_1, one cyclic
+    factor at a time."""
+    d = coboundary_matrix(P, 1)
+    per_factor = []
+    for fi, m in enumerate(A.orders):
+        sol = solve_mod(d, [v[fi] for v in target.values], m)
+        if sol is None:
+            return None
+        per_factor.append(sol)
+    return tuple(zip(*per_factor))
+
+
+_SOLVE_COEFFS = ["z2", "z3", "z4", "z2xz2", "z6", "z8", "2,4"]
+
+
+@pytest.mark.parametrize("gname", _LIGHT_GROUPS)
+def test_light_row_solve_matches_the_full_row_solve(gname):
+    # on the named groups the witness is bitwise the full-row one; coboundaries
+    # of random 1-cochains make the solvable cases, the other draws the rest
+    P = group_by_name(gname)
+    rng = random.Random(sum(map(ord, gname)))
+    solved = unsolved = 0
+    for aname in _SOLVE_COEFFS:
+        A = coefficients_by_name(aname)
+        targets = [coboundary(Cochain.random(P, A, 1, rng)) for _ in range(4)]
+        for t in targets + _seeded_cochains(P, A, rng):
+            phi = ext_module._solve_coboundary(P, A, t)
+            expected = _full_row_solve(P, A, t)
+            assert (None if phi is None else phi.values) == expected, (aname, t.values)
+            solved += phi is not None
+            unsolved += phi is None
+    assert solved >= 28 and unsolved >= 7
+
+
+def test_light_row_solve_on_relabelled_groups_is_a_witness_exactly_when_one_exists():
+    # a relabelled table may pivot differently and return another witness
+    # (it differs by a homomorphism P -> A), never a different verdict
+    found = 0
+    for P, A, t in _light_cases(25):
+        if P.identity == 0:
+            continue
+        phi = ext_module._solve_coboundary(P, A, t)
+        assert (phi is None) == (_full_row_solve(P, A, t) is None)
+        if phi is not None:
+            assert coboundary(phi).values == t.values
+            found += 1
+    assert found >= 20
+
+
+def test_is_split_on_a_noncocycle_that_passes_light_rows_returns_none():
+    # z4 is generated by 1, so S = {0, 1}; changing d phi at (1, 2), a row
+    # Light's solve never reads, leaves the reduced system solvable
+    P, A = group_by_name("z4"), coefficients_by_name("z4")
+    vals = list(coboundary(Cochain.from_function(P, A, 1, lambda p: (p * p,))).values)
+    i = 1 * 4 + 2
+    vals[i] = A.add(vals[i], (1,))
+    bad = Cochain(P, A, 2, tuple(vals))
+    assert not coboundary(bad).is_zero()
+    rows, d = ext_module._light_d1(P.table, P.identity)
+    assert i not in rows and solve_mod(d, [vals[i][0] for i in rows], 4) is not None
+    assert ext_module._solve_coboundary(P, A, bad) is None
+    assert is_split(build_extension(P, A, bad, validate=False)) is None
+
+
+def test_unreduced_cocycle_values_build_and_split_as_their_residues():
+    # the Cochain constructor keeps values as given; the build, the Light-row
+    # check and the solve read them mod m
+    P, A = group_by_name("s3"), coefficients_by_name("z4")
+    w = coboundary(Cochain.random(P, A, 1, random.Random(3)))
+    unreduced = Cochain(P, A, 2, tuple((x + 4 * k,) for k, (x,) in enumerate(w.values)))
+    built, reduced = build_extension(P, A, unreduced), build_extension(P, A, w)
+    assert built.carrier.table == reduced.carrier.table
+    assert is_split(built).values == is_split(reduced).values
+
+
+def test_solve_on_a_group_whose_full_d1_is_over_budget_is_refused_fast():
+    # Light's rows of z320 are small, but the solve keeps the full-row
+    # solve's domain: a full d_1 of 320^3 cells is refused before anything
+    # is built, the d_2 incidence included
+    P, A = group_by_name("z320"), coefficients_by_name("z2")
+    zero = Cochain(P, A, 2, (A.zero(),) * P.order ** 2)
+    ext = build_extension(P, A, zero, validate=False)
+    start = time.perf_counter()
+    for call in (lambda: ext_module._solve_coboundary(P, A, zero), lambda: is_split(ext)):
+        with pytest.raises(SizeLimitExceeded, match="d_1 of a group of order 320 is a "
+                                                    "102400 x 320 matrix"):
+            call()
+    assert time.perf_counter() - start < 1.0

@@ -163,6 +163,39 @@ def test_identity_cochain_on_z2_is_cocycle():
     assert coboundary(ident).is_zero()
 
 
+@pytest.mark.parametrize("orders", [(), (2,), (6,), (2, 3, 4), (5, 2, 9)])
+def test_cochain_sum_and_difference_match_coefficient_arithmetic(orders):
+    # + and - run one coordinate column at a time
+    rng = random.Random(sum(orders) + len(orders))
+    A = AbelianCoefficients(orders)
+    for gname, degree in (("z3", 0), ("s3", 1), ("klein4", 2)):
+        P = group_by_name(gname)
+        f, g = Cochain.random(P, A, degree, rng), Cochain.random(P, A, degree, rng)
+        assert (f + g).values == tuple(map(A.add, f.values, g.values))
+        assert (f - g).values == tuple(map(A.sub, f.values, g.values))
+
+
+@pytest.mark.parametrize("gname", ["z1", "z2", "z5", "klein4", "s3", "q8", "a4"])
+def test_light_incidence_is_the_incidence_on_lights_rows(gname):
+    # built on the kept rows directly; the full incidence gathered there is
+    # the reference, on the named table and on one whose identity is not 0
+    P = group_by_name(gname)
+    perm = list(range(P.order))
+    random.Random(P.order).shuffle(perm)
+    inv = {v: i for i, v in enumerate(perm)}
+    relabelled = tuple(tuple(perm[P.table[inv[a]][inv[b]]] for b in range(P.order))
+                       for a in range(P.order))
+    for table, identity in ((P.table, P.identity), (relabelled, perm[P.identity])):
+        gens = grpcoh._generating_set(FiniteGroup(P.order, table, identity))
+        S = sorted({identity, *gens})
+        for n in (1, 2):
+            rows, faces = grpcoh._light_incidence(table, identity, n)
+            assert rows == tuple(i for i, args in enumerate(product(range(P.order),
+                                                                    repeat=n + 1))
+                                 if args[1] in S)
+            assert faces == tuple(tuple(col[i] for i in rows) for col in _incidence(table, n))
+
+
 def test_degree_zero_coboundary_vanishes():
     rng = random.Random(0)
     s3 = group_by_name("s3")
