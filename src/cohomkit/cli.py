@@ -179,9 +179,16 @@ def cmd_lie(args, inputs: dict[str, str]) -> tuple[dict, bool]:
 def _get_group(spec: str, inputs: dict):
     from . import grpcoh
 
+    def parse(obj):
+        group = grpcoh.FiniteGroup.from_table(obj["table"], obj.get("identity"),
+                                              name=os.path.basename(spec))
+        order = obj.get("order", group.order)
+        if type(order) is not int or order != group.order:
+            raise ValueError(f"'order' is {order!r}, but the table has {group.order} rows")
+        return group
+
     if os.path.exists(spec):
-        return _load(spec, inputs, lambda obj: grpcoh.FiniteGroup.from_table(
-            obj["table"], obj.get("identity"), name=os.path.basename(spec)))
+        return _load(spec, inputs, parse)
     return grpcoh.group_by_name(spec)
 
 
@@ -224,7 +231,7 @@ def cmd_group(args, inputs: dict[str, str]) -> tuple[dict, bool]:
 
 
 def _get_sigma(args, E, P, inputs):
-    from .grpcoh import GroupHom
+    from .grpcoh import GroupHom, _check_indices
 
     if args.sigma == "canonical":
         if E.order % P.order:
@@ -236,7 +243,9 @@ def _get_sigma(args, E, P, inputs):
         return hom
 
     def parse(obj):
-        hom = GroupHom(E, P, tuple(int(v) for v in obj["values"]))
+        values = tuple(obj["values"])
+        _check_indices(values, P.order, "'values' entry ")
+        hom = GroupHom(E, P, values)
         hom.validate()
         return hom
 

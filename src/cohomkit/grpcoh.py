@@ -38,8 +38,8 @@ Two computation routes coexist and are cross-checked in the tests:
   independent oracle.
 
 Groups are stored by full multiplication table and validated by direct scan
-(Latin square, identity, inverses) and Light's associativity test on a
-generating set; everything here is desk scale.
+(Latin square, identity) and Light's associativity test on a generating
+set; everything here is desk scale.
 """
 
 from __future__ import annotations
@@ -130,13 +130,13 @@ class FiniteGroup:
         for j, col in enumerate(columns):
             if set(col) != full:
                 raise ValueError(f"column {j} is not a permutation (Latin square fails)")
+        if not _is_index(e, n):
+            raise ValueError(f"declared identity {e!r} is not an element 0..{n - 1}")
         ident = tuple(range(n))
         if tuple(t[e]) != ident or columns[e] != ident:
             a = next(a for a in ident if t[e][a] != a or t[a][e] != a)
             raise ValueError(f"declared identity {e} does not act as identity on {a}")
-        for a in range(n):
-            if e not in t[a]:
-                raise ValueError(f"element {a} has no inverse")
+        # every Latin row holds the identity, so every element has an inverse
         # Light's test: the s with (x s) y = x (s y) for all x, y contain the
         # identity and are closed under products, so checking them on a
         # generating set proves associativity in O(n^2) per generator, row
@@ -154,8 +154,10 @@ class FiniteGroup:
     @classmethod
     def from_table(cls, table: Sequence[Sequence[int]], identity: int | None = None,
                    name: str = "", labels: Sequence[str] = ()) -> "FiniteGroup":
-        tab = tuple(tuple(int(x) for x in row) for row in table)
+        tab = tuple(map(tuple, table))
         n = len(tab)
+        for i, row in enumerate(tab):
+            _check_indices(row, n, f"'table' entry [{i}]")
         if identity is None:
             identity = next((e for e in range(n)
                              if all(tab[e][a] == a and tab[a][e] == a for a in range(n))),
@@ -240,6 +242,20 @@ class FiniteGroup:
         sub = FiniteGroup(len(elems), table, pos[self.identity],
                           name or f"{self.name}-sub", labels)
         return sub, elems
+
+
+def _is_index(x, n: int) -> bool:
+    """x is an element index of a group of order n: an int in 0..n-1 (a
+    bool, float or string is not)."""
+    return type(x) is int and 0 <= x < n
+
+
+def _check_indices(values: Sequence, n: int, where: str) -> None:
+    """Refuse the first of `values` that is no element index of a group of
+    order n, naming it by `where` and its position."""
+    for i, x in enumerate(values):
+        if not _is_index(x, n):
+            raise ValueError(f"{where}[{i}] is {x!r}, not an integer in 0..{n - 1}")
 
 
 def _permutation_group(n: int, name: str, even_only: bool = False) -> FiniteGroup:
@@ -354,12 +370,9 @@ class AbelianCoefficients:
         index order (compatible with `index`/`element`)."""
         n = self.size
         check_dense(f"the coefficient group of order {n} has a {n} x {n} addition table", n * n)
-        table = tuple(
-            tuple(self.index(self.add(self.element(i), self.element(j))) for j in range(n))
-            for i in range(n)
-        )
-        return FiniteGroup(n, table, 0, name or "+".join(f"z{m}" for m in self.orders),
-                           _index_tables(tuple(self.orders))[1])
+        orders = tuple(self.orders)
+        return FiniteGroup(n, _index_addition(orders), 0,
+                           name or "+".join(f"z{m}" for m in orders), _index_tables(orders)[1])
 
 
 @lru_cache(maxsize=32)
@@ -371,6 +384,18 @@ def _index_tables(orders: tuple[int, ...]) -> tuple[tuple, tuple[str, ...], tupl
     elements = tuple(A.elements())
     return (elements, tuple("+".join(map(str, a)) for a in elements),
             tuple(A.index(A.neg(a)) for a in elements))
+
+
+@lru_cache(maxsize=32)
+def _index_addition(orders: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """The addition table of A = Z_{m_1} + ... + Z_{m_r} on the indices of
+    `_index_tables`, built one cyclic factor at a time: index i m + x plus
+    index j m + y is (i + j) m + (x + y mod m)."""
+    table: tuple[tuple[int, ...], ...] = ((0,),)
+    for m in orders:
+        table = tuple(tuple(t * m + (x + y) % m for t in row for y in range(m))
+                      for row in table for x in range(m))
+    return table
 
 
 def _value_indices(orders: Sequence[int], values) -> list[int]:
@@ -927,18 +952,18 @@ def construct_splitting(E: FiniteGroup, sigma: GroupHom, extension, phi: Cochain
     """Lift sigma: E -> P through a central extension G of P.
 
     `extension` is a built CentralExtensionTable over P; `phi` must satisfy
-    d_1 phi = inflated cocycle of the extension's canonical section.  The
-    returned map U(g) = s(sigma(g)) * i(phi(g)) is a verified homomorphism
-    E -> G with projection o U = sigma.
+    d_1 phi = omega~, the extension's cocycle inflated along sigma.  The
+    returned map U(g) = s(sigma(g)) * i(phi(g)) is a homomorphism E -> G
+    with projection o U = sigma.  U is a homomorphism iff d_1 phi = omega~,
+    so `U.validate()` decides that once, on the table the caller receives:
+    a wrong phi raises its ValueError, "multiplicativity fails on pair
+    (a, b)", or "map does not send identity to identity" when phi(1) is not
+    u = omega(1, 1).
     """
     if sigma.source.table != E.table:
         raise ValueError("sigma is not defined on E")
     if sigma.target.table != extension.base.table:
         raise ValueError("sigma does not land in the extension's base group")
-    omega_tilde = inflation(sigma, extension.cocycle)
-    bad = (coboundary(phi) - omega_tilde).first_nonzero()
-    if bad is not None:
-        raise ValueError(f"d phi differs from the inflated cocycle at pair {bad}")
     G = extension.carrier
     values = []
     for g in E.elements():

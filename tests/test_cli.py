@@ -136,13 +136,57 @@ def test_group_h_rejects_order_zero_but_not_trivial_group(capsys):
     ({"table": 5}, "'int' object is not iterable"),
     ({"tab": [[0]]}, "missing key 'table'"),
     ([[0]], "list indices must be integers or slices, not str"),
-    ({"table": [[0, "x"], [1, 0]]}, "invalid literal for int() with base 10: 'x'"),
+    ({"table": [[0, "x"], [1, 0]]}, "'table' entry [0][1] is 'x', not an integer in 0..1"),
+    ({"order": 2, "table": [[0, 1.7], [1.2, 0]]},
+     "'table' entry [0][1] is 1.7, not an integer in 0..1"),
+    ({"table": [[0, 1.0], [1, 0]]}, "'table' entry [0][1] is 1.0, not an integer in 0..1"),
+    ({"table": [[0, True], [True, 0]], "identity": False},
+     "'table' entry [0][1] is True, not an integer in 0..1"),
+    ({"table": [[0, "1"], ["1", 0]]}, "'table' entry [0][1] is '1', not an integer in 0..1"),
+    ({"table": [[0, 1], [1, 2]]}, "'table' entry [1][1] is 2, not an integer in 0..1"),
+    ({"table": [[0, 1], [1, 0]], "identity": False},
+     "declared identity False is not an element 0..1"),
+    ({"table": [[0, 1], [1, 0]], "identity": 0.0},
+     "declared identity 0.0 is not an element 0..1"),
+    # the last element is the identity, which Python's -1 would index
+    ({"table": [[1, 2, 0], [2, 0, 1], [0, 1, 2]], "identity": -1},
+     "declared identity -1 is not an element 0..2"),
+    ({"order": 5, "table": [[0, 1], [1, 0]]}, "'order' is 5, but the table has 2 rows"),
+    ({"order": 2.0, "table": [[0, 1], [1, 0]]}, "'order' is 2.0, but the table has 2 rows"),
 ])
 @pytest.mark.parametrize("cmd", ["h", "cocycles"])
 def test_group_loader_errors_name_file_and_key(capsys, tmp_path, doc, message, cmd):
     path = tmp_path / "g.json"
     path.write_text(json.dumps(doc))
     code = main(["group", cmd, "--group", str(path), "--coeff", "z2", "--degree", "1"])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: {message}\n"
+
+
+def test_group_table_with_matching_order_and_identity_is_accepted(capsys, tmp_path):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"order": 2, "table": [[1, 0], [0, 1]], "identity": 1}))
+    code, rep = run_json(capsys, "group", "h", "--group", str(path), "--coeff", "z2",
+                         "--degree", "2")
+    assert code == EXIT_OK
+    assert rep["result"]["invariant_factors"] == [2]
+
+
+@pytest.mark.parametrize("values, message", [
+    ([0, 1.5, 0, 1.9], "'values' entry [1] is 1.5, not an integer in 0..1"),
+    ([0, 1.0, 0, 1], "'values' entry [1] is 1.0, not an integer in 0..1"),
+    ([0, True, 0, True], "'values' entry [1] is True, not an integer in 0..1"),
+    ([0, "1", 0, "1"], "'values' entry [1] is '1', not an integer in 0..1"),
+    ([0, 1, 0, 3], "'values' entry [3] is 3, not an integer in 0..1"),
+    ([0, -1, 0, 1], "'values' entry [1] is -1, not an integer in 0..1"),
+], ids=["floats", "float-one", "bools", "strings", "range", "negative"])
+def test_sigma_values_must_be_element_indices(capsys, tmp_path, values, message):
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({"values": values}))
+    code = main(["group", "correspondence", "--cover", "z4", "--base", "z2", "--coeff", "z2",
+                 "--sigma", str(path)])
     captured = capsys.readouterr()
     assert code == EXIT_USAGE
     assert captured.out == ""

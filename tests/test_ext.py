@@ -1,5 +1,6 @@
 import random
 import time
+from functools import lru_cache
 from itertools import product
 from math import prod
 
@@ -9,7 +10,6 @@ from cohomkit import ext as ext_module
 from cohomkit.ext import (
     CentralExtensionTable,
     NotACocycleError,
-    are_equivalent,
     cocycle_of_section,
     extract_section,
     h1_h2_correspondence_check,
@@ -39,12 +39,41 @@ A2 = coefficients_by_name("z2")
 
 
 def build_extension(P, A, omega, validate=True):
-    """`ext.build_extension`; the carrier of every extension this module
-    builds is also validated against the full-scan associativity oracle, so
-    Light's test must reach the same verdict and witness on each."""
+    """`ext.build_extension`, re-verified: with `validate` every table this
+    module builds from a cocycle also passes `CentralExtensionTable.validate`,
+    which the build does not run, and every carrier is validated against the
+    full-scan associativity oracle, so Light's test must reach the same
+    verdict and witness on each."""
     built = ext_module.build_extension(P, A, omega, validate)
+    if validate:
+        built.validate()
     assert_validate_matches_full_scan(built.carrier)
     return built
+
+
+def check_equivalence_map(ext1, ext2, phi):
+    """Test-local transcription of the map check: F(a, p) = (a + phi(p), p)
+    is a bijection ext2.carrier -> ext1.carrier, a homomorphism, commutes
+    with both projections and fixes the embedded kernel pointwise."""
+    A, N = ext1.kernel, ext1.base.order
+    images = [ext1.index_of(A.add(a, phi.value(p)), p) for a in A.elements() for p in range(N)]
+    assert sorted(images) == list(ext1.carrier.elements()), "not a bijection"
+    G1, G2 = ext1.carrier, ext2.carrier
+    for g, h in product(G2.elements(), repeat=2):
+        assert images[G2.mul(g, h)] == G1.mul(images[g], images[h]), ("not a hom", g, h)
+    for g in G2.elements():
+        assert ext1.projection(images[g]) == ext2.projection(g), ("projection", g)
+    for a in A.elements():
+        assert images[ext2.embed(a)] == ext1.embed(a), ("moves the kernel", a)
+
+
+def are_equivalent(ext1, ext2, strategy="solve"):
+    """`ext.are_equivalent`; every witness it returns in this module passes
+    `check_equivalence_map`, which the function itself does not run."""
+    phi = ext_module.are_equivalent(ext1, ext2, strategy)
+    if phi is not None:
+        check_equivalence_map(ext1, ext2, phi)
+    return phi
 
 
 def nontrivial_z2_cocycle() -> Cochain:
@@ -414,6 +443,65 @@ def test_construct_splitting_rejects_wrong_phi():
         construct_splitting(z4, sigma, ext, Cochain.zero(z4, A2, 1))
 
 
+def test_construct_splitting_names_the_first_pair_where_d_phi_misses():
+    # U is a homomorphism iff d_1 phi equals the inflated cocycle, so
+    # U.validate() names the first pair (g, h) where they differ; a phi with
+    # phi(1) != u sends the identity elsewhere, checked first
+    z4, z8, k4 = group_by_name("z4"), group_by_name("z8"), group_by_name("klein4")
+    ext = build_extension(Z2, A2, nontrivial_z2_cocycle())
+    with pytest.raises(ValueError) as err:
+        construct_splitting(z4, _sigma_z4_to_z2(), ext, Cochain.zero(z4, A2, 1))
+    assert str(err.value) == "multiplicativity fails on pair (1, 1)"
+    rng = random.Random(7)
+    seen = {"identity": 0, "pair": 0}
+    for P, A, sigma in ((Z2, A2, _sigma_z4_to_z2()),
+                        (Z2, coefficients_by_name("z4"),
+                         GroupHom(z8, Z2, tuple(x % 2 for x in range(8)))),
+                        (k4, A2, GroupHom.identity_map(k4))):
+        E = sigma.source
+        for w in enumerate_cocycles(P, A, 2)[:6]:
+            ext, w_tilde = build_extension(P, A, w), inflation(sigma, w)
+            for _ in range(4):
+                phi = Cochain.random(E, A, 1, rng)
+                bad = (coboundary(phi) - w_tilde).first_nonzero()
+                if bad is None:
+                    construct_splitting(E, sigma, ext, phi)
+                    continue
+                with pytest.raises(ValueError) as err:
+                    construct_splitting(E, sigma, ext, phi)
+                if phi.value(E.identity) != ext.normalizer:
+                    assert str(err.value) == "map does not send identity to identity"
+                    seen["identity"] += 1
+                else:
+                    assert str(err.value) == f"multiplicativity fails on pair {bad}"
+                    seen["pair"] += 1
+    assert seen["identity"] >= 10 and seen["pair"] >= 10, seen
+
+
+def test_splittings_and_correspondence_lifts_are_validated_homomorphisms(monkeypatch):
+    validated = []
+    check = GroupHom.validate
+
+    def spy(hom):
+        check(hom)
+        validated.append(hom)
+
+    monkeypatch.setattr(GroupHom, "validate", spy)
+    k4 = group_by_name("klein4")
+    for w in enumerate_cocycles(k4, A2, 2)[:8]:
+        hom = is_split(build_extension(k4, A2, w))
+        if hom is not None:
+            assert any(v is hom for v in validated)
+            assert all(hom(k4.mul(a, b)) == hom.target.mul(hom(a), hom(b))
+                       for a, b in product(k4.elements(), repeat=2))
+    validated.clear()
+    report = h1_h2_correspondence_check(group_by_name("z8"), GroupHom(
+        group_by_name("z8"), group_by_name("z4"), tuple(x % 4 for x in range(8))), A2)
+    assert report.applicable
+    lifts = [v for v in validated if v.source.name == "z8" and v.target.name.startswith("ext(")]
+    assert len(lifts) == report.h2_order == len(report.class_to_hom)
+
+
 # ---------------------------------------------------------------------------
 # the correspondence check
 
@@ -707,3 +795,58 @@ def test_solve_on_a_group_whose_full_d1_is_over_budget_is_refused_fast():
                                                     "102400 x 320 matrix"):
             call()
     assert time.perf_counter() - start < 1.0
+
+
+# ---------------------------------------------------------------------------
+# property: the build decides the cocycle condition, and its tables, splits
+# and equivalence witnesses pass the checks the functions do not repeat
+
+_PROPERTY_GROUPS = ["z2", "z3", "z4", "z5", "z6", "z8", "klein4", "s3", "q8", "a4"]
+
+
+@lru_cache(maxsize=None)
+def _property_space(gname, relabel, aname):
+    """P (relabelled by seed `relabel` when it is nonzero, so that its
+    identity is not 0), A and one cocycle per class of H^2(P, A), the zero
+    cocycle first."""
+    P = group_by_name(gname)
+    if relabel:
+        P = _relabelled_group(P, random.Random(relabel))
+    A = coefficients_by_name(aname)
+    return P, A, ext_module._class_representatives(cocycle_space(P, A, 2))
+
+
+def test_build_split_and_equivalence_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=50, derandomize=True, deadline=None, database=None)
+    @hypothesis.given(gname=st.sampled_from(_PROPERTY_GROUPS), relabel=st.integers(0, 2),
+                      aname=st.sampled_from(_LIGHT_COEFFS), data=st.data())
+    def check(gname, relabel, aname, data):
+        P, A, reps = _property_space(gname, relabel, aname)
+        rng = random.Random(data.draw(st.integers(0, 2 ** 32), label="seed"))
+        k = data.draw(st.integers(0, len(reps) - 1), label="class")
+        w = coboundary(Cochain.random(P, A, 1, rng)) + reps[k]
+        changed = data.draw(st.booleans(), label="changed")
+        if changed:
+            vals = list(w.values)
+            i = rng.randrange(len(vals))
+            vals[i] = A.add(vals[i], tuple(1 + rng.randrange(m - 1) for m in A.orders))
+            w = Cochain(P, A, 2, tuple(vals))
+        if not coboundary(w).is_zero():
+            with pytest.raises(NotACocycleError) as err:
+                build_extension(P, A, w)
+            assert err.value.triple == _first_violating_triple(w)
+            return
+        built = build_extension(P, A, w)
+        split = is_split(built)
+        assert (split is not None) == (k == 0 if not changed
+                                       else _full_row_solve(P, A, w) is not None)
+        shifted = build_extension(P, A, w + coboundary(Cochain.random(P, A, 1, rng)))
+        strategies = ["solve"] + (["search"] if A.size ** P.order <= ext_module.SEARCH_LIMIT
+                                  else [])
+        for strategy in strategies:
+            assert are_equivalent(built, shifted, strategy) is not None
+
+    check()

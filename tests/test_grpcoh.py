@@ -92,6 +92,24 @@ def test_light_test_matches_full_scan_on_latin_squares():
         FiniteGroup(6, tuple(map(tuple, t)), 0, "s3-row-swap"))
 
 
+@pytest.mark.parametrize("identity", [-1, 3, True, 0.0, "0", None])
+def test_identity_outside_the_elements_is_refused_by_name(identity):
+    # z3 relabelled so that its identity is the last element, 2: -1 would
+    # index it, and True would pass as 1
+    z3 = FiniteGroup(3, ((1, 2, 0), (2, 0, 1), (0, 1, 2)), identity, "z3-last")
+    message = assert_validate_matches_full_scan(z3)
+    assert message == f"declared identity {identity!r} is not an element 0..2"
+    assert assert_validate_matches_full_scan(
+        FiniteGroup(3, z3.table, 2, "z3-last")) is None
+
+
+@pytest.mark.parametrize("entry", [1.0, True, "1", -1, 2, None])
+def test_from_table_refuses_an_entry_that_is_no_element_index(entry):
+    with pytest.raises(ValueError) as err:
+        FiniteGroup.from_table([[0, 1], [1, entry]])
+    assert str(err.value) == f"'table' entry [1][1] is {entry!r}, not an integer in 0..1"
+
+
 def test_associativity_violation_detected():
     # a Latin square that is not a group table (order-5 quasigroup)
     table = [
@@ -145,6 +163,16 @@ def test_coefficients_as_group_consistent_indexing():
     for a in A.elements():
         for b in A.elements():
             assert G.mul(A.index(a), A.index(b)) == A.index(A.add(a, b))
+
+
+@pytest.mark.parametrize("orders", [(2,), (6,), (2, 4), (4, 2), (3, 2, 2)])
+def test_as_group_reads_the_one_index_addition_table(orders):
+    A = AbelianCoefficients(orders)
+    G = A.as_group()
+    G.validate()
+    assert G.table is grpcoh._index_addition(orders)
+    assert G.table == tuple(tuple(A.index(A.add(a, b)) for b in A.elements())
+                            for a in A.elements())
 
 
 def test_coefficient_orders_must_be_nontrivial():
