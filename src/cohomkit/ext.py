@@ -11,8 +11,9 @@ non-cocycle input is rejected with a triple witnessing the failure.  The
 condition is decided on Light's rows (p, s, r) of d_2, s the identity or a
 generator of P, and the full d_2 omega runs only to name the triple; a
 cocycle is a coboundary d_1 phi iff it is one on the rows (p, s), so
-`_solve_coboundary` eliminates only those and then compares the full d_1 phi
-(see `grpcoh._light_incidence`).
+`_solve_coboundary` eliminates only those and then compares the full d_1 phi,
+and `_class_representatives` keys the classes of H^2 by annihilators of d_1
+on those rows (see `grpcoh._light_incidence`).
 
 Each fact is decided once, where its data come in: the cocycle condition
 by `build_extension`, whose table is then an extension by construction;
@@ -51,16 +52,14 @@ from .grpcoh import (
     FiniteGroup,
     GroupHom,
     SizeLimitExceeded,
-    _check_coboundary_size,
-    _face_matrix,
     _face_sums,
     _gather,
     _index_addition,
     _index_tables,
+    _light_coboundary_matrix,
     _light_incidence,
     _value_indices,
     coboundary,
-    coboundary_matrix,
     cocycle_space,
     construct_splitting,
     inflation,
@@ -86,10 +85,9 @@ SEARCH_LIMIT = 2 ** 16
 @lru_cache(maxsize=32)
 def _light_d1(table: tuple[tuple[int, ...], ...],
               identity: int) -> tuple[tuple[int, ...], IntegerMatrix]:
-    """Light's rows (p, s) of d_1, as indices in P^2, and d_1 on them as an
-    integer matrix; cached per (table, identity)."""
-    rows, faces = _light_incidence(table, identity, 1)
-    return rows, _face_matrix(faces, len(table))
+    """`_light_coboundary_matrix` of d_1, cached per (table, identity): a
+    group whose full d_1 is over budget is refused on every call."""
+    return _light_coboundary_matrix(table, identity, 1)
 
 
 def _is_cocycle(P: FiniteGroup, omega: Cochain) -> bool:
@@ -179,16 +177,45 @@ class CentralExtensionTable:
 
     @classmethod
     def from_json(cls, text: str) -> "CentralExtensionTable":
+        """The extension a `to_json` document describes, rebuilt from its
+        base table, kernel and cocycle.  The document must be the one the
+        rebuilt extension writes, key for key (orders, identities, tables
+        and the projection); a ValueError names the first key path where it
+        is not."""
         obj = json.loads(text)
         base = FiniteGroup.from_table(obj["base"]["table"], obj["base"]["identity"])
         kernel = AbelianCoefficients(tuple(obj["kernel"]))
         omega = Cochain.from_json(obj["cocycle"], base, kernel)
         ext = build_extension(base, kernel, omega)
-        if [list(r) for r in ext.carrier.table] != obj["carrier"]["table"]:
-            raise ValueError("stored carrier table does not match its cocycle")
-        if list(ext.projection.values) != obj["projection"]:
-            raise ValueError("stored projection does not match its cocycle")
+        rebuilt = ext.to_json()
+        if json.dumps(obj, sort_keys=True) != rebuilt:
+            path = _first_difference(obj, json.loads(rebuilt), "")
+            raise ValueError(f"stored {path} does not match the extension its cocycle builds")
         return ext
+
+
+def _first_difference(stored, rebuilt, path: str) -> str | None:
+    """The key path of the first place, keys in sorted order, where two
+    JSON documents differ, types included (1.0 is not 1), or None."""
+    if type(stored) is not type(rebuilt):
+        return path
+    if isinstance(rebuilt, dict):
+        for key in sorted(stored.keys() | rebuilt.keys()):
+            sub = f"{path}.{key}" if path else key
+            if key not in stored or key not in rebuilt:
+                return sub
+            found = _first_difference(stored[key], rebuilt[key], sub)
+            if found is not None:
+                return found
+        return None
+    if isinstance(rebuilt, list):
+        for i, (a, b) in enumerate(zip(stored, rebuilt)):
+            found = _first_difference(a, b, f"{path}[{i}]")
+            if found is not None:
+                return found
+        shorter = min(len(stored), len(rebuilt))
+        return None if len(stored) == len(rebuilt) else f"{path}[{shorter}]"
+    return None if stored == rebuilt else path
 
 
 @dataclass(frozen=True)
@@ -318,7 +345,6 @@ def _solve_coboundary(P: FiniteGroup, A: AbelianCoefficients,
     full d_1 exceeds DENSE_CELL_LIMIT cells is refused before anything is
     built, as the full-row solve refused it.
     """
-    _check_coboundary_size(P.order, 1)
     rows, dmat = _light_d1(P.table, P.identity)
     rhs = _gather(target.values, rows)
     per_factor: list[list[int]] = []
@@ -414,22 +440,31 @@ class CorrespondenceReport:
 
 
 def _class_representatives(space: CocycleSpaceDescription) -> list[Cochain]:
-    """One cocycle per class of H^n, sorted by linear keys.
+    """One cocycle per class of H^2, told apart by linear keys.
 
-    Over Z/m a cochain is a coboundary exactly when every y with
-    d_(n-1)^T y = 0 (mod m) annihilates it (the dot product on (Z/m)^r is a
-    perfect pairing), so the key y . z_k mod m_k, over each factor k and
-    each `kernel_mod` generator y, decides the class.  From the zero
-    cocycle the walk adds the generators to each representative, first in
-    first out, and keeps the first cocycle that reaches each new key."""
+    A cocycle z is a coboundary iff its restriction R z to Light's rows
+    (p, s) lies in the image of R d_1: if R z = R d_1 phi, then
+    z - d_1 phi is a cocycle zero on those rows, hence zero (restriction
+    is injective on cocycles, see `grpcoh._light_incidence`).  Over Z/m,
+    R z is in that image exactly when every y with (R d_1)^T y = 0
+    (mod m) annihilates it (the dot product on (Z/m)^r is a perfect
+    pairing), so the key y . R z_k mod m_k, over each factor k and each
+    `kernel_mod` generator y, decides the class.  The keys are linear, so
+    they split the cocycles into the classes the full d_1 would.  From
+    the zero cocycle the walk adds the generators to each representative,
+    first in first out, and keeps the first cocycle that reaches each new
+    key."""
     P, A = space.group, space.coeffs
-    d = coboundary_matrix(P, space.degree - 1)
+    if space.degree != 2:
+        raise ValueError("class representatives are computed for H^2 only")
+    rows, d = _light_d1(P.table, P.identity)
     d_t = IntegerMatrix(d.cols, d.rows, tuple(zip(*d.entries)))
     annihilators = {m: [y for y, _ in kernel_mod(d_t, m)] for m in set(A.orders)}
     moduli = [m for m in A.orders for _ in annihilators[m]]
-    steps = [(g, tuple(sum(yc * v[k] for yc, v in zip(y, g.values)) % m
+    restricted = [(g, _gather(g.values, rows)) for g, _ in space.generators]
+    steps = [(g, tuple(sum(yc * v[k] for yc, v in zip(y, z)) % m
                        for k, m in enumerate(A.orders) for y in annihilators[m]))
-             for g, _ in space.generators]
+             for g, z in restricted]
     reps = {(0,) * len(moduli): Cochain.zero(P, A, space.degree)}
     keys = list(reps)
     for zk in keys:

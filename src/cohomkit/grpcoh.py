@@ -19,12 +19,16 @@ tuple of P^(n+1), cached per (table, degree).
 `coboundary` sums the columns over a value table, and `coboundary_matrix`
 adds them into a dense integer matrix (refused beyond DENSE_CELL_LIMIT
 cells).  `_light_incidence` builds the same columns on Light's rows only,
-those whose second argument is the identity or a generator:
-`ext.build_extension` decides d_2 omega = 0 on the rows (p, s, r) alone
-and runs the full d_2 omega only on a failure, whose first nonzero value
-is the cocycle witness; `ext._solve_coboundary` eliminates only the rows
-(p, s) of d_1, then checks the full d_1 phi.  The enumeration oracle
-writes its equations out separately on purpose.
+those whose second argument is the identity or a generator, and
+`_light_coboundary_matrix` the matrix on them; for n = 1, 2 they have the
+kernel of the full d_n over every Z/p^e, so every elimination in the group
+layer runs on them: `cocycle_space`, the H^n exponents of `_exponents`,
+and `ext._class_representatives` and `ext._solve_coboundary`, which then
+checks the full d_1 phi.  `ext.build_extension` decides d_2 omega = 0 on
+the rows (p, s, r) alone and runs the full d_2 omega only on a failure,
+whose first nonzero value is the cocycle witness.  `coboundary_matrix`
+builds the full d_n, for d_0 and as the tests' oracle.  The enumeration
+oracle writes its equations out separately on purpose.
 
 Two computation routes coexist and are cross-checked in the tests:
 
@@ -33,7 +37,7 @@ Two computation routes coexist and are cross-checked in the tests:
   coefficients off the elementary divisors of the integer coboundary
   matrices d_n and d_(n-1) over Z/p^e, e = min(f, v_p(|P|) + 1), memoized
   per group table (a call builds each d_n at most once), and Z^n is the
-  kernel of d_n mod m over Z/p^f;
+  kernel of d_n mod m over Z/p^f, both on Light's rows;
 * exhaustive enumeration, available whenever |A|^(|P|^n) <= 2^20, kept as an
   independent oracle.
 
@@ -592,12 +596,24 @@ def _light_incidence(table: tuple[tuple[int, ...], ...], identity: int,
     their mixed-radix indices and their face columns, in mixed-radix order,
     built without the full incidence.  Cached per (table, identity, n).
 
-    A 2-cochain omega is a cocycle iff d_2 omega vanishes on the rows
-    (p, s, r): they are Light's associativity test on the carrier A x P of
-    `ext.build_extension`, whose middles (0, s) and (a, 1) generate it.  A
-    2-cocycle t is d_1 phi iff it is on the rows (p, s): c = t - d_1 phi
-    is then a cocycle zero there, and c(p, s r) = c(p s, r) - c(s, r) +
-    c(p, s) makes it zero everywhere by induction on word length."""
+    For n = 1 and 2 these rows of d_n have the kernel of the full d_n with
+    values in any abelian group A, Z/p^e in particular:
+
+    * a 1-cochain phi with d_1 phi = 0 on (p, s) has phi(1) = 0 (s = 1) and
+      phi(p s) = phi(p) + phi(s), so phi(p w) = phi(p) + phi(w) by
+      induction on the length of w as a word in the generators: phi is a
+      homomorphism, i.e. d_1 phi = 0;
+    * a 2-cochain omega is a cocycle iff d_2 omega vanishes on the rows
+      (p, s, r): they are Light's associativity test on the carrier A x P
+      of `ext.build_extension`, whose middles (0, s) and (a, 1) generate it.
+
+    Equal kernels make equal images up to isomorphism (both are C^n / ker),
+    so over Z/p^e the rows have the exponents of the full d_n.  And
+    restricting cocycles to the rows (p, s) is injective: a cocycle c that
+    is zero there has c(p, s r) = c(p s, r) - c(s, r) + c(p, s), which
+    makes it zero everywhere by induction on word length.  So a 2-cocycle
+    t is d_1 phi iff it is on the rows (p, s): c = t - d_1 phi is then a
+    cocycle zero there."""
     N = len(table)
     S = sorted({identity, *_generating_set(FiniteGroup(N, table, identity))})
     args_list = [(p, s, *rest) for p in range(N) for s in S
@@ -669,6 +685,18 @@ def coboundary_matrix(group: FiniteGroup, degree: int) -> IntegerMatrix:
     return _face_matrix(_incidence(group.table, degree), cols)
 
 
+def _light_coboundary_matrix(table: tuple[tuple[int, ...], ...], identity: int,
+                             degree: int) -> tuple[tuple[int, ...], IntegerMatrix]:
+    """Light's rows of d_degree, degree 1 or 2, as indices in P^(degree+1),
+    and d_degree on them as an integer matrix (see `_light_incidence`: it
+    has the kernel of the full d_degree over every Z/p^e).  A group whose
+    full d_degree exceeds DENSE_CELL_LIMIT cells is refused first, with the
+    full matrix's message, so the Light-row routes keep its domain."""
+    _, cols = _check_coboundary_size(len(table), degree)
+    rows, faces = _light_incidence(table, identity, degree)
+    return rows, _face_matrix(faces, cols)
+
+
 # ---------------------------------------------------------------------------
 # Z^n: linear route and enumeration oracle
 
@@ -689,28 +717,29 @@ class CocycleSpaceDescription:
 def cocycle_space(group: FiniteGroup, coeffs: AbelianCoefficients,
                   degree: int) -> CocycleSpaceDescription:
     """Z^n as the solution group of d_n f = 0, factor by cyclic factor Z_m:
-    `kernel_mod` eliminates the integer coboundary matrix over Z/p^e for
-    each p^e exactly dividing m, so the generator orders are the invariant
-    factors of the kernel mod m, in ascending order.  Factors of equal
-    order share one elimination."""
+    `kernel_mod` eliminates d_n over Z/p^e for each p^e exactly dividing m,
+    so the generator orders are the invariant factors of the kernel mod m,
+    in ascending order.  Factors of equal order share one elimination.
+
+    Only Light's rows of d_n are eliminated, (p, s) or (p, s, r) with s
+    the identity or a generator of P: they have the kernel of the full d_n
+    over every Z/p^e (see `_light_incidence`), so they give the same Z^n in
+    |S| / |P| of the rows.  A group whose full d_n exceeds DENSE_CELL_LIMIT
+    cells is refused first.  Each generator's value table is the factor's
+    column beside shared zero columns."""
     if degree not in (1, 2):
         raise ValueError("cocycle spaces computed for degrees 1 and 2 only")
-    dmat = coboundary_matrix(group, degree)
+    _, dmat = _light_coboundary_matrix(group.table, group.identity, degree)
     kernels = {m: kernel_mod(dmat, m) for m in set(coeffs.orders)}
     gens: list[tuple[Cochain, int]] = []
     total = 1
-    ncols = group.order ** degree
+    zeros = (0,) * group.order ** degree
     for fi, m in enumerate(coeffs.orders):
-        factor_size = 1
         for vec, order in kernels[m]:
-            vals = []
-            for c in range(ncols):
-                v = [0] * coeffs.rank
-                v[fi] = vec[c]
-                vals.append(tuple(v))
-            gens.append((Cochain(group, coeffs, degree, tuple(vals)), order))
-            factor_size *= order
-        total *= factor_size
+            cols = [zeros] * coeffs.rank
+            cols[fi] = vec
+            gens.append((Cochain(group, coeffs, degree, tuple(zip(*cols))), order))
+            total *= order
     return CocycleSpaceDescription(group, coeffs, degree, total, gens)
 
 
@@ -794,11 +823,18 @@ def _exponents(group: FiniteGroup, degree: int, parts) -> list[tuple[int, tuple[
     """For each (p, f, e) in parts, how many exponents below e the elementary
     divisors of d_degree have over Z/p^e, and the nonzero ones among them;
     memoized per (group table, degree, p, e) like `_incidence`.  The misses
-    of one call share one build of d_degree; no matrix is kept."""
+    of one call share one build of d_degree; no matrix is kept.
+
+    For degree >= 1 the exponents are read off Light's rows of d_degree:
+    they have its kernel over Z/p^e (see `_light_incidence`), so their
+    image is isomorphic to the full image (both are C^n / ker), and the
+    exponents a < e of a matrix over Z/p^e are those of its image, one
+    summand Z/p^(e-a) each.  Degree 0 takes the full |P| x 1 d_0."""
     table = group.table
     found = [_EXPONENTS.get((table, degree, p, e)) for p, _, e in parts]
     if None in found:
-        d = coboundary_matrix(group, degree)
+        d = (_light_coboundary_matrix(table, group.identity, degree)[1] if degree
+             else coboundary_matrix(group, 0))
         for p, _, e in parts:
             if (table, degree, p, e) not in _EXPONENTS:
                 exps = local_smith_exponents(d, p, e)
@@ -819,7 +855,8 @@ def cohomology_group(group: FiniteGroup, coeffs: AbelianCoefficients,
     |P|.  For p^f exactly dividing m with p | |P| (other p add nothing), a
     and b are the exponents below e = min(f, v_p(|P|) + 1) of the divisors of
     d_degree and d_(degree-1), read from `_exponents` (one elimination per
-    group, degree, p and e per process, and one build of each d_n per call);
+    group, degree, p and e per process, and one build of each d_n per call,
+    on Light's rows for n >= 1: they give the full d_n's exponents);
     the p-part of H^degree(P, Z_m) is (Z/p^f)^(k - |a| - |b|) plus Z/p^x for
     each x > 0 in a and b, k = |P|^degree.
     """

@@ -104,6 +104,19 @@ def test_lie_generate_and_ideal(capsys, tmp_path):
 # group
 
 
+@pytest.mark.parametrize("group, coeff, degree, digest", [
+    ("q8", "z4", "2", "a99db89a5f5c1cc00beb7c9a4e557610aacadb979c374d5a0ed75a9968dd9903"),
+    ("s3", "z6", "2", "0da974d895f5bdbc09d3d47147bfa35ab24665296597480c812d67c019e57540"),
+    ("z4", "z2", "1", "38091b0451242f1188359722b7176870a65106be230ab082315d8a451d0d3e2b"),
+])
+def test_group_cocycles_output_is_pinned(capsys, group, coeff, degree, digest):
+    # Z^n and its generators, byte for byte, as the full-row elimination wrote them
+    code, out = run(capsys, "group", "cocycles", "--group", group, "--coeff", coeff,
+                    "--degree", degree)
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_group_h_z2(capsys):
     code, rep = run_json(capsys, "group", "h", "--group", "z2", "--coeff", "z2",
                          "--degree", "2")

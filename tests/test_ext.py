@@ -1,7 +1,8 @@
+import json
 import random
 import time
 from functools import lru_cache
-from itertools import product
+from itertools import combinations, product
 from math import prod
 
 import pytest
@@ -637,6 +638,37 @@ def test_extension_json_round_trip_bit_exact():
     assert again.carrier.table == ext.carrier.table
 
 
+def _edited_extension_json(path, value):
+    """The JSON of the nontrivial extension of Z2 by Z2 with the entry at
+    `path` (a tuple of keys and list indices) set to `value`."""
+    obj = json.loads(build_extension(Z2, A2, nontrivial_z2_cocycle()).to_json())
+    *outer, last = path
+    target = obj
+    for key in outer:
+        target = target[key]
+    target[last] = value
+    return json.dumps(obj)
+
+
+@pytest.mark.parametrize("path, value", [
+    (("base", "order"), 9), (("carrier", "order"), 7), (("carrier", "identity"), 3)])
+def test_extension_json_with_an_edited_order_or_identity_is_refused(path, value):
+    # none of these keys is read to rebuild the extension
+    key = r"\.".join(path)
+    with pytest.raises(ValueError, match=rf"^stored {key} does not match"):
+        CentralExtensionTable.from_json(_edited_extension_json(path, value))
+
+
+def test_extension_json_names_the_first_differing_table_entry_and_type():
+    # types count: a float equal to the stored integer is refused too
+    with pytest.raises(ValueError, match=r"^stored carrier\.table\[1\]\[2\] does not"):
+        CentralExtensionTable.from_json(_edited_extension_json(("carrier", "table", 1, 2), 0))
+    with pytest.raises(ValueError, match=r"^stored projection\[0\] does not match"):
+        CentralExtensionTable.from_json(_edited_extension_json(("projection", 0), 0.0))
+    with pytest.raises(ValueError, match=r"^stored carrier\.label does not match"):
+        CentralExtensionTable.from_json(_edited_extension_json(("carrier", "label"), "G"))
+
+
 _ORACLE_GROUPS = ["z2", "z3", "z4", "z6", "klein4", "s3"]
 _ORACLE_COEFFS = ["z2", "z3", "z4", "z2xz2"]
 
@@ -756,6 +788,23 @@ def test_light_row_solve_on_relabelled_groups_is_a_witness_exactly_when_one_exis
     assert found >= 20
 
 
+@pytest.mark.parametrize("gname", [g for g in _LIGHT_GROUPS if group_by_name(g).order <= 8])
+def test_class_representatives_are_pairwise_non_cohomologous_on_the_full_d1(gname):
+    # the keys read only Light's rows (p, s); the full-row solve is the oracle
+    named = group_by_name(gname)
+    for P in (named, _relabelled_group(named, random.Random(5))):
+        d1 = coboundary_matrix(P, 1)
+        for aname in ("z2", "z4", "z2xz2", "z6"):
+            A = coefficients_by_name(aname)
+            reps = ext_module._class_representatives(cocycle_space(P, A, 2))
+            assert len(reps) == prod(cohomology_group(P, A, 2), start=1), (P.name, aname)
+            assert all(coboundary(r).is_zero() for r in reps)
+            for r1, r2 in combinations(reps, 2):
+                diff = (r1 - r2).values
+                assert any(solve_mod(d1, [v[k] for v in diff], m) is None
+                           for k, m in enumerate(A.orders)), (P.name, aname)
+
+
 def test_is_split_on_a_noncocycle_that_passes_light_rows_returns_none():
     # z4 is generated by 1, so S = {0, 1}; changing d phi at (1, 2), a row
     # Light's solve never reads, leaves the reduced system solvable
@@ -785,10 +834,11 @@ def test_unreduced_cocycle_values_build_and_split_as_their_residues():
 def test_solve_on_a_group_whose_full_d1_is_over_budget_is_refused_fast():
     # Light's rows of z320 are small, but the solve keeps the full-row
     # solve's domain: a full d_1 of 320^3 cells is refused before anything
-    # is built, the d_2 incidence included
+    # is built, the d_2 incidence included.  The table is built without this
+    # module's wrapper, whose full-scan oracle would visit 640^3 triples
     P, A = group_by_name("z320"), coefficients_by_name("z2")
     zero = Cochain(P, A, 2, (A.zero(),) * P.order ** 2)
-    ext = build_extension(P, A, zero, validate=False)
+    ext = ext_module.build_extension(P, A, zero, validate=False)
     start = time.perf_counter()
     for call in (lambda: ext_module._solve_coboundary(P, A, zero), lambda: is_split(ext)):
         with pytest.raises(SizeLimitExceeded, match="d_1 of a group of order 320 is a "

@@ -26,7 +26,7 @@ from cohomkit.grpcoh import (
 )
 from cohomkit import grpcoh
 from cohomkit.ext import build_extension
-from cohomkit.exactmat import local_smith_exponents, prime_power_factors
+from cohomkit.exactmat import kernel_mod, local_smith_exponents, prime_power_factors
 from cohomkit.grpcoh import _incidence
 from scan_oracle import assert_validate_matches_full_scan
 
@@ -222,6 +222,49 @@ def test_light_incidence_is_the_incidence_on_lights_rows(gname):
                                                                     repeat=n + 1))
                                  if args[1] in S)
             assert faces == tuple(tuple(col[i] for i in rows) for col in _incidence(table, n))
+
+
+# ---------------------------------------------------------------------------
+# Light's rows in every elimination, against the full d_n
+
+LIGHT_MODULI = (2, 3, 4, 8, 9)
+
+
+def _relabelled_copy(P, seed):
+    """P with its elements renamed by a seeded permutation that moves the
+    identity off 0."""
+    rng = random.Random(seed)
+    perm = list(range(P.order))
+    while perm[P.identity] == 0:
+        rng.shuffle(perm)
+    inv = {v: i for i, v in enumerate(perm)}
+    table = tuple(tuple(perm[P.table[inv[a]][inv[b]]] for b in range(P.order))
+                  for a in range(P.order))
+    return FiniteGroup(P.order, table, perm[P.identity], f"{P.name}-relabelled")
+
+
+@pytest.mark.parametrize("gname", sorted(grpcoh._NAMED_GROUPS))
+def test_lights_rows_have_the_exponents_and_kernel_of_the_full_coboundary(gname):
+    # relabelling permutes the rows and columns of the full d_n, which
+    # changes neither its exponents nor its kernel orders: the named
+    # table's full d_n is the oracle for both copies
+    named = group_by_name(gname)
+    for n in (1, 2):
+        full = coboundary_matrix(named, n)
+        exponents = {q: local_smith_exponents(full, *prime_power_factors(q)[0])
+                     for q in LIGHT_MODULI}
+        orders = {q: [o for _, o in kernel_mod(full, q)] for q in LIGHT_MODULI}
+        for P in (named, _relabelled_copy(named, 7)):
+            _, light = grpcoh._light_coboundary_matrix(P.table, P.identity, n)
+            for q in LIGHT_MODULI:
+                assert local_smith_exponents(light, *prime_power_factors(q)[0]) == exponents[q]
+                space = cocycle_space(P, AbelianCoefficients.of(q), n)
+                assert [o for _, o in space.generators] == orders[q], (P.name, n, q)
+                assert all(coboundary(g).is_zero() for g, _ in space.generators), (P.name, n, q)
+            # several factors, each with its own generators
+            space = cocycle_space(P, AbelianCoefficients.of(2, 4), n)
+            assert space.order == prod(orders[2]) * prod(orders[4])
+            assert all(coboundary(g).is_zero() for g, _ in space.generators)
 
 
 def test_degree_zero_coboundary_vanishes():
@@ -750,13 +793,20 @@ def test_memoized_cohomology_matches_per_modulus_oracle(gname):
 
 
 def test_repeated_cohomology_builds_no_coboundary_matrix(monkeypatch):
+    # a build is either kind: the full d_0 or Light's rows of d_1 and d_2
     calls = []
+    full, light = grpcoh.coboundary_matrix, grpcoh._light_coboundary_matrix
 
-    def counting(group, degree):
+    def counting_full(group, degree):
         calls.append(degree)
-        return coboundary_matrix(group, degree)
+        return full(group, degree)
 
-    monkeypatch.setattr(grpcoh, "coboundary_matrix", counting)
+    def counting_light(table, identity, degree):
+        calls.append(degree)
+        return light(table, identity, degree)
+
+    monkeypatch.setattr(grpcoh, "coboundary_matrix", counting_full)
+    monkeypatch.setattr(grpcoh, "_light_coboundary_matrix", counting_light)
     grpcoh._EXPONENTS.clear()
     a4, z6 = group_by_name("a4"), coefficients_by_name("z6")
     assert cohomology_group(a4, z6, 2) == [6]
