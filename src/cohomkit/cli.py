@@ -148,7 +148,7 @@ def cmd_lie(args, inputs: dict[str, str]) -> tuple[dict, bool]:
         g = _get_algebra(args.algebra, inputs)
         der = liealg.derived_subalgebra(g)
         payload = {"algebra": g.name, "dim": g.dim,
-                   "derived_dim": der.dim, "perfect": liealg.is_perfect(g)}
+                   "derived_dim": der.dim, "perfect": der.dim == g.dim}
     elif args.lie_cmd == "cohomology":
         g = _get_algebra(args.algebra, inputs)
         payload = liecoh.cohomology_report(g, args.degree)

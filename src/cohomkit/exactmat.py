@@ -8,15 +8,17 @@ arbitrary-precision ints and support Smith normal form (the presentation of
 finitely generated abelian groups as divisor chains).
 
 Rational rank clears each row of denominators into a {column: int} map and
-runs a sparse fraction-free elimination over Z: the sparsest row is the next
-pivot, only rows with a nonzero in its column are updated, and each updated
-row is divided by its content, so rows stay primitive multiples of
-Gaussian-elimination rows (Hadamard's bound holds their entries) and a
-matrix costs about its nonzeros per pivot.  Reduced echelon forms are
-another algorithm on purpose: `Echelon` grows the unique RREF basis of a
-subspace one dense vector at a time on sparse Fraction rows, pivots
-leftmost, and `RationalMatrix.rref` (so `kernel_basis` and `solve`) and
-`liealg.Subspace` run on it.
+runs a sparse fraction-free elimination over Z, `_primitive_rank`: the
+sparsest row is the next pivot, only rows with a nonzero in its column are
+updated, and each updated row is divided by its content, so rows stay
+primitive multiples of Gaussian-elimination rows (Hadamard's bound holds
+their entries) and a matrix costs about its nonzeros per pivot.  Reduced
+echelon forms are another algorithm on purpose: `Echelon` grows the unique
+RREF basis of a subspace one dense vector at a time, pivots leftmost, on
+primitive integer rows (a vector's denominators are cleared as it comes
+in; Fractions are formed only when the RREF is read), and
+`RationalMatrix.rref` (so `kernel_basis` and `solve`) and `liealg.Subspace`
+run on it.
 
 Over Z/p^e one elimination on reduced residues, where no entry grows, gives
 the elementary divisors (GF(p) rank is the e = 1 case) and, by the column
@@ -97,49 +99,87 @@ def prime_power_factors(n: int) -> list[tuple[int, int]]:
 # rational matrices
 
 
+def _cleared(row: dict) -> tuple[dict[int, int], int]:
+    """A {column: Fraction or int} row times the lcm D of its denominators, and D."""
+    den = lcm(*(x.denominator for x in row.values()))
+    return {j: x.numerator * (den // x.denominator) for j, x in row.items()}, den
+
+
+def _primitive(row: dict[int, int]) -> dict[int, int]:
+    """An integer row divided by its content."""
+    g = gcd(*row.values())
+    return row if g == 1 else {j: x // g for j, x in row.items()}
+
+
+def _combine(fu: int, u: dict[int, int], fv: int, v: dict[int, int]) -> dict[int, int]:
+    """fu u - fv v, its zero entries dropped."""
+    out = {j: fu * x for j, x in u.items()} if fu != 1 else dict(u)
+    for j, x in v.items():
+        out[j] = out.get(j, 0) - fv * x
+    return {j: y for j, y in out.items() if y}
+
+
 class Echelon:
     """The reduced row echelon basis of a subspace of Q^n, grown one vector
-    at a time.  Row i maps the columns of its nonzeros to Fractions, with 1
-    at its pivot `pivots[i]` and 0 at the other pivots; pivots ascend.  The
-    basis is unique for the subspace, whatever the insertion order."""
+    at a time.  Row i is held as its primitive integer multiple, a {column:
+    int} map of its nonzeros, positive at its pivot `pivots[i]` and 0 at the
+    other pivots; pivots ascend.  The basis is unique for the subspace,
+    whatever the insertion order, and so are these rows."""
 
     def __init__(self, n: int):
         self.n = n
         self.pivots: list[int] = []
-        self._rows: list[dict[int, Fraction]] = []
+        self._rows: list[dict[int, int]] = []
 
-    def reduce(self, vec: Sequence) -> list:
-        """vec minus its projection along the basis; zero iff vec is in the span."""
-        out = list(vec)
+    def _reduce(self, vec: Sequence) -> tuple[dict[int, int], int]:
+        """(r, s) with r / s = vec minus its projection along the basis: vec
+        cleared of denominators, then each pivot column cleared fraction-free
+        with s tracking the scale."""
+        out, s = _cleared({j: x for j, x in enumerate(vec) if x})
         for c, row in zip(self.pivots, self._rows):
-            f = out[c]
-            if f:
-                for j, x in row.items():
-                    out[j] -= f * x
-        return out
+            a = out.get(c)
+            if a:
+                g = gcd(a, row[c])
+                out = _combine(row[c] // g, out, a // g, row)
+                s *= row[c] // g
+        return out, s
+
+    def reduce(self, vec: Sequence) -> list[Fraction]:
+        """vec minus its projection along the basis; zero iff vec is in the span."""
+        out, s = self._reduce(vec)
+        return [Fraction(out.get(j, 0), s) for j in range(len(vec))]
 
     def add(self, vec: Sequence) -> bool:
         """Insert vec; True when the dimension grew.  The new row is 0 at the
         held pivots, so only its own pivot column is cleared from the rows."""
-        out = self.reduce(vec)
-        c = next((j for j, x in enumerate(out) if x), None)
-        if c is None:
+        out = self._reduce(vec)[0]
+        if not out:
             return False
-        inv = 1 / Fraction(out[c])
-        new = {j: x * inv for j, x in enumerate(out) if x}
+        c = min(out)
+        g = gcd(*out.values()) if out[c] > 0 else -gcd(*out.values())
+        new = {j: x // g for j, x in out.items()}
         for i, row in enumerate(self._rows):
-            f = row.get(c)
-            if f:
-                row = {**row, **{j: row.get(j, 0) - f * x for j, x in new.items()}}
-                self._rows[i] = {j: y for j, y in row.items() if y}
+            b = row.get(c)
+            if b:
+                g = gcd(b, new[c])
+                self._rows[i] = _primitive(_combine(new[c] // g, row, b // g, new))
         i = bisect(self.pivots, c)
         self.pivots.insert(i, c)
         self._rows.insert(i, new)
         return True
 
+    def integer_rows(self) -> list[dict[int, int]]:
+        """The held primitive integer rows; callers only read them."""
+        return list(self._rows)
+
+    def _fractions(self) -> list[dict[int, Fraction]]:
+        return [{j: Fraction(x, row[c]) for j, x in row.items()}
+                for c, row in zip(self.pivots, self._rows)]
+
     def rows(self) -> list[tuple[Fraction, ...]]:
+        """The reduced echelon basis: each row divided by its pivot entry."""
         zero = Fraction(0)
-        return [tuple(row.get(j, zero) for j in range(self.n)) for row in self._rows]
+        return [tuple(row.get(j, zero) for j in range(self.n)) for row in self._fractions()]
 
 
 @dataclass(frozen=True)
@@ -179,57 +219,8 @@ class RationalMatrix:
                      for row in self.entries)
 
     def rank(self) -> int:
-        """Rank by sparse fraction-free elimination over Z.
-
-        Rows are stored as {col: int} over their nonzeros, cleared of
-        denominators and divided by their content.  The sparsest row is the
-        next pivot; only rows with a nonzero in its column are updated, and
-        each is made primitive again, so every stored row is the primitive
-        integer multiple of a Gaussian-elimination row and Hadamard's bound
-        on the minors bounds its entries."""
-        live = []
-        for row in self.entries:
-            if row:
-                # lcm of the denominators over gcd of the numerators scales
-                # the row to its primitive integer multiple
-                den = lcm(*(x.denominator for x in row.values()))
-                num = gcd(*(x.numerator for x in row.values()))
-                live.append({j: x.numerator * (den // x.denominator) // num
-                             for j, x in row.items()})
-        r = 0
-        while live:
-            piv = min(live, key=len)  # the first sparsest row: no earlier row equals it
-            live.remove(piv)
-            r += 1
-            c = min(piv, key=lambda j: abs(piv[j]))
-            p = piv[c]
-            kept = []
-            for row in live:
-                a = row.get(c)
-                if a is None:
-                    kept.append(row)
-                    continue
-                g = gcd(a, p)
-                fp, fa = p // g, a // g
-                new = {j: fp * v for j, v in row.items()}
-                for j, v in piv.items():
-                    x = new.get(j, 0) - fa * v
-                    if x:
-                        new[j] = x
-                    else:
-                        new.pop(j, None)
-                if not new:
-                    continue
-                content = 0
-                for v in new.values():
-                    content = gcd(content, v)
-                    if content == 1:
-                        break
-                if content > 1:
-                    new = {j: v // content for j, v in new.items()}
-                kept.append(new)
-            live = kept
-        return r
+        """Rank over Q: the rows cleared of denominators, then `_primitive_rank`."""
+        return _primitive_rank([_primitive(_cleared(row)[0]) for row in self.entries if row])
 
     def rref(self) -> tuple["RationalMatrix", tuple[int, ...]]:
         """Reduced row echelon form and its pivot columns; the rows past
@@ -237,7 +228,7 @@ class RationalMatrix:
         ech = Echelon(self.cols)
         for row in self.entries:
             ech.add([row.get(j, 0) for j in range(self.cols)])
-        rows = ech._rows + [{} for _ in range(self.rows - len(ech.pivots))]
+        rows = ech._fractions() + [{} for _ in range(self.rows - len(ech.pivots))]
         return RationalMatrix(self.rows, self.cols, tuple(rows)), tuple(ech.pivots)
 
     def kernel_basis(self) -> list[tuple[Fraction, ...]]:
@@ -270,6 +261,33 @@ class RationalMatrix:
         for row, c in zip(red.entries, pivots):
             x[c] = row.get(n, x[c])
         return tuple(x)
+
+
+def _primitive_rank(rows: Iterable[dict[int, int]]) -> int:
+    """Rank of sparse integer rows (empty ones allowed) by fraction-free
+    elimination over Z; every updated row is made primitive again, so it is
+    the primitive multiple of a Gaussian-elimination row and Hadamard's
+    bound on the minors bounds its entries."""
+    live = [row for row in rows if row]
+    r = 0
+    while live:
+        piv = min(live, key=len)  # the first sparsest row: no earlier row equals it
+        live.remove(piv)
+        r += 1
+        c = min(piv, key=lambda j: abs(piv[j]))
+        p = piv[c]
+        kept = []
+        for row in live:
+            a = row.get(c)
+            if a is None:
+                kept.append(row)
+                continue
+            g = gcd(a, p)
+            new = _combine(p // g, row, a // g, piv)
+            if new:
+                kept.append(_primitive(new))
+        live = kept
+    return r
 
 
 # ---------------------------------------------------------------------------

@@ -18,12 +18,12 @@ CONVENTIONS.md are consequences of that definition; the physics boost
 generator with [K_i, P_0] = P_i is K_i = J_i0 = -J_0i.
 
 Element coefficients are `fractions.Fraction` throughout.  A `Subspace`
-keeps the reduced echelon basis of an `exactmat.Echelon`; it normalizes every
-vector to a rational direction first (spans and bracket closures are
-invariant under scaling by a nonzero constant), and refuses a coefficient
-that is not exact rather than guess a rational for it.  An algebra of
-dimension n > 161, whose dense view would exceed the 2^22-cell budget
-(n^3 cells), is refused before anything sized by n is built.
+keeps the reduced echelon basis of an `exactmat.Echelon` (on primitive
+integer rows), refusing a coefficient that is not exact.  Closures need only
+directions, so they bracket those rows through `integer_brackets`, the
+table times the lcm of its denominators, cleared once per algebra.  An
+algebra of dimension n > 161, whose dense view would exceed the 2^22-cell
+budget (n^3 cells), is refused before anything sized by n is built.
 
 `LieAlgebra.grading` is the eigenbasis of ad(x) for the first basis element
 x whose adjoint is diagonalizable over Q with integer eigenvalues, not all
@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations, combinations_with_replacement
-from math import isqrt
+from math import isqrt, lcm
 from typing import Iterable, Sequence
 
 from .exactmat import Echelon, RationalMatrix, check_dense
@@ -74,13 +74,32 @@ def _check_table(n: int) -> None:
                 f"constants", n ** 3)
 
 
-def _support(vec) -> Support:
-    """The nonzero (k, c) of a coefficient vector, as Fractions."""
-    return tuple((k, c) for k, c in enumerate(map(Fraction, vec)) if c)
-
-
 def _negated(support: Support) -> Support:
     return tuple((k, -c) for k, c in support)
+
+
+def _bracket(table, x, y, out: list) -> list:
+    """Add sum a_i b_j [x_i, x_j] over the pairs (i, a) of x and (j, b) of y
+    into the dense `out`, for a sparse bracket table of Fractions or ints."""
+    for i, a in x:
+        row = table[i]
+        for j, b in y:
+            ab = a * b
+            for k, c in row[j]:
+                out[k] += ab * c
+    return out
+
+
+class _BracketTable:
+    """The integer view of `LieAlgebra.brackets` and `Grading.brackets`."""
+
+    @cached_property
+    def integer_brackets(self) -> tuple[tuple[tuple[tuple[int, int], ...], ...], ...]:
+        """`brackets` times the lcm of its denominators: the same bracket
+        directions, on ints.  Built on first use."""
+        den = lcm(*(c.denominator for row in self.brackets for s in row for _, c in s))
+        return tuple(tuple(tuple((k, c.numerator * (den // c.denominator)) for k, c in s)
+                           for s in row) for row in self.brackets)
 
 
 class StructureConstantError(ValueError):
@@ -96,7 +115,7 @@ class StructureConstantError(ValueError):
 
 
 @dataclass(frozen=True)
-class LieAlgebra:
+class LieAlgebra(_BracketTable):
     labels: tuple[str, ...]
     brackets: tuple[tuple[Support, ...], ...]
     name: str = ""
@@ -104,22 +123,6 @@ class LieAlgebra:
     @property
     def dim(self) -> int:
         return len(self.labels)
-
-    @classmethod
-    def _build(cls, labels: Sequence[str], rows, name: str, validate: bool) -> "LieAlgebra":
-        alg = cls(tuple(str(l) for l in labels), tuple(map(tuple, rows)), name)
-        if validate:
-            alg.validate()
-        return alg
-
-    @classmethod
-    def from_structure_constants(cls, labels: Sequence[str], constants,
-                                 name: str = "", validate: bool = True) -> "LieAlgebra":
-        """Build from a dense table c[i][j][k], read once into the sparse table."""
-        n = len(labels)
-        rows = [[_support(constants[i][j][k] for k in range(n)) for j in range(n)]
-                for i in range(n)]
-        return cls._build(labels, rows, name, validate)
 
     @classmethod
     def from_brackets(cls, labels: Sequence[str], brackets: dict, name: str = "",
@@ -140,7 +143,10 @@ class LieAlgebra:
         rows = [[()] * n for _ in range(n)]
         for (i, j), coeffs in given.items():
             rows[i][j] = tuple(sorted((k, c) for k, c in coeffs.items() if c))
-        return cls._build(labels, rows, name, validate)
+        alg = cls(tuple(str(l) for l in labels), tuple(map(tuple, rows)), name)
+        if validate:
+            alg.validate()
+        return alg
 
     @cached_property
     def constants(self) -> tuple[tuple[tuple[Fraction, ...], ...], ...]:
@@ -233,7 +239,7 @@ class LieAlgebra:
 
 
 @dataclass(frozen=True)
-class Grading:
+class Grading(_BracketTable):
     """A basis of eigenvectors f_a of ad(x) with integer weights, ascending.
 
     `element` is the index of the grading element x, or None for the trivial
@@ -284,18 +290,14 @@ class Grading:
         # nonzero at its last nonzero entry, a 1: that entry of a vector in
         # the eigenspace is its coordinate there
         lead = [max(i for i, c in enumerate(v) if c) for v in vectors]
-        supports = [_support(v) for v in vectors]
+        supports = [[(k, c) for k, c in enumerate(v) if c] for v in vectors]
         brackets = [[()] * n for _ in range(n)]
         for a, b in combinations(range(n), 2):
-            vec = defaultdict(Fraction)
-            for i, p in supports[a]:
-                for j, q in supports[b]:
-                    for k, c in g.brackets[i][j]:
-                        vec[k] += p * q * c
+            vec = _bracket(g.brackets, supports[a], supports[b], [Fraction(0)] * n)
             # [f_a, f_b] lies in the eigenspace of weight weights[a] + weights[b]
             total = weights[a] + weights[b]
             support = tuple((c, vec[lead[c]]) for c in range(n)
-                            if weights[c] == total and vec.get(lead[c]))
+                            if weights[c] == total and vec[lead[c]])
             brackets[a][b] = support
             brackets[b][a] = _negated(support)
         return cls(x, weights, vectors, tuple(map(tuple, brackets)))
@@ -341,17 +343,9 @@ class LieElement:
 
     def bracket(self, other: "LieElement") -> "LieElement":
         self._check_parent(other)
-        out = [Fraction(0)] * self.algebra.dim
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            row = self.algebra.brackets[i]
-            for j, b in enumerate(other.coeffs):
-                if b:
-                    ab = a * b
-                    for k, c in row[j]:
-                        out[k] += ab * c
-        return LieElement(self.algebra, tuple(out))
+        x, y = ([(i, a) for i, a in enumerate(v.coeffs) if a] for v in (self, other))
+        return LieElement(self.algebra, tuple(_bracket(
+            self.algebra.brackets, x, y, [Fraction(0)] * self.algebra.dim)))
 
     def _check_parent(self, other: "LieElement") -> None:
         if self.algebra is not other.algebra:
@@ -362,30 +356,13 @@ class LieElement:
         return " + ".join(terms) if terms else "0"
 
 
-def rational_direction(elem: LieElement) -> LieElement:
-    """Scale an element by a nonzero constant so its coefficients are
-    Fractions with leading coefficient 1.
-
-    Subspace spans and bracket closures are invariant under this scaling.
-    A coefficient that is not a Fraction or an int is refused: a float has
-    no exact direction to recover.
-    """
-    for c in elem.coeffs:
-        if not isinstance(c, (Fraction, int)):
-            raise ValueError(f"coefficient {c!r} is not exact; "
-                             "supply generators with Fraction or int coefficients")
-    lead = next((c for c in elem.coeffs if c), None)
-    if lead is None:
-        return elem.algebra.zero()
-    lead = Fraction(lead)
-    return LieElement(elem.algebra, tuple(c / lead for c in elem.coeffs))
-
-
 class Subspace:
     """Subspace of a Lie algebra held as a reduced echelon basis.
 
     The basis (an `Echelon`) does not depend on the insertion order, and two
-    subspaces compare equal iff they contain each other's basis vectors.
+    subspaces compare equal iff they contain each other's basis vectors.  An
+    element of another algebra, or with a coefficient that is not a Fraction
+    or an int (a float has no exact direction to recover), is refused.
     """
 
     def __init__(self, algebra: LieAlgebra, vectors: Iterable[LieElement] = ()):
@@ -398,14 +375,21 @@ class Subspace:
     def dim(self) -> int:
         return len(self._echelon.pivots)
 
-    def add(self, elem: LieElement) -> bool:
-        """Insert an element; returns True when the dimension grew."""
+    def _coeffs(self, elem: LieElement) -> tuple:
         if elem.algebra is not self.algebra:
             raise ValueError("element belongs to a different algebra")
-        return self._echelon.add(rational_direction(elem).coeffs)
+        for c in elem.coeffs:
+            if not isinstance(c, (Fraction, int)):
+                raise ValueError(f"coefficient {c!r} is not exact; "
+                                 "supply generators with Fraction or int coefficients")
+        return elem.coeffs
+
+    def add(self, elem: LieElement) -> bool:
+        """Insert an element; returns True when the dimension grew."""
+        return self._echelon.add(self._coeffs(elem))
 
     def contains(self, elem: LieElement) -> bool:
-        return not any(self._echelon.reduce(rational_direction(elem).coeffs))
+        return not any(self._echelon.reduce(self._coeffs(elem)))
 
     def basis(self) -> list[LieElement]:
         return [LieElement(self.algebra, row) for row in self._echelon.rows()]
@@ -419,10 +403,6 @@ class Subspace:
         return (self.algebra is other.algebra
                 and self.contains_subspace(other) and other.contains_subspace(self))
 
-    def is_bracket_closed(self) -> bool:
-        b = self.basis()
-        return all(self.contains(x.bracket(y)) for x in b for y in b)
-
     def __repr__(self):
         return f"Subspace(dim={self.dim} of {self.algebra.name or 'algebra'})"
 
@@ -433,10 +413,10 @@ class Subspace:
 
 def derived_subalgebra(g: LieAlgebra) -> Subspace:
     """Span of all brackets of basis pairs, [g, g]."""
-    span = Subspace(g)
+    span, table = Subspace(g), g.integer_brackets
     for i, j in combinations(range(g.dim), 2):
-        if g.brackets[i][j]:
-            span.add(g.basis_element(i).bracket(g.basis_element(j)))
+        if table[i][j]:
+            span._echelon.add(_bracket(table, ((i, 1),), ((j, 1),), [0] * g.dim))
     return span
 
 
@@ -447,22 +427,22 @@ def is_perfect(g: LieAlgebra) -> bool:
 def generated_subalgebra(g: LieAlgebra, gens: Sequence[LieElement]) -> Subspace:
     """Smallest bracket-closed subspace containing the generators.
 
-    Span-closure iteration: brackets of every pair of basis elements,
-    repeated until the dimension stabilizes (at most dim(g) rounds); the
-    generators' brackets are among them.  A span that reaches dim(g) is
-    returned at once, since g itself is closed.  Generators are normalized
-    to rational directions, which leaves the closure unchanged; a generator
-    with an inexact coefficient raises ValueError.
+    Span-closure iteration: brackets of every pair of the span's integer
+    rows through `integer_brackets`, repeated until the dimension stabilizes
+    (at most dim(g) rounds); the generators' brackets are among them.  A
+    span that reaches dim(g) is returned at once, since g itself is closed.
+    A generator with an inexact coefficient raises ValueError.
     """
     if not gens:
         raise ValueError("generator list is empty")
-    span = Subspace(g, gens)
+    span, table = Subspace(g, gens), g.integer_brackets
+    ech = span._echelon
     while span.dim < g.dim:
         before = span.dim
-        current = span.basis()
+        current = [row.items() for row in ech.integer_rows()]
         for i, a in enumerate(current):
             for b in current[i + 1:]:
-                if span.add(a.bracket(b)) and span.dim == g.dim:
+                if ech.add(_bracket(table, a, b, [0] * g.dim)) and span.dim == g.dim:
                     return span
         if span.dim == before:
             break
@@ -472,20 +452,18 @@ def generated_subalgebra(g: LieAlgebra, gens: Sequence[LieElement]) -> Subspace:
 def ideal_closure(g: LieAlgebra, x: LieElement) -> Subspace:
     """Smallest subspace containing x with [g, I] contained in I.
 
-    Worklist closure: every spanning direction is bracketed against the whole
-    basis of g exactly once, which suffices by linearity.
+    Worklist closure on integer rows: every spanning direction is bracketed
+    against the whole basis of g exactly once, which suffices by linearity.
     """
-    span = Subspace(g)
-    pending: list[LieElement] = []
-    if not x.is_zero() and span.add(x):
-        pending.append(x)
-    basis_g = g.basis()
+    span, table = Subspace(g), g.integer_brackets
+    ech = span._echelon
+    pending = [ech.integer_rows()[0].items()] if not x.is_zero() and span.add(x) else []
     while pending:
         b = pending.pop()
-        for e in basis_g:
-            v = e.bracket(b)
-            if span.add(v):
-                pending.append(v)
+        for i in range(g.dim):
+            v = _bracket(table, ((i, 1),), b, [0] * g.dim)
+            if ech.add(v):
+                pending.append([(k, c) for k, c in enumerate(v) if c])
                 if span.dim == g.dim:
                     return span
     return span

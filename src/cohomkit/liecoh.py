@@ -23,8 +23,11 @@ cohomology of C^*_0 and the other blocks have the ranks
 with dim C^j_w read off the weight-count polynomial prod_a (1 + y z^(w_a))
 (Hochschild-Serre 1953; Fuks 1986, ch. 1).  An algebra with no grading basis
 element gets the trivial grading, whose weight-0 block is the whole complex.
-`ce_differential(g, k)` builds the full d_k in the original basis; it is the
-oracle the tests hold the weight-0 route against.
+The weight-0 blocks are written on ints, from the grading's
+`integer_brackets` (D times the table, D the lcm of its denominators, so of
+the same rank), and ranked by `RationalMatrix.rank`'s fraction-free
+elimination.  `ce_differential(g, k)` builds the full d_k over Q in the
+original basis; it is the oracle the tests hold the weight-0 route against.
 
 A 2-cocycle w yields the central extension g + R z with
 [x, y]_new = [x, y] + w(x, y) z; the Jacobi identity of the extension is
@@ -41,7 +44,7 @@ from functools import lru_cache
 from itertools import chain, combinations, product
 from math import comb
 
-from .exactmat import RationalMatrix, check_dense
+from .exactmat import RationalMatrix, _primitive_rank, check_dense
 from .liealg import LieAlgebra, LieElement, StructureConstantError
 
 __all__ = [
@@ -107,13 +110,30 @@ def _weight_tuples(weights: tuple[int, ...], k: int, w: int) -> tuple[tuple[int,
     return tuple(tuples)
 
 
-def _differential(brackets, target, source) -> RationalMatrix:
-    """Matrix of d from the cochains on the `source` wedge tuples to those on
-    `target`, for a sparse bracket table; every T minus {i, j} plus one index
-    of the support of [x_i, x_j] must lie in `source`.  Each row holds only
-    its nonzero entries."""
+def _differential(g: LieAlgebra, k: int, weight: int | None, brackets):
+    """(rows, cols): the rows of d_k, or of its block of weight `weight`, as
+    {column: entry} maps of their nonzeros, written from `brackets`, a sparse
+    table of Fractions or ints in the matching basis; refused when too large."""
+    n = g.dim
+    if not 0 <= k <= n:
+        raise ValueError(f"degree {k} out of range 0..{n}")
+    if weight is None:
+        rows, cols, what = comb(n, k + 1), comb(n, k), f"d_{k}"
+    else:
+        counts = _weight_counts(g.grading.weights)
+        rows = counts[k + 1][weight] if k < n else 0
+        cols = counts[k][weight]
+        what = (f"d_{k}" if g.grading.element is None
+                else f"the weight-{weight} block of d_{k}")
+    check_dense(f"{what} of a {n}-dimensional algebra is a {rows} x {cols} matrix",
+                rows * cols)
+    if weight is None:
+        target, source = _wedge_basis(n, k + 1), _wedge_basis(n, k)
+    else:
+        w = g.grading.weights
+        target, source = _weight_tuples(w, k + 1, weight), _weight_tuples(w, k, weight)
     col_index = {t: c for c, t in enumerate(source)}
-    rows = []
+    out = []
     for tup in target:
         row = {}
         for i in range(len(tup)):
@@ -129,8 +149,8 @@ def _differential(brackets, target, source) -> RationalMatrix:
                     col = col_index[rest[:pos] + (m,) + rest[pos:]]
                     x = -coef if (i + j + pos) % 2 else coef
                     row[col] = row[col] + x if col in row else x
-        rows.append({c: x for c, x in row.items() if x})
-    return RationalMatrix(len(target), len(source), tuple(rows))
+        out.append({c: x for c, x in row.items() if x})
+    return tuple(out), cols
 
 
 def ce_differential(g: LieAlgebra, k: int, weight: int | None = None) -> RationalMatrix:
@@ -140,24 +160,8 @@ def ce_differential(g: LieAlgebra, k: int, weight: int | None = None) -> Rationa
     With `weight`, the block of d_k on the span of the e_T of weight
     `weight` in the eigenbasis of `g.grading`, in the same order.  A matrix
     of more than DENSE_CELL_LIMIT cells is refused before anything is built."""
-    n = g.dim
-    if not 0 <= k <= n:
-        raise ValueError(f"degree {k} out of range 0..{n}")
-    if weight is None:
-        rows, cols, what = comb(n, k + 1), comb(n, k), f"d_{k}"
-    else:
-        counts = _weight_counts(g.grading.weights)
-        rows = counts[k + 1][weight] if k < n else 0
-        cols = counts[k][weight]
-        what = (f"d_{k}" if g.grading.element is None
-                else f"the weight-{weight} block of d_{k}")
-    check_dense(f"{what} of a {n}-dimensional algebra is a {rows} x {cols} matrix",
-                rows * cols)
-    if weight is None:
-        return _differential(g.brackets, _wedge_basis(n, k + 1), _wedge_basis(n, k))
-    w = g.grading.weights
-    return _differential(g.grading.brackets, _weight_tuples(w, k + 1, weight),
-                         _weight_tuples(w, k, weight))
+    rows, cols = _differential(g, k, weight, g.brackets if weight is None else g.grading.brackets)
+    return RationalMatrix(len(rows), cols, rows)
 
 
 def cohomology_report(g: LieAlgebra, k: int) -> dict:
@@ -174,7 +178,7 @@ def cohomology_report(g: LieAlgebra, k: int) -> dict:
 
     def rank(j: int) -> int:
         graded = sum((-1) ** (j - i) * (comb(n, i) - zero_counts[i]) for i in range(j + 1))
-        return ce_differential(g, j, weight=0).rank() + graded
+        return _primitive_rank(_differential(g, j, 0, g.grading.integer_brackets)[0]) + graded
 
     dim_z = comb(n, k) - rank(k)
     dim_b = rank(k - 1) if k > 0 else 0

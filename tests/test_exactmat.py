@@ -244,6 +244,30 @@ def test_echelon_in_any_order_is_the_unique_rref():
         assert not any(any(ech.reduce(row)) for row in rows)
 
 
+def test_integer_echelon_matches_gauss_jordan_with_exact_residuals():
+    rng = random.Random(2727)
+    for trial in range(200):
+        nrows, ncols = rng.randint(1, 9), rng.randint(1, 9)
+        rows = _sparse_rational_rows(rng, nrows, ncols)
+        expected, pivots = _gauss_jordan(rows, ncols)
+        ech = Echelon(ncols)
+        for row in rows:
+            ech.add(row)
+        assert ech.pivots == pivots and ech.rows() == expected
+        # each held row is the primitive integer multiple of its RREF row,
+        # positive at its pivot
+        for held, c, want in zip(ech.integer_rows(), pivots, expected):
+            assert all(type(x) is int for x in held.values())
+            assert gcd(*held.values()) == 1 and held[c] > 0
+            assert tuple(Fraction(held.get(j, 0), held[c]) for j in range(ncols)) == want
+        for vec in _sparse_rational_rows(rng, 4, ncols):
+            residual = list(vec)
+            for c, row in zip(pivots, expected):
+                residual = [x - residual[c] * y for x, y in zip(residual, row)]
+            got = ech.reduce(vec)
+            assert got == residual and all(type(x) is Fraction for x in got)
+
+
 def test_echelon_reduce_leaves_the_part_outside_the_span():
     ech = Echelon(3)
     assert ech.add([0, 2, 4]) and not ech.add([0, -1, -2])

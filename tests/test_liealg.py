@@ -19,8 +19,9 @@ from cohomkit.liealg import (
     generated_subalgebra,
     ideal_closure,
     is_perfect,
-    rational_direction,
 )
+from lie_oracle import (derived_oracle, from_structure_constants, generated_oracle,
+                        ideal_oracle, is_bracket_closed)
 
 BUILTIN_NAMES = ["sl2", "heisenberg", "abelian(2)", "abelian(4)",
                  "poincare(2)", "poincare(3)", "poincare(4)",
@@ -40,7 +41,7 @@ def test_builtins_validate(name):
     g = builtin(name)
     assert g.antisymmetry_defect() == 0
     assert g.jacobi_defect() == 0
-    back = LieAlgebra.from_structure_constants(g.labels, g.constants, name=g.name)
+    back = from_structure_constants(g.labels, g.constants, name=g.name)
     assert back == g and hash(back) == hash(g)  # the dense view round-trips
 
 
@@ -102,7 +103,7 @@ def test_corrupted_antisymmetry_flagged():
     c = [[list(map(Fraction, sl2.constants[i][j])) for j in range(3)] for i in range(3)]
     c[1][0][0] = Fraction(5)  # breaks c[0][1][0] = -c[1][0][0]
     with pytest.raises(StructureConstantError) as err:
-        LieAlgebra.from_structure_constants(sl2.labels, c)
+        from_structure_constants(sl2.labels, c)
     assert len(err.value.triple) == 2
 
 
@@ -113,7 +114,7 @@ def test_corrupted_jacobi_flagged_and_defect_nonzero():
     c = [[list(map(Fraction, sl2.constants[i][j])) for j in range(3)] for i in range(3)]
     c[0][1][1] = Fraction(3)
     c[1][0][1] = Fraction(-3)
-    bad = LieAlgebra.from_structure_constants(sl2.labels, c, validate=False)
+    bad = from_structure_constants(sl2.labels, c, validate=False)
     assert bad.antisymmetry_defect() == 0
     assert bad.jacobi_defect() != 0
     with pytest.raises(StructureConstantError) as err:
@@ -154,7 +155,7 @@ def test_sparse_table_matches_dense_oracle_on_random_tables():
     for case in range(40):
         n = rng.randint(1, 7)
         c = _random_dense_table(rng, n, rng.randint(0, n * n), case % 3 != 0)
-        g = LieAlgebra.from_structure_constants([f"y{a}" for a in range(n)], c, validate=False)
+        g = from_structure_constants([f"y{a}" for a in range(n)], c, validate=False)
         assert g.constants == tuple(tuple(tuple(map(Fraction, vec)) for vec in row) for row in c)
         assert g.antisymmetry_defect() == max(
             (abs(c[i][j][k] + c[j][i][k]) for i in range(n) for j in range(n) for k in range(n)),
@@ -167,7 +168,7 @@ def test_sparse_table_matches_dense_oracle_on_random_tables():
             want = [sum(x.coeffs[i] * y.coeffs[j] * c[i][j][k]
                         for i in range(n) for j in range(n)) for k in range(n)]
             assert x.bracket(y).coeffs == tuple(want)
-        same = LieAlgebra.from_structure_constants(g.labels, g.constants, validate=False)
+        same = from_structure_constants(g.labels, g.constants, validate=False)
         assert same == g and hash(same) == hash(g)
         if case % 3:  # the same table from brackets given in shuffled order
             pairs = {}
@@ -291,7 +292,7 @@ def test_generated_output_bracket_closed():
     p4 = builtin("poincare(4)")
     gens = [p4.by_label("J_01"), p4.by_label("P_2")]
     span = generated_subalgebra(p4, gens)
-    assert span.is_bracket_closed()
+    assert is_bracket_closed(span)
 
 
 def test_generated_order_independent():
@@ -343,20 +344,54 @@ def test_generated_requires_generators():
 
 
 def test_rational_direction_removes_exact_scale():
+    # a span's basis row is the direction with leading coefficient 1
     p4 = builtin("poincare(4)")
     x = p4.by_label("J_01") + Fraction(1, 2) * p4.by_label("P_3")
-    scaled = Fraction(7, 3) * x
-    assert rational_direction(scaled) == x
-    assert all(type(c) is Fraction for c in rational_direction(scaled).coeffs)
+    (row,) = Subspace(p4, [Fraction(7, 3) * x]).basis()
+    assert row == x
+    assert all(type(c) is Fraction for c in row.coeffs)
 
 
 def test_rational_direction_refuses_inexact_coefficients():
     p4 = builtin("poincare(4)")
     floats = LieElement(p4, tuple(0.5 * float(c) for c in p4.by_label("J_01").coeffs))
     with pytest.raises(ValueError, match="not exact"):
-        rational_direction(floats)
+        Subspace(p4, [floats])
     with pytest.raises(ValueError, match="not exact"):
         generated_subalgebra(p4, [p4.by_label("P_0"), floats])
+
+
+def _sl2_rescaled():
+    # sl2 in the basis h, e/2, f: [e/2, f] = h/2, so the integer view is 2x
+    return algebra_from_json({"dim": 3, "labels": ["h", "e", "f"], "brackets": [
+        {"i": 0, "j": 1, "coeffs": {"e": "2"}}, {"i": 0, "j": 2, "coeffs": {"f": "-2"}},
+        {"i": 1, "j": 2, "coeffs": {"h": "1/2"}}]}, name="sl2-rescaled")
+
+
+def test_integer_brackets_clear_the_denominators_once():
+    g = _sl2_rescaled()
+    assert g.brackets[1][2] == ((0, Fraction(1, 2)),)
+    assert g.integer_brackets == (((), ((1, 4),), ((2, -4),)),
+                                  (((1, -4),), (), ((0, 1),)),
+                                  (((2, 4),), ((0, -1),), ()))
+    assert builtin("poincare(4)").integer_brackets == builtin("poincare(4)").brackets
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES + ["sl2-rescaled"])
+def test_closures_on_integer_rows_match_the_fraction_oracle(name):
+    g = _sl2_rescaled() if name == "sl2-rescaled" else builtin(name)
+    rng = random.Random(name)
+
+    def rows(span):
+        return [tuple(b.coeffs) for b in span.basis()]
+
+    assert rows(derived_subalgebra(g)) == rows(derived_oracle(g))
+    for _ in range(10):
+        gens = [g.element([Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                           if rng.random() < 0.5 else 0 for _ in range(g.dim)])
+                for _ in range(rng.randint(1, 3))]
+        assert rows(generated_subalgebra(g, gens)) == rows(generated_oracle(g, gens))
+        assert rows(ideal_closure(g, gens[0])) == rows(ideal_oracle(g, gens[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -419,6 +454,17 @@ def test_subspace_membership_and_equality():
     assert s1 == s2
     assert s1.contains(3 * g.by_label("P_0") - 7 * g.by_label("P_1"))
     assert not s1.contains(g.by_label("P_2"))
+
+
+def test_subspace_contains_refuses_an_element_of_another_algebra():
+    sl2 = builtin("sl2")
+    span = Subspace(sl2, [sl2.by_label("h")])
+    for elem in (builtin("heisenberg").by_label("x"), builtin("poincare(4)").by_label("J_01")):
+        with pytest.raises(ValueError, match="different algebra"):
+            span.contains(elem)
+        with pytest.raises(ValueError, match="different algebra"):
+            span.add(elem)
+    assert span.contains(sl2.by_label("h")) and not span.contains(sl2.by_label("e"))
 
 
 @pytest.mark.parametrize("name", ["poincare(4)", "poincare(3)", "lorentz(4)", "sl2", "heisenberg"])

@@ -2,7 +2,7 @@ import random
 import time
 from collections import defaultdict
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 import pytest
 
@@ -14,6 +14,7 @@ from cohomkit.liealg import (
     derived_subalgebra,
     is_perfect,
 )
+from lie_oracle import from_structure_constants
 from cohomkit.liecoh import (
     LieCocycle2,
     _pair_index,
@@ -337,7 +338,7 @@ def _in_basis(g, cols, name):
     elems = [g.element(c) for c in cols]
     consts = [[[sum((inv[c][i] * v for i, v in enumerate(elems[a].bracket(elems[b]).coeffs)),
                     Fraction(0)) for c in range(n)] for b in range(n)] for a in range(n)]
-    return LieAlgebra.from_structure_constants([f"y{a}" for a in range(n)], consts, name)
+    return from_structure_constants([f"y{a}" for a in range(n)], consts, name)
 
 
 def test_report_matches_dense_oracle_when_first_basis_element_does_not_grade():
@@ -513,6 +514,29 @@ def test_rational_structure_constants_keep_betti_numbers_and_weights(name, seed)
     if name == "poincare(3)":  # ad(J_01) has denominators, so Grading.of meets them too
         assert any(c.denominator > 1 for s in h.brackets[h.grading.element] for _, c in s)
     assert [_dim_h(h, k) for k in range(h.dim + 1)] == [_dim_h(g, k) for k in range(g.dim + 1)]
+    _assert_report_matches_dense_oracle(h)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_betti_numbers_survive_a_rational_change_of_basis_of_poincare3(seed):
+    # a dense rational basis with J_01 kept first, so it still grades and the
+    # graded table has denominators: its integer view is D times it, D > 1
+    g = builtin("poincare(3)")
+    rng = random.Random(seed)
+    while True:
+        cols = [[1, 0, 0, 0, 0, 0]] + [[Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                                        for _ in range(6)] for _ in range(5)]
+        if RationalMatrix.from_rows(cols).rank() == 6:
+            break
+    h = _in_basis(g, cols, "poincare(3) in a rational basis")
+    graded = h.grading.brackets
+    assert h.grading.element == 0 and sorted(h.grading.weights) == sorted(g.grading.weights)
+    den = lcm(*(c.denominator for row in graded for s in row for _, c in s))
+    assert den > 1
+    assert h.grading.integer_brackets == tuple(
+        tuple(tuple((k, c * den) for k, c in s) for s in row) for row in graded)
+    assert all(type(c) is int for row in h.grading.integer_brackets for s in row for _, c in s)
+    assert [_dim_h(h, k) for k in range(h.dim + 1)] == [1, 0, 0, 2, 0, 0, 1]
     _assert_report_matches_dense_oracle(h)
 
 
