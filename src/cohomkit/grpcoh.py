@@ -27,8 +27,9 @@ and `ext._class_representatives` and `ext._solve_coboundary`, which then
 checks the full d_1 phi.  `ext.build_extension` decides d_2 omega = 0 on
 the rows (p, s, r) alone and runs the full d_2 omega only on a failure,
 whose first nonzero value is the cocycle witness.  `coboundary_matrix`
-builds the full d_n, for d_0 and as the tests' oracle.  The enumeration
-oracle writes its equations out separately on purpose.
+builds the full d_n as the tests' oracle; no computation here needs it (the
+trivial action makes d_0 zero).  The enumeration oracle writes its
+equations out separately on purpose.
 
 Two computation routes coexist and are cross-checked in the tests:
 
@@ -825,16 +826,15 @@ def _exponents(group: FiniteGroup, degree: int, parts) -> list[tuple[int, tuple[
     memoized per (group table, degree, p, e) like `_incidence`.  The misses
     of one call share one build of d_degree; no matrix is kept.
 
-    For degree >= 1 the exponents are read off Light's rows of d_degree:
+    For degree 1 or 2 the exponents are read off Light's rows of d_degree:
     they have its kernel over Z/p^e (see `_light_incidence`), so their
     image is isomorphic to the full image (both are C^n / ker), and the
     exponents a < e of a matrix over Z/p^e are those of its image, one
-    summand Z/p^(e-a) each.  Degree 0 takes the full |P| x 1 d_0."""
+    summand Z/p^(e-a) each."""
     table = group.table
     found = [_EXPONENTS.get((table, degree, p, e)) for p, _, e in parts]
     if None in found:
-        d = (_light_coboundary_matrix(table, group.identity, degree)[1] if degree
-             else coboundary_matrix(group, 0))
+        d = _light_coboundary_matrix(table, group.identity, degree)[1]
         for p, _, e in parts:
             if (table, degree, p, e) not in _EXPONENTS:
                 exps = local_smith_exponents(d, p, e)
@@ -856,7 +856,8 @@ def cohomology_group(group: FiniteGroup, coeffs: AbelianCoefficients,
     and b are the exponents below e = min(f, v_p(|P|) + 1) of the divisors of
     d_degree and d_(degree-1), read from `_exponents` (one elimination per
     group, degree, p and e per process, and one build of each d_n per call,
-    on Light's rows for n >= 1: they give the full d_n's exponents);
+    on Light's rows: they give the full d_n's exponents); d_0 = 0, as
+    (d_0 a)(p) = a - a under the trivial action, so for degree 1 b is empty;
     the p-part of H^degree(P, Z_m) is (Z/p^f)^(k - |a| - |b|) plus Z/p^x for
     each x > 0 in a and b, k = |P|^degree.
     """
@@ -867,8 +868,8 @@ def cohomology_group(group: FiniteGroup, coeffs: AbelianCoefficients,
              for p, f in prime_power_factors(m) if p in valuation]
     k = group.order ** degree
     primary: dict[int, list[int]] = {}
-    for (p, f, _), (len_a, a), (len_b, b) in zip(parts, _exponents(group, degree, parts),
-                                                 _exponents(group, degree - 1, parts)):
+    below = _exponents(group, 1, parts) if degree == 2 else [(0, ())] * len(parts)
+    for (p, f, _), (len_a, a), (len_b, b) in zip(parts, _exponents(group, degree, parts), below):
         powers = primary.setdefault(p, [])
         powers += [p ** f] * (k - len_a - len_b)
         powers += [p ** x for x in a + b]

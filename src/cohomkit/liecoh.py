@@ -26,12 +26,14 @@ element gets the trivial grading, whose weight-0 block is the whole complex.
 The weight-0 blocks are written on ints, from the grading's
 `integer_brackets` (D times the table, D the lcm of its denominators, so of
 the same rank), and ranked by `RationalMatrix.rank`'s fraction-free
-elimination.  `ce_differential(g, k)` builds the full d_k over Q in the
-original basis; it is the oracle the tests hold the weight-0 route against.
+elimination.  `_differential` writes every block; the full d_k is the
+weight-0 block of the zero weights.  `ce_differential(g, k)` reads it over Q
+in the original basis, the oracle the tests hold the weight-0 route against,
+and `LieCocycle2.closure_defect` evaluates a 2-cochain on the rows of d_2.
 
 A 2-cocycle w yields the central extension g + R z with
 [x, y]_new = [x, y] + w(x, y) z; the Jacobi identity of the extension is
-equivalent to d_2 w = 0, and both directions are exercised by the tests.
+equivalent to d_2 w = 0 (derived at `lie_central_extension`), decided once.
 """
 
 from __future__ import annotations
@@ -56,12 +58,8 @@ __all__ = [
 ]
 
 
-def _wedge_basis(n: int, k: int) -> list[tuple[int, ...]]:
-    return list(combinations(range(n), k))
-
-
 def _pair_index(n: int, i: int, j: int) -> int:
-    """Position of (i, j), 0 <= i < j < n, in `_wedge_basis(n, 2)`."""
+    """Position of (i, j), 0 <= i < j < n, in `combinations(range(n), 2)`."""
     if not 0 <= i < j < n:
         raise ValueError(f"basis pair ({i}, {j}) out of range for dimension {n}")
     return i * (2 * n - i - 1) // 2 + j - i - 1
@@ -110,28 +108,22 @@ def _weight_tuples(weights: tuple[int, ...], k: int, w: int) -> tuple[tuple[int,
     return tuple(tuples)
 
 
-def _differential(g: LieAlgebra, k: int, weight: int | None, brackets):
-    """(rows, cols): the rows of d_k, or of its block of weight `weight`, as
-    {column: entry} maps of their nonzeros, written from `brackets`, a sparse
-    table of Fractions or ints in the matching basis; refused when too large."""
-    n = g.dim
+def _differential(weights: tuple[int, ...], k: int, weight: int, brackets):
+    """(rows, cols): the block of d_k on the wedges e_T of weight `weight`
+    (sum_{a in T} weights[a]), its rows as {column: entry} maps of their
+    nonzeros, written from `brackets`, a sparse table of Fractions or ints in
+    the basis the weights belong to; refused when too large.  The full d_k is
+    the weight-0 block of the zero weights."""
+    n = len(weights)
     if not 0 <= k <= n:
         raise ValueError(f"degree {k} out of range 0..{n}")
-    if weight is None:
-        rows, cols, what = comb(n, k + 1), comb(n, k), f"d_{k}"
-    else:
-        counts = _weight_counts(g.grading.weights)
-        rows = counts[k + 1][weight] if k < n else 0
-        cols = counts[k][weight]
-        what = (f"d_{k}" if g.grading.element is None
-                else f"the weight-{weight} block of d_{k}")
+    counts = _weight_counts(weights)
+    rows = counts[k + 1][weight] if k < n else 0
+    cols = counts[k][weight]
+    what = f"the weight-{weight} block of d_{k}" if any(weights) else f"d_{k}"
     check_dense(f"{what} of a {n}-dimensional algebra is a {rows} x {cols} matrix",
                 rows * cols)
-    if weight is None:
-        target, source = _wedge_basis(n, k + 1), _wedge_basis(n, k)
-    else:
-        w = g.grading.weights
-        target, source = _weight_tuples(w, k + 1, weight), _weight_tuples(w, k, weight)
+    target, source = _weight_tuples(weights, k + 1, weight), _weight_tuples(weights, k, weight)
     col_index = {t: c for c, t in enumerate(source)}
     out = []
     for tup in target:
@@ -160,7 +152,8 @@ def ce_differential(g: LieAlgebra, k: int, weight: int | None = None) -> Rationa
     With `weight`, the block of d_k on the span of the e_T of weight
     `weight` in the eigenbasis of `g.grading`, in the same order.  A matrix
     of more than DENSE_CELL_LIMIT cells is refused before anything is built."""
-    rows, cols = _differential(g, k, weight, g.brackets if weight is None else g.grading.brackets)
+    rows, cols = (_differential((0,) * g.dim, k, 0, g.brackets) if weight is None
+                  else _differential(g.grading.weights, k, weight, g.grading.brackets))
     return RationalMatrix(len(rows), cols, rows)
 
 
@@ -171,16 +164,16 @@ def cohomology_report(g: LieAlgebra, k: int) -> dict:
     it by -w, and by Cartan's formula that action is null-homotopic), so
     rank d_(j,w) = sum_(i<=j) (-1)^(j-i) dim C^i_w, and summed over w != 0
     this needs only dim C^i - dim C^i_0."""
-    n = g.dim
-    if not 0 <= k <= n:
-        raise ValueError(f"degree {k} out of range 0..{n}")
-    zero_counts = [c[0] for c in _weight_counts(g.grading.weights)]
+    n, grading = g.dim, g.grading
+    zero_counts = [c[0] for c in _weight_counts(grading.weights)]
 
     def rank(j: int) -> int:
+        block, _ = _differential(grading.weights, j, 0, grading.integer_brackets)
         graded = sum((-1) ** (j - i) * (comb(n, i) - zero_counts[i]) for i in range(j + 1))
-        return _primitive_rank(_differential(g, j, 0, g.grading.integer_brackets)[0]) + graded
+        return _primitive_rank(block) + graded
 
-    dim_z = comb(n, k) - rank(k)
+    rank_k = rank(k)  # first, so that a degree out of range is refused
+    dim_z = comb(n, k) - rank_k
     dim_b = rank(k - 1) if k > 0 else 0
     return {
         "algebra": g.name or "custom",
@@ -225,21 +218,18 @@ class LieCocycle2:
 
     def evaluate(self, x: LieElement, y: LieElement) -> Fraction:
         total = Fraction(0)
-        for idx, (i, j) in enumerate(_wedge_basis(self.algebra.dim, 2)):
-            c = self.coeffs[idx]
+        for c, (i, j) in zip(self.coeffs, combinations(range(self.algebra.dim), 2)):
             if c:
                 total += c * (x.coeffs[i] * y.coeffs[j] - x.coeffs[j] * y.coeffs[i])
         return total
 
     def closure_defect(self) -> tuple[int, int, int] | None:
-        """First basis triple violating d_2 w = 0, or None when closed."""
-        d2 = ce_differential(self.algebra, 2)
-        image = d2.apply(self.coeffs)
-        triples = _wedge_basis(self.algebra.dim, 3)
-        for idx, val in enumerate(image):
-            if val:
-                return triples[idx]
-        return None
+        """First basis triple i < j < k with (d_2 w)(x_i, x_j, x_k) != 0, or
+        None when closed: w evaluated on the rows of d_2 in turn."""
+        n, w = self.algebra.dim, self.coeffs
+        rows, _ = _differential((0,) * n, 2, 0, self.algebra.brackets)
+        return next((t for t, row in zip(combinations(range(n), 3), rows)
+                     if sum(x * w[c] for c, x in row.items())), None)
 
     def is_closed(self) -> bool:
         return self.closure_defect() is None
@@ -250,10 +240,13 @@ def lie_central_extension(g: LieAlgebra, omega: LieCocycle2,
     """Algebra of dimension dim(g) + 1 with [x, y] += omega(x, y) * z, z central,
     built from the brackets [x_i, x_j], i < j, of g.
 
-    A non-closed omega is rejected with the violating basis triple; building
-    anyway (validate=False) produces a table whose Jacobi defect is nonzero,
-    since the cocycle condition and the Jacobi identity are the same linear
-    constraints.
+    The table is not validated again.  It is antisymmetric by construction,
+    and its Jacobi sum on a basis triple is that of g plus z times
+    omega(x_i, [x_j, x_k]) + omega(x_j, [x_k, x_i]) + omega(x_k, [x_i, x_j]),
+    which is (d_2 omega)(x_i, x_j, x_k); a triple containing z sums to 0.  So
+    for a Lie algebra g it is one iff omega is closed, which `closure_defect`
+    decides once: a non-closed omega is rejected with its first violating
+    basis triple, the first Jacobi violation of the table validate=False builds.
     """
     if omega.algebra is not g:
         raise ValueError("cocycle belongs to a different algebra")
@@ -272,8 +265,7 @@ def lie_central_extension(g: LieAlgebra, omega: LieCocycle2,
                 for i, j in combinations(range(n), 2)}
     return LieAlgebra.from_brackets(
         tuple(g.labels) + (label,), brackets,
-        name=(g.name + "+R" if g.name else "central extension"),
-        validate=validate)
+        name=(g.name + "+R" if g.name else "central extension"), validate=False)
 
 
 def splitting_cochain(g: LieAlgebra, omega: LieCocycle2):

@@ -2,6 +2,7 @@ import random
 import time
 from collections import defaultdict
 from fractions import Fraction
+from itertools import combinations
 from math import comb, lcm
 
 import pytest
@@ -18,7 +19,6 @@ from lie_oracle import from_structure_constants
 from cohomkit.liecoh import (
     LieCocycle2,
     _pair_index,
-    _wedge_basis,
     _weight_counts,
     _weight_tuples,
     ce_differential,
@@ -29,6 +29,11 @@ from cohomkit.liecoh import (
 
 SMALL = ["sl2", "heisenberg", "abelian(2)", "abelian(3)",
          "poincare(2)", "poincare(3)", "lorentz(3)", "lorentz(4)"]
+
+
+def _wedge_basis(n, k):
+    """The lexicographic wedge basis of degree k: increasing k-tuples of range(n)."""
+    return list(combinations(range(n), k))
 
 
 def _dense(m):
@@ -211,6 +216,60 @@ def test_nonclosed_cocycle_rejected_with_triple():
     # building anyway yields a table violating Jacobi: cocycle <=> Jacobi
     forced = lie_central_extension(p3, omega, validate=False)
     assert forced.jacobi_defect() != 0
+
+
+EXTENSION_BUILTINS = ["sl2", "heisenberg", "abelian(3)", "poincare(2)", "poincare(3)",
+                      "poincare(4)", "lorentz(3)", "lorentz(4)"]
+
+
+def _seeded_cochains(g, rng, count):
+    """`count` closed 2-cochains (integer combinations of the kernel of the
+    full d_2) and `count` integer 2-cochains drawn at random, as LieCocycle2."""
+    kernel = ce_differential(g, 2).kernel_basis()
+    size = comb(g.dim, 2)
+    combos = [[rng.randint(-3, 3) for _ in kernel] for _ in range(count)]
+    closed = [tuple(sum((c * v[i] for c, v in zip(combo, kernel)), Fraction(0))
+                    for i in range(size)) for combo in combos]
+    drawn = [tuple(Fraction(rng.randint(-2, 2)) for _ in range(size)) for _ in range(count)]
+    return [LieCocycle2(g, vec) for vec in closed], [LieCocycle2(g, vec) for vec in drawn]
+
+
+@pytest.mark.parametrize("name", EXTENSION_BUILTINS)
+def test_extensions_are_lie_algebras_by_construction(name):
+    # the builder does not validate its table; validate() is the oracle
+    g = builtin(name)
+    closed, drawn = _seeded_cochains(g, random.Random(name), 4)
+    for omega in closed:
+        lie_central_extension(g, omega).validate()
+    for omega in drawn:
+        bad = lie_central_extension(g, omega, validate=False).first_jacobi_violation()
+        if bad is None:
+            lie_central_extension(g, omega).validate()
+            continue
+        with pytest.raises(StructureConstantError) as err:
+            lie_central_extension(g, omega)
+        assert err.value.triple == bad
+
+
+@pytest.mark.parametrize("name", EXTENSION_BUILTINS)
+def test_closure_defect_is_the_first_nonzero_of_the_full_d2(name):
+    g = builtin(name)
+    d2 = ce_differential(g, 2)
+    triples = _wedge_basis(g.dim, 3)
+    for omega in sum(_seeded_cochains(g, random.Random(name + "d2"), 4), []):
+        image = d2.apply(omega.coeffs)
+        expected = next((t for t, x in zip(triples, image) if x), None)
+        assert omega.closure_defect() == expected
+        assert omega.is_closed() == (expected is None)
+
+
+def test_seeded_cochains_include_non_closed_ones():
+    # some drawn cochains of the two tests above are closed and some are
+    # not, so both branches run
+    for seed in ("", "d2"):
+        drawn = [omega for name in EXTENSION_BUILTINS
+                 for omega in _seeded_cochains(builtin(name), random.Random(name + seed), 4)[1]]
+        assert 0 < sum(not omega.is_closed() for omega in drawn) < len(drawn) == 32
 
 
 def test_closed_iff_extension_satisfies_jacobi():

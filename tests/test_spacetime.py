@@ -530,3 +530,28 @@ def test_float_frame_equality_is_refused():
         Wedge(frame) == Wedge.standard()
     with pytest.raises(ValueError, match="not exact"):
         Wedge.standard() == Wedge(frame)
+
+
+def _exact_affine(g):
+    return [list(row) + [t] for row, t in zip(g.lorentz, g.translation)] + [[0, 0, 0, 0, 1]]
+
+
+def _exact_product(x, y):
+    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*y)] for row in x]
+
+
+def test_generator_coefficients_re_expand_to_the_conjugated_boost():
+    # wedge_boost_generator reads X off g J_01 g^-1 without re-expanding it;
+    # here sum_i c_i B_i over the affine basis must be that conjugate exactly,
+    # checked as X g = g J_01 so that no inverse is taken
+    basis = poincare_basis_matrices(4)
+    rng = random.Random(28)
+    frames = [w.frame for w in six_wedge_family() + coordinate_wedge_family()]
+    frames += [_random_proper_orthochronous(rng) for _ in range(16)]
+    for g in frames:
+        coeffs = wedge_boost_generator(Wedge(g)).coeffs
+        assert all(type(c) is Fraction for c in coeffs)
+        x = [[sum(c * m[i][j] for c, m in zip(coeffs, basis)) for j in range(5)]
+             for i in range(5)]
+        a = _exact_affine(g)
+        assert _exact_product(x, a) == _exact_product(a, basis[0])
