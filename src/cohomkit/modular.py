@@ -20,12 +20,17 @@ and J = S_mat conj(Delta^{-1/2}) o conj.
 Everything is double precision with named tolerances (DEFAULT_TOL, 1e-10,
 for membership, _RANK_TOL for the frame {b_i Omega}); polar decomposition is
 numeric, so the triple's identities are bounded relative to their
-conditioning.  The dense kernels are a few BLAS calls each: `commutant`
-solves only on the eigenspaces of one Hermitian element of M (M' lies inside
-its commutant; eigenvalues within the relative gap _CLUSTER_GAP = 1e-3 share
-an eigenspace) and builds only the block of its Gram matrix on those
-eigenspaces, and every distance to an algebra is a batched residual
-x - (x B^H) B against its basis B.
+conditioning.  The dense kernels are a few BLAS calls each, and no hot path
+runs an einsum over the basis stack: `commutant` solves only on the
+eigenspaces of one Hermitian element of M (M' lies inside its commutant;
+eigenvalues within the relative gap _CLUSTER_GAP = 1e-3 share an eigenspace)
+and builds only the block of its Gram matrix on those eigenspaces, from
+GEMMs; every distance to an algebra is a batched residual x - (x B^H) B
+against its basis B; Gram-Schmidt projects each input off the stacked rows
+kept so far twice over ("CGS2"), two matrix-vector products a pass; and
+`kms_defect` draws and evaluates its samples in chunks of at most
+_PRODUCT_CHUNK matrix entries, one tensordot and a few matrix-vector
+products per chunk.
 
 Every algebra has its products checked once, at _BASIS_TOL or tighter:
 `MatrixAlgebra(d, basis)` checks all k^2 of them, row a @ B after row in
@@ -71,9 +76,10 @@ _CLUSTER_GAP = 1e-3  # commutant: relative eigenvalue gap of h that splits two b
 _NULL_TOL = 1e-12  # commutant: Gram eigenvalues this small, relative to the largest, are null
 _STATE_TOL = 1e-12  # how far a state vector's norm may miss 1
 _RANK_TOL = 1e-10  # frame singular values at or below this count as zero
-# commutant: complex entries per chunk of blockwise products; at 128 KB a
-# chunk's work arrays are reused from the heap, while on M5 (x) 1_5 chunks of
-# 1 MB were mapped and faulted in again on every call and took twice as long
+# complex entries per chunk of commutant's blockwise products and of
+# kms_defect's sample pairs; at 128 KB a chunk's work arrays are reused from
+# the heap, while on M5 (x) 1_5 chunks of 1 MB were mapped and faulted in
+# again on every call and took twice as long
 _PRODUCT_CHUNK = 1 << 13
 _NOT_CLOSED = "algebra is not closed under products"
 # validate's c: valid triples gave residuals up to 5.1e-15 kappa(B)
@@ -164,9 +170,9 @@ class MatrixAlgebra:
         return self.basis.shape[0]
 
     def _check_orthonormal(self):
-        k = self.size
-        gram = np.einsum("aij,bij->ab", self.basis.conj(), self.basis)
-        if np.max(np.abs(gram - np.eye(k))) > _BASIS_TOL:
+        flat = self.basis.reshape(self.size, -1)
+        gram = flat.conj() @ flat.T
+        if np.max(np.abs(gram - np.eye(self.size))) > _BASIS_TOL:
             raise ValueError("basis is not orthonormal under the trace pairing")
 
     def distance(self, x: np.ndarray):
@@ -194,12 +200,6 @@ class MatrixAlgebra:
             raise ValueError("algebra does not contain the identity")
         if np.max(self.distance(self.basis.conj().transpose(0, 2, 1))) > _BASIS_TOL:
             raise ValueError("algebra is not closed under adjoints")
-
-    def random_element(self, rng: np.random.Generator) -> np.ndarray:
-        """Unit-Frobenius-norm element with Gaussian coefficients."""
-        c = rng.standard_normal(self.size) + 1j * rng.standard_normal(self.size)
-        x = np.einsum("a,aij->ij", c, self.basis)
-        return x / np.linalg.norm(x)
 
     def contains_algebra(self, other: "MatrixAlgebra") -> bool:
         return bool(np.max(self.distance(other.basis)) <= DEFAULT_TOL)
@@ -248,21 +248,39 @@ class _Distances:
 
 
 def _orthonormalize(dim: int, mats: Sequence[np.ndarray]) -> np.ndarray:
-    """Gram-Schmidt on vectorized matrices under the trace pairing.  A
-    remainder is dropped when its norm is at most _ORTHONORMAL_CUTOFF times
-    that of its input, so the roundoff left from a large input (about eps
-    ||m||) never becomes a basis direction of its own."""
-    basis: list[np.ndarray] = []
-    conjugates: list[np.ndarray] = []
+    """Gram-Schmidt on vectorized matrices under the trace pairing, run
+    twice per input ("CGS2"): each input is projected off the rows kept so
+    far by v -= (conj(K) v) K, two matrix-vector products against the
+    stacked rows K, and then once more, which leaves it as orthogonal to
+    them as modified Gram-Schmidt would.
+
+    Each input is first scaled by the power of two 2^-e with e the binary
+    exponent of its largest |entry|.  That is exact, so ordinary inputs keep
+    their bits, and no squared norm under- or overflows.  A remainder is
+    dropped when its norm is at most _ORTHONORMAL_CUTOFF times that of its
+    input, so the roundoff left from a large input (about eps ||m||) never
+    becomes a basis direction of its own; once dim^2 rows are kept they span
+    everything and the rest is not looked at."""
+    kept = np.empty((min(len(mats), dim * dim), dim * dim), dtype=complex)
+    kept_conj = np.empty_like(kept)
+    v = np.empty(dim * dim, dtype=complex)
+    square = v.reshape(dim, dim)
+    k = 0
     for m in mats:
-        v = m.astype(complex).copy()
-        for b, b_conj in zip(basis, conjugates):
-            v -= np.einsum("ij,ij->", b_conj, v) * b
+        if k == kept.shape[0]:
+            break
+        _, e = np.frexp(np.max(np.abs(m)))
+        np.ldexp(np.real(m), -e, out=square.real)
+        np.ldexp(np.imag(m), -e, out=square.imag)
+        floor = _ORTHONORMAL_CUTOFF * np.linalg.norm(v)
+        for _ in range(2):
+            v -= (kept_conj[:k] @ v) @ kept[:k]
         n = np.linalg.norm(v)
-        if n > _ORTHONORMAL_CUTOFF * np.linalg.norm(m):
-            basis.append(v / n)
-            conjugates.append(basis[-1].conj())
-    return np.stack(basis) if basis else np.zeros((0, dim, dim), dtype=complex)
+        if n > floor:
+            np.divide(v, n, out=kept[k])
+            np.conjugate(kept[k], out=kept_conj[k])
+            k += 1
+    return kept[:k].reshape(k, dim, dim)
 
 
 def algebra_closure(generators) -> MatrixAlgebra:
@@ -413,8 +431,12 @@ def _kept_gram(m: MatrixAlgebra):
                 kept_s.size, kept_t.size)
     gram += gram.conj().T
     np.negative(gram, out=gram)
-    left = np.einsum("bji,bjl->il", rotated.conj(), rotated)  # sum b^H b
-    right = np.einsum("bij,blj->il", rotated.conj(), rotated)  # sum conj(b) b^T
+    # sum b^H b and sum conj(b) b^T, each one (k d x d)^H (k d x d) product:
+    # the rows (b, j) hold b[j, :] and, transposed, b[:, j]
+    stacked = rotated.reshape(-1, d)
+    left = stacked.conj().T @ stacked
+    stacked = rotated.transpose(0, 2, 1).reshape(-1, d)
+    right = stacked.conj().T @ stacked
     row, col = np.divmod(keep, d)  # keep[p] = i*d + k holds (i, k)
     gram += np.where(row[:, None] == row, left[col[:, None], col], 0)
     gram += np.where(col[:, None] == col, right[row[:, None], row], 0)
@@ -593,20 +615,31 @@ def modular_flow_defect(triple: ModularTriple, m: MatrixAlgebra,
 def kms_defect(m: MatrixAlgebra, omega, samples: int = 100, seed: int = 0,
                triple: ModularTriple | None = None) -> float:
     """max |<Omega, x Delta y Omega> - <Omega, y x Omega>| over `samples`
-    (at least 1) seeded random unit-norm pairs x, y in M."""
+    (at least 1) seeded random unit-norm pairs x, y in M.
+
+    Each of x and y is sum_a c_a b_a / ||.|| over the basis, with the real
+    parts of the c_a drawn before their imaginary parts, x before y and
+    sample after sample.  The samples go in chunks of at most
+    _PRODUCT_CHUNK matrix entries: one standard_normal((n, 2, 2, k)) draw,
+    one tensordot for all n pairs, and both sides as the matrix-vector
+    products (Omega^H x) (Delta y Omega) and (Omega^H y) (x Omega)."""
     if samples < 1:
         raise ValueError(f"samples must be at least 1, not {samples}")
     v = _as_state(omega)
     if triple is None:
         triple = tomita(m, v)
     rng = np.random.default_rng(seed)
+    chunk = max(1, _PRODUCT_CHUNK // (2 * m.dim * m.dim))
     worst = 0.0
-    for _ in range(samples):
-        x = m.random_element(rng)
-        y = m.random_element(rng)
-        lhs = np.vdot(v, x @ triple.delta @ y @ v)
-        rhs = np.vdot(v, y @ x @ v)
-        worst = max(worst, abs(lhs - rhs))
+    for start in range(0, samples, chunk):
+        z = rng.standard_normal((min(chunk, samples - start), 2, 2, m.size))
+        xy = np.tensordot(z[:, :, 0] + 1j * z[:, :, 1], m.basis, axes=1)
+        xy /= np.linalg.norm(xy, axis=(2, 3))[:, :, None, None]
+        right = xy @ v  # x Omega, y Omega
+        left = v.conj() @ xy  # Omega^H x, Omega^H y
+        lhs = np.sum(left[:, 0] * (right[:, 1] @ triple.delta.T), axis=1)
+        rhs = np.sum(left[:, 1] * right[:, 0], axis=1)
+        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
     return worst
 
 

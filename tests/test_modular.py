@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from cohomkit import modular
-from cohomkit.cli import EXIT_OK, main
+from cohomkit.cli import EXIT_MATH, EXIT_OK, main
 from cohomkit.modular import (
     IdentityDefect,
     MatrixAlgebra,
@@ -14,6 +14,7 @@ from cohomkit.modular import (
     StateVector,
     _check_block_products,
     _kept_gram,
+    _orthonormalize,
     algebra_closure,
     commutant,
     diagonal_algebra,
@@ -90,6 +91,52 @@ def test_cli_scaled_generator_gives_the_unscaled_answer(capsys, tmp_path):
     assert results == [(EXIT_OK, 2, True)] * 2
 
 
+@pytest.mark.parametrize("case", ["e01", "hermitian", "random-3x3"])
+def test_closure_bits_do_not_depend_on_a_power_of_two_scale(case):
+    # Gram-Schmidt scales each input by the power of two of its largest
+    # entry, so 2^j g and g give the same basis bit for bit, also where the
+    # squared norm of 2^j g under- or overflows
+    if case == "e01":
+        g = E12
+    elif case == "hermitian":
+        g = np.array([[1, 2], [2, 5]], dtype=complex)
+    else:
+        rng = np.random.default_rng(3)
+        g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    bases = [algebra_closure([np.ldexp(1.0, j) * g]).basis for j in (-700, -500, 0, 500, 700)]
+    for basis in bases:
+        assert np.array_equal(basis, bases[2])
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e160, 1e300])
+def test_closure_keeps_a_generator_of_extreme_scale(scale):
+    alg = algebra_closure([scale * E12])
+    assert alg.size == 4
+    alg.verify_closure()
+
+
+def test_cli_generator_entry_of_extreme_scale_is_not_dropped(capsys, tmp_path):
+    # M_3 (x) 1_3 plus the matrix unit E_00 (x) e_01 generate M_3 (x) (M_2 + C),
+    # of dimension 45 > 9, so no state separates it; an entry of 1e200 in
+    # place of 1.0 must not drop that generator and leave M_3 (x) 1_3
+    units = _direct_sum_units([(3, 3)])
+    state = tmp_path / "state.json"
+    # sum_i sqrt(p_i) e_i (x) e_i separates M_3 (x) 1_3
+    weights = np.sqrt([1 / 2, 1 / 3, 1 / 6])
+    state.write_text(json.dumps({"vector": _complex_entries(np.diag(weights).reshape(-1))}))
+    results = []
+    for entry in (1.0, 1e200):
+        gens = [u.copy() for u in units]
+        gens[0][0, 1] = entry
+        algebra = tmp_path / f"algebra-{entry:g}.json"
+        algebra.write_text(json.dumps({"generators": [_complex_entries(g) for g in gens]}))
+        code = main(["modular", "analyze", "--seed", "1", "--algebra", str(algebra),
+                     "--state", str(state)])
+        result = json.loads(capsys.readouterr().out)["result"]
+        results.append((code, result["algebra_dim"], result["separating"]))
+    assert results == [(EXIT_MATH, 45, False)] * 2
+
+
 @pytest.mark.parametrize("seed", range(12))
 def test_returned_algebras_pass_the_full_closure_check(seed):
     # algebra_closure and commutant skip the k^2 product rows of the
@@ -160,17 +207,21 @@ def test_matrix_algebra_refuses_unclosed_basis(basis, message):
 
 def _closure_by_all_products(generators):
     """The closure loop without screening: Gram-Schmidt over the basis and
-    every product, each round, until the dimension stops growing."""
+    every product, each round, until the dimension stops growing.  The
+    Gram-Schmidt projects each input off the rows kept so far twice, as
+    `_orthonormalize` does, but without its power-of-two scaling, which is
+    exact and so leaves every bit as it is."""
     def gram_schmidt(mats):
-        out = []
+        d2 = mats[0].size
+        kept = np.zeros((0, d2), dtype=complex)
         for x in mats:
-            v = x.astype(complex).copy()
-            for b in out:
-                v -= np.einsum("ij,ij->", b.conj(), v) * b
+            v = x.reshape(d2).astype(complex)
+            for _ in range(2):
+                v = v - (kept.conj() @ v) @ kept
             n = np.linalg.norm(v)
-            if n > 1e-12:
-                out.append(v / n)
-        return out
+            if n > 1e-12 * np.linalg.norm(x):
+                kept = np.concatenate([kept, (v / n)[None]])
+        return list(kept.reshape(-1, *mats[0].shape))
 
     gens = [np.asarray(g, dtype=complex) for g in generators]
     seed = [np.eye(gens[0].shape[0], dtype=complex)]
@@ -202,6 +253,31 @@ def test_closure_bitwise_equals_all_products_gram_schmidt(case):
             gens = _direct_sum_units([(k, k)])
         got = algebra_closure(gens).basis
     assert np.array_equal(got, _closure_by_all_products(gens))
+
+
+@pytest.mark.parametrize("full", [False, True], ids=["proper-span", "full-span"])
+@pytest.mark.parametrize("d", range(2, 7))
+def test_orthonormalize_matches_svd_rank_oracle(d, full):
+    # random directions, then inputs inside their span: an exact duplicate,
+    # sums, copies scaled by 1e8 and 1e-8 and the zero matrix; an adjoint
+    # pair adds a direction unless the span is already all of M_d
+    rng = np.random.default_rng(100 * d + full)
+    count = d * d if full else d
+    mats = list(rng.standard_normal((count, d, d)) + 1j * rng.standard_normal((count, d, d)))
+    a, b = mats[0], mats[-1]
+    mats = mats[:1] + [a.conj().T, a.copy()] + mats[1:] + [
+        a + b, a + a.conj().T, 1e8 * b, 1e-8 * mats[1], np.zeros((d, d))]
+    kept = _orthonormalize(d, mats).reshape(-1, d * d)
+    # the rank of the inputs scaled to unit norm: their singular values are
+    # O(0.1) or larger for independent directions and O(1e-15) for the
+    # dependent ones, so any tolerance between gives the same count
+    flat = np.stack([m.reshape(-1) / (np.linalg.norm(m) or 1.0) for m in mats])
+    assert kept.shape[0] == np.linalg.matrix_rank(flat, tol=1e-8) == min(count + 1, d * d)
+    assert np.max(np.abs(kept.conj() @ kept.T - np.eye(kept.shape[0]))) <= 1e-13
+    for m in mats:
+        v = m.reshape(-1)
+        residual = v - (kept.conj() @ v) @ kept
+        assert np.linalg.norm(residual) <= 1e-12 * np.linalg.norm(v)
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +386,7 @@ def _full_gram(m, u):
 def _check_commutant(m, expected):
     u, keep, kept, _ = _kept_gram(m)
     full = _full_gram(m, u)[np.ix_(keep, keep)]
-    assert np.max(np.abs(kept - full)) <= 1e-12 * np.max(np.abs(full))
+    assert np.max(np.abs(kept - full)) <= 1e-12 * max(np.max(np.abs(full)), 1.0)
     mc = commutant(m)
     m.verify_closure()
     mc.verify_closure()
@@ -687,3 +763,41 @@ def test_kms_deterministic_for_fixed_seed():
     a = kms_defect(m, om, samples=25, seed=5)
     b = kms_defect(m, om, samples=25, seed=5)
     assert a == b
+
+
+def _kms_per_sample(m, omega, triple, samples, seed):
+    """kms_defect one sample at a time: x then y, each the basis sum of
+    complex Gaussian coefficients (real parts, then imaginary) over its norm."""
+    rng = np.random.default_rng(seed)
+    v = omega.data
+
+    def element():
+        c = rng.standard_normal(m.size) + 1j * rng.standard_normal(m.size)
+        x = sum(ca * b for ca, b in zip(c, m.basis))
+        return x / np.linalg.norm(x)
+
+    worst = 0.0
+    for _ in range(samples):
+        x = element()
+        y = element()
+        worst = max(worst, abs(np.vdot(v, x @ triple.delta @ y @ v) - np.vdot(v, y @ x @ v)))
+    return worst
+
+
+@pytest.mark.parametrize("n", [2, 5])
+def test_chunked_kms_matches_the_per_sample_loop(n):
+    # a Delta of 1 for a state that is not tracial leaves a defect of order
+    # 0.01 or more, so agreement to 1e-12 checks the draws and both sides;
+    # the state is complex, since for a real one the draws with real and
+    # imaginary parts swapped give the same defect
+    m = algebra_closure(_direct_sum_units([(n, n)]))
+    rng = np.random.default_rng(n)
+    state = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) * 4.0 ** np.arange(n)[:, None]
+    om = StateVector.normalized(state.reshape(-1))
+    fake = replace(tomita(m, om), delta=np.eye(n * n))
+    c = modular._PRODUCT_CHUNK // (2 * m.dim ** 2)
+    for samples in (1, c - 1, c, c + 1, 3 * c + 2):
+        got = kms_defect(m, om, samples=samples, seed=11, triple=fake)
+        expected = _kms_per_sample(m, om, fake, samples, 11)
+        assert expected > 0.01
+        assert abs(got - expected) <= 1e-12 * expected
