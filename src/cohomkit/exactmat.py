@@ -23,10 +23,15 @@ run on it.
 Over Z/p^e one elimination on reduced residues, where no entry grows, gives
 the elementary divisors (GF(p) rank is the e = 1 case) and, by the column
 transforms it records, `kernel_mod` and `solve_mod` for each p^e exactly
-dividing any modulus.  Over GF(2) rows pack into Python ints, so a
-row operation is one XOR; coboundary matrices are the largest matrices the
-toolkit sees.  Smith form with transforms over Z, `smith_transforms`, has no
-caller left in the package.
+dividing any modulus.  At p^e = 2 (the 2-part of 6 or 10 too) one packed
+echelon serves exponents, kernels and solves: a row is a Python int, a row
+operation one XOR, a right-hand side is bit `ncols`.  Over a field any echelon
+form has the RREF's pivot columns, so back-substitution on it gives the
+sweep's output: the sweep's generator V e_c for a free column c is the one
+kernel vector that is 1 at c and 0 at the other free columns, and its
+solution the one that is 0 on every free column.  Coboundary matrices are
+the largest matrices the toolkit sees.  Smith form with transforms over Z,
+`smith_transforms`, has no caller left in the package.
 
 All matrix values are immutable after construction (no code writes to a row
 map) and safe to share; an `Echelon` is mutable and belongs to its owner.
@@ -36,6 +41,7 @@ before it is built.
 
 from __future__ import annotations
 
+import operator
 from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
@@ -93,6 +99,17 @@ def prime_power_factors(n: int) -> list[tuple[int, int]]:
     if n > 1:
         out.append((n, 1))
     return out
+
+
+def _as_ints(values: Iterable, where: str) -> tuple[int, ...]:
+    """values as ints; one `operator.index` refuses is a ValueError naming it."""
+    out = []
+    for j, x in enumerate(values):
+        try:
+            out.append(operator.index(x))
+        except TypeError:
+            raise ValueError(f"{where} {j}: {x!r} is not an integer") from None
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +334,8 @@ class PrimeFieldMatrix:
 
     @classmethod
     def from_rows(cls, modulus: int, rows: Iterable[Iterable[int]]) -> "PrimeFieldMatrix":
-        data = tuple(tuple(int(x) % modulus for x in row) for row in rows)
+        data = tuple(tuple(x % modulus for x in _as_ints(row, f"row {i}, column"))
+                     for i, row in enumerate(rows))
         nrows = len(data)
         ncols = len(data[0]) if data else 0
         return cls(modulus, nrows, ncols, data)
@@ -331,23 +349,30 @@ def _packed(rows: Iterable[Sequence[int]]) -> list[int]:
     return [sum(1 << j for j, x in enumerate(row) if x % 2) for row in rows]
 
 
-def _lowest_bit(w: int) -> int:
-    return (w & -w).bit_length() - 1
-
-
-def _gf2_rank(words: list[int]) -> int:
-    """Rank of packed GF(2) rows; a row operation is one XOR."""
+def _gf2_echelon(words: Iterable[int]) -> dict[int, int]:
+    """Packed GF(2) rows in echelon form, {pivot column: row word}: a row is
+    reduced at its lowest bit by the held row there, one XOR, until no held
+    row has that bit.  Pivots are lowest bits, so they are the RREF's."""
     pivots: dict[int, int] = {}
     for w in words:
-        cur = w
-        while cur:
-            c = _lowest_bit(cur)
-            if c in pivots:
-                cur ^= pivots[c]
-            else:
-                pivots[c] = cur
+        while w:
+            c = (w & -w).bit_length() - 1
+            row = pivots.get(c)
+            if row is None:
+                pivots[c] = w
                 break
-    return len(pivots)
+            w ^= row
+    return pivots
+
+
+def _gf2_back_substitute(pivots: dict[int, int], x: int, n: int, scale: int = 1) -> list[int]:
+    """Bits 0..n-1, times scale, of x with its pivot bits set, highest first,
+    so every `_gf2_echelon` row has even parity against it: the kernel vector
+    with the free bits of x, or (x = 1 << n, rhs at bit n) the solution."""
+    for c, row in sorted(pivots.items(), reverse=True):
+        if (row & x).bit_count() & 1:
+            x |= 1 << c
+    return [scale if x >> j & 1 else 0 for j in range(n)]
 
 
 def _local_eliminate(rows: Iterable[Sequence[int]], ncols: int, p: int, e: int):
@@ -370,6 +395,8 @@ def _local_eliminate(rows: Iterable[Sequence[int]], ncols: int, p: int, e: int):
     pivots = []
     for v in range(e):
         pv, above = p ** v, p ** (v + 1)
+        if v:  # a zero row is never a pivot and never changes
+            live = [row for row in live if any(row)]
         for c in range(ncols):
             i = next((i for i, row in enumerate(live) if row[c] % above), None)
             if i is None:
@@ -403,11 +430,11 @@ def local_smith_exponents(m: IntegerMatrix | PrimeFieldMatrix, p: int, e: int) -
     """Exponents a < e of the elementary divisors p^a of m over Z/p^e.
 
     Divisors vanishing mod p^e are not listed, so for e = 1 the length is
-    the rank over GF(p).  The sweep is `_local_eliminate`; p^e = 2 packs
-    rows into `_gf2_rank` instead.
+    the rank over GF(p).  The sweep is `_local_eliminate`; at p^e = 2 it is
+    the packed `_gf2_echelon` that `kernel_mod` and `solve_mod` run there.
     """
     if p ** e == 2:
-        return [0] * _gf2_rank(_packed(m.entries))
+        return [0] * len(_gf2_echelon(_packed(m.entries)))
     return [v for _, v, *_ in _local_eliminate(m.entries, m.cols, p, e)[0]]
 
 
@@ -432,7 +459,7 @@ class IntegerMatrix:
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[int]]) -> "IntegerMatrix":
-        data = tuple(tuple(int(x) for x in row) for row in rows)
+        data = tuple(_as_ints(row, f"row {i}, column") for i, row in enumerate(rows))
         nrows = len(data)
         ncols = len(data[0]) if data else 0
         return cls(nrows, ncols, data)
@@ -561,27 +588,37 @@ def solve_mod(m: IntegerMatrix, rhs: Sequence[int], modulus: int) -> list[int] |
     Per p^e exactly dividing the modulus, `_local_eliminate` runs on m with
     rhs appended: a pivot u p^a with reduced right-hand side b needs p^a | b
     and sets y_c = (b / p^a) u^-1, the rows left over need b = 0, and
-    x = V y.  The prime-power solutions are combined by CRT.
+    x = V y; at p^e = 2 the packed `_gf2_echelon` gives the same x, rhs as
+    bit m.cols.  The prime-power solutions are combined by CRT.  An rhs
+    entry that `operator.index` refuses is a ValueError.
     """
     if modulus < 1:
         raise ValueError("modulus must be positive")
     if len(rhs) != m.rows:
         raise ValueError("right-hand side length does not match row count")
+    rhs = _as_ints(rhs, "right-hand side position")
     x = [0] * m.cols
     for p, e in prime_power_factors(modulus):
         q = p ** e
-        pivots, live = _local_eliminate(
-            [list(row) + [int(b)] for row, b in zip(m.entries, rhs)], m.cols, p, e)
-        if any(row[-1] for row in live):
-            return None
-        y = [0] * m.cols
-        for c, v, inv, piv, _ in pivots:
-            if piv[-1] % p ** v:
+        if q == 2:
+            packed = _gf2_echelon(_packed((*row, b) for row, b in zip(m.entries, rhs)))
+            if m.cols in packed:
                 return None
-            y[c] = piv[-1] // p ** v * inv % q
+            local = _gf2_back_substitute(packed, 1 << m.cols, m.cols)
+        else:
+            pivots, live = _local_eliminate(
+                [list(row) + [b] for row, b in zip(m.entries, rhs)], m.cols, p, e)
+            if any(row[-1] for row in live):
+                return None
+            y = [0] * m.cols
+            for c, v, inv, piv, _ in pivots:
+                if piv[-1] % p ** v:
+                    return None
+                y[c] = piv[-1] // p ** v * inv % q
+            local = _apply_v(pivots, y, p, e)
         w = modulus // q
         crt = w * pow(w, -1, q)  # 1 mod q, 0 mod the other prime powers
-        x = [(a + crt * b) % modulus for a, b in zip(x, _apply_v(pivots, y, p, e))]
+        x = [(a + crt * b) % modulus for a, b in zip(x, local)]
     return x
 
 
@@ -590,8 +627,9 @@ def kernel_mod(m: IntegerMatrix, modulus: int) -> list[tuple[tuple[int, ...], in
 
     Per p^e exactly dividing the modulus, `_local_eliminate` gives m's
     pivots over Z/p^e: a pivot of valuation a yields V e_c p^(e-a) of order
-    p^a, and an unpivoted column V e_c of order p^e.  The p-parts, scaled
-    into Z/modulus, are summed largest with largest, so the orders are the
+    p^a, and an unpivoted column V e_c of order p^e; at p^e = 2 the packed
+    `_gf2_echelon` gives the same V e_c by back-substitution.  The p-parts,
+    scaled into Z/modulus, are summed largest with largest, so the orders are the
     invariant factors in ascending order, each dividing the next; they
     multiply to the solution-group size and order-1 generators are omitted.
     """
@@ -599,9 +637,14 @@ def kernel_mod(m: IntegerMatrix, modulus: int) -> list[tuple[tuple[int, ...], in
         raise ValueError("modulus must be positive")
     chains = []
     for p, e in prime_power_factors(modulus):
+        step = modulus // p ** e
+        if p ** e == 2:
+            packed = _gf2_echelon(_packed(m.entries))
+            chains.append([(2, _gf2_back_substitute(packed, 1 << c, m.cols, step))
+                           for c in range(m.cols) if c not in packed])
+            continue
         pivots = _local_eliminate(m.entries, m.cols, p, e)[0]
         level = {c: v for c, v, *_ in pivots}
-        step = modulus // p ** e
         part = []
         for c in range(m.cols):
             a = level.get(c, e)

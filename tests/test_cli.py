@@ -108,6 +108,8 @@ def test_lie_generate_and_ideal(capsys, tmp_path):
     ("q8", "z4", "2", "a99db89a5f5c1cc00beb7c9a4e557610aacadb979c374d5a0ed75a9968dd9903"),
     ("s3", "z6", "2", "0da974d895f5bdbc09d3d47147bfa35ab24665296597480c812d67c019e57540"),
     ("z4", "z2", "1", "38091b0451242f1188359722b7176870a65106be230ab082315d8a451d0d3e2b"),
+    ("q8", "z2", "2", "f33c9dec9c499e1cfe16ffdf1e42a5d07dd8983d2adce0bc26d647966d414c43"),
+    ("a4", "z2xz2", "2", "6985bf8ef43902ac3af1948cfbc70b03b598a3841d54895a7f30215e1414f563"),
 ])
 def test_group_cocycles_output_is_pinned(capsys, group, coeff, degree, digest):
     # Z^n and its generators, byte for byte, as the full-row elimination wrote them

@@ -16,9 +16,12 @@ from cohomkit.exactmat import (
     check_dense,
     kernel_mod,
     local_smith_exponents,
+    prime_power_factors,
     smith_transforms,
     solve_mod,
 )
+from cohomkit.grpcoh import _NAMED_GROUPS, _light_coboundary_matrix, group_by_name
+from sweep_oracle import sweep_exponents, sweep_kernel, sweep_solve
 
 
 def smith_normal_form(m: IntegerMatrix) -> list[int]:
@@ -548,3 +551,105 @@ def test_kernel_and_solve_mod_on_smith_blowup_matrix():
             assert all(order * x % modulus == 0 for x in vec)
     assert all((x - b) % 4 == 0 for x, b in zip(m.apply(sol4), rhs))
     assert all((x - b) % 12 == 0 for x, b in zip(m.apply(sol12), rhs))
+
+
+# ---------------------------------------------------------------------------
+# the packed GF(2) route against the dense sweep
+
+
+def _assert_matches_sweep(m: IntegerMatrix, modulus: int, rhs_list) -> list[bool]:
+    """kernel_mod, solve_mod and the exponents of m equal the dense sweep's
+    output for output; the solvability of each right-hand side is returned."""
+    assert kernel_mod(m, modulus) == sweep_kernel(m, modulus), (modulus, m.entries)
+    for p, e in prime_power_factors(modulus):
+        assert local_smith_exponents(m, p, e) == sweep_exponents(m, p, e)
+    solvable = []
+    for rhs in rhs_list:
+        expected = sweep_solve(m, rhs, modulus)
+        assert solve_mod(m, rhs, modulus) == expected, (modulus, m.entries, rhs)
+        solvable.append(expected is not None)
+    return solvable
+
+
+def _rhs_pair(m: IntegerMatrix, modulus: int, rng: random.Random) -> list[list[int]]:
+    # one right-hand side in the image (solvable), one drawn at random
+    image = [x % modulus for x in m.apply([rng.randrange(modulus) for _ in range(m.cols)])]
+    return [image, [rng.randrange(modulus) for _ in range(m.rows)]]
+
+
+_SWEEP_MODULI = (2, 6, 10)
+
+
+def test_packed_route_matches_the_dense_sweep_on_random_matrices():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    outcomes = set()
+
+    @hypothesis.settings(max_examples=200, derandomize=True, deadline=None, database=None)
+    @hypothesis.given(shape=st.tuples(st.integers(1, 9), st.integers(1, 9)),
+                      modulus=st.sampled_from(_SWEEP_MODULI), data=st.data())
+    def check(shape, modulus, data):
+        nrows, ncols = shape
+        entry = st.integers(-3, 3) | st.sampled_from((0, 0, 2, 5, 10))
+        rows = data.draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
+                                  min_size=nrows, max_size=nrows), label="rows")
+        m = IntegerMatrix.from_rows(rows)
+        rng = random.Random(data.draw(st.integers(0, 2 ** 32), label="seed"))
+        outcomes.update(_assert_matches_sweep(m, modulus, _rhs_pair(m, modulus, rng)))
+
+    check()
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("gname", sorted(_NAMED_GROUPS))
+def test_packed_route_matches_the_dense_sweep_on_light_rows(gname):
+    # Light's rows of d_1 and d_2: the matrices cocycle_space and the
+    # extension solves eliminate, at the moduli whose 2-part is packed
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    P = group_by_name(gname)
+    mats = [_light_coboundary_matrix(P.table, P.identity, degree)[1] for degree in (1, 2)]
+    outcomes = set()
+
+    @hypothesis.settings(max_examples=2, derandomize=True, deadline=None, database=None)
+    @hypothesis.given(seed=st.integers(0, 2 ** 32))
+    def check(seed):
+        rng = random.Random(seed)
+        for m in mats:
+            for modulus in _SWEEP_MODULI:
+                outcomes.update(_assert_matches_sweep(m, modulus, _rhs_pair(m, modulus, rng)))
+
+    check()
+    assert outcomes == {True, False}
+
+
+# ---------------------------------------------------------------------------
+# integer input contract
+
+
+@pytest.mark.parametrize("bad", [Fraction(1, 2), 1.5, 2.0, "1", None])
+def test_integer_matrix_refuses_an_entry_that_is_no_integer(bad):
+    with pytest.raises(ValueError, match=r"^row 1, column 0: .* is not an integer$"):
+        IntegerMatrix.from_rows([[1, 0], [bad, 1]])
+
+
+@pytest.mark.parametrize("bad", [Fraction(1, 2), 1.5, "1"])
+def test_prime_field_matrix_refuses_an_entry_that_is_no_integer(bad):
+    with pytest.raises(ValueError, match=r"^row 0, column 1: .* is not an integer$"):
+        PrimeFieldMatrix.from_rows(5, [[1, bad]])
+
+
+def test_integer_rows_accept_index_types():
+    m = IntegerMatrix.from_rows([[True, -3], (0, 7)])
+    assert m.entries == ((1, -3), (0, 7))
+    assert PrimeFieldMatrix.from_rows(5, [[True, -3]]).entries == ((1, 2),)
+
+
+@pytest.mark.parametrize("modulus", [2, 4, 6])
+def test_solve_mod_refuses_a_right_hand_side_that_is_no_integer(modulus):
+    # int() would truncate 1.5 to 1 and return a solution of another system
+    identity = IntegerMatrix.from_rows([[1, 0], [0, 1]])
+    with pytest.raises(ValueError, match=r"^right-hand side position 0: 1\.5 is not an integer$"):
+        solve_mod(identity, [1.5, 3], modulus)
+    with pytest.raises(ValueError, match=r"^right-hand side position 1: '1' is not an integer$"):
+        solve_mod(identity, [1, "1"], modulus)
