@@ -25,13 +25,18 @@ the elementary divisors (GF(p) rank is the e = 1 case) and, by the column
 transforms it records, `kernel_mod` and `solve_mod` for each p^e exactly
 dividing any modulus.  At p^e = 2 (the 2-part of 6 or 10 too) one packed
 echelon serves exponents, kernels and solves: a row is a Python int, a row
-operation one XOR, a right-hand side is bit `ncols`.  Over a field any echelon
-form has the RREF's pivot columns, so back-substitution on it gives the
-sweep's output: the sweep's generator V e_c for a free column c is the one
-kernel vector that is 1 at c and 0 at the other free columns, and its
-solution the one that is 0 on every free column.  Coboundary matrices are
-the largest matrices the toolkit sees.  Smith form with transforms over Z,
-`smith_transforms`, has no caller left in the package.
+operation one XOR.  Over a field any echelon form has the RREF's pivot
+columns, so back-substitution on it gives the sweep's output: the sweep's
+generator V e_c for a free column c is the one kernel vector that is 1 at c
+and 0 at the other free columns, and its solution the one that is 0 on every
+free column.  `solve_mod` factors each (matrix, modulus) once, keeping the
+row operations U (identity bits packed past the columns at p^e = 2, an
+operation log otherwise) for the last SOLVE_CACHE_SIZE pairs, and answers
+each right-hand side b by replaying U on it: pivots are chosen on the
+matrix's columns alone, so U b is the column an appended b would have
+become.  Coboundary matrices are the largest matrices the toolkit sees.
+Smith form with transforms over Z, `smith_transforms`, has no caller left
+in the package.
 
 All matrix values are immutable after construction (no code writes to a row
 map) and safe to share; an `Echelon` is mutable and belongs to its owner.
@@ -45,6 +50,7 @@ import operator
 from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm, prod
 from typing import Iterable, Sequence
 
@@ -375,23 +381,27 @@ def _gf2_back_substitute(pivots: dict[int, int], x: int, n: int, scale: int = 1)
     return [scale if x >> j & 1 else 0 for j in range(n)]
 
 
-def _local_eliminate(rows: Iterable[Sequence[int]], ncols: int, p: int, e: int):
+def _local_eliminate(rows: Iterable[Sequence[int]], ncols: int, p: int, e: int,
+                     log: list | None = None):
     """The one elimination over Z/p^e behind exponents, kernels and solves.
 
     Level v = 0..e-1 pivots, column by column, on an entry of valuation
     exactly v, clears that column in every other row and drops the pivot
     row; afterwards every live entry is divisible by p^(v+1).  Entries stay
-    reduced mod p^e, so nothing grows.  Entries past `ncols` (a right-hand
-    side) ride along in the row operations but are never pivots.
+    reduced mod p^e, so nothing grows.
 
     Pivots come back as (c, v, inv, row, support), inv = (row[c] / p^v)^-1.
     The column operations col_j -= (row[j] / p^v) inv col_c that clear the
     dropped row touch no live row (column c is zero there), so they are only
     recorded, for `_apply_v`.  U m V is then zero but for the pivots, and the
-    live rows returned are zero mod p^e in their first `ncols` entries.
+    live rows returned are zero mod p^e.  A `log` list receives the row
+    operations U, one (pivot row, [(row, f), ...]) per pivot, rows by their
+    index in `rows`: row -= f pivot row, in elimination order.
     """
     q = p ** e
-    live = [row for row in ([x % q for x in r] for r in rows) if any(row)]
+    reduced = [[x % q for x in r] for r in rows]
+    live = [row for row in reduced if any(row)]
+    where = {id(row): i for i, row in enumerate(reduced)} if log is not None else None
     pivots = []
     for v in range(e):
         pv, above = p ** v, p ** (v + 1)
@@ -403,6 +413,9 @@ def _local_eliminate(rows: Iterable[Sequence[int]], ncols: int, p: int, e: int):
                 continue
             piv = live.pop(i)
             inv = pow(piv[c] // pv, -1, q)
+            if where is not None:
+                log.append((where[id(piv)], [(where[id(row)], row[c] // pv * inv % q)
+                                             for row in live if row[c]]))
             # every column of the pivot row, not only those from c on: an
             # earlier column of higher-valuation entries changes too
             support = [(j, x) for j, x in enumerate(piv) if x]
@@ -418,9 +431,8 @@ def _local_eliminate(rows: Iterable[Sequence[int]], ncols: int, p: int, e: int):
 def _apply_v(pivots, y: Sequence[int], p: int, e: int) -> list[int]:
     """V y mod p^e for the column operations recorded by `_local_eliminate`."""
     x = list(y)
-    n = len(x)
     for c, v, inv, _, support in reversed(pivots):
-        s = sum(a * x[j] for j, a in support if j != c and j < n)
+        s = sum(a * x[j] for j, a in support if j != c)
         if s:
             x[c] = (x[c] - s // p ** v * inv) % p ** e
     return x
@@ -582,39 +594,97 @@ def smith_transforms(m: IntegerMatrix, want_u: bool = True, want_v: bool = True)
     )
 
 
+SOLVE_CACHE_SIZE = 32  # (matrix, modulus) factorizations `solve_mod` keeps
+
+
+def _factor(m: IntegerMatrix, modulus: int) -> tuple:
+    """m eliminated once per p^e exactly dividing the modulus, as
+    (p, e, pivots, U) per prime power, U the row operations that a
+    right-hand side is replayed through.
+
+    At p^e = 2 row i is packed with identity bit n + i (n = m.cols), so each
+    held row of `_gf2_echelon` carries its U row past bit n.  Pivots are
+    lowest bits, so the held rows with a pivot below n are the echelon's
+    whatever sits past n; `pivots` maps each such column to (data row,
+    U row), and U lists the U rows of the held rows that are zero below n,
+    which a solvable right-hand side must annihilate.  Otherwise `pivots`
+    are `_local_eliminate`'s and U is its operation log with the indices of
+    the rows that are no pivot, which must end at 0."""
+    n = m.cols
+    parts = []
+    for p, e in prime_power_factors(modulus):
+        if p ** e == 2:
+            held = _gf2_echelon(w | (1 << (n + i)) for i, w in enumerate(_packed(m.entries)))
+            mask = (1 << n) - 1
+            data = {c: (w & mask, w >> n) for c, w in held.items() if c < n}
+            parts.append((p, e, data, [w >> n for c, w in held.items() if c >= n]))
+        else:
+            log: list = []
+            pivots = _local_eliminate(m.entries, n, p, e, log)[0]
+            rest = sorted(set(range(m.rows)).difference(src for src, _ in log))
+            parts.append((p, e, pivots, (log, rest)))
+    return tuple(parts)
+
+
+_factored = lru_cache(maxsize=SOLVE_CACHE_SIZE)(_factor)
+
+
+def _parity(x: int) -> int:
+    return x.bit_count() & 1
+
+
 def solve_mod(m: IntegerMatrix, rhs: Sequence[int], modulus: int) -> list[int] | None:
     """One solution of m x = rhs (mod modulus), or None.
 
-    Per p^e exactly dividing the modulus, `_local_eliminate` runs on m with
-    rhs appended: a pivot u p^a with reduced right-hand side b needs p^a | b
-    and sets y_c = (b / p^a) u^-1, the rows left over need b = 0, and
-    x = V y; at p^e = 2 the packed `_gf2_echelon` gives the same x, rhs as
-    bit m.cols.  The prime-power solutions are combined by CRT.  An rhs
-    entry that `operator.index` refuses is a ValueError.
+    m is factored once per (m, modulus) by `_factor` and the factorization
+    kept, SOLVE_CACHE_SIZE of them, least recently used first out (a matrix
+    that cannot be hashed, such as one with list rows, is factored on every
+    call).  Per p^e exactly dividing the modulus, the right-hand side b is
+    replayed through the row operations U: at p^e = 2 the parity of each U
+    row against the packed b, otherwise the logged row operations on b mod
+    p^e.  Since pivots are chosen on m's columns alone, U b is the column an
+    appended b would have become.  A pivot u p^a with reduced right-hand side
+    r needs p^a | r and sets y_c = (r / p^a) u^-1, every other row needs
+    r = 0, and x = V y (at p^e = 2 back-substitution on the echelon).  The
+    prime-power solutions are combined by CRT.  An rhs entry that
+    `operator.index` refuses is a ValueError.
     """
     if modulus < 1:
         raise ValueError("modulus must be positive")
     if len(rhs) != m.rows:
         raise ValueError("right-hand side length does not match row count")
     rhs = _as_ints(rhs, "right-hand side position")
-    x = [0] * m.cols
-    for p, e in prime_power_factors(modulus):
+    try:
+        hash(m)
+    except TypeError:  # list rows from the raw constructor: no cache key
+        parts = _factor(m, modulus)
+    else:
+        parts = _factored(m, modulus)
+    n = m.cols
+    x = [0] * n
+    for p, e, pivots, u in parts:
         q = p ** e
         if q == 2:
-            packed = _gf2_echelon(_packed((*row, b) for row, b in zip(m.entries, rhs)))
-            if m.cols in packed:
+            b = _packed((rhs,))[0]
+            if any(map(_parity, map(b.__and__, u))):
                 return None
-            local = _gf2_back_substitute(packed, 1 << m.cols, m.cols)
+            local = _gf2_back_substitute(
+                {c: w | _parity(row & b) << n for c, (w, row) in pivots.items()}, 1 << n, n)
         else:
-            pivots, live = _local_eliminate(
-                [list(row) + [b] for row, b in zip(m.entries, rhs)], m.cols, p, e)
-            if any(row[-1] for row in live):
+            log, rest = u
+            r = [b % q for b in rhs]
+            for src, hits in log:
+                s = r[src]
+                if s:
+                    for t, f in hits:
+                        r[t] = (r[t] - f * s) % q
+            if any(r[i] for i in rest):
                 return None
-            y = [0] * m.cols
-            for c, v, inv, piv, _ in pivots:
-                if piv[-1] % p ** v:
+            y = [0] * n
+            for (c, v, inv, _, _), (src, _) in zip(pivots, log):
+                if r[src] % p ** v:
                     return None
-                y[c] = piv[-1] // p ** v * inv % q
+                y[c] = r[src] // p ** v * inv % q
             local = _apply_v(pivots, y, p, e)
         w = modulus // q
         crt = w * pow(w, -1, q)  # 1 mod q, 0 mod the other prime powers

@@ -11,9 +11,12 @@ non-cocycle input is rejected with a triple witnessing the failure.  The
 condition is decided on Light's rows (p, s, r) of d_2, s the identity or a
 generator of P, and the full d_2 omega runs only to name the triple; a
 cocycle is a coboundary d_1 phi iff it is one on the rows (p, s), so
-`_solve_coboundary` eliminates only those and then compares the full d_1 phi,
+`_solve_coboundary` solves only those and then compares the full d_1 phi,
 and `_class_representatives` keys the classes of H^2 by annihilators of d_1
-on those rows (see `grpcoh._light_incidence`).
+on those rows (see `grpcoh._light_incidence`).  The rows (p, s) of d_1 are
+built once per group and factored once per modulus by `solve_mod`, so each
+target costs a replay of that factorization.  The carrier's index shifts
+and labels depend on A and P's labels alone and are built once per pair.
 
 Each fact is decided once, where its data come in: the cocycle condition
 by `build_extension`, whose table is then an extension by construction;
@@ -88,6 +91,17 @@ def _light_d1(table: tuple[tuple[int, ...], ...],
     """`_light_coboundary_matrix` of d_1, cached per (table, identity): a
     group whose full d_1 is over budget is refused on every call."""
     return _light_coboundary_matrix(table, identity, 1)
+
+
+@lru_cache(maxsize=32)
+def _carrier_frame(orders: tuple[int, ...], n: int,
+                   labels: tuple[str, ...]) -> tuple[tuple[tuple[int, ...], ...], tuple[str, ...]]:
+    """What `build_extension` takes from A and P alone, cached per (A's
+    orders, |P|, P's labels): the index shifts T[a], c |P| + r ->
+    add[a][c] |P| + r, and the carrier labels "(a,p)" in index order."""
+    T = tuple(tuple(c * n + r for c in add_a for r in range(n))
+              for add_a in _index_addition(orders))
+    return T, tuple(f"({a},{p})" for a in _index_tables(orders)[1] for p in labels)
 
 
 def _is_cocycle(P: FiniteGroup, omega: Cochain) -> bool:
@@ -254,7 +268,8 @@ def build_extension(P: FiniteGroup, A: AbelianCoefficients, omega: Cochain,
     Only the |P| rows (0, p) are built entry by entry: row (a, p) is row
     (0, p) under T[a], which adds a to the A-coordinate (c |P| + r ->
     add[a][c] |P| + r, with `add` the addition table of A on indices),
-    i.e. multiplies by the central i(a).
+    i.e. multiplies by the central i(a).  T and the carrier labels come
+    from `_carrier_frame`, built once per (A's orders, P's labels).
     A carrier table of more than DENSE_CELL_LIMIT cells is refused first.
     """
     if omega.degree != 2 or omega.group.table != P.table or omega.coeffs != A:
@@ -268,9 +283,8 @@ def build_extension(P: FiniteGroup, A: AbelianCoefficients, omega: Cochain,
         raise NotACocycleError(
             f"cochain is not a 2-cocycle: associativity of the extension "
             f"table fails on triple {bad}", bad)
-    add = _index_addition(A.orders)
     negw = _gather(_index_tables(A.orders)[2], _value_indices(A.orders, omega.values))  # -omega
-    T = [[c * n + r for c in add_a for r in range(n)] for add_a in add]
+    T, labels = _carrier_frame(A.orders, n, P.labels)
     base = []
     for p, mul_p in enumerate(P.table):
         # (0, p)(0, q) = (-omega(p, q), pq), and T[b] of it is (0, p)(b, q)
@@ -278,7 +292,6 @@ def build_extension(P: FiniteGroup, A: AbelianCoefficients, omega: Cochain,
         base.append(tuple(list(chain.from_iterable(_gather(T_b, first) for T_b in T))))
     table = [_gather(T_a, row) for T_a in T for row in base]
     identity = A.index(omega.value(P.identity, P.identity)) * n + P.identity
-    labels = tuple(f"({a},{p})" for a in _index_tables(A.orders)[1] for p in P.labels)
     carrier = FiniteGroup(size, tuple(table), identity,
                           f"ext({P.name};{','.join(map(str, A.orders))})", labels)
     return CentralExtensionTable(P, A, omega, carrier, GroupHom(carrier, P, tuple(range(n)) * K))
@@ -337,9 +350,11 @@ def _solve_coboundary(P: FiniteGroup, A: AbelianCoefficients,
     """phi with d_1 phi = target, solved factor by factor mod each cyclic
     order; None when target is not a coboundary.
 
-    Only Light's rows (p, s) of d_1 are eliminated, s the identity or a
+    Only Light's rows (p, s) of d_1 are solved, s the identity or a
     generator of P (|P| |S| rows instead of |P|^2): for a cocycle target
-    they decide (see `_light_incidence`).  A target that is no cocycle may
+    they decide (see `_light_incidence`).  The matrix comes from the
+    `_light_d1` cache, so `solve_mod` eliminates it once per modulus and
+    replays its row operations on each target.  A target that is no cocycle may
     still be solved on them, so phi is returned only when the full d_1 phi
     equals the target, read mod m as `solve_mod` reads it.  A group whose
     full d_1 exceeds DENSE_CELL_LIMIT cells is refused before anything is

@@ -6,8 +6,10 @@ from math import gcd, prod
 
 import pytest
 
+from cohomkit import exactmat
 from cohomkit.exactmat import (
     DENSE_CELL_LIMIT,
+    SOLVE_CACHE_SIZE,
     Echelon,
     IntegerMatrix,
     PrimeFieldMatrix,
@@ -653,3 +655,121 @@ def test_solve_mod_refuses_a_right_hand_side_that_is_no_integer(modulus):
         solve_mod(identity, [1.5, 3], modulus)
     with pytest.raises(ValueError, match=r"^right-hand side position 1: '1' is not an integer$"):
         solve_mod(identity, [1, "1"], modulus)
+
+
+# ---------------------------------------------------------------------------
+# solve_mod: one factorization per (matrix, modulus), replayed per right-hand side
+
+
+_REPLAY_MODULI = (2, 4, 6, 8, 9, 12, 36)
+
+
+def _rhs_batch(m: IntegerMatrix, modulus: int, rng: random.Random) -> list[list[int]]:
+    # six right-hand sides: three in the image, three drawn at random
+    return [rhs for _ in range(3) for rhs in _rhs_pair(m, modulus, rng)]
+
+
+def _assert_solves_match_sweep(m: IntegerMatrix, modulus: int, rhs_list) -> list[bool]:
+    """solve_mod equals the dense sweep on every right-hand side, once from
+    an empty cache and once with the factorization warm."""
+    exactmat._factored.cache_clear()
+    cold = [solve_mod(m, rhs, modulus) for rhs in rhs_list]
+    warm = [solve_mod(m, rhs, modulus) for rhs in rhs_list]
+    expected = [sweep_solve(m, rhs, modulus) for rhs in rhs_list]
+    assert cold == expected, (modulus, m.entries)
+    assert warm == expected, (modulus, m.entries)
+    return [x is not None for x in expected]
+
+
+def test_replayed_solves_match_the_dense_sweep_on_random_matrices():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    outcomes = set()
+
+    @hypothesis.settings(max_examples=150, derandomize=True, deadline=None, database=None)
+    @hypothesis.given(shape=st.tuples(st.integers(1, 9), st.integers(1, 9)),
+                      modulus=st.sampled_from(_REPLAY_MODULI), data=st.data())
+    def check(shape, modulus, data):
+        nrows, ncols = shape
+        entry = st.integers(-4, 4) | st.sampled_from((0, 0, 3, 6, 12, 18))
+        rows = data.draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
+                                  min_size=nrows, max_size=nrows), label="rows")
+        m = IntegerMatrix.from_rows(rows)
+        rng = random.Random(data.draw(st.integers(0, 2 ** 32), label="seed"))
+        outcomes.update(_assert_solves_match_sweep(m, modulus, _rhs_batch(m, modulus, rng)))
+
+    check()
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("gname", sorted(_NAMED_GROUPS))
+def test_replayed_solves_match_the_dense_sweep_on_light_d1(gname):
+    # Light's d_1, the matrix every extension solve factors
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    P = group_by_name(gname)
+    m = _light_coboundary_matrix(P.table, P.identity, 1)[1]
+    outcomes = set()
+
+    @hypothesis.settings(max_examples=2, derandomize=True, deadline=None, database=None)
+    @hypothesis.given(seed=st.integers(0, 2 ** 32))
+    def check(seed):
+        rng = random.Random(seed)
+        for modulus in _REPLAY_MODULI:
+            outcomes.update(_assert_solves_match_sweep(m, modulus, _rhs_batch(m, modulus, rng)))
+
+    check()
+    assert outcomes == {True, False}
+
+
+def test_factorizations_are_keyed_by_matrix_and_modulus():
+    # same shape, different entries: each matrix is factored for itself
+    a = IntegerMatrix.from_rows([[1, 0], [0, 2]])
+    b = IntegerMatrix.from_rows([[2, 0], [0, 1]])
+    exactmat._factored.cache_clear()
+    assert solve_mod(a, [1, 2], 4) == sweep_solve(a, [1, 2], 4) == [1, 1]
+    assert solve_mod(b, [1, 2], 4) is None
+    assert sweep_solve(b, [1, 2], 4) is None
+    assert solve_mod(b, [2, 1], 4) == sweep_solve(b, [2, 1], 4) == [1, 1]
+    assert exactmat._factored.cache_info().currsize == 2
+    # one matrix under 4 and 12 (whose 2-part is 4): two factorizations
+    m = IntegerMatrix.from_rows([[2, 1], [0, 3]])
+    for modulus in (4, 12, 4, 12):
+        for rhs in ([1, 3], [0, 1], [2, 0]):
+            assert solve_mod(m, rhs, modulus) == sweep_solve(m, rhs, modulus)
+    assert exactmat._factored.cache_info().currsize == 4
+    assert exactmat._factored.cache_info().misses == 4
+
+
+def test_factorization_cache_is_bounded():
+    exactmat._factored.cache_clear()
+    for k in range(SOLVE_CACHE_SIZE + 8):
+        m = IntegerMatrix.from_rows([[k + 1, 1], [0, 1]])
+        assert solve_mod(m, [1, 1], 9) == sweep_solve(m, [1, 1], 9)
+    info = exactmat._factored.cache_info()
+    assert info.misses == SOLVE_CACHE_SIZE + 8
+    assert info.currsize == SOLVE_CACHE_SIZE
+
+
+@pytest.mark.parametrize("modulus", [2, 4, 6])
+def test_solve_mod_checks_every_right_hand_side_on_a_cached_factorization(modulus):
+    identity = IntegerMatrix.from_rows([[1, 0], [0, 1]])
+    assert solve_mod(identity, [1, 1], modulus) == [1, 1]
+    with pytest.raises(ValueError, match=r"^right-hand side position 0: 1\.5 is not an integer$"):
+        solve_mod(identity, [1.5, 3], modulus)
+    with pytest.raises(ValueError, match=r"^right-hand side position 1: '1' is not an integer$"):
+        solve_mod(identity, [1, "1"], modulus)
+    with pytest.raises(ValueError, match="right-hand side length"):
+        solve_mod(identity, [1, 1, 1], modulus)
+    with pytest.raises(ValueError, match="modulus must be positive"):
+        solve_mod(identity, [1, 1], 0)
+
+
+@pytest.mark.parametrize("modulus", [2, 4, 6, 36])
+def test_solve_mod_on_a_matrix_with_list_rows(modulus):
+    # the raw constructor keeps list rows, which cannot key the cache
+    m = IntegerMatrix(2, 3, ([1, 2, 0], [0, 3, 1]))
+    frozen = IntegerMatrix.from_rows(m.entries)
+    for rhs in ([1, 0], [0, 5], [3, 3]):
+        assert solve_mod(m, rhs, modulus) == sweep_solve(frozen, rhs, modulus)
+        assert solve_mod(m, rhs, modulus) == solve_mod(frozen, rhs, modulus)

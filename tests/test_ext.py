@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 import time
@@ -17,6 +18,7 @@ from cohomkit.ext import (
     is_split,
 )
 from cohomkit.grpcoh import (
+    _NAMED_GROUPS,
     AbelianCoefficients,
     Cochain,
     FiniteGroup,
@@ -230,6 +232,48 @@ def test_index_table_build_matches_tuple_transcription(gname):
             projection = GroupHom(carrier, P, tuple(g % P.order for g in carrier.elements()))
             expected = CentralExtensionTable(P, A, w, carrier, projection)
             assert built.to_json() == expected.to_json(), (gname, orders)
+
+
+def test_carrier_frames_are_keyed_by_kernel_orders_and_base_labels():
+    # Z4 and Z2xZ2 have the same size but other index shifts T
+    ext_module._carrier_frame.cache_clear()
+    P = group_by_name("z2")
+    T4 = ext_module._carrier_frame((4,), 2, P.labels)[0]
+    T22 = ext_module._carrier_frame((2, 2), 2, P.labels)[0]
+    assert T4 != T22
+    for orders in ((4,), (2, 2), (4,)):
+        A = AbelianCoefficients(orders)
+        w = cocycle_space(P, A, 2).generators[0][0]
+        table, identity = _tuple_carrier(P, A, w)
+        built = build_extension(P, A, w)
+        assert built.carrier.table == table and built.carrier.identity == identity
+    # two bases of order 4 with their own labels: each carrier names its base
+    A = AbelianCoefficients((2,))
+    for P in (group_by_name("z4"), group_by_name("klein4"),
+              FiniteGroup.from_table(group_by_name("z4").table, 0, labels="eabc")):
+        built = build_extension(P, A, Cochain.zero(P, A, 2))
+        assert built.carrier.labels == tuple(f"({a},{p})" for a in "01" for p in P.labels)
+    assert ext_module._carrier_frame.cache_info().currsize == 5
+
+
+# sha256 of the concatenated `to_json` of one seeded cocycle per named group
+# and kernel Z2, Z4, Z2xZ2: a golden value, so any change to the exported
+# bytes of these extensions shows here
+_EXTENSIONS_JSON_SHA256 = "763daeb0a2d95689bdbda8a07b1ab86b2f5f75bc02d98edb3106f4648fa7a1a7"
+
+
+def test_extension_json_of_a_fixed_set_is_unchanged():
+    h = hashlib.sha256()
+    for gname in sorted(_NAMED_GROUPS):
+        P = group_by_name(gname)
+        for orders in ((2,), (4,), (2, 2)):
+            A = AbelianCoefficients(orders)
+            rng = random.Random(f"json:{gname}:{orders}")
+            w = coboundary(Cochain.random(P, A, 1, rng))
+            for gen, order in cocycle_space(P, A, 2).generators:
+                w = w + gen.scale(rng.randrange(order))
+            h.update(ext_module.build_extension(P, A, w).to_json().encode())
+    assert h.hexdigest() == _EXTENSIONS_JSON_SHA256
 
 
 def test_unnormalized_cocycles_still_build_valid_extensions():
