@@ -20,26 +20,34 @@ in; Fractions are formed only when the RREF is read), and
 `RationalMatrix.rref` (so `kernel_basis` and `solve`) and `liealg.Subspace`
 run on it.
 
-Over Z/p^e one elimination on reduced residues, where no entry grows, gives
-the elementary divisors (GF(p) rank is the e = 1 case) and, by the column
-transforms it records, `kernel_mod` and `solve_mod` for each p^e exactly
-dividing any modulus.  At p^e = 2 (the 2-part of 6 or 10 too) one packed
-echelon serves exponents, kernels and solves: a row is a Python int, a row
-operation one XOR.  Over a field any echelon form has the RREF's pivot
-columns, so back-substitution on it gives the sweep's output: the sweep's
-generator V e_c for a free column c is the one kernel vector that is 1 at c
-and 0 at the other free columns, and its solution the one that is 0 on every
-free column.  `solve_mod` factors each (matrix, modulus) once, keeping the
-row operations U (identity bits packed past the columns at p^e = 2, an
-operation log otherwise) for the last SOLVE_CACHE_SIZE pairs, and answers
-each right-hand side b by replaying U on it: pivots are chosen on the
-matrix's columns alone, so U b is the column an appended b would have
-become.  Coboundary matrices are the largest matrices the toolkit sees.
+Over Z/p^e, `kernel_mod`, `solve_mod` and `local_smith_exponents` read a
+matrix through two conversions only: GF(2) column words (bit i of word c
+is entry (i, c) mod 2) and residue rows mod p^e.  Dense matrices derive
+both from their entries.  An `IncidenceMatrix`, the signed face columns of
+a coboundary (row j = sum_i (-1)^i e_{columns[i][j]}), derives them with
+no dense matrix: each face XORs bit j into word columns[i][j], so repeated
+faces cancel mod 2, and residue rows sum the signs and reduce only the
+cells a face touched.  For p^e > 2, `_local_eliminate` on residue rows,
+where no entry grows, gives the elementary divisors and, by the column
+transforms it records, kernels and solutions.  At p^e = 2 (the 2-part of
+6 or 10 too) one column echelon serves all three: each column, carrying
+its combination bits, is reduced at its lowest row bit against the
+independent columns before it.  The output is the dense sweep's byte for
+byte: a column reduces to zero iff it lies in the span of those before
+it, so the free columns are the RREF's non-pivot columns; a free column's
+combination, 1 there and otherwise on held columns only, is the unique
+kernel vector that is 1 there and 0 at the other free columns; and a
+right-hand side that reduces to zero leaves a combination on held columns
+only, the unique solution that is 0 on every free column.  `solve_mod`
+factors each (matrix, modulus) once for the last SOLVE_CACHE_SIZE pairs
+(held columns at p^e = 2, row operations U otherwise; pivots are chosen
+on the matrix alone, so U b is what an appended b would have become).
 Smith form with transforms over Z, `smith_transforms`, has no caller left
 in the package.
 
 All matrix values are immutable after construction (no code writes to a row
-map) and safe to share; an `Echelon` is mutable and belongs to its owner.
+map; an incidence only fills its `entries` once) and safe to share; an
+`Echelon` is mutable and belongs to its owner.
 `check_dense` refuses a dense object of more than DENSE_CELL_LIMIT cells
 before it is built.
 """
@@ -50,7 +58,7 @@ import operator
 from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd, lcm, prod
 from typing import Iterable, Sequence
 
@@ -59,6 +67,7 @@ __all__ = [
     "RationalMatrix",
     "PrimeFieldMatrix",
     "IntegerMatrix",
+    "IncidenceMatrix",
     "SmithDecomposition",
     "local_smith_exponents",
     "prime_power_factors",
@@ -105,6 +114,14 @@ def prime_power_factors(n: int) -> list[tuple[int, int]]:
     if n > 1:
         out.append((n, 1))
     return out
+
+
+def _as_int(x, what: str) -> int:
+    """x as an int; a value `operator.index` refuses is a ValueError naming `what`."""
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise ValueError(f"{what}: {x!r} is not an integer") from None
 
 
 def _as_ints(values: Iterable, where: str) -> tuple[int, ...]:
@@ -317,8 +334,23 @@ def _primitive_rank(rows: Iterable[dict[int, int]]) -> int:
 # prime field matrices
 
 
+class _DenseRows:
+    """The two readings of a matrix that `kernel_mod`, `solve_mod` and
+    `local_smith_exponents` take, derived from dense `entries`."""
+
+    def _gf2_columns(self) -> list[int]:
+        """Column words: bit i of word c is entry (i, c) mod 2."""
+        if not self.rows:
+            return [0] * self.cols
+        return [sum(1 << i for i, x in enumerate(col) if x % 2) for col in zip(*self.entries)]
+
+    def _residue_rows(self, q: int) -> list[list[int]]:
+        """Fresh rows of the entries reduced mod q."""
+        return [[x % q for x in row] for row in self.entries]
+
+
 @dataclass(frozen=True)
-class PrimeFieldMatrix:
+class PrimeFieldMatrix(_DenseRows):
     """Dense matrix over GF(p); entries stored as reduced residues."""
 
     modulus: int
@@ -350,40 +382,41 @@ class PrimeFieldMatrix:
         return len(local_smith_exponents(self, self.modulus, 1))
 
 
-def _packed(rows: Iterable[Sequence[int]]) -> list[int]:
-    # bit j of word i <-> entry (i, j) mod 2
-    return [sum(1 << j for j, x in enumerate(row) if x % 2) for row in rows]
+def _gf2_reduce(held: dict[int, tuple[int, int]], w: int, x: int) -> tuple[int, int]:
+    """Column word w with combination bits x, reduced at its lowest row bit
+    by the held column there, one XOR each, until no held column has it."""
+    while w:
+        h = held.get((w & -w).bit_length() - 1)
+        if h is None:
+            break
+        w ^= h[0]
+        x ^= h[1]
+    return w, x
 
 
-def _gf2_echelon(words: Iterable[int]) -> dict[int, int]:
-    """Packed GF(2) rows in echelon form, {pivot column: row word}: a row is
-    reduced at its lowest bit by the held row there, one XOR, until no held
-    row has that bit.  Pivots are lowest bits, so they are the RREF's."""
-    pivots: dict[int, int] = {}
-    for w in words:
-        while w:
-            c = (w & -w).bit_length() - 1
-            row = pivots.get(c)
-            if row is None:
-                pivots[c] = w
-                break
-            w ^= row
-    return pivots
+def _gf2_column_echelon(words: Sequence[int]) -> tuple[dict, list[tuple[int, int]]]:
+    """The GF(2) column echelon of packed columns (bit i of word c is entry
+    (i, c) mod 2): (held, free).  Column c comes in with combination bits
+    1 << c and is reduced against the independent columns before it; held
+    maps the lowest row bit of each column that stays nonzero to (word,
+    combination), and free lists (c, combination) for each column that
+    reduces to zero, its combination being a kernel vector."""
+    held: dict[int, tuple[int, int]] = {}
+    free = []
+    for c, w in enumerate(words):
+        w, x = _gf2_reduce(held, w, 1 << c)
+        if w:
+            held[(w & -w).bit_length() - 1] = w, x
+        else:
+            free.append((c, x))
+    return held, free
 
 
-def _gf2_back_substitute(pivots: dict[int, int], x: int, n: int, scale: int = 1) -> list[int]:
-    """Bits 0..n-1, times scale, of x with its pivot bits set, highest first,
-    so every `_gf2_echelon` row has even parity against it: the kernel vector
-    with the free bits of x, or (x = 1 << n, rhs at bit n) the solution."""
-    for c, row in sorted(pivots.items(), reverse=True):
-        if (row & x).bit_count() & 1:
-            x |= 1 << c
-    return [scale if x >> j & 1 else 0 for j in range(n)]
-
-
-def _local_eliminate(rows: Iterable[Sequence[int]], ncols: int, p: int, e: int,
+def _local_eliminate(rows: list[list[int]], ncols: int, p: int, e: int,
                      log: list | None = None):
-    """The one elimination over Z/p^e behind exponents, kernels and solves.
+    """The one elimination over Z/p^e, p^e > 2, behind exponents, kernels
+    and solves, on residue rows: distinct lists of entries reduced mod p^e,
+    which it updates in place.
 
     Level v = 0..e-1 pivots, column by column, on an entry of valuation
     exactly v, clears that column in every other row and drops the pivot
@@ -399,9 +432,8 @@ def _local_eliminate(rows: Iterable[Sequence[int]], ncols: int, p: int, e: int,
     index in `rows`: row -= f pivot row, in elimination order.
     """
     q = p ** e
-    reduced = [[x % q for x in r] for r in rows]
-    live = [row for row in reduced if any(row)]
-    where = {id(row): i for i, row in enumerate(reduced)} if log is not None else None
+    live = [row for row in rows if any(row)]
+    where = {id(row): i for i, row in enumerate(rows)} if log is not None else None
     pivots = []
     for v in range(e):
         pv, above = p ** v, p ** (v + 1)
@@ -438,16 +470,20 @@ def _apply_v(pivots, y: Sequence[int], p: int, e: int) -> list[int]:
     return x
 
 
-def local_smith_exponents(m: IntegerMatrix | PrimeFieldMatrix, p: int, e: int) -> list[int]:
+def local_smith_exponents(m: IntegerMatrix | PrimeFieldMatrix | IncidenceMatrix,
+                          p: int, e: int) -> list[int]:
     """Exponents a < e of the elementary divisors p^a of m over Z/p^e.
 
     Divisors vanishing mod p^e are not listed, so for e = 1 the length is
-    the rank over GF(p).  The sweep is `_local_eliminate`; at p^e = 2 it is
-    the packed `_gf2_echelon` that `kernel_mod` and `solve_mod` run there.
+    the rank over GF(p).  At p^e = 2 they are the held columns of the
+    column echelon of m's GF(2) column words, otherwise the pivots of
+    `_local_eliminate` on m's residue rows.  A p or e that `operator.index`
+    refuses is a ValueError.
     """
+    p, e = _as_int(p, "p"), _as_int(e, "e")
     if p ** e == 2:
-        return [0] * len(_gf2_echelon(_packed(m.entries)))
-    return [v for _, v, *_ in _local_eliminate(m.entries, m.cols, p, e)[0]]
+        return [0] * len(_gf2_column_echelon(m._gf2_columns())[0])
+    return [v for _, v, *_ in _local_eliminate(m._residue_rows(p ** e), m.cols, p, e)[0]]
 
 
 # ---------------------------------------------------------------------------
@@ -455,7 +491,7 @@ def local_smith_exponents(m: IntegerMatrix | PrimeFieldMatrix, p: int, e: int) -
 
 
 @dataclass(frozen=True)
-class IntegerMatrix:
+class IntegerMatrix(_DenseRows):
     """Dense matrix over Z with arbitrary-precision entries."""
 
     rows: int
@@ -484,6 +520,56 @@ class IntegerMatrix:
         if len(vec) != self.cols:
             raise ValueError("vector length does not match column count")
         return tuple(sum(row[j] * vec[j] for j in range(self.cols)) for row in self.entries)
+
+
+@dataclass(frozen=True)
+class IncidenceMatrix:
+    """Sparse integer matrix of signed face columns: row j is
+    sum_i (-1)^i e_{columns[i][j]}, so a repeated index adds up (or cancels)
+    in its row.  Equal and hashed by its fields, so `solve_mod` keys its
+    factorizations by them; the dense `entries` are built on first read."""
+
+    rows: int
+    cols: int
+    columns: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self):
+        for col in self.columns:
+            if len(col) != self.rows:
+                raise ValueError("face column length does not match the row count")
+            if col and not (0 <= min(col) and max(col) < self.cols):
+                raise ValueError(f"column index outside 0..{self.cols - 1}")
+
+    def _signed_rows(self) -> list[list[int]]:
+        rows = [[0] * self.cols for _ in range(self.rows)]
+        for i, col in enumerate(self.columns):
+            sign = -1 if i & 1 else 1
+            for row, c in zip(rows, col):
+                row[c] += sign
+        return rows
+
+    @cached_property
+    def entries(self) -> tuple[tuple[int, ...], ...]:
+        """The dense rows."""
+        return tuple(map(tuple, self._signed_rows()))
+
+    def _gf2_columns(self) -> list[int]:
+        """Column words: each face XORs bit j into word columns[i][j], so a
+        repeated index cancels mod 2."""
+        words = [0] * self.cols
+        bits = [1 << j for j in range(self.rows)]
+        for col in self.columns:
+            for c, bit in zip(col, bits):
+                words[c] ^= bit
+        return words
+
+    def _residue_rows(self, q: int) -> list[list[int]]:
+        """The signed sums, reduced mod q in the cells the faces touched."""
+        rows = self._signed_rows()
+        for col in self.columns:
+            for row, c in zip(rows, col):
+                row[c] %= q
+        return rows
 
 
 @dataclass(frozen=True)
@@ -597,30 +683,22 @@ def smith_transforms(m: IntegerMatrix, want_u: bool = True, want_v: bool = True)
 SOLVE_CACHE_SIZE = 32  # (matrix, modulus) factorizations `solve_mod` keeps
 
 
-def _factor(m: IntegerMatrix, modulus: int) -> tuple:
+def _factor(m: IntegerMatrix | IncidenceMatrix, modulus: int) -> tuple:
     """m eliminated once per p^e exactly dividing the modulus, as
-    (p, e, pivots, U) per prime power, U the row operations that a
-    right-hand side is replayed through.
+    (p, e, pivots, U) per prime power.
 
-    At p^e = 2 row i is packed with identity bit n + i (n = m.cols), so each
-    held row of `_gf2_echelon` carries its U row past bit n.  Pivots are
-    lowest bits, so the held rows with a pivot below n are the echelon's
-    whatever sits past n; `pivots` maps each such column to (data row,
-    U row), and U lists the U rows of the held rows that are zero below n,
-    which a solvable right-hand side must annihilate.  Otherwise `pivots`
-    are `_local_eliminate`'s and U is its operation log with the indices of
-    the rows that are no pivot, which must end at 0."""
-    n = m.cols
+    At p^e = 2, pivots are the held columns of m's column echelon, which
+    carry their combination bits, and U is None.  Otherwise they are
+    `_local_eliminate`'s on m's residue rows, and U is its operation log,
+    which a right-hand side is replayed through, with the indices of the
+    rows that are no pivot, which must end at 0."""
     parts = []
     for p, e in prime_power_factors(modulus):
         if p ** e == 2:
-            held = _gf2_echelon(w | (1 << (n + i)) for i, w in enumerate(_packed(m.entries)))
-            mask = (1 << n) - 1
-            data = {c: (w & mask, w >> n) for c, w in held.items() if c < n}
-            parts.append((p, e, data, [w >> n for c, w in held.items() if c >= n]))
+            parts.append((p, e, _gf2_column_echelon(m._gf2_columns())[0], None))
         else:
             log: list = []
-            pivots = _local_eliminate(m.entries, n, p, e, log)[0]
+            pivots = _local_eliminate(m._residue_rows(p ** e), m.cols, p, e, log)[0]
             rest = sorted(set(range(m.rows)).difference(src for src, _ in log))
             parts.append((p, e, pivots, (log, rest)))
     return tuple(parts)
@@ -629,28 +707,32 @@ def _factor(m: IntegerMatrix, modulus: int) -> tuple:
 _factored = lru_cache(maxsize=SOLVE_CACHE_SIZE)(_factor)
 
 
-def _parity(x: int) -> int:
-    return x.bit_count() & 1
+def _positive_modulus(modulus) -> int:
+    modulus = _as_int(modulus, "modulus")
+    if modulus < 1:
+        raise ValueError("modulus must be positive")
+    return modulus
 
 
-def solve_mod(m: IntegerMatrix, rhs: Sequence[int], modulus: int) -> list[int] | None:
+def solve_mod(m: IntegerMatrix | IncidenceMatrix, rhs: Sequence[int],
+              modulus: int) -> list[int] | None:
     """One solution of m x = rhs (mod modulus), or None.
 
     m is factored once per (m, modulus) by `_factor` and the factorization
     kept, SOLVE_CACHE_SIZE of them, least recently used first out (a matrix
     that cannot be hashed, such as one with list rows, is factored on every
-    call).  Per p^e exactly dividing the modulus, the right-hand side b is
-    replayed through the row operations U: at p^e = 2 the parity of each U
-    row against the packed b, otherwise the logged row operations on b mod
-    p^e.  Since pivots are chosen on m's columns alone, U b is the column an
-    appended b would have become.  A pivot u p^a with reduced right-hand side
-    r needs p^a | r and sets y_c = (r / p^a) u^-1, every other row needs
-    r = 0, and x = V y (at p^e = 2 back-substitution on the echelon).  The
-    prime-power solutions are combined by CRT.  An rhs entry that
+    call).  Per p^e exactly dividing the modulus: at p^e = 2 the packed
+    right-hand side is reduced against the held columns of m's column
+    echelon; a bit left over means no solution, otherwise the combination
+    carried along is the solution, on held columns only.  Otherwise b mod
+    p^e is replayed through the logged row operations U (pivots are chosen
+    on m alone, so U b is what an appended b would have become); a pivot
+    u p^a with reduced right-hand side r needs p^a | r and sets
+    y_c = (r / p^a) u^-1, every other row needs r = 0, and x = V y.  The
+    prime-power solutions are combined by CRT.  A modulus or rhs entry that
     `operator.index` refuses is a ValueError.
     """
-    if modulus < 1:
-        raise ValueError("modulus must be positive")
+    modulus = _positive_modulus(modulus)
     if len(rhs) != m.rows:
         raise ValueError("right-hand side length does not match row count")
     rhs = _as_ints(rhs, "right-hand side position")
@@ -665,11 +747,10 @@ def solve_mod(m: IntegerMatrix, rhs: Sequence[int], modulus: int) -> list[int] |
     for p, e, pivots, u in parts:
         q = p ** e
         if q == 2:
-            b = _packed((rhs,))[0]
-            if any(map(_parity, map(b.__and__, u))):
+            b, comb = _gf2_reduce(pivots, sum(1 << i for i, y in enumerate(rhs) if y & 1), 0)
+            if b:
                 return None
-            local = _gf2_back_substitute(
-                {c: w | _parity(row & b) << n for c, (w, row) in pivots.items()}, 1 << n, n)
+            local = [comb >> j & 1 for j in range(n)]
         else:
             log, rest = u
             r = [b % q for b in rhs]
@@ -692,28 +773,31 @@ def solve_mod(m: IntegerMatrix, rhs: Sequence[int], modulus: int) -> list[int] |
     return x
 
 
-def kernel_mod(m: IntegerMatrix, modulus: int) -> list[tuple[tuple[int, ...], int]]:
+def kernel_mod(m: IntegerMatrix | IncidenceMatrix,
+               modulus: int) -> list[tuple[tuple[int, ...], int]]:
     """Generators of {x mod modulus : m x = 0 (mod modulus)} with their orders.
 
-    Per p^e exactly dividing the modulus, `_local_eliminate` gives m's
-    pivots over Z/p^e: a pivot of valuation a yields V e_c p^(e-a) of order
-    p^a, and an unpivoted column V e_c of order p^e; at p^e = 2 the packed
-    `_gf2_echelon` gives the same V e_c by back-substitution.  The p-parts,
-    scaled into Z/modulus, are summed largest with largest, so the orders are the
-    invariant factors in ascending order, each dividing the next; they
-    multiply to the solution-group size and order-1 generators are omitted.
+    Per p^e exactly dividing the modulus, `_local_eliminate` on m's residue
+    rows gives m's pivots over Z/p^e: a pivot of valuation a yields
+    V e_c p^(e-a) of order p^a, and an unpivoted column V e_c of order p^e.
+    At p^e = 2 the columns that reduce to zero in m's column echelon are
+    the unpivoted ones, and each one's combination is the same V e_c: the
+    one kernel vector that is 1 at c and 0 at the other free columns.  The
+    p-parts, scaled into Z/modulus, are summed largest with largest, so the
+    orders are the invariant factors in ascending order, each dividing the
+    next; they multiply to the solution-group size and order-1 generators
+    are omitted.  A modulus that `operator.index` refuses is a ValueError.
     """
-    if modulus < 1:
-        raise ValueError("modulus must be positive")
+    modulus = _positive_modulus(modulus)
     chains = []
     for p, e in prime_power_factors(modulus):
         step = modulus // p ** e
         if p ** e == 2:
-            packed = _gf2_echelon(_packed(m.entries))
-            chains.append([(2, _gf2_back_substitute(packed, 1 << c, m.cols, step))
-                           for c in range(m.cols) if c not in packed])
+            free = _gf2_column_echelon(m._gf2_columns())[1]
+            chains.append([(2, [step if x >> j & 1 else 0 for j in range(m.cols)])
+                           for _, x in free])
             continue
-        pivots = _local_eliminate(m.entries, m.cols, p, e)[0]
+        pivots = _local_eliminate(m._residue_rows(p ** e), m.cols, p, e)[0]
         level = {c: v for c, v, *_ in pivots}
         part = []
         for c in range(m.cols):

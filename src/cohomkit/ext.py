@@ -67,7 +67,7 @@ from .grpcoh import (
     construct_splitting,
     inflation,
 )
-from .exactmat import IntegerMatrix, check_dense, kernel_mod, solve_mod
+from .exactmat import IncidenceMatrix, IntegerMatrix, check_dense, kernel_mod, solve_mod
 
 __all__ = [
     "CentralExtensionTable",
@@ -87,7 +87,7 @@ SEARCH_LIMIT = 2 ** 16
 
 @lru_cache(maxsize=32)
 def _light_d1(table: tuple[tuple[int, ...], ...],
-              identity: int) -> tuple[tuple[int, ...], IntegerMatrix]:
+              identity: int) -> tuple[tuple[int, ...], IncidenceMatrix]:
     """`_light_coboundary_matrix` of d_1, cached per (table, identity): a
     group whose full d_1 is over budget is refused on every call."""
     return _light_coboundary_matrix(table, identity, 1)

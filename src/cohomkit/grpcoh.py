@@ -20,15 +20,17 @@ tuple of P^(n+1), cached per (table, degree).
 adds them into a dense integer matrix (refused beyond DENSE_CELL_LIMIT
 cells).  `_light_incidence` builds the same columns on Light's rows only,
 those whose second argument is the identity or a generator, and
-`_light_coboundary_matrix` the matrix on them; for n = 1, 2 they have the
-kernel of the full d_n over every Z/p^e, so every elimination in the group
-layer runs on them: `cocycle_space`, the H^n exponents of `_exponents`,
-and `ext._class_representatives` and `ext._solve_coboundary`, which then
-checks the full d_1 phi.  `ext.build_extension` decides d_2 omega = 0 on
-the rows (p, s, r) alone and runs the full d_2 omega only on a failure,
-whose first nonzero value is the cocycle witness.  `coboundary_matrix`
-builds the full d_n as the tests' oracle; no computation here needs it (the
-trivial action makes d_0 zero).  The enumeration oracle writes its
+`_light_coboundary_matrix` wraps them as an `exactmat.IncidenceMatrix`,
+which exactmat eliminates from the face columns without a dense matrix
+(GF(2) column words, or residue rows over Z/p^e); for n = 1, 2 the rows
+have the kernel of the full d_n over every Z/p^e, so every elimination in
+the group layer runs on them: `cocycle_space`, the H^n exponents of
+`_exponents`, and `ext._class_representatives` and `ext._solve_coboundary`,
+which then checks the full d_1 phi.  `ext.build_extension` decides
+d_2 omega = 0 on the rows (p, s, r) alone and runs the full d_2 omega only
+on a failure, whose first nonzero value is the cocycle witness.
+`coboundary_matrix` builds the full d_n as the tests' oracle; no
+computation here needs it (the trivial action makes d_0 zero).  The enumeration oracle writes its
 equations out separately on purpose.
 
 Two computation routes coexist and are cross-checked in the tests:
@@ -58,8 +60,8 @@ from math import gcd, prod
 from operator import itemgetter
 from typing import Iterable, Sequence
 
-from .exactmat import (IntegerMatrix, SizeLimitExceeded, check_dense, kernel_mod,
-                       local_smith_exponents, prime_power_factors)
+from .exactmat import (IncidenceMatrix, IntegerMatrix, SizeLimitExceeded, _as_int, _as_ints,
+                       check_dense, kernel_mod, local_smith_exponents, prime_power_factors)
 
 __all__ = [
     "FiniteGroup",
@@ -313,17 +315,19 @@ def group_by_name(name: str) -> FiniteGroup:
 @dataclass(frozen=True)
 class AbelianCoefficients:
     """Direct sum of cyclic groups Z_{m_1} + ... + Z_{m_r}, written additively;
-    elements are residue tuples."""
+    elements are residue tuples.  An order that `operator.index` refuses
+    is a ValueError naming its factor position."""
 
     orders: tuple[int, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "orders", _as_ints(self.orders, "coefficient order"))
         if any(m < 2 for m in self.orders):
             raise ValueError("every cyclic factor must have order >= 2")
 
     @classmethod
     def of(cls, *orders: int) -> "AbelianCoefficients":
-        return cls(tuple(int(m) for m in orders))
+        return cls(orders)
 
     @property
     def size(self) -> int:
@@ -535,9 +539,11 @@ class Cochain:
     def from_json(cls, obj: dict, group: FiniteGroup,
                   coeffs: AbelianCoefficients | None = None) -> "Cochain":
         if coeffs is None:
-            coeffs = AbelianCoefficients(tuple(obj["coefficient_orders"]))
-        degree = int(obj["degree"])
-        if int(obj.get("group_order", group.order)) != group.order:
+            coeffs = AbelianCoefficients(
+                _as_ints(obj["coefficient_orders"], "cochain JSON 'coefficient_orders' position"))
+        degree = _as_int(obj["degree"], "cochain JSON 'degree'")
+        order = _as_int(obj.get("group_order", group.order), "cochain JSON 'group_order'")
+        if order != group.order:
             raise ValueError("cochain JSON was written for a group of different order")
         table = {}
         elements = range(group.order)
@@ -648,17 +654,6 @@ def _face_sums(f: Cochain, faces) -> tuple[tuple[int, ...], ...]:
     return tuple(zip(*coords)) if coords else ((),) * len(faces[0])
 
 
-def _face_matrix(faces, cols: int) -> IntegerMatrix:
-    """The integer matrix of the face columns: row j adds (-1)^i at column
-    faces[i][j] for every i."""
-    mat = [[0] * cols for _ in faces[0]]
-    for i, col in enumerate(faces):
-        sign = (-1) ** i
-        for dense, c in zip(mat, col):
-            dense[c] += sign
-    return IntegerMatrix(len(mat), cols, tuple(map(tuple, mat)))
-
-
 def coboundary(f: Cochain) -> Cochain:
     """d_n f for n <= 2: the face columns of the incidence summed with their
     signs, one coordinate mod m_k at a time."""
@@ -679,23 +674,28 @@ def _check_coboundary_size(order: int, degree: int) -> tuple[int, int]:
 
 def coboundary_matrix(group: FiniteGroup, degree: int) -> IntegerMatrix:
     """Integer matrix of d_degree acting on one cyclic coefficient factor:
-    rows indexed by P^{degree+1}, columns by P^{degree}, built by adding the
-    face columns of `_incidence` with their signs +-1.  A matrix of more
-    than DENSE_CELL_LIMIT cells is refused before anything is built."""
-    _, cols = _check_coboundary_size(group.order, degree)
-    return _face_matrix(_incidence(group.table, degree), cols)
+    rows indexed by P^{degree+1}, columns by P^{degree}: the dense entries
+    of the face columns of `_incidence`, added with their signs +-1.  A
+    matrix of more than DENSE_CELL_LIMIT cells is refused before anything
+    is built.  No computation here runs on it; the tests take it as their
+    oracle."""
+    rows, cols = _check_coboundary_size(group.order, degree)
+    faces = IncidenceMatrix(rows, cols, _incidence(group.table, degree))
+    return IntegerMatrix(rows, cols, faces.entries)
 
 
 def _light_coboundary_matrix(table: tuple[tuple[int, ...], ...], identity: int,
-                             degree: int) -> tuple[tuple[int, ...], IntegerMatrix]:
+                             degree: int) -> tuple[tuple[int, ...], IncidenceMatrix]:
     """Light's rows of d_degree, degree 1 or 2, as indices in P^(degree+1),
-    and d_degree on them as an integer matrix (see `_light_incidence`: it
-    has the kernel of the full d_degree over every Z/p^e).  A group whose
-    full d_degree exceeds DENSE_CELL_LIMIT cells is refused first, with the
-    full matrix's message, so the Light-row routes keep its domain."""
+    and d_degree on them as the `IncidenceMatrix` of their cached face
+    columns, which exactmat reads without a dense build (see
+    `_light_incidence`: it has the kernel of the full d_degree over every
+    Z/p^e).  A group whose full d_degree exceeds DENSE_CELL_LIMIT cells is
+    refused first, with the full matrix's message, so the Light-row routes
+    keep its domain."""
     _, cols = _check_coboundary_size(len(table), degree)
     rows, faces = _light_incidence(table, identity, degree)
-    return rows, _face_matrix(faces, cols)
+    return rows, IncidenceMatrix(len(rows), cols, faces)
 
 
 # ---------------------------------------------------------------------------

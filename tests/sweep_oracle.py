@@ -1,8 +1,9 @@
 """The dense Z/p^e sweep for `kernel_mod` and `solve_mod` at every modulus,
-the 2 in 6 or 10 included, as an oracle for the packed GF(2) route.
+the 2 in 6 or 10 included, as an oracle for the GF(2) column echelon.
 
-`exactmat` runs p^e = 2 on a packed GF(2) echelon and reads kernels and
-solutions off it by back-substitution; this module keeps the one dense
+`exactmat` runs p^e = 2 on a GF(2) column echelon of packed column words
+and reads kernels and solutions off the combinations it carries, and runs
+p^e > 2 on residue rows; this module keeps the one dense
 elimination (every prime power, no packing, no zero-row drops) that both
 routes must agree with, output for output.
 """

@@ -316,6 +316,24 @@ def test_oversized_json_algebra_exits_two_fast_naming_the_file(capsys, tmp_path)
                             f"{10 ** 15} {BUDGET}\n")
 
 
+@pytest.mark.parametrize("fields, message", [
+    ({"degree": 2.9, "group_order": 2.0}, "cochain JSON 'degree': 2.9 is not an integer"),
+    ({"degree": 2, "group_order": 2.0}, "cochain JSON 'group_order': 2.0 is not an integer"),
+])
+def test_cocycle_file_with_fields_that_are_no_integer_exits_two(capsys, tmp_path, fields, message):
+    # int() once read 2.9 as degree 2 and the build exited 0
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps({
+        **fields, "coefficient_orders": [4],
+        "values": [{"args": [p, q], "value": [0]} for p in range(2) for q in range(2)]}))
+    code = main(["group", "extension", "build", "--group", "z2", "--coeff", "z4",
+                 "--cocycle", str(path)])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: {message}\n"
+
+
 def test_oversized_extension_carrier_exits_two_fast(capsys, tmp_path):
     path = tmp_path / "zero.json"
     path.write_text(json.dumps({

@@ -1,4 +1,5 @@
 import random
+import re
 import time
 from fractions import Fraction
 from itertools import combinations, product
@@ -11,6 +12,7 @@ from cohomkit.exactmat import (
     DENSE_CELL_LIMIT,
     SOLVE_CACHE_SIZE,
     Echelon,
+    IncidenceMatrix,
     IntegerMatrix,
     PrimeFieldMatrix,
     RationalMatrix,
@@ -556,7 +558,7 @@ def test_kernel_and_solve_mod_on_smith_blowup_matrix():
 
 
 # ---------------------------------------------------------------------------
-# the packed GF(2) route against the dense sweep
+# the GF(2) column echelon against the dense sweep
 
 
 def _assert_matches_sweep(m: IntegerMatrix, modulus: int, rhs_list) -> list[bool]:
@@ -573,9 +575,11 @@ def _assert_matches_sweep(m: IntegerMatrix, modulus: int, rhs_list) -> list[bool
     return solvable
 
 
-def _rhs_pair(m: IntegerMatrix, modulus: int, rng: random.Random) -> list[list[int]]:
-    # one right-hand side in the image (solvable), one drawn at random
-    image = [x % modulus for x in m.apply([rng.randrange(modulus) for _ in range(m.cols)])]
+def _rhs_pair(m, modulus: int, rng: random.Random) -> list[list[int]]:
+    # one right-hand side in the image (solvable), one drawn at random; the
+    # image is read off the dense entries, which an IncidenceMatrix has too
+    x = [rng.randrange(modulus) for _ in range(m.cols)]
+    image = [sum(a * b for a, b in zip(row, x)) % modulus for row in m.entries]
     return [image, [rng.randrange(modulus) for _ in range(m.rows)]]
 
 
@@ -603,26 +607,161 @@ def test_packed_route_matches_the_dense_sweep_on_random_matrices():
     assert outcomes == {True, False}
 
 
+# ---------------------------------------------------------------------------
+# incidence matrices against their dense rows and the dense sweep
+
+
+_INCIDENCE_MODULI = (1, 2, 4, 6, 8, 9, 12, 36)
+
+
+def _dense_sum(nrows: int, ncols: int, columns) -> tuple[tuple[int, ...], ...]:
+    # row j adds (-1)^i at column columns[i][j], written apart from exactmat
+    dense = [[0] * ncols for _ in range(nrows)]
+    for i, col in enumerate(columns):
+        for j, c in enumerate(col):
+            dense[j][c] += (-1) ** i
+    return tuple(map(tuple, dense))
+
+
+def _assert_incidence_matches(m: IncidenceMatrix, modulus: int, rhs_list) -> list[bool]:
+    """kernel_mod, the exponents and solve_mod of m (from an empty cache,
+    then warm) equal those of its dense rows as an IntegerMatrix and the
+    dense sweep's; the solvability of each right-hand side is returned."""
+    dense = IntegerMatrix.from_rows(m.entries)
+    where = (modulus, m.columns)
+    assert kernel_mod(m, modulus) == kernel_mod(dense, modulus) \
+        == sweep_kernel(dense, modulus), where
+    for p, e in prime_power_factors(modulus):
+        assert local_smith_exponents(m, p, e) == local_smith_exponents(dense, p, e) \
+            == sweep_exponents(dense, p, e), where
+    exactmat._factored.cache_clear()
+    cold = [solve_mod(m, rhs, modulus) for rhs in rhs_list]
+    warm = [solve_mod(m, rhs, modulus) for rhs in rhs_list]
+    expected = [sweep_solve(dense, rhs, modulus) for rhs in rhs_list]
+    assert cold == warm == expected == [solve_mod(dense, rhs, modulus) for rhs in rhs_list], where
+    return [x is not None for x in expected]
+
+
+def test_incidence_matrices_match_their_dense_rows_and_the_sweep():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    outcomes, repeats = set(), set()
+
+    @hypothesis.settings(max_examples=200, derandomize=True, deadline=None, database=None)
+    @hypothesis.given(shape=st.tuples(st.integers(1, 12), st.integers(1, 9), st.integers(1, 5)),
+                      modulus=st.sampled_from(_INCIDENCE_MODULI), data=st.data())
+    def check(shape, modulus, data):
+        nrows, ncols, nfaces = shape
+        col = st.lists(st.integers(0, ncols - 1), min_size=nrows, max_size=nrows).map(tuple)
+        columns = data.draw(st.lists(col, min_size=nfaces, max_size=nfaces).map(tuple),
+                            label="columns")
+        m = IncidenceMatrix(nrows, ncols, columns)
+        assert m.entries == _dense_sum(nrows, ncols, columns)
+        # a row index met by two faces: same parity doubles, other parity cancels
+        repeats.update((i - k) % 2 for j in range(nrows) for i, k in combinations(range(nfaces), 2)
+                       if columns[i][j] == columns[k][j])
+        rng = random.Random(data.draw(st.integers(0, 2 ** 32), label="seed"))
+        outcomes.update(_assert_incidence_matches(m, modulus, _rhs_batch(m, modulus, rng)))
+
+    check()
+    assert outcomes == {True, False}
+    assert repeats == {0, 1}
+
+
 @pytest.mark.parametrize("gname", sorted(_NAMED_GROUPS))
 def test_packed_route_matches_the_dense_sweep_on_light_rows(gname):
-    # Light's rows of d_1 and d_2: the matrices cocycle_space and the
-    # extension solves eliminate, at the moduli whose 2-part is packed
+    # Light's rows of d_1 and d_2, the incidences cocycle_space, the H^n
+    # exponents and the extension solves eliminate, against their dense rows
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     P = group_by_name(gname)
     mats = [_light_coboundary_matrix(P.table, P.identity, degree)[1] for degree in (1, 2)]
+    assert all(isinstance(m, IncidenceMatrix) for m in mats)
     outcomes = set()
 
-    @hypothesis.settings(max_examples=2, derandomize=True, deadline=None, database=None)
+    @hypothesis.settings(max_examples=1, derandomize=True, deadline=None, database=None)
     @hypothesis.given(seed=st.integers(0, 2 ** 32))
     def check(seed):
         rng = random.Random(seed)
         for m in mats:
-            for modulus in _SWEEP_MODULI:
-                outcomes.update(_assert_matches_sweep(m, modulus, _rhs_pair(m, modulus, rng)))
+            for modulus in sorted(set(_INCIDENCE_MODULI + _SWEEP_MODULI)):
+                outcomes.update(_assert_incidence_matches(m, modulus, _rhs_pair(m, modulus, rng)))
 
     check()
     assert outcomes == {True, False}
+
+
+# ---------------------------------------------------------------------------
+# the GF(2) column echelon, judged by a test-local rank
+
+
+def _gf2_rank(vectors) -> int:
+    rows, rank = [list(v) for v in vectors], 0
+    for c in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][c]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        rows = [[a ^ b for a, b in zip(row, rows[rank])] if r != rank and row[c] else row
+                for r, row in enumerate(rows)]
+        rank += 1
+    return rank
+
+
+def _assert_gf2_normal_forms(m, rhs_list) -> None:
+    """A column is free when it lies in the span of the columns before it.
+    Each modulus-2 kernel generator is 1 at its own free column and 0 at
+    the others (in descending free-column order, as kernel_mod lists them),
+    and each solution is 0 on every free column."""
+    columns = [[x % 2 for x in col] for col in zip(*m.entries)]
+    ranks = [_gf2_rank(columns[:c]) for c in range(m.cols + 1)]
+    free = [c for c in range(m.cols) if ranks[c + 1] == ranks[c]]
+    gens = kernel_mod(m, 2)
+    assert [[v[f] for f in free] for v, _ in reversed(gens)] == \
+        [[int(f == g) for f in free] for g in free], (free, gens)
+    assert all(order == 2 for _, order in gens)
+    for rhs in rhs_list:
+        x = solve_mod(m, rhs, 2)
+        if x is not None:
+            assert not any(x[f] for f in free)
+            assert all(sum(a * b for a, b in zip(row, x)) % 2 == y % 2
+                       for row, y in zip(m.entries, rhs))
+
+
+def test_gf2_kernels_and_solutions_are_the_reduced_echelon_ones():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=100, derandomize=True, deadline=None, database=None)
+    @hypothesis.given(shape=st.tuples(st.integers(1, 12), st.integers(1, 9), st.integers(1, 5)),
+                      data=st.data())
+    def check(shape, data):
+        nrows, ncols, nfaces = shape
+        col = st.lists(st.integers(0, ncols - 1), min_size=nrows, max_size=nrows).map(tuple)
+        m = IncidenceMatrix(nrows, ncols, data.draw(
+            st.lists(col, min_size=nfaces, max_size=nfaces).map(tuple), label="columns"))
+        rng = random.Random(data.draw(st.integers(0, 2 ** 32), label="seed"))
+        for matrix in (m, IntegerMatrix.from_rows(m.entries)):
+            _assert_gf2_normal_forms(matrix, _rhs_batch(matrix, 2, rng))
+
+    check()
+    for gname in sorted(_NAMED_GROUPS):
+        P = group_by_name(gname)
+        m = _light_coboundary_matrix(P.table, P.identity, 2 if P.order <= 8 else 1)[1]
+        _assert_gf2_normal_forms(m, _rhs_batch(m, 2, random.Random(gname)))
+
+
+def test_modulus_two_routes_build_no_dense_rows(monkeypatch):
+    def refuse(self):
+        raise AssertionError("dense rows built on a modulus-2 route")
+
+    monkeypatch.setattr(IncidenceMatrix, "_signed_rows", refuse)
+    exactmat._factored.cache_clear()
+    P = group_by_name("q8")
+    m = _light_coboundary_matrix(P.table, P.identity, 2)[1]
+    # |Z^2(Q8, Z2)| = 2^8 and 56 = 64 - 8
+    assert len(kernel_mod(m, 2)) == 8 and len(local_smith_exponents(m, 2, 1)) == 56
+    assert solve_mod(m, [0] * m.rows, 2) == [0] * m.cols
 
 
 # ---------------------------------------------------------------------------
@@ -655,6 +794,25 @@ def test_solve_mod_refuses_a_right_hand_side_that_is_no_integer(modulus):
         solve_mod(identity, [1.5, 3], modulus)
     with pytest.raises(ValueError, match=r"^right-hand side position 1: '1' is not an integer$"):
         solve_mod(identity, [1, "1"], modulus)
+
+
+@pytest.mark.parametrize("bad", [4.0, "4", Fraction(4, 1)])
+def test_moduli_and_exponents_that_are_no_integer_are_refused(bad):
+    # 4.0 once gave float kernel generators and a raw TypeError from pow
+    m = IntegerMatrix.from_rows([[1, 1], [0, 2]])
+    incidence = IncidenceMatrix(2, 2, ((0, 1), (1, 1)))
+    refused = rf"^modulus: {re.escape(repr(bad))} is not an integer$"
+    for matrix in (m, incidence):
+        with pytest.raises(ValueError, match=refused):
+            kernel_mod(matrix, bad)
+        with pytest.raises(ValueError, match=r"^modulus: .* is not an integer$"):
+            solve_mod(matrix, [1, 1], bad)
+        with pytest.raises(ValueError, match=r"^p: .* is not an integer$"):
+            local_smith_exponents(matrix, bad, 1)
+        with pytest.raises(ValueError, match=r"^e: .* is not an integer$"):
+            local_smith_exponents(matrix, 2, bad)
+    assert kernel_mod(m, 4) == [((2, 2), 2)]
+    assert kernel_mod(m, True) == [] and local_smith_exponents(m, 2, True) == [0]
 
 
 # ---------------------------------------------------------------------------

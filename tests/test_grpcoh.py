@@ -180,6 +180,28 @@ def test_coefficient_orders_must_be_nontrivial():
         AbelianCoefficients((1, 2))
 
 
+@pytest.mark.parametrize("orders, where", [((4.0,), "0: 4.0"), (("4",), "0: '4'"),
+                                           ((2, 4.5), "1: 4.5")])
+def test_coefficient_orders_that_are_no_integer_are_refused(orders, where):
+    # (4.0,) once gave Z^1(Z2, Z4.0) with the values ((0.0,), (2.0,))
+    with pytest.raises(ValueError, match=rf"^coefficient order {where} is not an integer$"):
+        AbelianCoefficients(orders)
+    with pytest.raises(ValueError, match=rf"^coefficient order {where} is not an integer$"):
+        AbelianCoefficients.of(*orders)  # once truncated 4.5 to 4
+    assert AbelianCoefficients([True + 1, 4]).orders == (2, 4)
+
+
+@pytest.mark.parametrize("key, value", [("degree", 2.9), ("degree", 2.0), ("group_order", 2.0),
+                                        ("coefficient_orders", [2.0])])
+def test_cochain_json_fields_that_are_no_integer_are_refused(key, value):
+    z2, A = group_by_name("z2"), coefficients_by_name("z2")
+    obj = Cochain.zero(z2, A, 2).to_json()
+    assert Cochain.from_json(obj, z2) == Cochain.zero(z2, A, 2)
+    obj[key] = value
+    with pytest.raises(ValueError, match=rf"^cochain JSON '{key}'.*: .* is not an integer$"):
+        Cochain.from_json(obj, z2)
+
+
 # ---------------------------------------------------------------------------
 # coboundaries
 
