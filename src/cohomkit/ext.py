@@ -9,14 +9,21 @@ the additive reading of the multiplicative rule (a,p)(b,q) = (ab w(p,q)^{-1}, pq
 Associativity of this table is literally the cocycle condition, and a
 non-cocycle input is rejected with a triple witnessing the failure.  The
 condition is decided on Light's rows (p, s, r) of d_2, s the identity or a
-generator of P, and the full d_2 omega runs only to name the triple; a
-cocycle is a coboundary d_1 phi iff it is one on the rows (p, s), so
-`_solve_coboundary` solves only those and then compares the full d_1 phi,
-and `_class_representatives` keys the classes of H^2 by annihilators of d_1
-on those rows (see `grpcoh._light_incidence`).  The rows (p, s) of d_1 are
+generator from the irredundant set of `grpcoh._generating_set`, and the
+full d_2 omega runs only to name the triple; a cocycle is a coboundary
+d_1 phi iff it is one on the rows (p, s), so `_solve_coboundary` solves
+only those and then compares the full d_1 phi, and
+`_class_representatives` keys the classes of H^2 by annihilators of d_1 on
+those rows (see `grpcoh._light_incidence`).  The rows (p, s) of d_1 are
 built once per group and factored once per modulus by `solve_mod`, so each
 target costs a replay of that factorization.  The carrier's index shifts
 and labels depend on A and P's labels alone and are built once per pair.
+
+Both identity tests, the cocycle condition and d_1 phi = target, run in one
+pass over A-indices (`grpcoh._value_indices`, which reads every value mod
+m): each side of the identity is two index lists gathered at the face
+columns and added through the addition table of A on indices, all
+coordinates of A at once (`_sums_agree`).
 
 Each fact is decided once, where its data come in: the cocycle condition
 by `build_extension`, whose table is then an extension by construction;
@@ -55,8 +62,8 @@ from .grpcoh import (
     FiniteGroup,
     GroupHom,
     SizeLimitExceeded,
-    _face_sums,
     _gather,
+    _incidence,
     _index_addition,
     _index_tables,
     _light_coboundary_matrix,
@@ -104,10 +111,23 @@ def _carrier_frame(orders: tuple[int, ...], n: int,
     return T, tuple(f"({a},{p})" for a in _index_tables(orders)[1] for p in labels)
 
 
-def _is_cocycle(P: FiniteGroup, omega: Cochain) -> bool:
-    """d_2 omega = 0, decided on Light's rows (p, s, r) of
-    `_light_incidence` alone: |S| / |P| of the full d_2."""
-    return not any(map(any, _face_sums(omega, _light_incidence(P.table, P.identity, 2)[1])))
+def _sums_agree(orders: tuple[int, ...], a, b, c, d) -> bool:
+    """a + b = c + d entrywise, for four equally long lists of A-indices,
+    through the addition table of A on indices: all coordinates at once."""
+    add = _index_addition(orders)
+    return (list(map(operator.getitem, _gather(add, a), b))
+            == list(map(operator.getitem, _gather(add, c), d)))
+
+
+def _is_cocycle(P: FiniteGroup, orders: tuple[int, ...], idx: Sequence[int]) -> bool:
+    """d_2 omega = 0 for the 2-cochain on P whose values have the A-indices
+    `idx`, decided on Light's rows (p, s, r) of `_light_incidence` alone
+    (|S| / |P| of the full d_2) as the identity
+    omega(s, r) + omega(p, s r) = omega(p s, r) + omega(p, s) on gathered
+    index lists."""
+    faces = _light_incidence(P.table, P.identity, 2)[1]
+    s_r, ps_r, p_sr, p_s = (_gather(idx, col) for col in faces)
+    return _sums_agree(orders, s_r, p_sr, ps_r, p_s)
 
 
 class NotACocycleError(ValueError):
@@ -256,7 +276,8 @@ def build_extension(P: FiniteGroup, A: AbelianCoefficients, omega: Cochain,
     triple, the arguments of the first nonzero value of d_2 omega; the
     cocycle condition is exactly associativity of the table.  It is decided
     on Light's rows (p, s, r) of d_2 alone, s the identity or a generator of
-    P (the middles (0, s) and (a, 1) generate the carrier); only a failure
+    P (the middles (0, s) and (a, 1) generate the carrier), by `_is_cocycle`
+    on the A-indices of omega that the table is built from; only a failure
     pays for the full d_2 omega that names the triple.  For a cocycle, all
     that `CentralExtensionTable.validate` checks holds by construction, so
     the table is not validated again: d_2 omega (1, 1, q) = d_2 omega (p, 1, 1)
@@ -265,12 +286,16 @@ def build_extension(P: FiniteGroup, A: AbelianCoefficients, omega: Cochain,
     (a + b - omega(p, q), pq), and every column, is a permutation; pi(a, p) = p
     is a surjective homomorphism with kernel i(A); associativity is d_2 omega = 0.
 
-    Only the |P| rows (0, p) are built entry by entry: row (a, p) is row
-    (0, p) under T[a], which adds a to the A-coordinate (c |P| + r ->
+    The table is built in whole blocks.  The products (0, p)(0, q) =
+    (-omega(p, q), pq) come as one list over all (p, q); row (a, p) is
+    row (0, p) under T[a], which adds a to the A-coordinate (c |P| + r ->
     add[a][c] |P| + r, with `add` the addition table of A on indices),
-    i.e. multiplies by the central i(a).  T and the carrier labels come
-    from `_carrier_frame`, built once per (A's orders, P's labels).
-    A carrier table of more than DENSE_CELL_LIMIT cells is refused first.
+    i.e. multiplies by the central i(a).  So K = |A| gathers of T[b] over
+    that list give the |P| base rows (0, p), and K gathers of T[a] over the
+    concatenated base rows (|P| K |P| entries each) give the whole table,
+    sliced into its K |P| rows.  T and the carrier labels come from
+    `_carrier_frame`, built once per (A's orders, P's labels).  A carrier
+    table of more than DENSE_CELL_LIMIT cells is refused first.
     """
     if omega.degree != 2 or omega.group.table != P.table or omega.coeffs != A:
         raise ValueError("omega must be a degree-2 cochain on P with values in A")
@@ -278,20 +303,24 @@ def build_extension(P: FiniteGroup, A: AbelianCoefficients, omega: Cochain,
     size = K * n
     check_dense(f"an extension of a group of order {n} by one of order {K} has a "
                 f"{size} x {size} multiplication table", size * size)
-    if validate and not _is_cocycle(P, omega):
+    idx = _value_indices(A.orders, omega.values)
+    if validate and not _is_cocycle(P, A.orders, idx):
         bad = coboundary(omega).first_nonzero()
         raise NotACocycleError(
             f"cochain is not a 2-cocycle: associativity of the extension "
             f"table fails on triple {bad}", bad)
-    negw = _gather(_index_tables(A.orders)[2], _value_indices(A.orders, omega.values))  # -omega
     T, labels = _carrier_frame(A.orders, n, P.labels)
-    base = []
-    for p, mul_p in enumerate(P.table):
-        # (0, p)(0, q) = (-omega(p, q), pq), and T[b] of it is (0, p)(b, q)
-        first = [w * n + pq for w, pq in zip(negw[p * n:(p + 1) * n], mul_p)]
-        base.append(tuple(list(chain.from_iterable(_gather(T_b, first) for T_b in T))))
-    table = [_gather(T_a, row) for T_a in T for row in base]
-    identity = A.index(omega.value(P.identity, P.identity)) * n + P.identity
+    # (0, p)(0, q) = (-omega(p, q), pq) for all (p, q); T[b] of it is (0, p)(b, q)
+    first = list(map(operator.add, map(n.__mul__, _gather(_index_tables(A.orders)[2], idx)),
+                     chain.from_iterable(P.table)))
+    by_b = [_gather(T_b, first) for T_b in T]
+    # the base rows (0, p) concatenated, entries (0, p)(b, q) in (p, b, q) order
+    base = list(chain.from_iterable(products[i:i + n] for i in range(0, n * n, n)
+                                    for products in by_b))
+    # rows (a, p) in (a, p) order: the block T[a] of base, sliced
+    table = [block[i:i + size] for block in (_gather(T_a, base) for T_a in T)
+             for i in range(0, n * size, size)]
+    identity = idx[P.identity * n + P.identity] * n + P.identity
     carrier = FiniteGroup(size, tuple(table), identity,
                           f"ext({P.name};{','.join(map(str, A.orders))})", labels)
     return CentralExtensionTable(P, A, omega, carrier, GroupHom(carrier, P, tuple(range(n)) * K))
@@ -356,7 +385,8 @@ def _solve_coboundary(P: FiniteGroup, A: AbelianCoefficients,
     `_light_d1` cache, so `solve_mod` eliminates it once per modulus and
     replays its row operations on each target.  A target that is no cocycle may
     still be solved on them, so phi is returned only when the full d_1 phi
-    equals the target, read mod m as `solve_mod` reads it.  A group whose
+    equals the target, read mod m as `solve_mod` reads it: `_d1_matches`,
+    one pass over A-indices with no d_1 phi built.  A group whose
     full d_1 exceeds DENSE_CELL_LIMIT cells is refused before anything is
     built, as the full-row solve refused it.
     """
@@ -370,10 +400,18 @@ def _solve_coboundary(P: FiniteGroup, A: AbelianCoefficients,
         per_factor.append(sol)
     vals = tuple(tuple(per_factor[fi][p] for fi in range(A.rank))
                  for p in range(P.order))
-    phi = Cochain(P, A, 1, vals)
-    if not (coboundary(phi) - Cochain(P, A, 2, target.values)).is_zero():
+    if not _d1_matches(P, A.orders, vals, target.values):
         return None
-    return phi
+    return Cochain(P, A, 1, vals)
+
+
+def _d1_matches(P: FiniteGroup, orders: tuple[int, ...], phi_values, target_values) -> bool:
+    """d_1 phi = target on all of d_1, the target read mod m, decided as the
+    identity phi(q) + phi(p) = target(p, q) + phi(pq) on A-indices over the
+    face columns of `_incidence`."""
+    phi_idx = _value_indices(orders, phi_values)
+    q_col, pq_col, p_col = (_gather(phi_idx, col) for col in _incidence(P.table, 1))
+    return _sums_agree(orders, q_col, p_col, _value_indices(orders, target_values), pq_col)
 
 
 def _search_coboundary(P: FiniteGroup, A: AbelianCoefficients,

@@ -19,19 +19,22 @@ tuple of P^(n+1), cached per (table, degree).
 `coboundary` sums the columns over a value table, and `coboundary_matrix`
 adds them into a dense integer matrix (refused beyond DENSE_CELL_LIMIT
 cells).  `_light_incidence` builds the same columns on Light's rows only,
-those whose second argument is the identity or a generator, and
-`_light_coboundary_matrix` wraps them as an `exactmat.IncidenceMatrix`,
-which exactmat eliminates from the face columns without a dense matrix
-(GF(2) column words, or residue rows over Z/p^e); for n = 1, 2 the rows
-have the kernel of the full d_n over every Z/p^e, so every elimination in
-the group layer runs on them: `cocycle_space`, the H^n exponents of
-`_exponents`, and `ext._class_representatives` and `ext._solve_coboundary`,
-which then checks the full d_1 phi.  `ext.build_extension` decides
+those whose second argument is the identity or a generator from the
+irredundant set of `_generating_set` (q8: i and j, so 192 rows of d_2 and
+24 of d_1), and `_light_coboundary_matrix` wraps them as an
+`exactmat.IncidenceMatrix`, which exactmat eliminates from the face columns
+without a dense matrix (GF(2) column words, or residue rows over Z/p^e);
+for n = 1, 2 the rows have the kernel of the full d_n over every Z/p^e, so
+every elimination in the group layer runs on them: `cocycle_space`, the
+H^n exponents of `_exponents`, and `ext._class_representatives` and
+`ext._solve_coboundary`.  ext reads the face columns for its own identity
+tests on A-indices (`_value_indices`): `ext.build_extension` decides
 d_2 omega = 0 on the rows (p, s, r) alone and runs the full d_2 omega only
-on a failure, whose first nonzero value is the cocycle witness.
-`coboundary_matrix` builds the full d_n as the tests' oracle; no
-computation here needs it (the trivial action makes d_0 zero).  The enumeration oracle writes its
-equations out separately on purpose.
+on a failure, whose first nonzero value is the cocycle witness, and
+`ext._solve_coboundary` checks d_1 phi = target on the columns of
+`_incidence`.  `coboundary_matrix` builds the full d_n as the tests'
+oracle; no computation here needs it (the trivial action makes d_0 zero).
+The enumeration oracle writes its equations out separately on purpose.
 
 Two computation routes coexist and are cross-checked in the tests:
 
@@ -412,8 +415,8 @@ def _value_indices(orders: Sequence[int], values) -> list[int]:
     rule one coordinate column at a time."""
     idx = [0] * len(values)
     for k, m in enumerate(orders):
-        idx = list(map(operator.add, map(m.__mul__, idx),
-                       map(m.__rmod__, map(itemgetter(k), values))))
+        column = map(m.__rmod__, map(itemgetter(k), values))
+        idx = list(map(operator.add, map(m.__mul__, idx), column) if k else column)
     return idx
 
 
@@ -602,6 +605,8 @@ def _light_incidence(table: tuple[tuple[int, ...], ...], identity: int,
     P^(n+1) whose second argument lies in S = {1} + `_generating_set`:
     their mixed-radix indices and their face columns, in mixed-radix order,
     built without the full incidence.  Cached per (table, identity, n).
+    There are |P| |S| |P|^(n-1) rows, and the generating set is irredundant,
+    so q8 (S = {1, i, j}) has 192 rows of d_2 and 24 of d_1 out of 512 and 64.
 
     For n = 1 and 2 these rows of d_n have the kernel of the full d_n with
     values in any abelian group A, Z/p^e in particular:
@@ -916,30 +921,50 @@ class GroupHom:
         return cls(group, group, tuple(group.elements()))
 
 
+def _generated(group: FiniteGroup, gens: Sequence[int]) -> set[int]:
+    """The elements reached from the identity by right multiplication with
+    `gens`: the subgroup they generate."""
+    generated = {group.identity}
+    frontier = [group.identity]
+    while frontier:
+        row = group.table[frontier.pop()]
+        for g in gens:
+            y = row[g]
+            if y not in generated:
+                generated.add(y)
+                frontier.append(y)
+    return generated
+
+
 def _generating_set(group: FiniteGroup) -> list[int]:
+    """An irredundant generating set of P: the greedy pass picks, in index
+    order, each element the picks so far do not generate; then each pick
+    that the others already generate is dropped, in order.  One pass
+    suffices: a pick kept against a larger set of others is not generated
+    by a smaller one.  For q8 the greedy pass picks [-1, i, j] and -1 = i^2
+    is dropped."""
     gens: list[int] = []
     generated = {group.identity}
     for e in group.elements():
         if e in generated:
             continue
         gens.append(e)
-        frontier = [group.identity]
-        generated = {group.identity}
-        while frontier:
-            row = group.table[frontier.pop()]
-            for g in gens:
-                y = row[g]
-                if y not in generated:
-                    generated.add(y)
-                    frontier.append(y)
+        generated = _generated(group, gens)
         if len(generated) == group.order:
             break
+    for g in list(gens):
+        others = [h for h in gens if h != g]
+        if len(_generated(group, others)) == group.order:
+            gens = others
     return gens
 
 
 def hom_group(group: FiniteGroup, coeffs: AbelianCoefficients) -> list[GroupHom]:
-    """All homomorphisms P -> A, enumerated on a generating set of P and
-    extended by multiplicativity; serves as the independent oracle for H^1."""
+    """All homomorphisms P -> A, enumerated on the irredundant generating
+    set S of `_generating_set` and extended by multiplicativity; serves as
+    the independent oracle for H^1.  The |A|^|S| assignments are refused
+    past ENUMERATION_LIMIT before anything is built (q8 has |S| = 2, so
+    |A|^2 of them)."""
     gens = _generating_set(group)
     count = coeffs.size ** len(gens)
     if count > ENUMERATION_LIMIT:

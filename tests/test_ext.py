@@ -19,6 +19,7 @@ from cohomkit.ext import (
 )
 from cohomkit.grpcoh import (
     _NAMED_GROUPS,
+    _value_indices,
     AbelianCoefficients,
     Cochain,
     FiniteGroup,
@@ -203,35 +204,69 @@ def _tuple_carrier(P, A, w):
 
     table = tuple(tuple(times(a, p, b, q) for b in elems for q in range(N))
                   for a in elems for p in range(N))
-    return table, pos[w.value(P.identity, P.identity)] * N + P.identity
+    return table, pos[A.reduce(w.value(P.identity, P.identity))] * N + P.identity
+
+
+_INDEX_COEFFS = ["z2", "z3", "z4", "z2xz2", "2,4"]
+
+
+def _index_build_cases(P, A, rng):
+    """(label, cochain) pairs: a normalized cocycle (w(1, q) = w(p, 1) = 0),
+    a non-normalized one, the same with values shifted by multiples of m
+    (unreduced and negative), and two non-cocycles."""
+    w = coboundary(Cochain.random(P, A, 1, rng))
+    for g, order in cocycle_space(P, A, 2).generators:
+        w = w + g.scale(rng.randrange(order))
+    u = w.value(P.identity, P.identity)
+    normalized = Cochain(P, A, 2, tuple(A.sub(v, u) for v in w.values))
+    shifted = Cochain(P, A, 2, tuple(tuple(x + m * (i % 5 - 2) for x, m in zip(v, A.orders))
+                                     for i, v in enumerate(w.values)))
+    vals = list(w.values)
+    i = rng.randrange(len(vals))
+    vals[i] = A.add(vals[i], tuple(1 + rng.randrange(m - 1) for m in A.orders))
+    return [("normalized", normalized), ("non-normalized", w), ("unreduced", shifted),
+            ("changed", Cochain(P, A, 2, tuple(vals))),
+            ("random", Cochain.random(P, A, 2, rng))]
 
 
 @pytest.mark.parametrize("gname", ["z2", "z3", "z4", "z5", "z6", "z8", "klein4", "s3",
                                    "q8", "a4"])
 def test_index_table_build_matches_tuple_transcription(gname):
-    # random unnormalized cocycles (a cocycle plus a coboundary) build, and
-    # random cochains build with validate=False: table, identity and
-    # to_json() equal the transcription's
+    # the cocycle test on A-indices and the block-gathered table against the
+    # transcription, on the named table and a relabelled one whose identity
+    # is not 0: table, identity and to_json() are equal, cocycles pass
+    # `validate`, and a non-cocycle is refused with the first nonzero value
+    # of the full d_2 omega, then built with validate=False
     rng = random.Random(f"flat:{gname}")
-    P = group_by_name(gname)
-    for orders in ((2,), (3,), (4,), (2, 2)):
-        A = AbelianCoefficients(orders)
-        space = cocycle_space(P, A, 2)
-        cochains = []
-        for _ in range(2):
-            w = coboundary(Cochain.random(P, A, 1, rng))
-            for gen, order in space.generators:
-                w = w + gen.scale(rng.randrange(order))
-            cochains.append((w, True))
-            cochains.append((Cochain.random(P, A, 2, rng), False))
-        for w, validate in cochains:
-            built = build_extension(P, A, w, validate)
-            table, identity = _tuple_carrier(P, A, w)
-            assert built.carrier.table == table and built.carrier.identity == identity
-            carrier = FiniteGroup(len(table), table, identity)
-            projection = GroupHom(carrier, P, tuple(g % P.order for g in carrier.elements()))
-            expected = CentralExtensionTable(P, A, w, carrier, projection)
-            assert built.to_json() == expected.to_json(), (gname, orders)
+    named = group_by_name(gname)
+    seen = set()
+    for P in (named, _relabelled_group(named, rng)):
+        e = P.identity
+        for aname in _INDEX_COEFFS:
+            A = coefficients_by_name(aname)
+            for label, w in _index_build_cases(P, A, rng):
+                if label == "normalized":
+                    assert all(w.value(e, q) == A.zero() == w.value(q, e) for q in range(P.order))
+                elif label == "unreduced":
+                    assert any(x < 0 for v in w.values for x in v)
+                    assert any(x >= m for v in w.values for x, m in zip(v, A.orders))
+                is_cocycle = coboundary(w).is_zero()
+                if not is_cocycle:
+                    with pytest.raises(NotACocycleError) as err:
+                        ext_module.build_extension(P, A, w)
+                    assert err.value.triple == coboundary(w).first_nonzero()
+                built = ext_module.build_extension(P, A, w, validate=is_cocycle)
+                table, identity = _tuple_carrier(P, A, w)
+                assert built.carrier.table == table and built.carrier.identity == identity
+                carrier = FiniteGroup(len(table), table, identity)
+                projection = GroupHom(carrier, P, tuple(g % P.order for g in carrier.elements()))
+                expected = CentralExtensionTable(P, A, w, carrier, projection)
+                assert built.to_json() == expected.to_json(), (P.name, aname, label)
+                if is_cocycle:
+                    built.validate()
+                seen.add(label if is_cocycle else "rejected")
+    # on small groups a changed or random draw can happen to be a cocycle
+    assert seen >= {"normalized", "non-normalized", "unreduced", "rejected"}
 
 
 def test_carrier_frames_are_keyed_by_kernel_orders_and_base_labels():
@@ -777,9 +812,35 @@ def test_light_rows_decide_the_cocycle_condition():
     verdicts = set()
     for P, A, w in _light_cases(24):
         is_cocycle = coboundary(w).is_zero()
-        assert ext_module._is_cocycle(P, w) == is_cocycle, (P.name, A.orders, w.values)
+        idx = _value_indices(A.orders, w.values)
+        assert ext_module._is_cocycle(P, A.orders, idx) == is_cocycle, (P.name, A.orders, w.values)
         verdicts.add((P.identity != 0, is_cocycle))
     assert verdicts == {(False, False), (False, True), (True, False), (True, True)}
+
+
+def test_index_check_of_d1_phi_agrees_with_the_full_coboundary():
+    # `_d1_matches` against (d_1 phi - target).is_zero(), the target read mod
+    # m: d_1 phi itself, with values shifted by multiples of m, and with one
+    # value changed; both verdicts on every named and relabelled group
+    rng = random.Random(33)
+    verdicts = set()
+    for gname in _LIGHT_GROUPS:
+        named = group_by_name(gname)
+        for P in (named, _relabelled_group(named, rng)):
+            for aname in _INDEX_COEFFS:
+                A = coefficients_by_name(aname)
+                phi = Cochain.random(P, A, 1, rng)
+                d = coboundary(phi).values
+                vals = list(d)
+                i = rng.randrange(len(vals))
+                vals[i] = A.add(vals[i], tuple(1 + rng.randrange(m - 1) for m in A.orders))
+                shifted = tuple(tuple(x - m * (j % 3) for x, m in zip(v, A.orders))
+                                for j, v in enumerate(d))
+                for target in (d, shifted, tuple(vals), Cochain.random(P, A, 2, rng).values):
+                    expected = (coboundary(phi) - Cochain(P, A, 2, target)).is_zero()
+                    assert ext_module._d1_matches(P, A.orders, phi.values, target) == expected
+                    verdicts.add(expected)
+    assert verdicts == {False, True}
 
 
 def _full_row_solve(P, A, target):

@@ -289,6 +289,41 @@ def test_lights_rows_have_the_exponents_and_kernel_of_the_full_coboundary(gname)
             assert all(coboundary(g).is_zero() for g, _ in space.generators)
 
 
+def _subgroup_generated(P, gens):
+    """Test-local closure: products of elements with generators until
+    nothing new appears."""
+    elements = {P.identity}
+    while True:
+        grown = elements | {P.mul(x, g) for x in elements for g in gens}
+        if grown == elements:
+            return elements
+        elements = grown
+
+
+@pytest.mark.parametrize("gname", sorted(grpcoh._NAMED_GROUPS))
+def test_generating_set_is_irredundant(gname):
+    # on the named table and on relabelled copies whose identity is not 0:
+    # S generates P, no set left by dropping one generator does, and
+    # Light's rows number |P| |S + {1}| |P|^(n - 1)
+    named = group_by_name(gname)
+    for P in (named, *(_relabelled_copy(named, seed) for seed in (1, 2, 3, 7))):
+        gens = grpcoh._generating_set(P)
+        assert len(set(gens)) == len(gens) and P.identity not in gens
+        assert len(_subgroup_generated(P, gens)) == P.order, P.name
+        for g in gens:
+            others = [h for h in gens if h != g]
+            assert len(_subgroup_generated(P, others)) < P.order, (P.name, gens, g)
+        S = {P.identity, *gens}
+        for n in (1, 2):
+            rows, _ = grpcoh._light_incidence(P.table, P.identity, n)
+            assert len(rows) == P.order * len(S) * P.order ** (n - 1), (P.name, n)
+    if gname == "q8":
+        # the greedy pass picks -1, i, j; -1 = i^2 is dropped
+        assert [named.labels[g] for g in grpcoh._generating_set(named)] == ["i", "j"]
+        assert [len(grpcoh._light_incidence(named.table, named.identity, n)[0])
+                for n in (1, 2)] == [24, 192]
+
+
 def test_degree_zero_coboundary_vanishes():
     rng = random.Random(0)
     s3 = group_by_name("s3")
@@ -471,6 +506,19 @@ def test_hom_group_count_bound_comes_before_the_table():
     with pytest.raises(SizeLimitExceeded) as err:
         hom_group(group_by_name("z2"), AbelianCoefficients((2 ** 21,)))
     assert str(err.value) == f"{2 ** 21} generator assignments exceed the enumeration bound"
+    # q8 is enumerated on its two generators i, j: |A|^2 assignments, not |A|^3
+    with pytest.raises(SizeLimitExceeded) as err:
+        hom_group(group_by_name("q8"), AbelianCoefficients((1025,)))
+    assert str(err.value) == f"{1025 ** 2} generator assignments exceed the enumeration bound"
+
+
+def test_hom_group_on_q8_matches_the_cocycle_space():
+    # 16 assignments of i, j in Z4, of which |Hom(Q8, Z4)| = |Z^1| = 4 extend
+    P, A = group_by_name("q8"), coefficients_by_name("z4")
+    homs = hom_group(P, A)
+    assert len(homs) == cocycle_space(P, A, 1).order == 4
+    for h in homs:
+        h.validate()
 
 
 # ---------------------------------------------------------------------------
