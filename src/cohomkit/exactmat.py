@@ -22,14 +22,19 @@ run on it.
 
 Over Z/p^e, `kernel_mod`, `solve_mod` and `local_smith_exponents` read a
 matrix through two conversions only: GF(2) column words (bit i of word c
-is entry (i, c) mod 2) and residue rows mod p^e.  Dense matrices derive
-both from their entries.  An `IncidenceMatrix`, the signed face columns of
-a coboundary (row j = sum_i (-1)^i e_{columns[i][j]}), derives them with
-no dense matrix: each face XORs bit j into word columns[i][j], so repeated
-faces cancel mod 2, and residue rows sum the signs and reduce only the
-cells a face touched.  For p^e > 2, `_local_eliminate` on residue rows,
-where no entry grows, gives the elementary divisors and, by the column
-transforms it records, kernels and solutions.  At p^e = 2 (the 2-part of
+is entry (i, c) mod 2) and lane columns mod p^e (lane i of word c, a
+field of bits whose width depends on p^e alone, holds entry (i, c) mod
+p^e).  Dense matrices derive both from their entries.  An
+`IncidenceMatrix`, the signed face columns of a coboundary (row j =
+sum_i (-1)^i e_{columns[i][j]}), derives them with no dense matrix: each
+face XORs bit j into word columns[i][j], so repeated faces cancel mod 2,
+or adds its sign into lane j of that word, after which p^e is added to
+every lane and the words are reduced.  For p^e > 2, `_local_eliminate` on
+lane columns, where no entry grows, gives the elementary divisors; a
+pivot updates each column it meets with one multiply-add and one lane
+reduction (a mask when p = 2, a SWAR Barrett step otherwise), and an
+identity block in the lanes past the rows takes the column operations,
+so kernels and solutions read V off it.  At p^e = 2 (the 2-part of
 6 or 10 too) one column echelon serves all three: each column, carrying
 its combination bits, is reduced at its lowest row bit against the
 independent columns before it.  The output is the dense sweep's byte for
@@ -40,8 +45,9 @@ kernel vector that is 1 there and 0 at the other free columns; and a
 right-hand side that reduces to zero leaves a combination on held columns
 only, the unique solution that is 0 on every free column.  `solve_mod`
 factors each (matrix, modulus) once for the last SOLVE_CACHE_SIZE pairs
-(held columns at p^e = 2, row operations U otherwise; pivots are chosen
-on the matrix alone, so U b is what an appended b would have become).
+(held columns at p^e = 2, row operations U and V's lane columns
+otherwise; pivots are chosen on the matrix alone, so U b is what an
+appended b would have become).
 Smith form with transforms over Z, `smith_transforms`, has no caller left
 in the package.
 
@@ -334,6 +340,41 @@ def _primitive_rank(rows: Iterable[dict[int, int]]) -> int:
 # prime field matrices
 
 
+class _Lanes:
+    """Residues mod q packed into Python ints, `width` bits a lane: lane i
+    of a word is its bits i*width .. (i+1)*width - 1.  A lane may reach
+    q^2 - 1 between reductions; `reduce` brings every lane of a word back
+    below q at once.  For q a power of 2 it is a mask.  Otherwise it is a
+    SWAR Barrett step: with shift = bits of (q^2 - 1)(q - 1) and mul =
+    ceil(2^shift / q), (x mul) >> shift is exactly floor(x / q) for
+    x < q^2, so x - q floor(x / q) needs neither a division nor a second
+    subtraction, and the lane is wide enough that x mul never carries out
+    of it.  The constants come from q alone; the masks span the first
+    `lanes` lanes, and words may use fewer."""
+
+    def __init__(self, q: int, lanes: int):
+        top = q * q - 1
+        self.q = q
+        if q & (q - 1) == 0:
+            self.width = max(top.bit_length(), 1)
+            self.reduce = self.fill(q - 1, lanes).__and__
+        else:
+            shift = (top * (q - 1)).bit_length()
+            mul = -(-(1 << shift) // q)
+            self.width = (top * mul).bit_length()
+            low = self.fill((1 << self.width - shift) - 1, lanes)
+            self.reduce = lambda x: x - ((x * mul >> shift) & low) * q
+        self.lane = (1 << self.width) - 1
+
+    def fill(self, x: int, n: int) -> int:
+        """The word with x in each of its first n lanes."""
+        return ((1 << n * self.width) - 1) // ((1 << self.width) - 1) * x
+
+    def unpack(self, w: int, n: int) -> list[int]:
+        """The first n lanes of word w."""
+        return [w >> s & self.lane for s in range(0, n * self.width, self.width)]
+
+
 class _DenseRows:
     """The two readings of a matrix that `kernel_mod`, `solve_mod` and
     `local_smith_exponents` take, derived from dense `entries`."""
@@ -344,9 +385,12 @@ class _DenseRows:
             return [0] * self.cols
         return [sum(1 << i for i, x in enumerate(col) if x % 2) for col in zip(*self.entries)]
 
-    def _residue_rows(self, q: int) -> list[list[int]]:
-        """Fresh rows of the entries reduced mod q."""
-        return [[x % q for x in row] for row in self.entries]
+    def _lane_columns(self, lanes: _Lanes) -> list[int]:
+        """Lane columns: lane i of word c is entry (i, c) mod q."""
+        if not self.rows:
+            return [0] * self.cols
+        q, shifts = lanes.q, range(0, self.rows * lanes.width, lanes.width)
+        return [sum(x % q << s for x, s in zip(col, shifts)) for col in zip(*self.entries)]
 
 
 @dataclass(frozen=True)
@@ -412,62 +456,74 @@ def _gf2_column_echelon(words: Sequence[int]) -> tuple[dict, list[tuple[int, int
     return held, free
 
 
-def _local_eliminate(rows: list[list[int]], ncols: int, p: int, e: int,
-                     log: list | None = None):
+def _local_eliminate(cols: list[int], rows: int, lanes: _Lanes, p: int, e: int,
+                     log: list | None = None) -> list[tuple]:
     """The one elimination over Z/p^e, p^e > 2, behind exponents, kernels
-    and solves, on residue rows: distinct lists of entries reduced mod p^e,
-    which it updates in place.
+    and solves, on lane columns: word c holds entry (i, c) mod p^e in lane
+    i (`lanes`), and `cols` is updated in place.
 
-    Level v = 0..e-1 pivots, column by column, on an entry of valuation
-    exactly v, clears that column in every other row and drops the pivot
-    row; afterwards every live entry is divisible by p^(v+1).  Entries stay
-    reduced mod p^e, so nothing grows.
+    Level v = 0..e-1 pivots, column by column, on the lowest live lane of
+    valuation exactly v, clears that column in every other live row and
+    drops the pivot row; afterwards every live entry is divisible by
+    p^(v+1).  Lanes stay reduced mod p^e, so nothing grows.  A column, once
+    pivoted, is zero in every live row from then on, so only the columns
+    not yet pivoted are searched and read.
 
-    Pivots come back as (c, v, inv, row, support), inv = (row[c] / p^v)^-1.
-    The column operations col_j -= (row[j] / p^v) inv col_c that clear the
-    dropped row touch no live row (column c is zero there), so they are only
-    recorded, for `_apply_v`.  U m V is then zero but for the pivots, and the
-    live rows returned are zero mod p^e.  A `log` list receives the row
-    operations U, one (pivot row, [(row, f), ...]) per pivot, rows by their
-    index in `rows`: row -= f pivot row, in elimination order.
+    Pivots come back as (c, v, inv, support), inv = (x_c / p^v)^-1 and
+    support the nonzero (j, x_j) of the pivot row.  The row operations
+    row -= (row[c] / p^v) inv pivot row and the column operations col_j -=
+    (x_j / p^v) inv col_c, j != c, are one multiply-add per support column:
+    col_j += (q - x_j / p^v) G with G = col_c inv, no lane divided (every
+    live x is divisible by p^v).  On live rows that is the row operation;
+    the column operations touch the pivot row and the lanes past `rows`
+    only, so an identity block appended there ends as V, and U m V is zero
+    but for the pivots.  A `log` list receives the row operations U, one
+    (pivot row, [(row, f), ...]) per pivot, rows by their lane: row -= f
+    pivot row, in elimination order.
     """
-    q = p ** e
-    live = [row for row in rows if any(row)]
-    where = {id(row): i for i, row in enumerate(rows)} if log is not None else None
+    q, width, lane, reduce = p ** e, lanes.width, lanes.lane, lanes.reduce
+    live = (1 << rows * width) - 1  # every lane of the rows not yet pivots
+    unpivoted = list(range(len(cols)))
     pivots = []
     for v in range(e):
-        pv, above = p ** v, p ** (v + 1)
-        if v:  # a zero row is never a pivot and never changes
-            live = [row for row in live if any(row)]
-        for c in range(ncols):
-            i = next((i for i, row in enumerate(live) if row[c] % above), None)
-            if i is None:
+        pv, scale = p ** v, p ** (e - 1 - v)  # x scale != 0 mod q iff x has valuation v
+        for c in unpivoted[:]:
+            w = cols[c]
+            hit = reduce(w * scale) & live
+            if not hit:
                 continue
-            piv = live.pop(i)
-            inv = pow(piv[c] // pv, -1, q)
-            if where is not None:
-                log.append((where[id(piv)], [(where[id(row)], row[c] // pv * inv % q)
-                                             for row in live if row[c]]))
-            # every column of the pivot row, not only those from c on: an
-            # earlier column of higher-valuation entries changes too
-            support = [(j, x) for j, x in enumerate(piv) if x]
-            for row in live:
-                if row[c]:
-                    f = row[c] // pv * inv % q
-                    for j, x in support:
-                        row[j] = (row[j] - f * x) % q
-            pivots.append((c, v, inv, piv, support))
-    return pivots, live
+            i = ((hit & -hit).bit_length() - 1) // width
+            s = i * width
+            at = lane << s
+            live ^= at
+            support = [(j, cols[j] >> s & lane) for j in unpivoted if cols[j] & at]
+            inv = pow((w >> s & lane) // pv, -1, q)
+            if log is not None:
+                hits, rest = [], w & live
+                while rest:
+                    k = ((rest & -rest).bit_length() - 1) // width
+                    x = rest >> k * width & lane
+                    rest ^= x << k * width
+                    hits.append((k, x // pv * inv % q))
+                log.append((i, hits))
+            g = reduce(w * inv)
+            for j, x in support:
+                if j != c:
+                    cols[j] = reduce(cols[j] + (q - x // pv) * g)
+            unpivoted.remove(c)
+            pivots.append((c, v, inv, support))
+    return pivots
 
 
-def _apply_v(pivots, y: Sequence[int], p: int, e: int) -> list[int]:
-    """V y mod p^e for the column operations recorded by `_local_eliminate`."""
-    x = list(y)
-    for c, v, inv, _, support in reversed(pivots):
-        s = sum(a * x[j] for j, a in support if j != c)
-        if s:
-            x[c] = (x[c] - s // p ** v * inv) % p ** e
-    return x
+def _eliminate_with_v(m: IntegerMatrix | IncidenceMatrix, p: int, e: int,
+                      log: list | None = None) -> tuple[list, _Lanes, list[int]]:
+    """`_local_eliminate` on m's lane columns with an identity block in the
+    lanes past m's rows: (pivots, lanes, V's lane columns)."""
+    lanes = _Lanes(p ** e, m.rows + m.cols)
+    base = m.rows * lanes.width
+    cols = [w | 1 << base + j * lanes.width for j, w in enumerate(m._lane_columns(lanes))]
+    pivots = _local_eliminate(cols, m.rows, lanes, p, e, log)
+    return pivots, lanes, [w >> base for w in cols]
 
 
 def local_smith_exponents(m: IntegerMatrix | PrimeFieldMatrix | IncidenceMatrix,
@@ -477,13 +533,18 @@ def local_smith_exponents(m: IntegerMatrix | PrimeFieldMatrix | IncidenceMatrix,
     Divisors vanishing mod p^e are not listed, so for e = 1 the length is
     the rank over GF(p).  At p^e = 2 they are the held columns of the
     column echelon of m's GF(2) column words, otherwise the pivots of
-    `_local_eliminate` on m's residue rows.  A p or e that `operator.index`
-    refuses is a ValueError.
+    `_local_eliminate` on m's lane columns.  A p or e that `operator.index`
+    refuses, a p that is not prime or a negative e is a ValueError.
     """
     p, e = _as_int(p, "p"), _as_int(e, "e")
+    if prime_power_factors(p) != [(p, 1)]:
+        raise ValueError(f"p: {p} is not prime")
+    if e < 0:
+        raise ValueError(f"e: {e} is negative")
     if p ** e == 2:
         return [0] * len(_gf2_column_echelon(m._gf2_columns())[0])
-    return [v for _, v, *_ in _local_eliminate(m._residue_rows(p ** e), m.cols, p, e)[0]]
+    lanes = _Lanes(p ** e, m.rows)
+    return [v for _, v, *_ in _local_eliminate(m._lane_columns(lanes), m.rows, lanes, p, e)]
 
 
 # ---------------------------------------------------------------------------
@@ -563,13 +624,20 @@ class IncidenceMatrix:
                 words[c] ^= bit
         return words
 
-    def _residue_rows(self, q: int) -> list[list[int]]:
-        """The signed sums, reduced mod q in the cells the faces touched."""
-        rows = self._signed_rows()
-        for col in self.columns:
-            for row, c in zip(rows, col):
-                row[c] %= q
-        return rows
+    def _lane_columns(self, lanes: _Lanes) -> list[int]:
+        """Lane columns: each face adds its sign into lane j of word
+        columns[i][j]; after every q faces, q is added to each lane and the
+        words reduced, so no lane goes negative or past what `reduce` takes."""
+        words = [0] * self.cols
+        bits = [1 << s for s in range(0, self.rows * lanes.width, lanes.width)]
+        signed = (bits, [-bit for bit in bits])
+        offset = lanes.fill(lanes.q, self.rows)
+        for start in range(0, len(self.columns), lanes.q):
+            for i in range(start, min(start + lanes.q, len(self.columns))):
+                for c, bit in zip(self.columns[i], signed[i & 1]):
+                    words[c] += bit
+            words = [lanes.reduce(w + offset) for w in words]
+        return words
 
 
 @dataclass(frozen=True)
@@ -689,18 +757,19 @@ def _factor(m: IntegerMatrix | IncidenceMatrix, modulus: int) -> tuple:
 
     At p^e = 2, pivots are the held columns of m's column echelon, which
     carry their combination bits, and U is None.  Otherwise they are
-    `_local_eliminate`'s on m's residue rows, and U is its operation log,
+    `_local_eliminate`'s on m's lane columns, and U is its operation log,
     which a right-hand side is replayed through, with the indices of the
-    rows that are no pivot, which must end at 0."""
+    rows that are no pivot, which must end at 0, the lanes and V's lane
+    columns."""
     parts = []
     for p, e in prime_power_factors(modulus):
         if p ** e == 2:
             parts.append((p, e, _gf2_column_echelon(m._gf2_columns())[0], None))
         else:
             log: list = []
-            pivots = _local_eliminate(m._residue_rows(p ** e), m.cols, p, e, log)[0]
+            pivots, lanes, v = _eliminate_with_v(m, p, e, log)
             rest = sorted(set(range(m.rows)).difference(src for src, _ in log))
-            parts.append((p, e, pivots, (log, rest)))
+            parts.append((p, e, pivots, (log, rest, lanes, v)))
     return tuple(parts)
 
 
@@ -728,7 +797,8 @@ def solve_mod(m: IntegerMatrix | IncidenceMatrix, rhs: Sequence[int],
     p^e is replayed through the logged row operations U (pivots are chosen
     on m alone, so U b is what an appended b would have become); a pivot
     u p^a with reduced right-hand side r needs p^a | r and sets
-    y_c = (r / p^a) u^-1, every other row needs r = 0, and x = V y.  The
+    y_c = (r / p^a) u^-1, every other row needs r = 0, and x = V y, the
+    sum of y_c times V's lane column c, one multiply-add each.  The
     prime-power solutions are combined by CRT.  A modulus or rhs entry that
     `operator.index` refuses is a ValueError.
     """
@@ -752,7 +822,7 @@ def solve_mod(m: IntegerMatrix | IncidenceMatrix, rhs: Sequence[int],
                 return None
             local = [comb >> j & 1 for j in range(n)]
         else:
-            log, rest = u
+            log, rest, lanes, v_cols = u
             r = [b % q for b in rhs]
             for src, hits in log:
                 s = r[src]
@@ -761,12 +831,12 @@ def solve_mod(m: IntegerMatrix | IncidenceMatrix, rhs: Sequence[int],
                         r[t] = (r[t] - f * s) % q
             if any(r[i] for i in rest):
                 return None
-            y = [0] * n
-            for (c, v, inv, _, _), (src, _) in zip(pivots, log):
+            vy = 0
+            for (c, v, inv, _), (src, _) in zip(pivots, log):
                 if r[src] % p ** v:
                     return None
-                y[c] = r[src] // p ** v * inv % q
-            local = _apply_v(pivots, y, p, e)
+                vy = lanes.reduce(vy + r[src] // p ** v * inv % q * v_cols[c])
+            local = lanes.unpack(vy, n)
         w = modulus // q
         crt = w * pow(w, -1, q)  # 1 mod q, 0 mod the other prime powers
         x = [(a + crt * b) % modulus for a, b in zip(x, local)]
@@ -777,9 +847,10 @@ def kernel_mod(m: IntegerMatrix | IncidenceMatrix,
                modulus: int) -> list[tuple[tuple[int, ...], int]]:
     """Generators of {x mod modulus : m x = 0 (mod modulus)} with their orders.
 
-    Per p^e exactly dividing the modulus, `_local_eliminate` on m's residue
-    rows gives m's pivots over Z/p^e: a pivot of valuation a yields
-    V e_c p^(e-a) of order p^a, and an unpivoted column V e_c of order p^e.
+    Per p^e exactly dividing the modulus, `_local_eliminate` on m's lane
+    columns gives m's pivots over Z/p^e and the columns of V: a pivot of
+    valuation a yields V e_c p^(e-a) of order p^a, and an unpivoted column
+    V e_c of order p^e.
     At p^e = 2 the columns that reduce to zero in m's column echelon are
     the unpivoted ones, and each one's combination is the same V e_c: the
     one kernel vector that is 1 at c and 0 at the other free columns.  The
@@ -797,18 +868,18 @@ def kernel_mod(m: IntegerMatrix | IncidenceMatrix,
             chains.append([(2, [step if x >> j & 1 else 0 for j in range(m.cols)])
                            for _, x in free])
             continue
-        pivots = _local_eliminate(m._residue_rows(p ** e), m.cols, p, e)[0]
+        pivots, lanes, v_cols = _eliminate_with_v(m, p, e)
         level = {c: v for c, v, *_ in pivots}
         part = []
         for c in range(m.cols):
             a = level.get(c, e)
             if a:
-                y = [p ** (e - a) if j == c else 0 for j in range(m.cols)]
-                part.append((p ** a, [x * step for x in _apply_v(pivots, y, p, e)]))
+                vec = lanes.unpack(lanes.reduce(v_cols[c] * p ** (e - a)), m.cols)
+                part.append((p ** a, [x * step for x in vec]))
         chains.append(sorted(part, key=lambda g: -g[0]))
     gens = []
     for i in range(max(map(len, chains), default=0)):
         links = [chain[i] for chain in chains if i < len(chain)]
-        vec = tuple(sum(col) % modulus for col in zip(*(x for _, x in links)))
+        vec = tuple([s % modulus for s in map(sum, zip(*(x for _, x in links)))])
         gens.append((vec, prod(order for order, _ in links)))
     return gens[::-1]

@@ -23,7 +23,7 @@ those whose second argument is the identity or a generator from the
 irredundant set of `_generating_set` (q8: i and j, so 192 rows of d_2 and
 24 of d_1), and `_light_coboundary_matrix` wraps them as an
 `exactmat.IncidenceMatrix`, which exactmat eliminates from the face columns
-without a dense matrix (GF(2) column words, or residue rows over Z/p^e);
+without a dense matrix (GF(2) column words, or lane columns over Z/p^e);
 for n = 1, 2 the rows have the kernel of the full d_n over every Z/p^e, so
 every elimination in the group layer runs on them: `cocycle_space`, the
 H^n exponents of `_exponents`, and `ext._class_representatives` and

@@ -1,11 +1,14 @@
 """The dense Z/p^e sweep for `kernel_mod` and `solve_mod` at every modulus,
-the 2 in 6 or 10 included, as an oracle for the GF(2) column echelon.
+the 2 in 6 or 10 included, as an oracle for the packed eliminations.
 
 `exactmat` runs p^e = 2 on a GF(2) column echelon of packed column words
 and reads kernels and solutions off the combinations it carries, and runs
-p^e > 2 on residue rows; this module keeps the one dense
-elimination (every prime power, no packing, no zero-row drops) that both
-routes must agree with, output for output.
+p^e > 2 on lane columns, entry (i, c) mod p^e in lane i of word c, with
+one multiply-add per pivot and column; this module keeps the one dense
+list-of-rows elimination (every prime power, no packing, no zero-row
+drops) that both routes must agree with, output for output, and that the
+lane engine must match pivot for pivot and row operation for row
+operation.
 """
 
 from __future__ import annotations
@@ -15,12 +18,16 @@ from math import prod
 from cohomkit.exactmat import prime_power_factors
 
 
-def local_eliminate(rows, ncols: int, p: int, e: int):
+def local_eliminate(rows, ncols: int, p: int, e: int, log: list | None = None):
     """Pivot column by column at valuation v = 0..e-1 over Z/p^e, clearing
     the column in every live row and dropping the pivot row; pivots come
-    back as (c, v, inv, row, support), the rows left over as `live`."""
+    back as (c, v, inv, row, support), the rows left over as `live`.  A
+    `log` list receives (pivot row, [(row, f), ...]) per pivot, rows by
+    their index in `rows`: row -= f pivot row."""
     q = p ** e
-    live = [row for row in ([x % q for x in r] for r in rows) if any(row)]
+    fresh = [[x % q for x in r] for r in rows]
+    where = {id(row): i for i, row in enumerate(fresh)}
+    live = [row for row in fresh if any(row)]
     pivots = []
     for v in range(e):
         pv, above = p ** v, p ** (v + 1)
@@ -30,6 +37,9 @@ def local_eliminate(rows, ncols: int, p: int, e: int):
                 continue
             piv = live.pop(i)
             inv = pow(piv[c] // pv, -1, q)
+            if log is not None:
+                log.append((where[id(piv)], [(where[id(row)], row[c] // pv * inv % q)
+                                             for row in live if row[c]]))
             support = [(j, x) for j, x in enumerate(piv) if x]
             for row in live:
                 if row[c]:

@@ -25,7 +25,7 @@ from cohomkit.exactmat import (
     solve_mod,
 )
 from cohomkit.grpcoh import _NAMED_GROUPS, _light_coboundary_matrix, group_by_name
-from sweep_oracle import sweep_exponents, sweep_kernel, sweep_solve
+from sweep_oracle import local_eliminate, sweep_exponents, sweep_kernel, sweep_solve
 
 
 def smith_normal_form(m: IntegerMatrix) -> list[int]:
@@ -666,6 +666,93 @@ def test_incidence_matrices_match_their_dense_rows_and_the_sweep():
     check()
     assert outcomes == {True, False}
     assert repeats == {0, 1}
+
+
+# ---------------------------------------------------------------------------
+# the Z/p^e lane engine, pivot for pivot, against the list-of-rows sweep
+
+
+_LANE_MODULI = ((3, 1), (2, 2), (5, 1), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3))
+
+
+def _assert_lane_pivots_match(m, p: int, e: int) -> None:
+    """`_local_eliminate` on m's lane columns, with and without the
+    identity lanes that carry V, takes the sweep's pivots (c, v, inv,
+    support) and logs its row operations."""
+    sweep_log: list = []
+    expected = [(c, v, inv, support) for c, v, inv, _, support
+                in local_eliminate(m.entries, m.cols, p, e, sweep_log)[0]]
+    lanes = exactmat._Lanes(p ** e, m.rows)
+    log: list = []
+    assert exactmat._local_eliminate(m._lane_columns(lanes), m.rows, lanes, p, e, log) \
+        == expected, (p, e, m)
+    assert log == sweep_log, (p, e, m)
+    log = []
+    assert exactmat._eliminate_with_v(m, p, e, log)[0] == expected and log == sweep_log
+
+
+def test_lane_engine_takes_the_sweep_pivots_and_row_operations():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    valuations = set()
+
+    @hypothesis.settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @hypothesis.given(shape=st.tuples(st.integers(0, 9), st.integers(0, 9)),
+                      pe=st.sampled_from(_LANE_MODULI), data=st.data())
+    def dense(shape, pe, data):
+        nrows, ncols = shape
+        entry = st.sampled_from((-3, -2, -1, 0, 1, 2, 3, 5, 10, 27))
+        row = st.lists(entry, min_size=ncols, max_size=ncols) | st.just([0] * ncols)
+        m = IntegerMatrix(nrows, ncols, tuple(map(tuple, data.draw(
+            st.lists(row, min_size=nrows, max_size=nrows), label="rows"))))
+        _assert_lane_pivots_match(m, *pe)
+        valuations.update(v for _, v, *_ in local_eliminate(m.entries, ncols, *pe)[0])
+
+    @hypothesis.settings(max_examples=150, derandomize=True, deadline=None, database=None)
+    @hypothesis.given(shape=st.tuples(st.integers(1, 9), st.integers(1, 9), st.integers(0, 5)),
+                      pe=st.sampled_from(_LANE_MODULI), data=st.data())
+    def incidence(shape, pe, data):
+        nrows, ncols, nfaces = shape
+        col = st.lists(st.integers(0, ncols - 1), min_size=nrows, max_size=nrows).map(tuple)
+        _assert_lane_pivots_match(IncidenceMatrix(nrows, ncols, data.draw(
+            st.lists(col, min_size=nfaces, max_size=nfaces).map(tuple), label="columns")), *pe)
+
+    @hypothesis.settings(max_examples=100, derandomize=True, deadline=None, database=None)
+    @hypothesis.given(shape=st.tuples(st.integers(1, 9), st.integers(1, 9)),
+                      p=st.sampled_from((3, 5, 7)), data=st.data())
+    def prime_field(shape, p, data):
+        nrows, ncols = shape
+        rows = data.draw(st.lists(st.lists(st.integers(0, p - 1), min_size=ncols, max_size=ncols),
+                                  min_size=nrows, max_size=nrows), label="rows")
+        m = PrimeFieldMatrix.from_rows(p, rows)
+        assert m.rank() == len(local_eliminate(rows, ncols, p, 1)[0])
+        _assert_lane_pivots_match(m, p, 1)
+
+    dense()
+    incidence()
+    prime_field()
+    assert valuations >= {0, 1, 2}
+    for gname in sorted(_NAMED_GROUPS):
+        P = group_by_name(gname)
+        for degree in (1, 2):
+            m = _light_coboundary_matrix(P.table, P.identity, degree)[1]
+            for pe in _LANE_MODULI:
+                _assert_lane_pivots_match(m, *pe)
+
+
+@pytest.mark.parametrize("p", [4, 6, 1, -2])
+def test_local_smith_exponents_refuses_a_p_that_is_not_prime(p):
+    # a p of 4 once returned a list, one of 6 a raw error from pow
+    for m in (IntegerMatrix.from_rows([[1, 2], [3, 4]]), IncidenceMatrix(2, 2, ((0, 1), (1, 1)))):
+        with pytest.raises(ValueError, match=rf"^p: {p} is not prime$"):
+            local_smith_exponents(m, p, 1)
+
+
+def test_local_smith_exponents_refuses_a_negative_e():
+    m = IntegerMatrix.from_rows([[1, 2], [3, 4]])
+    with pytest.raises(ValueError, match=r"^e: -1 is negative$"):
+        local_smith_exponents(m, 3, -1)
+    assert local_smith_exponents(m, 3, 0) == []
 
 
 @pytest.mark.parametrize("gname", sorted(_NAMED_GROUPS))
