@@ -349,20 +349,20 @@ class _Lanes:
     ceil(2^shift / q), (x mul) >> shift is exactly floor(x / q) for
     x < q^2, so x - q floor(x / q) needs neither a division nor a second
     subtraction, and the lane is wide enough that x mul never carries out
-    of it.  The constants come from q alone; the masks span the first
-    `lanes` lanes, and words may use fewer."""
+    of it.  The constants come from q alone; the masks span the first n
+    lanes, and words may use fewer."""
 
-    def __init__(self, q: int, lanes: int):
+    def __init__(self, q: int, n: int):
         top = q * q - 1
         self.q = q
         if q & (q - 1) == 0:
             self.width = max(top.bit_length(), 1)
-            self.reduce = self.fill(q - 1, lanes).__and__
+            self.reduce = self.fill(q - 1, n).__and__
         else:
             shift = (top * (q - 1)).bit_length()
             mul = -(-(1 << shift) // q)
             self.width = (top * mul).bit_length()
-            low = self.fill((1 << self.width - shift) - 1, lanes)
+            low = self.fill((1 << self.width - shift) - 1, n)
             self.reduce = lambda x: x - ((x * mul >> shift) & low) * q
         self.lane = (1 << self.width) - 1
 
@@ -474,12 +474,12 @@ def _local_eliminate(cols: list[int], rows: int, lanes: _Lanes, p: int, e: int,
     row -= (row[c] / p^v) inv pivot row and the column operations col_j -=
     (x_j / p^v) inv col_c, j != c, are one multiply-add per support column:
     col_j += (q - x_j / p^v) G with G = col_c inv, no lane divided (every
-    live x is divisible by p^v).  On live rows that is the row operation;
-    the column operations touch the pivot row and the lanes past `rows`
-    only, so an identity block appended there ends as V, and U m V is zero
-    but for the pivots.  A `log` list receives the row operations U, one
-    (pivot row, [(row, f), ...]) per pivot, rows by their lane: row -= f
-    pivot row, in elimination order.
+    live x is divisible by p^v).  On live rows that is the row operation,
+    and the column operations change no live row (column c is zero there
+    once it is cleared), so an identity block in the lanes past `rows` ends
+    as V, and U m V is zero but for the pivots.  A `log` list receives the
+    row operations U, one (pivot row, [(row, f), ...]) per pivot, rows by
+    their lane: row -= f pivot row, in elimination order.
     """
     q, width, lane, reduce = p ** e, lanes.width, lanes.lane, lanes.reduce
     live = (1 << rows * width) - 1  # every lane of the rows not yet pivots
@@ -874,8 +874,8 @@ def kernel_mod(m: IntegerMatrix | IncidenceMatrix,
         for c in range(m.cols):
             a = level.get(c, e)
             if a:
-                vec = lanes.unpack(lanes.reduce(v_cols[c] * p ** (e - a)), m.cols)
-                part.append((p ** a, [x * step for x in vec]))
+                gen = lanes.reduce(v_cols[c] * p ** (e - a))
+                part.append((p ** a, [x * step for x in lanes.unpack(gen, m.cols)]))
         chains.append(sorted(part, key=lambda g: -g[0]))
     gens = []
     for i in range(max(map(len, chains), default=0)):
