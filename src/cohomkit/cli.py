@@ -57,9 +57,10 @@ def _load(path: str, inputs: dict, parse):
         raise ValueError(f"{path}: zero denominator in {exc}") from exc
     # what a missing, unparsable (JSONDecodeError is a ValueError) or
     # malformed input raises while it is read and parsed (an integer too
-    # large for a float field is an OverflowError)
+    # large for a float field is an OverflowError, a too deeply nested
+    # document a RecursionError)
     except (OSError, IndexError, TypeError, ValueError, AttributeError,
-            OverflowError) as exc:
+            OverflowError, RecursionError) as exc:
         raise ValueError(f"{path}: {exc}") from exc
 
 

@@ -553,13 +553,15 @@ def local_smith_exponents(m: IntegerMatrix | PrimeFieldMatrix | IncidenceMatrix,
 
 @dataclass(frozen=True)
 class IntegerMatrix(_DenseRows):
-    """Dense matrix over Z with arbitrary-precision entries."""
+    """Dense matrix over Z with arbitrary-precision entries, its rows
+    stored as tuples, so every matrix is hashable."""
 
     rows: int
     cols: int
     entries: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "entries", tuple(map(tuple, self.entries)))
         if len(self.entries) != self.rows:
             raise ValueError("row count does not match entry grid")
         for row in self.entries:
@@ -751,7 +753,8 @@ def smith_transforms(m: IntegerMatrix, want_u: bool = True, want_v: bool = True)
 SOLVE_CACHE_SIZE = 32  # (matrix, modulus) factorizations `solve_mod` keeps
 
 
-def _factor(m: IntegerMatrix | IncidenceMatrix, modulus: int) -> tuple:
+@lru_cache(maxsize=SOLVE_CACHE_SIZE)
+def _factored(m: IntegerMatrix | IncidenceMatrix, modulus: int) -> tuple:
     """m eliminated once per p^e exactly dividing the modulus, as
     (p, e, pivots, U) per prime power.
 
@@ -773,9 +776,6 @@ def _factor(m: IntegerMatrix | IncidenceMatrix, modulus: int) -> tuple:
     return tuple(parts)
 
 
-_factored = lru_cache(maxsize=SOLVE_CACHE_SIZE)(_factor)
-
-
 def _positive_modulus(modulus) -> int:
     modulus = _as_int(modulus, "modulus")
     if modulus < 1:
@@ -787,12 +787,11 @@ def solve_mod(m: IntegerMatrix | IncidenceMatrix, rhs: Sequence[int],
               modulus: int) -> list[int] | None:
     """One solution of m x = rhs (mod modulus), or None.
 
-    m is factored once per (m, modulus) by `_factor` and the factorization
-    kept, SOLVE_CACHE_SIZE of them, least recently used first out (a matrix
-    that cannot be hashed, such as one with list rows, is factored on every
-    call).  Per p^e exactly dividing the modulus: at p^e = 2 the packed
-    right-hand side is reduced against the held columns of m's column
-    echelon; a bit left over means no solution, otherwise the combination
+    m is factored once per (m, modulus) by `_factored` and the factorization
+    kept, SOLVE_CACHE_SIZE of them, least recently used first out.  Per p^e
+    exactly dividing the modulus: at p^e = 2 the packed right-hand side is
+    reduced against the held columns of m's column echelon; a bit left
+    over means no solution, otherwise the combination
     carried along is the solution, on held columns only.  Otherwise b mod
     p^e is replayed through the logged row operations U (pivots are chosen
     on m alone, so U b is what an appended b would have become); a pivot
@@ -806,15 +805,9 @@ def solve_mod(m: IntegerMatrix | IncidenceMatrix, rhs: Sequence[int],
     if len(rhs) != m.rows:
         raise ValueError("right-hand side length does not match row count")
     rhs = _as_ints(rhs, "right-hand side position")
-    try:
-        hash(m)
-    except TypeError:  # list rows from the raw constructor: no cache key
-        parts = _factor(m, modulus)
-    else:
-        parts = _factored(m, modulus)
     n = m.cols
     x = [0] * n
-    for p, e, pivots, u in parts:
+    for p, e, pivots, u in _factored(m, modulus):
         q = p ** e
         if q == 2:
             b, comb = _gf2_reduce(pivots, sum(1 << i for i, y in enumerate(rhs) if y & 1), 0)

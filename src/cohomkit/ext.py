@@ -14,10 +14,11 @@ full d_2 omega runs only to name the triple; a cocycle is a coboundary
 d_1 phi iff it is one on the rows (p, s), so `_solve_coboundary` solves
 only those and then compares the full d_1 phi, and
 `_class_representatives` keys the classes of H^2 by annihilators of d_1 on
-those rows (see `grpcoh._light_incidence`).  The rows (p, s) of d_1 are
-built once per group and factored once per modulus by `solve_mod`, so each
-target costs a replay of that factorization.  The carrier's index shifts
-and labels depend on A and P's labels alone and are built once per pair.
+those rows (see `grpcoh._light_incidence`).  Both read the matrix of the
+rows (p, s) that grpcoh caches per group, and `solve_mod` factors it once
+per modulus, so each target costs a replay of that factorization.  The
+carrier's index shifts and labels depend on A and P's labels alone and are
+built once per pair.
 
 Both identity tests, the cocycle condition and d_1 phi = target, run in one
 pass over A-indices (`grpcoh._value_indices`, which reads every value mod
@@ -74,7 +75,7 @@ from .grpcoh import (
     construct_splitting,
     inflation,
 )
-from .exactmat import IncidenceMatrix, IntegerMatrix, check_dense, kernel_mod, solve_mod
+from .exactmat import IntegerMatrix, check_dense, kernel_mod, solve_mod
 
 __all__ = [
     "CentralExtensionTable",
@@ -90,14 +91,6 @@ __all__ = [
 ]
 
 SEARCH_LIMIT = 2 ** 16
-
-
-@lru_cache(maxsize=32)
-def _light_d1(table: tuple[tuple[int, ...], ...],
-              identity: int) -> tuple[tuple[int, ...], IncidenceMatrix]:
-    """`_light_coboundary_matrix` of d_1, cached per (table, identity): a
-    group whose full d_1 is over budget is refused on every call."""
-    return _light_coboundary_matrix(table, identity, 1)
 
 
 @lru_cache(maxsize=32)
@@ -125,7 +118,7 @@ def _is_cocycle(P: FiniteGroup, orders: tuple[int, ...], idx: Sequence[int]) -> 
     (|S| / |P| of the full d_2) as the identity
     omega(s, r) + omega(p, s r) = omega(p s, r) + omega(p, s) on gathered
     index lists."""
-    faces = _light_incidence(P.table, P.identity, 2)[1]
+    faces = _light_incidence(P.table, P.identity, 2)[1].columns
     s_r, ps_r, p_sr, p_s = (_gather(idx, col) for col in faces)
     return _sums_agree(orders, s_r, p_sr, ps_r, p_s)
 
@@ -381,16 +374,16 @@ def _solve_coboundary(P: FiniteGroup, A: AbelianCoefficients,
 
     Only Light's rows (p, s) of d_1 are solved, s the identity or a
     generator of P (|P| |S| rows instead of |P|^2): for a cocycle target
-    they decide (see `_light_incidence`).  The matrix comes from the
-    `_light_d1` cache, so `solve_mod` eliminates it once per modulus and
-    replays its row operations on each target.  A target that is no cocycle may
-    still be solved on them, so phi is returned only when the full d_1 phi
-    equals the target, read mod m as `solve_mod` reads it: `_d1_matches`,
-    one pass over A-indices with no d_1 phi built.  A group whose
-    full d_1 exceeds DENSE_CELL_LIMIT cells is refused before anything is
-    built, as the full-row solve refused it.
+    they decide (see `_light_incidence`).  The matrix is the one grpcoh
+    caches per group, so `solve_mod` eliminates it once per modulus and
+    replays its row operations on each target.  A target that is no
+    cocycle may still be solved on them, so phi is returned only when the
+    full d_1 phi equals the target, read mod m as `solve_mod` reads it:
+    `_d1_matches`, one pass over A-indices with no d_1 phi built.  A group
+    whose full d_1 exceeds DENSE_CELL_LIMIT cells is refused on every call
+    before anything is built, as the full-row solve refused it.
     """
-    rows, dmat = _light_d1(P.table, P.identity)
+    rows, dmat = _light_coboundary_matrix(P.table, P.identity, 1)
     rhs = _gather(target.values, rows)
     per_factor: list[list[int]] = []
     for fi, m in enumerate(A.orders):
@@ -510,7 +503,7 @@ def _class_representatives(space: CocycleSpaceDescription) -> list[Cochain]:
     P, A = space.group, space.coeffs
     if space.degree != 2:
         raise ValueError("class representatives are computed for H^2 only")
-    rows, d = _light_d1(P.table, P.identity)
+    rows, d = _light_coboundary_matrix(P.table, P.identity, 1)
     d_t = IntegerMatrix(d.cols, d.rows, tuple(zip(*d.entries)))
     annihilators = {m: [y for y, _ in kernel_mod(d_t, m)] for m in set(A.orders)}
     moduli = [m for m in A.orders for _ in annihilators[m]]

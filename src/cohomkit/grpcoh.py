@@ -15,16 +15,17 @@ extensions).
 The sum is written once, as the face columns of `_faces`: n + 2 columns,
 column i holding the column index of the i-th term (sign (-1)^i) for each
 argument tuple; the incidence `_incidence` holds them for every argument
-tuple of P^(n+1), cached per (table, degree).
+tuple of P^(n+1).
 `coboundary` sums the columns over a value table, and `coboundary_matrix`
 adds them into a dense integer matrix (refused beyond DENSE_CELL_LIMIT
 cells).  `_light_incidence` builds the same columns on Light's rows only,
 those whose second argument is the identity or a generator from the
 irredundant set of `_generating_set` (q8: i and j, so 192 rows of d_2 and
-24 of d_1), and `_light_coboundary_matrix` wraps them as an
-`exactmat.IncidenceMatrix`, which exactmat eliminates from the face columns
-without a dense matrix (GF(2) column words, or lane columns over Z/p^e);
-for n = 1, 2 the rows have the kernel of the full d_n over every Z/p^e, so
+24 of d_1), as an `exactmat.IncidenceMatrix`, which exactmat eliminates
+from the face columns without a dense matrix (GF(2) column words, or lane
+columns over Z/p^e); `_light_coboundary_matrix` hands it out after the
+full d_n's size refusal.
+For n = 1, 2 the rows have the kernel of the full d_n over every Z/p^e, so
 every elimination in the group layer runs on them: `cocycle_space`, the
 H^n exponents of `_exponents`, and `ext._class_representatives` and
 `ext._solve_coboundary`.  ext reads the face columns for its own identity
@@ -36,14 +37,21 @@ on a failure, whose first nonzero value is the cocycle witness, and
 oracle; no computation here needs it (the trivial action makes d_0 zero).
 The enumeration oracle writes its equations out separately on purpose.
 
+Each object derived from a group table is cached by one function, least
+recently used first out: the full face columns by `_incidence` (per table
+and degree, 32 entries), Light's rows and their `IncidenceMatrix` by
+`_light_incidence` (per table, identity and degree, 32), and the H^n
+exponents over Z/p^e by `_exponents` (per table, identity, degree, p and
+e, 128).  exactmat's `_factored` keeps the factorizations of the cached
+matrix per modulus, which `ext._solve_coboundary` replays.
+
 Two computation routes coexist and are cross-checked in the tests:
 
 * a linear-algebra route over Z: for each cyclic coefficient factor Z_m and
   each p^f exactly dividing m with p | |P|, H^n is read by universal
   coefficients off the elementary divisors of the integer coboundary
-  matrices d_n and d_(n-1) over Z/p^e, e = min(f, v_p(|P|) + 1), memoized
-  per group table (a call builds each d_n at most once), and Z^n is the
-  kernel of d_n mod m over Z/p^f, both on Light's rows;
+  matrices d_n and d_(n-1) over Z/p^e, e = min(f, v_p(|P|) + 1), and Z^n
+  is the kernel of d_n mod m over Z/p^f, both on Light's rows;
 * exhaustive enumeration, available whenever |A|^(|P|^n) <= 2^20, kept as an
   independent oracle.
 
@@ -438,9 +446,9 @@ def coefficients_by_name(name: str) -> AbelianCoefficients:
         return AbelianCoefficients((int(key[1:]),))
     try:
         orders = tuple(int(tok) for tok in key.split(","))
-        return AbelianCoefficients(orders)
     except ValueError:
         raise ValueError(f"unknown coefficient group: {name!r}") from None
+    return AbelianCoefficients(orders)
 
 
 # ---------------------------------------------------------------------------
@@ -592,21 +600,20 @@ def _faces(table: tuple[tuple[int, ...], ...], args_list, n: int) -> tuple[tuple
 @lru_cache(maxsize=32)
 def _incidence(table: tuple[tuple[int, ...], ...], n: int) -> tuple[tuple[int, ...], ...]:
     """d_n of the group with multiplication table `table` as n + 2 face
-    columns over every argument tuple of P^(n+1) in mixed-radix order.
-    Cached per (table, n); a few small tables recur across the calls of one
-    process."""
+    columns over every argument tuple of P^(n+1) in mixed-radix order."""
     return _faces(table, list(product(range(len(table)), repeat=n + 1)), n)
 
 
 @lru_cache(maxsize=32)
 def _light_incidence(table: tuple[tuple[int, ...], ...], identity: int,
-                     n: int) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+                     n: int) -> tuple[tuple[int, ...], IncidenceMatrix]:
     """`_incidence` on Light's rows only, the argument tuples (p, s, ...) of
     P^(n+1) whose second argument lies in S = {1} + `_generating_set`:
-    their mixed-radix indices and their face columns, in mixed-radix order,
-    built without the full incidence.  Cached per (table, identity, n).
-    There are |P| |S| |P|^(n-1) rows, and the generating set is irredundant,
-    so q8 (S = {1, i, j}) has 192 rows of d_2 and 24 of d_1 out of 512 and 64.
+    their mixed-radix indices, and d_n on them as the `IncidenceMatrix` of
+    their face columns, in mixed-radix order, built without the full
+    incidence and without the full d_n's size refusal.  There are
+    |P| |S| |P|^(n-1) rows, and the generating set is irredundant, so q8
+    (S = {1, i, j}) has 192 rows of d_2 and 24 of d_1 out of 512 and 64.
 
     For n = 1 and 2 these rows of d_n have the kernel of the full d_n with
     values in any abelian group A, Z/p^e in particular:
@@ -630,7 +637,8 @@ def _light_incidence(table: tuple[tuple[int, ...], ...], identity: int,
     S = sorted({identity, *_generating_set(FiniteGroup(N, table, identity))})
     args_list = [(p, s, *rest) for p in range(N) for s in S
                  for rest in product(range(N), repeat=n - 1)]
-    return tuple(_arg_index(args, N) for args in args_list), _faces(table, args_list, n)
+    return (tuple(_arg_index(args, N) for args in args_list),
+            IncidenceMatrix(len(args_list), N ** n, _faces(table, args_list, n)))
 
 
 def _gather(seq: Sequence[int], indices: Sequence[int]) -> tuple[int, ...]:
@@ -691,16 +699,13 @@ def coboundary_matrix(group: FiniteGroup, degree: int) -> IntegerMatrix:
 
 def _light_coboundary_matrix(table: tuple[tuple[int, ...], ...], identity: int,
                              degree: int) -> tuple[tuple[int, ...], IncidenceMatrix]:
-    """Light's rows of d_degree, degree 1 or 2, as indices in P^(degree+1),
-    and d_degree on them as the `IncidenceMatrix` of their cached face
-    columns, which exactmat reads without a dense build (see
-    `_light_incidence`: it has the kernel of the full d_degree over every
-    Z/p^e).  A group whose full d_degree exceeds DENSE_CELL_LIMIT cells is
-    refused first, with the full matrix's message, so the Light-row routes
-    keep its domain."""
-    _, cols = _check_coboundary_size(len(table), degree)
-    rows, faces = _light_incidence(table, identity, degree)
-    return rows, IncidenceMatrix(len(rows), cols, faces)
+    """`_light_incidence` of d_degree, degree 1 or 2, whose matrix has the
+    kernel of the full d_degree over every Z/p^e.  A group whose full
+    d_degree exceeds DENSE_CELL_LIMIT cells is refused first, on every
+    call, with the full matrix's message, so the Light-row routes keep its
+    domain."""
+    _check_coboundary_size(len(table), degree)
+    return _light_incidence(table, identity, degree)
 
 
 # ---------------------------------------------------------------------------
@@ -821,33 +826,21 @@ def _divisor_chain(primary: dict[int, list[int]]) -> list[int]:
     return factors[::-1]
 
 
-# (group table, degree, p, e) -> `_exponents` entry; past 128 entries the oldest goes
-_EXPONENTS: dict[tuple, tuple[int, tuple[int, ...]]] = {}
-
-
-def _exponents(group: FiniteGroup, degree: int, parts) -> list[tuple[int, tuple[int, ...]]]:
-    """For each (p, f, e) in parts, how many exponents below e the elementary
-    divisors of d_degree have over Z/p^e, and the nonzero ones among them;
-    memoized per (group table, degree, p, e) like `_incidence`.  The misses
-    of one call share one build of d_degree; no matrix is kept.
+@lru_cache(maxsize=128)
+def _exponents(table: tuple[tuple[int, ...], ...], identity: int, degree: int,
+               p: int, e: int) -> tuple[int, tuple[int, ...]]:
+    """How many exponents below e the elementary divisors of d_degree have
+    over Z/p^e, and the nonzero ones among them, eliminated on the matrix
+    of `_light_coboundary_matrix`, which `_light_incidence` builds once per
+    group and degree.
 
     For degree 1 or 2 the exponents are read off Light's rows of d_degree:
     they have its kernel over Z/p^e (see `_light_incidence`), so their
     image is isomorphic to the full image (both are C^n / ker), and the
     exponents a < e of a matrix over Z/p^e are those of its image, one
     summand Z/p^(e-a) each."""
-    table = group.table
-    found = [_EXPONENTS.get((table, degree, p, e)) for p, _, e in parts]
-    if None in found:
-        d = _light_coboundary_matrix(table, group.identity, degree)[1]
-        for p, _, e in parts:
-            if (table, degree, p, e) not in _EXPONENTS:
-                exps = local_smith_exponents(d, p, e)
-                _EXPONENTS[table, degree, p, e] = len(exps), tuple(x for x in exps if x > 0)
-        found = [_EXPONENTS[table, degree, p, e] for p, _, e in parts]
-        while len(_EXPONENTS) > 128:
-            del _EXPONENTS[next(iter(_EXPONENTS))]
-    return found
+    exps = local_smith_exponents(_light_coboundary_matrix(table, identity, degree)[1], p, e)
+    return len(exps), tuple(x for x in exps if x > 0)
 
 
 def cohomology_group(group: FiniteGroup, coeffs: AbelianCoefficients,
@@ -860,11 +853,11 @@ def cohomology_group(group: FiniteGroup, coeffs: AbelianCoefficients,
     |P|.  For p^f exactly dividing m with p | |P| (other p add nothing), a
     and b are the exponents below e = min(f, v_p(|P|) + 1) of the divisors of
     d_degree and d_(degree-1), read from `_exponents` (one elimination per
-    group, degree, p and e per process, and one build of each d_n per call,
-    on Light's rows: they give the full d_n's exponents); d_0 = 0, as
-    (d_0 a)(p) = a - a under the trivial action, so for degree 1 b is empty;
-    the p-part of H^degree(P, Z_m) is (Z/p^f)^(k - |a| - |b|) plus Z/p^x for
-    each x > 0 in a and b, k = |P|^degree.
+    group, degree, p and e, on Light's rows: they give the full d_n's
+    exponents); d_0 = 0, as (d_0 a)(p) = a - a under the trivial action,
+    so for degree 1 b is empty; the p-part of H^degree(P, Z_m) is
+    (Z/p^f)^(k - |a| - |b|) plus Z/p^x for each x > 0 in a and b,
+    k = |P|^degree.
     """
     if degree not in (1, 2):
         raise ValueError("cohomology computed for degrees 1 and 2 only")
@@ -873,8 +866,11 @@ def cohomology_group(group: FiniteGroup, coeffs: AbelianCoefficients,
              for p, f in prime_power_factors(m) if p in valuation]
     k = group.order ** degree
     primary: dict[int, list[int]] = {}
-    below = _exponents(group, 1, parts) if degree == 2 else [(0, ())] * len(parts)
-    for (p, f, _), (len_a, a), (len_b, b) in zip(parts, _exponents(group, degree, parts), below):
+    table, identity = group.table, group.identity
+    for p, f, e in parts:
+        # d_1 first: when both are over budget, its refusal is the one named
+        len_b, b = _exponents(table, identity, 1, p, e) if degree == 2 else (0, ())
+        len_a, a = _exponents(table, identity, degree, p, e)
         powers = primary.setdefault(p, [])
         powers += [p ** f] * (k - len_a - len_b)
         powers += [p ** x for x in a + b]

@@ -147,6 +147,21 @@ def test_group_h_rejects_order_zero_but_not_trivial_group(capsys):
         assert rep["result"]["trivial"] is True
 
 
+@pytest.mark.parametrize("coeff, message", [
+    ("z1", "every cyclic factor must have order >= 2"),
+    ("2,1", "every cyclic factor must have order >= 2"),
+    ("2,x", "unknown coefficient group: '2,x'"),
+])
+def test_group_h_names_the_coefficient_refusal(capsys, coeff, message):
+    # both spellings of a factor of order 1 get the refusal itself; only a
+    # name that does not parse is unknown
+    code = main(["group", "h", "--group", "z2", "--coeff", coeff, "--degree", "1"])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("doc, message", [
     ({"table": 5}, "'int' object is not iterable"),
     ({"tab": [[0]]}, "missing key 'table'"),
@@ -789,11 +804,14 @@ _Z2Z2 = ["--group", "z2", "--coeff", "z2"]
      {"--state": _STATE}),
     (["modular", "analyze", "--seed", "1"], "--state", _STATE_6_DECIMALS,
      {"--algebra": _ALGEBRA}),
+    (["group", "h", "--coeff", "z2", "--degree", "2"], "--group", "[" * 100000, {}),
+    (["lie", "generate", "--algebra", "poincare4"], "--generators", "[" * 100000, {}),
 ], ids=["generators-int", "generators-missing", "generators-syntax", "element-int",
         "build-values", "split-values", "value-length", "equiv-values", "sigma-int", "sigma-range",
         "modular-algebra", "modular-state", "modular-state-length", "wedge-int", "generators-infinity",
         "generators-overflow", "generators-zero-denominator", "algebra-infinity", "group-infinity",
-        "cocycle-infinity", "algebra-non-square", "modular-state-norm"])
+        "cocycle-infinity", "algebra-non-square", "modular-state-norm", "group-deep",
+        "generators-deep"])
 def test_json_input_errors_name_file_and_exit_two(capsys, tmp_path, argv, flag, doc, good):
     path = tmp_path / "bad.json"
     path.write_text(doc if isinstance(doc, str) else json.dumps(doc))

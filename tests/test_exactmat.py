@@ -1012,9 +1012,14 @@ def test_solve_mod_checks_every_right_hand_side_on_a_cached_factorization(modulu
 
 @pytest.mark.parametrize("modulus", [2, 4, 6, 36])
 def test_solve_mod_on_a_matrix_with_list_rows(modulus):
-    # the raw constructor keeps list rows, which cannot key the cache
+    # the raw constructor stores list rows as tuples, so the matrix equals
+    # its frozen copy and keys the cache as the copy does
     m = IntegerMatrix(2, 3, ([1, 2, 0], [0, 3, 1]))
     frozen = IntegerMatrix.from_rows(m.entries)
+    assert m == frozen and hash(m) == hash(frozen)
+    exactmat._factored.cache_clear()
     for rhs in ([1, 0], [0, 5], [3, 3]):
         assert solve_mod(m, rhs, modulus) == sweep_solve(frozen, rhs, modulus)
         assert solve_mod(m, rhs, modulus) == solve_mod(frozen, rhs, modulus)
+    info = exactmat._factored.cache_info()
+    assert (info.misses, info.hits) == (1, 8)

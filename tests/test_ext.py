@@ -19,6 +19,7 @@ from cohomkit.ext import (
 )
 from cohomkit.grpcoh import (
     _NAMED_GROUPS,
+    _light_coboundary_matrix,
     _value_indices,
     AbelianCoefficients,
     Cochain,
@@ -919,7 +920,7 @@ def test_is_split_on_a_noncocycle_that_passes_light_rows_returns_none():
     vals[i] = A.add(vals[i], (1,))
     bad = Cochain(P, A, 2, tuple(vals))
     assert not coboundary(bad).is_zero()
-    rows, d = ext_module._light_d1(P.table, P.identity)
+    rows, d = _light_coboundary_matrix(P.table, P.identity, 1)
     assert i not in rows and solve_mod(d, [vals[i][0] for i in rows], 4) is not None
     assert ext_module._solve_coboundary(P, A, bad) is None
     assert is_split(build_extension(P, A, bad, validate=False)) is None
@@ -950,6 +951,15 @@ def test_solve_on_a_group_whose_full_d1_is_over_budget_is_refused_fast():
                                                     "102400 x 320 matrix"):
             call()
     assert time.perf_counter() - start < 1.0
+
+
+def test_build_on_a_group_whose_full_d2_is_over_budget_reads_lights_rows():
+    # the cocycle condition reads Light's rows of d_2 (2048 of them for z32)
+    # without the full d_2's size refusal, which 32^5 cells would meet
+    P, A = group_by_name("z32"), coefficients_by_name("z2")
+    assert build_extension(P, A, Cochain.zero(P, A, 2)).carrier.order == 64
+    with pytest.raises(SizeLimitExceeded, match="d_2 of a group of order 32 is a "):
+        _light_coboundary_matrix(P.table, P.identity, 2)
 
 
 # ---------------------------------------------------------------------------

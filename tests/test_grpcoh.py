@@ -239,11 +239,11 @@ def test_light_incidence_is_the_incidence_on_lights_rows(gname):
         gens = grpcoh._generating_set(FiniteGroup(P.order, table, identity))
         S = sorted({identity, *gens})
         for n in (1, 2):
-            rows, faces = grpcoh._light_incidence(table, identity, n)
+            rows, d = grpcoh._light_incidence(table, identity, n)
             assert rows == tuple(i for i, args in enumerate(product(range(P.order),
                                                                     repeat=n + 1))
                                  if args[1] in S)
-            assert faces == tuple(tuple(col[i] for i in rows) for col in _incidence(table, n))
+            assert d.columns == tuple(tuple(col[i] for i in rows) for col in _incidence(table, n))
 
 
 # ---------------------------------------------------------------------------
@@ -863,35 +863,32 @@ def test_memoized_cohomology_matches_per_modulus_oracle(gname):
 
 
 def test_repeated_cohomology_builds_no_coboundary_matrix(monkeypatch):
-    # a build of either kind counts: the full d_n, which no route takes, or
-    # Light's rows of d_1 and d_2
-    calls = []
-    full, light = grpcoh.coboundary_matrix, grpcoh._light_coboundary_matrix
+    # each d_n is built at most once per process, on Light's rows (a miss
+    # of `_light_incidence`), and the full d_n, which no route takes, never
+    full_builds = []
+    full = grpcoh.coboundary_matrix
 
     def counting_full(group, degree):
-        calls.append(degree)
+        full_builds.append(degree)
         return full(group, degree)
 
-    def counting_light(table, identity, degree):
-        calls.append(degree)
-        return light(table, identity, degree)
-
     monkeypatch.setattr(grpcoh, "coboundary_matrix", counting_full)
-    monkeypatch.setattr(grpcoh, "_light_coboundary_matrix", counting_light)
-    grpcoh._EXPONENTS.clear()
+    grpcoh._exponents.cache_clear()
+    grpcoh._light_incidence.cache_clear()
+
+    def builds():
+        return grpcoh._light_incidence.cache_info().misses
+
     a4, z6 = group_by_name("a4"), coefficients_by_name("z6")
     assert cohomology_group(a4, z6, 2) == [6]
-    assert sorted(calls) == [1, 2]  # d_2 and d_1, each shared by the primes 2 and 3
-    calls.clear()
+    assert builds() == 2  # d_2 and d_1, each shared by the primes 2 and 3
     assert cohomology_group(group_by_name("a4"), z6, 2) == [6]
-    assert calls == []
-    # H^1 shares the d_1 entries, and d_0 = 0 needs no build
+    # H^1 shares the d_1 exponents, and d_0 = 0 needs no build
     assert cohomology_group(a4, z6, 1) == [3]
-    assert calls == []
-    # two factors with the same prime but new exponents share one build too
-    calls.clear()
+    assert grpcoh._exponents.cache_info().misses == 4
+    # two factors with the same prime but new exponents reuse both builds
     assert cohomology_group(a4, AbelianCoefficients((4, 8)), 2) == [2, 2]
-    assert sorted(calls) == [1, 2]
+    assert builds() == 2 and full_builds == []
 
 
 # H^2(P, Z) = P^ab and H^3(P, Z) = the Schur multiplier, as divisor chains
@@ -911,7 +908,30 @@ def test_integral_cohomology_from_memoized_exponents(gname):
     for n, expected in zip((1, 2), INTEGRAL_COHOMOLOGY[gname]):
         torsion = []
         for p, v in prime_power_factors(P.order):
-            exps, higher = grpcoh._exponents(P, n, [(p, v + 1, v + 1), (p, v + 2, v + 2)])
+            exps, higher = (grpcoh._exponents(P.table, P.identity, n, p, e)
+                            for e in (v + 1, v + 2))
             assert exps == higher
             torsion += [p ** x for x in exps[1]]
         assert _invariant_factors_merge(torsion) == expected, (gname, n)
+
+
+def test_exponent_and_light_row_caches_are_bounded():
+    grpcoh._exponents.cache_clear()
+    grpcoh._light_incidence.cache_clear()
+    # 33 groups' d_1 over four prime powers each: 132 exponent entries
+    for k in range(1, 34):
+        P = group_by_name(f"z{k}")
+        for p, e in ((2, 1), (2, 2), (3, 1), (5, 1)):
+            grpcoh._exponents(P.table, P.identity, 1, p, e)
+    exponents, light = grpcoh._exponents.cache_info(), grpcoh._light_incidence.cache_info()
+    assert (exponents.misses, exponents.currsize) == (132, 128)
+    assert (light.misses, light.currsize) == (33, 32)
+    # a group whose full d_2 is over budget is refused before either cache
+    # is reached, on every call
+    z64 = group_by_name("z64")
+    for _ in range(2):
+        with pytest.raises(SizeLimitExceeded, match="d_2 of a group of order 64"):
+            grpcoh._exponents(z64.table, z64.identity, 2, 2, 1)
+    assert grpcoh._exponents.cache_info().currsize == 128
+    assert grpcoh._exponents.cache_info().misses == 134
+    assert grpcoh._light_incidence.cache_info() == light
