@@ -43,11 +43,13 @@ it, so the free columns are the RREF's non-pivot columns; a free column's
 combination, 1 there and otherwise on held columns only, is the unique
 kernel vector that is 1 there and 0 at the other free columns; and a
 right-hand side that reduces to zero leaves a combination on held columns
-only, the unique solution that is 0 on every free column.  `solve_mod`
-factors each (matrix, modulus) once for the last SOLVE_CACHE_SIZE pairs
-(held columns at p^e = 2, row operations U and V's lane columns
-otherwise; pivots are chosen on the matrix alone, so U b is what an
-appended b would have become).
+only, the unique solution that is 0 on every free column.  `kernel_mod`
+and `solve_mod` share one factorization per (matrix, modulus) for the
+last SOLVE_CACHE_SIZE pairs, `_factored`: the column echelon at p^e = 2,
+otherwise the pivots and the final lane words.  Pivots are chosen on the
+matrix alone, so a right-hand side reduced against the pivot columns
+takes the steps an appended column would have taken, and nothing else
+of the elimination is kept.
 Smith form with transforms over Z, `smith_transforms`, has no caller left
 in the package.
 
@@ -456,8 +458,7 @@ def _gf2_column_echelon(words: Sequence[int]) -> tuple[dict, list[tuple[int, int
     return held, free
 
 
-def _local_eliminate(cols: list[int], rows: int, lanes: _Lanes, p: int, e: int,
-                     log: list | None = None) -> list[tuple]:
+def _local_eliminate(cols: list[int], rows: int, lanes: _Lanes, p: int, e: int) -> list[tuple]:
     """The one elimination over Z/p^e, p^e > 2, behind exponents, kernels
     and solves, on lane columns: word c holds entry (i, c) mod p^e in lane
     i (`lanes`), and `cols` is updated in place.
@@ -467,19 +468,18 @@ def _local_eliminate(cols: list[int], rows: int, lanes: _Lanes, p: int, e: int,
     drops the pivot row; afterwards every live entry is divisible by
     p^(v+1).  Lanes stay reduced mod p^e, so nothing grows.  A column, once
     pivoted, is zero in every live row from then on, so only the columns
-    not yet pivoted are searched and read.
+    not yet pivoted are searched and read, and a pivot column is never
+    written again.
 
-    Pivots come back as (c, v, inv, support), inv = (x_c / p^v)^-1 and
-    support the nonzero (j, x_j) of the pivot row.  The row operations
-    row -= (row[c] / p^v) inv pivot row and the column operations col_j -=
-    (x_j / p^v) inv col_c, j != c, are one multiply-add per support column:
-    col_j += (q - x_j / p^v) G with G = col_c inv, no lane divided (every
-    live x is divisible by p^v).  On live rows that is the row operation,
-    and the column operations change no live row (column c is zero there
-    once it is cleared), so an identity block in the lanes past `rows` ends
-    as V, and U m V is zero but for the pivots.  A `log` list receives the
-    row operations U, one (pivot row, [(row, f), ...]) per pivot, rows by
-    their lane: row -= f pivot row, in elimination order.
+    Pivots come back as (c, v, inv, support, i), inv = (x_c / p^v)^-1,
+    support the nonzero (j, x_j) of the pivot row and i its lane.  The row
+    operations row -= (row[c] / p^v) inv pivot row and the column
+    operations col_j -= (x_j / p^v) inv col_c, j != c, are one multiply-add
+    per support column: col_j += (q - x_j / p^v) G with G = col_c inv, no
+    lane divided (every live x is divisible by p^v).  On live rows that is
+    the row operation, and the column operations change no live row
+    (column c is zero there once it is cleared), so an identity block in
+    the lanes past `rows` ends as V, and m V is zero but for the pivots.
     """
     q, width, lane, reduce = p ** e, lanes.width, lanes.lane, lanes.reduce
     live = (1 << rows * width) - 1  # every lane of the rows not yet pivots
@@ -498,32 +498,13 @@ def _local_eliminate(cols: list[int], rows: int, lanes: _Lanes, p: int, e: int,
             live ^= at
             support = [(j, cols[j] >> s & lane) for j in unpivoted if cols[j] & at]
             inv = pow((w >> s & lane) // pv, -1, q)
-            if log is not None:
-                hits, rest = [], w & live
-                while rest:
-                    k = ((rest & -rest).bit_length() - 1) // width
-                    x = rest >> k * width & lane
-                    rest ^= x << k * width
-                    hits.append((k, x // pv * inv % q))
-                log.append((i, hits))
             g = reduce(w * inv)
             for j, x in support:
                 if j != c:
                     cols[j] = reduce(cols[j] + (q - x // pv) * g)
             unpivoted.remove(c)
-            pivots.append((c, v, inv, support))
+            pivots.append((c, v, inv, support, i))
     return pivots
-
-
-def _eliminate_with_v(m: IntegerMatrix | IncidenceMatrix, p: int, e: int,
-                      log: list | None = None) -> tuple[list, _Lanes, list[int]]:
-    """`_local_eliminate` on m's lane columns with an identity block in the
-    lanes past m's rows: (pivots, lanes, V's lane columns)."""
-    lanes = _Lanes(p ** e, m.rows + m.cols)
-    base = m.rows * lanes.width
-    cols = [w | 1 << base + j * lanes.width for j, w in enumerate(m._lane_columns(lanes))]
-    pivots = _local_eliminate(cols, m.rows, lanes, p, e, log)
-    return pivots, lanes, [w >> base for w in cols]
 
 
 def local_smith_exponents(m: IntegerMatrix | PrimeFieldMatrix | IncidenceMatrix,
@@ -589,7 +570,7 @@ class IntegerMatrix(_DenseRows):
 class IncidenceMatrix:
     """Sparse integer matrix of signed face columns: row j is
     sum_i (-1)^i e_{columns[i][j]}, so a repeated index adds up (or cancels)
-    in its row.  Equal and hashed by its fields, so `solve_mod` keys its
+    in its row.  Equal and hashed by its fields, so `_factored` keys its
     factorizations by them; the dense `entries` are built on first read."""
 
     rows: int
@@ -750,29 +731,29 @@ def smith_transforms(m: IntegerMatrix, want_u: bool = True, want_v: bool = True)
     )
 
 
-SOLVE_CACHE_SIZE = 32  # (matrix, modulus) factorizations `solve_mod` keeps
+SOLVE_CACHE_SIZE = 32  # (matrix, modulus) factorizations `kernel_mod` and `solve_mod` share
 
 
 @lru_cache(maxsize=SOLVE_CACHE_SIZE)
 def _factored(m: IntegerMatrix | IncidenceMatrix, modulus: int) -> tuple:
-    """m eliminated once per p^e exactly dividing the modulus, as
-    (p, e, pivots, U) per prime power.
+    """m eliminated once per p^e exactly dividing the modulus, as (p, e,
+    factor) per prime power, for `kernel_mod` and `solve_mod` alike.
 
-    At p^e = 2, pivots are the held columns of m's column echelon, which
-    carry their combination bits, and U is None.  Otherwise they are
-    `_local_eliminate`'s on m's lane columns, and U is its operation log,
-    which a right-hand side is replayed through, with the indices of the
-    rows that are no pivot, which must end at 0, the lanes and V's lane
-    columns."""
+    At p^e = 2 the factor is the column echelon (held, free) of m's GF(2)
+    column words.  Otherwise it is (pivots, lanes, words): the pivots of
+    `_local_eliminate` on m's lane columns with an identity block in the
+    lanes past m's rows, and the final words, whose lanes past the rows
+    are V.  A pivot column keeps the word it was pivoted on; every other
+    column ends zero on the rows, so its word is its column of V."""
     parts = []
     for p, e in prime_power_factors(modulus):
         if p ** e == 2:
-            parts.append((p, e, _gf2_column_echelon(m._gf2_columns())[0], None))
-        else:
-            log: list = []
-            pivots, lanes, v = _eliminate_with_v(m, p, e, log)
-            rest = sorted(set(range(m.rows)).difference(src for src, _ in log))
-            parts.append((p, e, pivots, (log, rest, lanes, v)))
+            parts.append((p, e, _gf2_column_echelon(m._gf2_columns())))
+            continue
+        lanes = _Lanes(p ** e, m.rows + m.cols)
+        base = m.rows * lanes.width
+        words = [w | 1 << base + j * lanes.width for j, w in enumerate(m._lane_columns(lanes))]
+        parts.append((p, e, (_local_eliminate(words, m.rows, lanes, p, e), lanes, words)))
     return tuple(parts)
 
 
@@ -787,19 +768,19 @@ def solve_mod(m: IntegerMatrix | IncidenceMatrix, rhs: Sequence[int],
               modulus: int) -> list[int] | None:
     """One solution of m x = rhs (mod modulus), or None.
 
-    m is factored once per (m, modulus) by `_factored` and the factorization
-    kept, SOLVE_CACHE_SIZE of them, least recently used first out.  Per p^e
-    exactly dividing the modulus: at p^e = 2 the packed right-hand side is
-    reduced against the held columns of m's column echelon; a bit left
-    over means no solution, otherwise the combination
-    carried along is the solution, on held columns only.  Otherwise b mod
-    p^e is replayed through the logged row operations U (pivots are chosen
-    on m alone, so U b is what an appended b would have become); a pivot
-    u p^a with reduced right-hand side r needs p^a | r and sets
-    y_c = (r / p^a) u^-1, every other row needs r = 0, and x = V y, the
-    sum of y_c times V's lane column c, one multiply-add each.  The
-    prime-power solutions are combined by CRT.  A modulus or rhs entry that
-    `operator.index` refuses is a ValueError.
+    Per p^e exactly dividing the modulus, the packed right-hand side is
+    reduced against m's factorization (`_factored`), as one more column
+    would have been.  At p^e = 2 it is reduced against the held columns of
+    the column echelon; a bit left over means no solution, otherwise the
+    combination carried along is the solution, on held columns only.
+    Otherwise b mod p^e is one lane word, zero past the rows, taken through
+    the pivots in order: with y its lane at the pivot's row, a pivot
+    (c, v, inv) needs p^v | y and adds (q - y / p^v) G_c, G_c = col_c inv,
+    which clears that lane.  A pivot column is not written once pivoted,
+    so col_c is the word the pivot took.  Every lane on the rows must then
+    be 0, and the lanes past them, the same combination of V's columns,
+    hold -x.  The prime-power solutions are combined by CRT.  A modulus or
+    rhs entry that `operator.index` refuses is a ValueError.
     """
     modulus = _positive_modulus(modulus)
     if len(rhs) != m.rows:
@@ -807,29 +788,27 @@ def solve_mod(m: IntegerMatrix | IncidenceMatrix, rhs: Sequence[int],
     rhs = _as_ints(rhs, "right-hand side position")
     n = m.cols
     x = [0] * n
-    for p, e, pivots, u in _factored(m, modulus):
+    for p, e, factor in _factored(m, modulus):
         q = p ** e
         if q == 2:
-            b, comb = _gf2_reduce(pivots, sum(1 << i for i, y in enumerate(rhs) if y & 1), 0)
+            b, comb = _gf2_reduce(factor[0], sum(1 << i for i, y in enumerate(rhs) if y & 1), 0)
             if b:
                 return None
             local = [comb >> j & 1 for j in range(n)]
         else:
-            log, rest, lanes, v_cols = u
-            r = [b % q for b in rhs]
-            for src, hits in log:
-                s = r[src]
-                if s:
-                    for t, f in hits:
-                        r[t] = (r[t] - f * s) % q
-            if any(r[i] for i in rest):
+            pivots, lanes, words = factor
+            width, lane, reduce = lanes.width, lanes.lane, lanes.reduce
+            base = m.rows * width
+            b = sum(y % q << s for y, s in zip(rhs, range(0, base, width)))
+            for c, v, inv, _, i in pivots:
+                y = b >> i * width & lane
+                if y:
+                    if y % p ** v:
+                        return None
+                    b = reduce(b + (q - y // p ** v) * reduce(words[c] * inv))
+            if b & (1 << base) - 1:
                 return None
-            vy = 0
-            for (c, v, inv, _), (src, _) in zip(pivots, log):
-                if r[src] % p ** v:
-                    return None
-                vy = lanes.reduce(vy + r[src] // p ** v * inv % q * v_cols[c])
-            local = lanes.unpack(vy, n)
+            local = [-y % q for y in lanes.unpack(b >> base, n)]
         w = modulus // q
         crt = w * pow(w, -1, q)  # 1 mod q, 0 mod the other prime powers
         x = [(a + crt * b) % modulus for a, b in zip(x, local)]
@@ -840,10 +819,10 @@ def kernel_mod(m: IntegerMatrix | IncidenceMatrix,
                modulus: int) -> list[tuple[tuple[int, ...], int]]:
     """Generators of {x mod modulus : m x = 0 (mod modulus)} with their orders.
 
-    Per p^e exactly dividing the modulus, `_local_eliminate` on m's lane
-    columns gives m's pivots over Z/p^e and the columns of V: a pivot of
-    valuation a yields V e_c p^(e-a) of order p^a, and an unpivoted column
-    V e_c of order p^e.
+    Per p^e exactly dividing the modulus, m's factorization (`_factored`,
+    shared with `solve_mod`) gives m's pivots over Z/p^e and the columns
+    of V: a pivot of valuation a yields V e_c p^(e-a) of order p^a, and an
+    unpivoted column V e_c of order p^e.
     At p^e = 2 the columns that reduce to zero in m's column echelon are
     the unpivoted ones, and each one's combination is the same V e_c: the
     one kernel vector that is 1 at c and 0 at the other free columns.  The
@@ -854,20 +833,20 @@ def kernel_mod(m: IntegerMatrix | IncidenceMatrix,
     """
     modulus = _positive_modulus(modulus)
     chains = []
-    for p, e in prime_power_factors(modulus):
+    for p, e, factor in _factored(m, modulus):
         step = modulus // p ** e
         if p ** e == 2:
-            free = _gf2_column_echelon(m._gf2_columns())[1]
             chains.append([(2, [step if x >> j & 1 else 0 for j in range(m.cols)])
-                           for _, x in free])
+                           for _, x in factor[1]])
             continue
-        pivots, lanes, v_cols = _eliminate_with_v(m, p, e)
+        pivots, lanes, words = factor
+        base = m.rows * lanes.width
         level = {c: v for c, v, *_ in pivots}
         part = []
         for c in range(m.cols):
             a = level.get(c, e)
             if a:
-                gen = lanes.reduce(v_cols[c] * p ** (e - a))
+                gen = lanes.reduce((words[c] >> base) * p ** (e - a))
                 part.append((p ** a, [x * step for x in lanes.unpack(gen, m.cols)]))
         chains.append(sorted(part, key=lambda g: -g[0]))
     gens = []

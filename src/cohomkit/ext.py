@@ -9,16 +9,16 @@ the additive reading of the multiplicative rule (a,p)(b,q) = (ab w(p,q)^{-1}, pq
 Associativity of this table is literally the cocycle condition, and a
 non-cocycle input is rejected with a triple witnessing the failure.  The
 condition is decided on Light's rows (p, s, r) of d_2, s the identity or a
-generator from the irredundant set of `grpcoh._generating_set`, and the
-full d_2 omega runs only to name the triple; a cocycle is a coboundary
-d_1 phi iff it is one on the rows (p, s), so `_solve_coboundary` solves
-only those and then compares the full d_1 phi, and
-`_class_representatives` keys the classes of H^2 by annihilators of d_1 on
-those rows (see `grpcoh._light_incidence`).  Both read the matrix of the
-rows (p, s) that grpcoh caches per group, and `solve_mod` factors it once
-per modulus, so each target costs a replay of that factorization.  The
-carrier's index shifts and labels depend on A and P's labels alone and are
-built once per pair.
+generator from the irredundant set of `grpcoh._generating_set`, and d_2
+omega is scanned, one first argument p at a time, only to name the
+triple; a cocycle is a coboundary d_1 phi iff it is one on the rows
+(p, s), so `_solve_coboundary` solves only those and then compares the
+full d_1 phi, and `_class_representatives` keys the classes of H^2 by
+annihilators of d_1 on those rows (see `grpcoh._light_incidence`).  The
+solves read the matrix of the rows (p, s) that grpcoh caches per group,
+and exactmat factors it once per modulus, so each target costs one
+reduction against its pivot columns.  The carrier's index shifts and
+labels depend on A and P's labels alone and are built once per pair.
 
 Both identity tests, the cocycle condition and d_1 phi = target, run in one
 pass over A-indices (`grpcoh._value_indices`, which reads every value mod
@@ -63,6 +63,8 @@ from .grpcoh import (
     FiniteGroup,
     GroupHom,
     SizeLimitExceeded,
+    _face_sums,
+    _faces,
     _gather,
     _incidence,
     _index_addition,
@@ -121,6 +123,21 @@ def _is_cocycle(P: FiniteGroup, orders: tuple[int, ...], idx: Sequence[int]) -> 
     faces = _light_incidence(P.table, P.identity, 2)[1].columns
     s_r, ps_r, p_sr, p_s = (_gather(idx, col) for col in faces)
     return _sums_agree(orders, s_r, p_sr, ps_r, p_s)
+
+
+def _first_failure(omega: Cochain) -> tuple[int, int, int]:
+    """The first (p, q, r) in mixed-radix order where d_2 omega is nonzero,
+    for a 2-cochain omega that is no cocycle: the triple
+    `coboundary(omega).first_nonzero()` names, scanned one first argument
+    p at a time, so that only the |P|^2 rows (p, q, r) of d_2 are built at
+    once and the |P|^3 incidence of `_incidence` never is."""
+    P, zero = omega.group, omega.coeffs.zero()
+    for p in range(P.order):
+        args = [(p, q, r) for q in range(P.order) for r in range(P.order)]
+        for triple, x in zip(args, _face_sums(omega, _faces(P.table, args, 2))):
+            if x != zero:
+                return triple
+    raise RuntimeError("a cochain that fails Light's test has no failing triple")  # impossible
 
 
 class NotACocycleError(ValueError):
@@ -271,7 +288,8 @@ def build_extension(P: FiniteGroup, A: AbelianCoefficients, omega: Cochain,
     on Light's rows (p, s, r) of d_2 alone, s the identity or a generator of
     P (the middles (0, s) and (a, 1) generate the carrier), by `_is_cocycle`
     on the A-indices of omega that the table is built from; only a failure
-    pays for the full d_2 omega that names the triple.  For a cocycle, all
+    pays for d_2 omega, scanned by `_first_failure` up to the triple it
+    names.  For a cocycle, all
     that `CentralExtensionTable.validate` checks holds by construction, so
     the table is not validated again: d_2 omega (1, 1, q) = d_2 omega (p, 1, 1)
     = 0 give omega(1, q) = omega(p, 1) = u, so (u, 1) is a two-sided identity
@@ -298,7 +316,7 @@ def build_extension(P: FiniteGroup, A: AbelianCoefficients, omega: Cochain,
                 f"{size} x {size} multiplication table", size * size)
     idx = _value_indices(A.orders, omega.values)
     if validate and not _is_cocycle(P, A.orders, idx):
-        bad = coboundary(omega).first_nonzero()
+        bad = _first_failure(omega)
         raise NotACocycleError(
             f"cochain is not a 2-cocycle: associativity of the extension "
             f"table fails on triple {bad}", bad)
@@ -375,8 +393,8 @@ def _solve_coboundary(P: FiniteGroup, A: AbelianCoefficients,
     Only Light's rows (p, s) of d_1 are solved, s the identity or a
     generator of P (|P| |S| rows instead of |P|^2): for a cocycle target
     they decide (see `_light_incidence`).  The matrix is the one grpcoh
-    caches per group, so `solve_mod` eliminates it once per modulus and
-    replays its row operations on each target.  A target that is no
+    caches per group, so it is eliminated once per modulus and each target
+    is reduced against its pivot columns.  A target that is no
     cocycle may still be solved on them, so phi is returned only when the
     full d_1 phi equals the target, read mod m as `solve_mod` reads it:
     `_d1_matches`, one pass over A-indices with no d_1 phi built.  A group

@@ -42,8 +42,9 @@ recently used first out: the full face columns by `_incidence` (per table
 and degree, 32 entries), Light's rows and their `IncidenceMatrix` by
 `_light_incidence` (per table, identity and degree, 32), and the H^n
 exponents over Z/p^e by `_exponents` (per table, identity, degree, p and
-e, 128).  exactmat's `_factored` keeps the factorizations of the cached
-matrix per modulus, which `ext._solve_coboundary` replays.
+e, 128).  exactmat's `_factored` keeps one factorization of the cached
+matrix per modulus, which the kernels of `cocycle_space` and the solves
+of `ext._solve_coboundary` read alike.
 
 Two computation routes coexist and are cross-checked in the tests:
 

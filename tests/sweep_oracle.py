@@ -4,12 +4,13 @@ the 2 in 6 or 10 included, as an oracle for the packed eliminations.
 `exactmat` runs p^e = 2 on a GF(2) column echelon of packed column words
 and reads kernels and solutions off the combinations it carries, and runs
 p^e > 2 on lane columns, entry (i, c) mod p^e in lane i of word c, with
-one multiply-add per pivot and column; this module keeps the one dense
+one multiply-add per pivot and column, reducing a right-hand side against
+the pivot columns afterwards.  This module keeps the one dense
 list-of-rows elimination (every prime power, no packing, no zero-row
-drops) that both routes must agree with, output for output, and that the
-lane engine must match pivot for pivot and row operation for row
-operation.
-"""
+drops) that both routes must agree with, output for output: `sweep_solve`
+appends the right-hand side as a column and eliminates it with the rest.
+The lane engine must also match it pivot for pivot, each pivot on the row
+that `local_eliminate`'s `log` records."""
 
 from __future__ import annotations
 

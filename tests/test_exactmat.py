@@ -678,17 +678,17 @@ _LANE_MODULI = ((3, 1), (2, 2), (5, 1), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3))
 def _assert_lane_pivots_match(m, p: int, e: int) -> None:
     """`_local_eliminate` on m's lane columns, with and without the
     identity lanes that carry V, takes the sweep's pivots (c, v, inv,
-    support) and logs its row operations."""
+    support), each at the lane of the row the sweep pivots on."""
     sweep_log: list = []
     expected = [(c, v, inv, support) for c, v, inv, _, support
                 in local_eliminate(m.entries, m.cols, p, e, sweep_log)[0]]
+    expected_rows = [row for row, _ in sweep_log]
     lanes = exactmat._Lanes(p ** e, m.rows)
-    log: list = []
-    assert exactmat._local_eliminate(m._lane_columns(lanes), m.rows, lanes, p, e, log) \
-        == expected, (p, e, m)
-    assert log == sweep_log, (p, e, m)
-    log = []
-    assert exactmat._eliminate_with_v(m, p, e, log)[0] == expected and log == sweep_log
+    bare = exactmat._local_eliminate(m._lane_columns(lanes), m.rows, lanes, p, e)
+    factor = exactmat._factored.__wrapped__(m, p ** e)[0][2]
+    for pivots in (bare, factor[0]):
+        assert [pivot[:4] for pivot in pivots] == expected, (p, e, m)
+        assert [i for *_, i in pivots] == expected_rows, (p, e, m)
 
 
 def test_lane_engine_takes_the_sweep_pivots_and_row_operations():
@@ -903,7 +903,8 @@ def test_moduli_and_exponents_that_are_no_integer_are_refused(bad):
 
 
 # ---------------------------------------------------------------------------
-# solve_mod: one factorization per (matrix, modulus), replayed per right-hand side
+# solve_mod: one factorization per (matrix, modulus), each right-hand side
+# reduced against its pivot columns
 
 
 _REPLAY_MODULI = (2, 4, 6, 8, 9, 12, 36)
@@ -994,6 +995,23 @@ def test_factorization_cache_is_bounded():
     info = exactmat._factored.cache_info()
     assert info.misses == SOLVE_CACHE_SIZE + 8
     assert info.currsize == SOLVE_CACHE_SIZE
+
+
+@pytest.mark.parametrize("modulus", [2, 4, 9, 12])
+def test_kernels_and_solves_share_one_factorization(modulus):
+    # kernel_mod then solve_mod on one (matrix, modulus): one elimination
+    P = group_by_name("q8")
+    m = _light_coboundary_matrix(P.table, P.identity, 1)[1]
+    exactmat._factored.cache_clear()
+    gens = kernel_mod(m, modulus)
+    assert exactmat._factored.cache_info().misses == 1
+    rng = random.Random(modulus)
+    for rhs in _rhs_batch(m, modulus, rng):
+        assert solve_mod(m, rhs, modulus) == sweep_solve(IntegerMatrix.from_rows(m.entries),
+                                                         rhs, modulus)
+    assert kernel_mod(m, modulus) == gens
+    info = exactmat._factored.cache_info()
+    assert (info.misses, info.currsize) == (1, 1)
 
 
 @pytest.mark.parametrize("modulus", [2, 4, 6])

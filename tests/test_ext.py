@@ -9,6 +9,7 @@ from math import prod
 import pytest
 
 from cohomkit import ext as ext_module
+from cohomkit import grpcoh
 from cohomkit.ext import (
     CentralExtensionTable,
     NotACocycleError,
@@ -169,6 +170,43 @@ def test_noncocycle_rejected_with_violating_triple():
             assert err.value.triple == expected, (gname, aname, trial)
             rejected += 1
     assert rejected >= 40
+
+
+@pytest.mark.parametrize("gname", sorted(_NAMED_GROUPS))
+def test_a_non_cocycle_is_named_without_the_full_d2_incidence(gname, monkeypatch):
+    # the witness scan builds d_2 omega one first argument p at a time and
+    # still names the first nonzero value of the full d_2 omega; with
+    # omega(1, .) constant the rows (1, q, r) vanish, so the scan also has to
+    # pass a first argument with no failure
+    rng = random.Random(f"witness:{gname}")
+    named = group_by_name(gname)
+    cases = []
+    for P in (named, _relabelled_group(named, rng)):
+        for aname in ("z2", "z4", "z2xz2", "z6"):
+            A = coefficients_by_name(aname)
+            for trial in range(4):
+                w = Cochain.random(P, A, 2, rng)
+                if trial % 2:
+                    u, N = A.element(rng.randrange(A.size)), P.order
+                    w = Cochain(P, A, 2, tuple(u if k // N == P.identity else v
+                                               for k, v in enumerate(w.values)))
+                bad = coboundary(w).first_nonzero()
+                if bad is not None:
+                    cases.append((P, A, w, bad))
+    assert len(cases) >= 24
+    assert any(bad[0] != 0 for *_, bad in cases)
+    full = grpcoh._incidence
+
+    def without_d2(table, n):
+        assert n != 2, "the full d_2 incidence was built"
+        return full(table, n)
+
+    monkeypatch.setattr(grpcoh, "_incidence", without_d2)
+    monkeypatch.setattr(ext_module, "_incidence", without_d2)
+    for P, A, w, bad in cases:
+        with pytest.raises(NotACocycleError) as err:
+            ext_module.build_extension(P, A, w)
+        assert err.value.triple == bad, (gname, A.orders)
 
 
 def test_normalized_noncocycles_give_loops_light_test_rejects():
