@@ -608,18 +608,17 @@ class IncidenceMatrix:
         return words
 
     def _lane_columns(self, lanes: _Lanes) -> list[int]:
-        """Lane columns: each face adds its sign into lane j of word
-        columns[i][j]; after every q faces, q is added to each lane and the
-        words reduced, so no lane goes negative or past what `reduce` takes."""
+        """Lane columns: each face adds its sign mod q, 1 or q - 1, into lane
+        j of word columns[i][j]; reducing after every q faces keeps a lane
+        at most (q - 1) + q (q - 1) = q^2 - 1, what `reduce` takes."""
         words = [0] * self.cols
         bits = [1 << s for s in range(0, self.rows * lanes.width, lanes.width)]
-        signed = (bits, [-bit for bit in bits])
-        offset = lanes.fill(lanes.q, self.rows)
+        signed = (bits, [(lanes.q - 1) * bit for bit in bits])
         for start in range(0, len(self.columns), lanes.q):
             for i in range(start, min(start + lanes.q, len(self.columns))):
                 for c, bit in zip(self.columns[i], signed[i & 1]):
                     words[c] += bit
-            words = [lanes.reduce(w + offset) for w in words]
+            words = list(map(lanes.reduce, words))
         return words
 
 

@@ -397,9 +397,10 @@ def _solve_coboundary(P: FiniteGroup, A: AbelianCoefficients,
     is reduced against its pivot columns.  A target that is no
     cocycle may still be solved on them, so phi is returned only when the
     full d_1 phi equals the target, read mod m as `solve_mod` reads it:
-    `_d1_matches`, one pass over A-indices with no d_1 phi built.  A group
-    whose full d_1 exceeds DENSE_CELL_LIMIT cells is refused on every call
-    before anything is built, as the full-row solve refused it.
+    `_d1_matches`, one pass over A-indices with no d_1 phi built.  Only
+    the rows' budget applies: z320 (640 x 320) is solved though its full
+    d_1 is over DENSE_CELL_LIMIT, and z1450 (2900 x 1450) is refused on
+    every call before its rows are built.
     """
     rows, dmat = _light_coboundary_matrix(P.table, P.identity, 1)
     rhs = _gather(target.values, rows)

@@ -23,8 +23,9 @@ those whose second argument is the identity or a generator from the
 irredundant set of `_generating_set` (q8: i and j, so 192 rows of d_2 and
 24 of d_1), as an `exactmat.IncidenceMatrix`, which exactmat eliminates
 from the face columns without a dense matrix (GF(2) column words, or lane
-columns over Z/p^e); `_light_coboundary_matrix` hands it out after the
-full d_n's size refusal.
+columns over Z/p^e); `_light_coboundary_matrix` hands it out, refused
+past DENSE_CELL_LIMIT cells of its own (z64's d_2: 8192 x 4096), so S4,
+SL(2, 3) and z32 have H^2 though their full d_2 is over that budget.
 For n = 1, 2 the rows have the kernel of the full d_n over every Z/p^e, so
 every elimination in the group layer runs on them: `cocycle_space`, the
 H^n exponents of `_exponents`, and `ext._class_representatives` and
@@ -58,7 +59,9 @@ Two computation routes coexist and are cross-checked in the tests:
 
 Groups are stored by full multiplication table and validated by direct scan
 (Latin square, identity) and Light's associativity test on a generating
-set; everything here is desk scale.
+set; everything here is desk scale.  Every closure under a product is
+`_reached`: s3, a4 and q8 (`_closed_group` on permutations and integer
+quaternions), generated subgroups, and the graphs of `hom_group`.
 """
 
 from __future__ import annotations
@@ -67,13 +70,14 @@ import operator
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, compress, product, repeat
+from itertools import compress, product, repeat
 from math import gcd, prod
 from operator import itemgetter
 from typing import Iterable, Sequence
 
-from .exactmat import (IncidenceMatrix, IntegerMatrix, SizeLimitExceeded, _as_int, _as_ints,
-                       check_dense, kernel_mod, local_smith_exponents, prime_power_factors)
+from .exactmat import (DENSE_CELL_LIMIT, IncidenceMatrix, IntegerMatrix, SizeLimitExceeded,
+                       _as_int, _as_ints, check_dense, kernel_mod, local_smith_exponents,
+                       prime_power_factors)
 
 __all__ = [
     "FiniteGroup",
@@ -210,43 +214,6 @@ class FiniteGroup:
         return cls(n * m, table, idx(g.identity, h.identity),
                    name or f"{g.name}x{h.name}", labels)
 
-    @classmethod
-    def symmetric3(cls) -> "FiniteGroup":
-        return _permutation_group(3, "s3")
-
-    @classmethod
-    def alternating4(cls) -> "FiniteGroup":
-        return _permutation_group(4, "a4", even_only=True)
-
-    @classmethod
-    def quaternion8(cls) -> "FiniteGroup":
-        # elements 1, -1, i, -i, j, -j, k, -k encoded as (sign, axis)
-        names = ["1", "-1", "i", "-i", "j", "-j", "k", "-k"]
-
-        def decode(x):
-            return (1 if x % 2 == 0 else -1, x // 2)  # axis 0 = scalar
-
-        def encode(sign, axis):
-            return axis * 2 + (0 if sign == 1 else 1)
-
-        # quaternion unit multiplication on axes {1, i, j, k}
-        unit = {
-            (0, 0): (1, 0), (0, 1): (1, 1), (0, 2): (1, 2), (0, 3): (1, 3),
-            (1, 0): (1, 1), (1, 1): (-1, 0), (1, 2): (1, 3), (1, 3): (-1, 2),
-            (2, 0): (1, 2), (2, 1): (-1, 3), (2, 2): (-1, 0), (2, 3): (1, 1),
-            (3, 0): (1, 3), (3, 1): (1, 2), (3, 2): (-1, 1), (3, 3): (-1, 0),
-        }
-        table = []
-        for x in range(8):
-            sx, ax = decode(x)
-            row = []
-            for y in range(8):
-                sy, ay = decode(y)
-                s, a = unit[(ax, ay)]
-                row.append(encode(sx * sy * s, a))
-            table.append(tuple(row))
-        return cls(8, tuple(table), 0, "q8", tuple(names))
-
     def subgroup(self, elements: Iterable[int], name: str = "") -> tuple["FiniteGroup", list[int]]:
         """Subgroup on the given (closed) element set; returns the group with
         reindexed table and the embedding new index -> old index."""
@@ -277,22 +244,51 @@ def _check_indices(values: Sequence, n: int, where: str) -> None:
             raise ValueError(f"{where}[{i}] is {x!r}, not an integer in 0..{n - 1}")
 
 
-def _permutation_group(n: int, name: str, even_only: bool = False) -> FiniteGroup:
-    from itertools import permutations
+def _reached(start, gens: Sequence, mul) -> set:
+    """The elements reached from `start` by right multiplication mul(x, g)
+    with `gens`: from an element of a finite group, the subgroup they generate."""
+    reached, frontier = {start}, [start]
+    while frontier:
+        x = frontier.pop()
+        new = {mul(x, g) for g in gens} - reached
+        reached |= new
+        frontier += new
+    return reached
 
-    def parity(p):
-        inv = sum(1 for i, j in combinations(range(len(p)), 2) if p[i] > p[j])
-        return inv % 2
 
-    perms = [p for p in permutations(range(n)) if not even_only or parity(p) == 0]
-    index = {p: i for i, p in enumerate(perms)}
+def _closed_group(gens: Sequence, mul, name: str, key, label) -> FiniteGroup:
+    """The group `gens` generate under `mul`, its elements sorted by `key`
+    and labelled by `label`; the identity is the one idempotent."""
+    elems = sorted(_reached(gens[0], gens, mul), key=key)
+    index = {x: i for i, x in enumerate(elems)}
+    table = tuple(tuple(index[mul(x, y)] for y in elems) for x in elems)
+    identity = next(i for i, row in enumerate(table) if row[i] == i)
+    return FiniteGroup(len(elems), table, identity, name, tuple(map(label, elems)))
 
-    def compose(p, q):  # (p o q)(x) = p(q(x))
-        return tuple(p[q[x]] for x in range(n))
 
-    table = tuple(tuple(index[compose(p, q)] for q in perms) for p in perms)
-    labels = tuple("".join(map(str, p)) for p in perms)
-    return FiniteGroup(len(perms), table, index[tuple(range(n))], name, labels)
+def _compose(p: tuple, q: tuple) -> tuple:
+    """(p o q)(x) = p(q(x)) on permutation tuples."""
+    return tuple(map(p.__getitem__, q))
+
+
+def _hamilton(x: tuple, y: tuple) -> tuple:
+    """The Hamilton product of quaternions (w, i, j, k)."""
+    (a, b, c, d), (e, f, g, h) = x, y
+    return (a * e - b * f - c * g - d * h, a * f + b * e + c * h - d * g,
+            a * g - b * h + c * e + d * f, a * h + b * g - c * f + d * e)
+
+
+def _unit_key(x: tuple) -> tuple[int, bool]:
+    """(axis, sign) of a unit quaternion on one axis: 1, -1, i, -i, ... in order."""
+    return next((axis, c < 0) for axis, c in enumerate(x) if c)
+
+
+def _digits(p: tuple) -> str:
+    return "".join(map(str, p))
+
+
+def _unit_label(x: tuple) -> str:
+    return "-" * _unit_key(x)[1] + "1ijk"[_unit_key(x)[0]]
 
 
 _NAMED_GROUPS = {
@@ -304,9 +300,10 @@ _NAMED_GROUPS = {
     "z8": lambda: FiniteGroup.cyclic(8),
     "klein4": lambda: FiniteGroup.direct_product(
         FiniteGroup.cyclic(2), FiniteGroup.cyclic(2), name="klein4"),
-    "s3": FiniteGroup.symmetric3,
-    "q8": FiniteGroup.quaternion8,
-    "a4": FiniteGroup.alternating4,
+    "s3": lambda: _closed_group([(1, 0, 2), (0, 2, 1)], _compose, "s3", None, _digits),
+    "q8": lambda: _closed_group([(0, 1, 0, 0), (0, 0, 1, 0)], _hamilton, "q8",
+                                _unit_key, _unit_label),
+    "a4": lambda: _closed_group([(1, 2, 0, 3), (1, 0, 3, 2)], _compose, "a4", None, _digits),
 }
 
 
@@ -612,7 +609,7 @@ def _light_incidence(table: tuple[tuple[int, ...], ...], identity: int,
     P^(n+1) whose second argument lies in S = {1} + `_generating_set`:
     their mixed-radix indices, and d_n on them as the `IncidenceMatrix` of
     their face columns, in mixed-radix order, built without the full
-    incidence and without the full d_n's size refusal.  There are
+    incidence and unbudgeted (ext reads the columns alone).  There are
     |P| |S| |P|^(n-1) rows, and the generating set is irredundant, so q8
     (S = {1, i, j}) has 192 rows of d_2 and 24 of d_1 out of 512 and 64.
 
@@ -677,15 +674,6 @@ def coboundary(f: Cochain) -> Cochain:
     return Cochain(f.group, f.coeffs, n + 1, _face_sums(f, _incidence(f.group.table, n)))
 
 
-def _check_coboundary_size(order: int, degree: int) -> tuple[int, int]:
-    """The shape of d_degree for a group of the given order, refused with
-    SizeLimitExceeded beyond DENSE_CELL_LIMIT cells."""
-    rows, cols = order ** (degree + 1), order ** degree
-    check_dense(f"d_{degree} of a group of order {order} is a {rows} x {cols} matrix",
-                rows * cols)
-    return rows, cols
-
-
 def coboundary_matrix(group: FiniteGroup, degree: int) -> IntegerMatrix:
     """Integer matrix of d_degree acting on one cyclic coefficient factor:
     rows indexed by P^{degree+1}, columns by P^{degree}: the dense entries
@@ -693,7 +681,9 @@ def coboundary_matrix(group: FiniteGroup, degree: int) -> IntegerMatrix:
     matrix of more than DENSE_CELL_LIMIT cells is refused before anything
     is built.  No computation here runs on it; the tests take it as their
     oracle."""
-    rows, cols = _check_coboundary_size(group.order, degree)
+    rows, cols = group.order ** (degree + 1), group.order ** degree
+    check_dense(f"d_{degree} of a group of order {group.order} is a {rows} x {cols} matrix",
+                rows * cols)
     faces = IncidenceMatrix(rows, cols, _incidence(group.table, degree))
     return IntegerMatrix(rows, cols, faces.entries)
 
@@ -701,12 +691,19 @@ def coboundary_matrix(group: FiniteGroup, degree: int) -> IntegerMatrix:
 def _light_coboundary_matrix(table: tuple[tuple[int, ...], ...], identity: int,
                              degree: int) -> tuple[tuple[int, ...], IncidenceMatrix]:
     """`_light_incidence` of d_degree, degree 1 or 2, whose matrix has the
-    kernel of the full d_degree over every Z/p^e.  A group whose full
-    d_degree exceeds DENSE_CELL_LIMIT cells is refused first, on every
-    call, with the full matrix's message, so the Light-row routes keep its
-    domain."""
-    _check_coboundary_size(len(table), degree)
-    return _light_incidence(table, identity, degree)
+    full d_degree's kernel over every Z/p^e, refused on every call
+    past DENSE_CELL_LIMIT cells.  A nontrivial group has at least
+    2 |P|^degree such rows, so past 2 |P|^(2 degree) cells they are
+    counted, not built."""
+    N, cols = len(table), len(table) ** degree
+    if 2 * cols * cols <= DENSE_CELL_LIMIT:
+        light = _light_incidence(table, identity, degree)
+        rows = light[1].rows
+    else:  # refused below
+        light, rows = None, cols * (1 + len(_generating_set(FiniteGroup(N, table, identity))))
+    check_dense(f"Light's rows of d_{degree} of a group of order {N} are a {rows} x {cols} "
+                f"matrix", rows * cols)
+    return light
 
 
 # ---------------------------------------------------------------------------
@@ -736,9 +733,8 @@ def cocycle_space(group: FiniteGroup, coeffs: AbelianCoefficients,
     Only Light's rows of d_n are eliminated, (p, s) or (p, s, r) with s
     the identity or a generator of P: they have the kernel of the full d_n
     over every Z/p^e (see `_light_incidence`), so they give the same Z^n in
-    |S| / |P| of the rows.  A group whose full d_n exceeds DENSE_CELL_LIMIT
-    cells is refused first.  Each generator's value table is the factor's
-    column beside shared zero columns."""
+    |S| / |P| of the rows, and only their budget applies.  Each generator's
+    value table is the factor's column beside shared zero columns."""
     if degree not in (1, 2):
         raise ValueError("cocycle spaces computed for degrees 1 and 2 only")
     _, dmat = _light_coboundary_matrix(group.table, group.identity, degree)
@@ -833,7 +829,7 @@ def _exponents(table: tuple[tuple[int, ...], ...], identity: int, degree: int,
     """How many exponents below e the elementary divisors of d_degree have
     over Z/p^e, and the nonzero ones among them, eliminated on the matrix
     of `_light_coboundary_matrix`, which `_light_incidence` builds once per
-    group and degree.
+    group and degree; one over its budget is refused on every call.
 
     For degree 1 or 2 the exponents are read off Light's rows of d_degree:
     they have its kernel over Z/p^e (see `_light_incidence`), so their
@@ -869,7 +865,7 @@ def cohomology_group(group: FiniteGroup, coeffs: AbelianCoefficients,
     primary: dict[int, list[int]] = {}
     table, identity = group.table, group.identity
     for p, f, e in parts:
-        # d_1 first: when both are over budget, its refusal is the one named
+        # d_1 first: its Light's rows are the smaller, so its refusal is named
         len_b, b = _exponents(table, identity, 1, p, e) if degree == 2 else (0, ())
         len_a, a = _exponents(table, identity, degree, p, e)
         powers = primary.setdefault(p, [])
@@ -919,18 +915,8 @@ class GroupHom:
 
 
 def _generated(group: FiniteGroup, gens: Sequence[int]) -> set[int]:
-    """The elements reached from the identity by right multiplication with
-    `gens`: the subgroup they generate."""
-    generated = {group.identity}
-    frontier = [group.identity]
-    while frontier:
-        row = group.table[frontier.pop()]
-        for g in gens:
-            y = row[g]
-            if y not in generated:
-                generated.add(y)
-                frontier.append(y)
-    return generated
+    """The subgroup `gens` generate."""
+    return _reached(group.identity, gens, lambda x, g: group.table[x][g])
 
 
 def _generating_set(group: FiniteGroup) -> list[int]:
@@ -958,10 +944,10 @@ def _generating_set(group: FiniteGroup) -> list[int]:
 
 def hom_group(group: FiniteGroup, coeffs: AbelianCoefficients) -> list[GroupHom]:
     """All homomorphisms P -> A, enumerated on the irredundant generating
-    set S of `_generating_set` and extended by multiplicativity; serves as
-    the independent oracle for H^1.  The |A|^|S| assignments are refused
-    past ENUMERATION_LIMIT before anything is built (q8 has |S| = 2, so
-    |A|^2 of them)."""
+    set S of `_generating_set`; the independent oracle for H^1.  Images a_s
+    extend to one iff the pairs (s, a_s) generate a subgroup of P x A of
+    order |P|, its graph.  The |A|^|S| assignments are refused past
+    ENUMERATION_LIMIT before anything is built (q8: |S| = 2)."""
     gens = _generating_set(group)
     count = coeffs.size ** len(gens)
     if count > ENUMERATION_LIMIT:
@@ -969,24 +955,13 @@ def hom_group(group: FiniteGroup, coeffs: AbelianCoefficients) -> list[GroupHom]
             f"{count} generator assignments exceed the enumeration bound",
             ENUMERATION_LIMIT, count)
     target = coeffs.as_group()
+    table, add = group.table, target.table
     homs = []
     for images in product(range(target.order), repeat=len(gens)):
-        values = [-1] * group.order
-        values[group.identity] = target.identity
-        frontier = [group.identity]
-        while frontier:
-            x = frontier.pop()
-            for g, img in zip(gens, images):
-                y = group.mul(x, g)
-                fy = target.mul(values[x], img)
-                if values[y] == -1:
-                    values[y] = fy
-                    frontier.append(y)
-        consistent = all(
-            values[group.mul(a, b)] == target.mul(values[a], values[b])
-            for a in group.elements() for b in group.elements())
-        if consistent:
-            homs.append(GroupHom(group, target, tuple(values)))
+        graph = _reached((group.identity, target.identity), tuple(zip(gens, images)),
+                         lambda x, g: (table[x[0]][g[0]], add[x[1]][g[1]]))
+        if len(graph) == group.order:
+            homs.append(GroupHom(group, target, tuple(a for _, a in sorted(graph))))
     return homs
 
 

@@ -225,15 +225,16 @@ def test_sigma_values_must_be_element_indices(capsys, tmp_path, values, message)
 
 @pytest.mark.parametrize("cmd", ["h", "cocycles"])
 def test_group_over_dense_budget_exits_two_fast(capsys, cmd):
-    # d_2 of z64 would be a 64^3 x 64^2 dense matrix
+    # Light's rows of d_2 of z64, (p, s, r) with s = 0 or 1, would be an
+    # 8192 x 4096 matrix; they are counted, not built
     start = time.perf_counter()
     code = main(["group", cmd, "--group", "z64", "--coeff", "z2", "--degree", "2"])
     assert time.perf_counter() - start < 1.0
     captured = capsys.readouterr()
     assert code == EXIT_USAGE
     assert captured.out == ""
-    assert captured.err.startswith("error: ")
-    assert str(64 ** 5) in captured.err and str(2 ** 22) in captured.err
+    assert captured.err == ("error: Light's rows of d_2 of a group of order 64 are a "
+                            f"8192 x 4096 matrix: {8192 * 4096} {BUDGET}\n")
 
 
 def test_group_h_coprime_coefficients_need_no_dense_matrix(capsys):
@@ -367,17 +368,25 @@ def test_oversized_extension_carrier_exits_two_fast(capsys, tmp_path):
 
 
 def test_oversized_correspondence_solve_exits_two_fast(capsys):
-    # the steps before the d_1 solve fit their budgets (d_2 of z20 is 3.2M
-    # cells); the solve on the cover is refused before anything is built
+    # the d_1 solve on the cover runs on Light's rows, 640 x 320 for z320,
+    # though the full d_1 of z320 would be 102400 x 320: H^1(Z16, Z2) of the
+    # kernel of z320 -> z20 matches H^2(z20, Z2) = Z2
+    code, rep = run_json(capsys, "group", "correspondence", "--cover", "z320", "--base", "z20",
+                         "--coeff", "z2")
+    assert code == EXIT_OK
+    result = rep["result"]
+    assert result["h1_S_order"] == result["h2_P_order"] == 2
+    assert result["applicable"] is True and result["map_injective"] is True
+    # z1450's Light's rows of d_1 are over budget; the steps before the
+    # solve fit theirs, and the solve is refused before its rows are built
     start = time.perf_counter()
-    code = main(["group", "correspondence", "--cover", "z320", "--base", "z20",
-                 "--coeff", "z2"])
+    code = main(["group", "correspondence", "--cover", "z1450", "--base", "z2", "--coeff", "z2"])
     assert time.perf_counter() - start < 10.0
     captured = capsys.readouterr()
     assert code == EXIT_USAGE
     assert captured.out == ""
-    assert captured.err == (f"error: d_1 of a group of order 320 is a 102400 x 320 matrix: "
-                            f"32768000 {BUDGET}\n")
+    assert captured.err == ("error: Light's rows of d_1 of a group of order 1450 are a "
+                            f"2900 x 1450 matrix: 4205000 {BUDGET}\n")
 
 
 def _nontrivial_cocycle_file(tmp_path):

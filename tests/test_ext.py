@@ -976,28 +976,38 @@ def test_unreduced_cocycle_values_build_and_split_as_their_residues():
 
 
 def test_solve_on_a_group_whose_full_d1_is_over_budget_is_refused_fast():
-    # Light's rows of z320 are small, but the solve keeps the full-row
-    # solve's domain: a full d_1 of 320^3 cells is refused before anything
-    # is built, the d_2 incidence included.  The table is built without this
-    # module's wrapper, whose full-scan oracle would visit 640^3 triples
+    # the full d_1 of z320 would be 320^3 cells, but the solve reads only
+    # Light's rows, 640 x 320, so the zero cocycle splits.  The table is
+    # built without this module's wrapper, whose full-scan oracle would
+    # visit 640^3 triples
     P, A = group_by_name("z320"), coefficients_by_name("z2")
     zero = Cochain(P, A, 2, (A.zero(),) * P.order ** 2)
     ext = ext_module.build_extension(P, A, zero, validate=False)
+    assert ext_module._solve_coboundary(P, A, zero).is_zero()
+    assert is_split(ext) is not None
+    # z1450's Light's rows of d_1 are 2900 x 1450, over budget: refused on
+    # every call before they are built
+    P = group_by_name("z1450")
+    zero = Cochain(P, A, 2, (A.zero(),) * P.order ** 2)
     start = time.perf_counter()
-    for call in (lambda: ext_module._solve_coboundary(P, A, zero), lambda: is_split(ext)):
-        with pytest.raises(SizeLimitExceeded, match="d_1 of a group of order 320 is a "
-                                                    "102400 x 320 matrix"):
-            call()
+    for _ in range(2):
+        with pytest.raises(SizeLimitExceeded, match="Light's rows of d_1 of a group of order "
+                                                    "1450 are a 2900 x 1450 matrix"):
+            ext_module._solve_coboundary(P, A, zero)
     assert time.perf_counter() - start < 1.0
 
 
 def test_build_on_a_group_whose_full_d2_is_over_budget_reads_lights_rows():
     # the cocycle condition reads Light's rows of d_2 (2048 of them for z32)
-    # without the full d_2's size refusal, which 32^5 cells would meet
+    # and so does H^2, though the full d_2 would be 32^5 cells
     P, A = group_by_name("z32"), coefficients_by_name("z2")
     assert build_extension(P, A, Cochain.zero(P, A, 2)).carrier.order == 64
-    with pytest.raises(SizeLimitExceeded, match="d_2 of a group of order 32 is a "):
-        _light_coboundary_matrix(P.table, P.identity, 2)
+    assert cohomology_group(P, A, 2) == [2]
+    # z39's Light's rows of d_2 are 3042 x 1521, over budget
+    z39 = group_by_name("z39")
+    with pytest.raises(SizeLimitExceeded, match="Light's rows of d_2 of a group of order 39 "
+                                                "are a 3042 x 1521 matrix"):
+        _light_coboundary_matrix(z39.table, z39.identity, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ import time
 import tracemalloc
 import warnings
 from itertools import permutations, product
-from math import prod
+from math import gcd, prod
 
 import pytest
 
@@ -124,6 +124,51 @@ def test_associativity_violation_detected():
     # a loop: Light's test fails, and the fallback scan names the oracle's triple
     loop = FiniteGroup(5, tuple(map(tuple, table)), 0, "loop5")
     assert assert_validate_matches_full_scan(loop) == "associativity fails on triple (1, 1, 2)"
+
+
+def _permutation_oracle(n, even_only=False):
+    """Order, table, identity and labels of S_n (A_n when even_only),
+    written out independently of the closure under generators:
+    itertools.permutations in lexicographic order, filtered by parity,
+    composed as (p o q)(x) = p(q(x))."""
+    def parity(p):
+        return sum(1 for i in range(n) for j in range(i + 1, n) if p[i] > p[j]) % 2
+
+    perms = [p for p in permutations(range(n)) if not even_only or parity(p) == 0]
+    index = {p: i for i, p in enumerate(perms)}
+    table = tuple(tuple(index[tuple(p[q[x]] for x in range(n))] for q in perms) for p in perms)
+    return len(perms), table, index[tuple(range(n))], tuple("".join(map(str, p)) for p in perms)
+
+
+def _q8_oracle():
+    """The same for Q8 from the multiplication of the units 1, i, j, k:
+    element 2 axis + (1 if negative), labelled 1, -1, i, -i, j, -j, k, -k."""
+    unit = {
+        (0, 0): (1, 0), (0, 1): (1, 1), (0, 2): (1, 2), (0, 3): (1, 3),
+        (1, 0): (1, 1), (1, 1): (-1, 0), (1, 2): (1, 3), (1, 3): (-1, 2),
+        (2, 0): (1, 2), (2, 1): (-1, 3), (2, 2): (-1, 0), (2, 3): (1, 1),
+        (3, 0): (1, 3), (3, 1): (1, 2), (3, 2): (-1, 1), (3, 3): (-1, 0),
+    }
+    table = []
+    for x in range(8):
+        row = []
+        for y in range(8):
+            sign, axis = unit[(x // 2, y // 2)]
+            sign *= (-1) ** (x % 2 + y % 2)
+            row.append(2 * axis + (sign < 0))
+        table.append(tuple(row))
+    return 8, tuple(table), 0, ("1", "-1", "i", "-i", "j", "-j", "k", "-k")
+
+
+@pytest.mark.parametrize("name, oracle", [
+    ("s3", lambda: _permutation_oracle(3)),
+    ("a4", lambda: _permutation_oracle(4, even_only=True)),
+    ("q8", _q8_oracle),
+])
+def test_named_groups_closed_from_generators_match_their_tables(name, oracle):
+    P = group_by_name(name)
+    assert (P.order, P.table, P.identity, P.labels) == oracle()
+    assert P.name == name
 
 
 def test_subgroup_extraction():
@@ -776,6 +821,62 @@ def test_h2_of_cyclic_groups_is_gcd_cyclic():
         assert factors == ([] if g == 1 else [g]), (n, m, factors)
 
 
+def _sl23_table():
+    """SL(2, 3): the 2 x 2 matrices over GF(3) of determinant 1, in
+    lexicographic order of their entries (a, b, c, d), multiplied mod 3."""
+    mats = [m for m in product(range(3), repeat=4) if (m[0] * m[3] - m[1] * m[2]) % 3 == 1]
+    index = {m: i for i, m in enumerate(mats)}
+
+    def mul(x, y):
+        a, b, c, d = x
+        e, f, g, h = y
+        return ((a * e + b * g) % 3, (a * f + b * h) % 3, (c * e + d * g) % 3, (c * f + d * h) % 3)
+
+    return [[index[mul(x, y)] for y in mats] for x in mats]
+
+
+def _s4_table():
+    perms = list(permutations(range(4)))
+    index = {p: i for i, p in enumerate(perms)}
+    return [[index[tuple(p[q[x]] for x in range(4))] for q in perms] for p in perms]
+
+
+# by universal coefficients, H^2(P, A) = Hom(H_2(P), A) + Ext(H_1(P), A):
+# S4 has H_1 = Z2 and H_2 = Z2, SL(2, 3) has H_1 = Z3 and H_2 = 0
+ORDER_24_H2 = [
+    ("s4", "z2", [2, 2]), ("s4", "z3", []), ("s4", "z4", [2, 2]), ("s4", "z2xz2", [2, 2, 2, 2]),
+    ("sl23", "z2", []), ("sl23", "z3", [3]), ("sl23", "z4", []),
+]
+
+
+@pytest.mark.parametrize("gname, aname, expected", ORDER_24_H2,
+                         ids=[f"{g}-{a}" for g, a, _ in ORDER_24_H2])
+def test_h2_of_groups_of_order_24_on_lights_rows(gname, aname, expected):
+    # their full d_2 is 13824 x 576, over the dense budget; Light's rows
+    # are 576 (1 + |S|) x 576
+    P = FiniteGroup.from_table({"s4": _s4_table, "sl23": _sl23_table}[gname](), name=gname)
+    with pytest.raises(SizeLimitExceeded):
+        coboundary_matrix(P, 2)
+    assert cohomology_group(P, coefficients_by_name(aname), 2) == expected
+
+
+def test_cocycles_of_s4_count_through_h2():
+    # |Z^2| = |C^1| |H^2| / |Z^1| = 2^24 * 4 / |Hom(S4, Z2)|, Hom(S4, Z2) = {1, sign}
+    P, A = FiniteGroup.from_table(_s4_table(), name="s4"), coefficients_by_name("z2")
+    assert len(hom_group(P, A)) == 2
+    assert cocycle_space(P, A, 2).order == 2 ** 25
+
+
+@pytest.mark.parametrize("n, m", [(32, 4), (32, 8), (36, 9), (38, 4)])
+def test_h2_of_cyclic_groups_past_the_full_d2_budget(n, m):
+    # H^2(Z_n, Z_m) = Z_gcd(n, m), where the full d_2 (n^5 cells) is over
+    # budget and Light's rows (2 n^2 x n^2) are not
+    P = group_by_name(f"z{n}")
+    with pytest.raises(SizeLimitExceeded):
+        coboundary_matrix(P, 2)
+    assert cohomology_group(P, coefficients_by_name(f"z{m}"), 2) == [gcd(n, m)]
+
+
 def test_coboundary_matrices_compose_to_zero_over_z():
     # d_{n+1} d_n = 0 already at the integer-matrix level, which the
     # universal-coefficient reading of H^n from the elementary divisors of
@@ -926,11 +1027,12 @@ def test_exponent_and_light_row_caches_are_bounded():
     exponents, light = grpcoh._exponents.cache_info(), grpcoh._light_incidence.cache_info()
     assert (exponents.misses, exponents.currsize) == (132, 128)
     assert (light.misses, light.currsize) == (33, 32)
-    # a group whose full d_2 is over budget is refused before either cache
-    # is reached, on every call
+    # a group whose Light's rows of d_2 are over budget, 8192 x 4096 for
+    # z64, is refused on every call, before either cache holds them
     z64 = group_by_name("z64")
     for _ in range(2):
-        with pytest.raises(SizeLimitExceeded, match="d_2 of a group of order 64"):
+        with pytest.raises(SizeLimitExceeded, match="Light's rows of d_2 of a group of order 64 "
+                                                    "are a 8192 x 4096 matrix"):
             grpcoh._exponents(z64.table, z64.identity, 2, 2, 1)
     assert grpcoh._exponents.cache_info().currsize == 128
     assert grpcoh._exponents.cache_info().misses == 134
