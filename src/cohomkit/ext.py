@@ -20,11 +20,11 @@ and exactmat factors it once per modulus, so each target costs one
 reduction against its pivot columns.  The carrier's index shifts and
 labels depend on A and P's labels alone and are built once per pair.
 
-Both identity tests, the cocycle condition and d_1 phi = target, run in one
-pass over A-indices (`grpcoh._value_indices`, which reads every value mod
-m): each side of the identity is two index lists gathered at the face
-columns and added through the addition table of A on indices, all
-coordinates of A at once (`_sums_agree`).
+Both identity tests, the cocycle condition and d_1 phi = target, ask
+whether grpcoh's even and odd face sums (`grpcoh._even_odd`) agree on
+A-indices, read mod m by `grpcoh._value_indices`.  Neither builds a full
+incidence: Light's rows decide the cocycle condition, and the witness scan
+and d_1 phi = target run one first argument p at a time.
 
 Each fact is decided once, where its data come in: the cocycle condition
 by `build_extension`, whose table is then an extension by construction;
@@ -52,7 +52,7 @@ import operator
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, product, repeat
+from itertools import chain, compress, product, repeat
 from operator import itemgetter
 from typing import Sequence
 
@@ -63,10 +63,9 @@ from .grpcoh import (
     FiniteGroup,
     GroupHom,
     SizeLimitExceeded,
-    _face_sums,
+    _even_odd,
     _faces,
     _gather,
-    _incidence,
     _index_addition,
     _index_tables,
     _light_coboundary_matrix,
@@ -106,37 +105,26 @@ def _carrier_frame(orders: tuple[int, ...], n: int,
     return T, tuple(f"({a},{p})" for a in _index_tables(orders)[1] for p in labels)
 
 
-def _sums_agree(orders: tuple[int, ...], a, b, c, d) -> bool:
-    """a + b = c + d entrywise, for four equally long lists of A-indices,
-    through the addition table of A on indices: all coordinates at once."""
-    add = _index_addition(orders)
-    return (list(map(operator.getitem, _gather(add, a), b))
-            == list(map(operator.getitem, _gather(add, c), d)))
-
-
 def _is_cocycle(P: FiniteGroup, orders: tuple[int, ...], idx: Sequence[int]) -> bool:
     """d_2 omega = 0 for the 2-cochain on P whose values have the A-indices
     `idx`, decided on Light's rows (p, s, r) of `_light_incidence` alone
-    (|S| / |P| of the full d_2) as the identity
-    omega(s, r) + omega(p, s r) = omega(p s, r) + omega(p, s) on gathered
-    index lists."""
-    faces = _light_incidence(P.table, P.identity, 2)[1].columns
-    s_r, ps_r, p_sr, p_s = (_gather(idx, col) for col in faces)
-    return _sums_agree(orders, s_r, p_sr, ps_r, p_s)
+    (|S| / |P| of the full d_2): their even and odd face sums agree."""
+    even, odd = _even_odd(orders, idx, _light_incidence(P.table, P.identity, 2)[1].columns)
+    return even == odd
 
 
-def _first_failure(omega: Cochain) -> tuple[int, int, int]:
+def _first_failure(P: FiniteGroup, orders: tuple[int, ...],
+                   idx: Sequence[int]) -> tuple[int, int, int]:
     """The first (p, q, r) in mixed-radix order where d_2 omega is nonzero,
-    for a 2-cochain omega that is no cocycle: the triple
-    `coboundary(omega).first_nonzero()` names, scanned one first argument
-    p at a time, so that only the |P|^2 rows (p, q, r) of d_2 are built at
-    once and the |P|^3 incidence of `_incidence` never is."""
-    P, zero = omega.group, omega.coeffs.zero()
-    for p in range(P.order):
-        args = [(p, q, r) for q in range(P.order) for r in range(P.order)]
-        for triple, x in zip(args, _face_sums(omega, _faces(P.table, args, 2))):
-            if x != zero:
-                return triple
+    for the 2-cochain on P with A-indices `idx` that is no cocycle, scanned
+    one first argument p at a time: |P|^2 rows of d_2 at once, not |P|^3."""
+    N = P.order
+    for p in range(N):
+        args = [(p, q, r) for q in range(N) for r in range(N)]
+        even, odd = _even_odd(orders, idx, _faces(P.table, args, 2))
+        bad = next(compress(args, map(operator.ne, even, odd)), None)
+        if bad is not None:
+            return bad
     raise RuntimeError("a cochain that fails Light's test has no failing triple")  # impossible
 
 
@@ -316,7 +304,7 @@ def build_extension(P: FiniteGroup, A: AbelianCoefficients, omega: Cochain,
                 f"{size} x {size} multiplication table", size * size)
     idx = _value_indices(A.orders, omega.values)
     if validate and not _is_cocycle(P, A.orders, idx):
-        bad = _first_failure(omega)
+        bad = _first_failure(P, A.orders, idx)
         raise NotACocycleError(
             f"cochain is not a 2-cocycle: associativity of the extension "
             f"table fails on triple {bad}", bad)
@@ -397,7 +385,7 @@ def _solve_coboundary(P: FiniteGroup, A: AbelianCoefficients,
     is reduced against its pivot columns.  A target that is no
     cocycle may still be solved on them, so phi is returned only when the
     full d_1 phi equals the target, read mod m as `solve_mod` reads it:
-    `_d1_matches`, one pass over A-indices with no d_1 phi built.  Only
+    `_d1_matches`, one row of P's table at a time on A-indices.  Only
     the rows' budget applies: z320 (640 x 320) is solved though its full
     d_1 is over DENSE_CELL_LIMIT, and z1450 (2900 x 1450) is refused on
     every call before its rows are built.
@@ -418,12 +406,18 @@ def _solve_coboundary(P: FiniteGroup, A: AbelianCoefficients,
 
 
 def _d1_matches(P: FiniteGroup, orders: tuple[int, ...], phi_values, target_values) -> bool:
-    """d_1 phi = target on all of d_1, the target read mod m, decided as the
-    identity phi(q) + phi(p) = target(p, q) + phi(pq) on A-indices over the
-    face columns of `_incidence`."""
-    phi_idx = _value_indices(orders, phi_values)
-    q_col, pq_col, p_col = (_gather(phi_idx, col) for col in _incidence(P.table, 1))
-    return _sums_agree(orders, q_col, p_col, _value_indices(orders, target_values), pq_col)
+    """d_1 phi = target on all of d_1, the target read mod m, decided on
+    A-indices one row p of P's table at a time as the identity
+    phi(q) + phi(p) = target(p, q) + phi(pq): the even and odd face sums of
+    the rows (p, q), so no d_1 incidence is built."""
+    N, phi = P.order, _value_indices(orders, phi_values)
+    # the row of the addition table at each target(p, q): adding it is one lookup
+    plus_target = _gather(_index_addition(orders), _value_indices(orders, target_values))
+    for p, row in enumerate(P.table):
+        even, odd = _even_odd(orders, phi, (range(N), row, (p,) * N))
+        if even != tuple(map(operator.getitem, plus_target[p * N:(p + 1) * N], odd)):
+            return False
+    return True
 
 
 def _search_coboundary(P: FiniteGroup, A: AbelianCoefficients,
@@ -581,7 +575,7 @@ def h1_h2_correspondence_check(E: FiniteGroup, sigma: GroupHom,
         phi = _solve_coboundary(E, A, omega_tilde)
         if phi is None:
             return CorrespondenceReport(
-                E.name, P.name, A.size, h1_order, h2_order,
+                E.name, P.name, s_group.order, h1_order, h2_order,
                 applicable=False, failing_class=ci, class_to_hom=[], injective=False)
         U = construct_splitting(E, sigma, ext, phi)
         # U covers sigma, so U(s) = (a, 1) for s in ker sigma; psi(s) = a - u
@@ -594,6 +588,6 @@ def h1_h2_correspondence_check(E: FiniteGroup, sigma: GroupHom,
         })
     injective = len(set(psi_tables)) == len(psi_tables)
     return CorrespondenceReport(
-        E.name, P.name, A.size, h1_order, h2_order,
+        E.name, P.name, s_group.order, h1_order, h2_order,
         applicable=True, failing_class=None,
         class_to_hom=class_to_hom, injective=injective)

@@ -15,28 +15,28 @@ extensions).
 The sum is written once, as the face columns of `_faces`: n + 2 columns,
 column i holding the column index of the i-th term (sign (-1)^i) for each
 argument tuple; the incidence `_incidence` holds them for every argument
-tuple of P^(n+1).
-`coboundary` sums the columns over a value table, and `coboundary_matrix`
-adds them into a dense integer matrix (refused beyond DENSE_CELL_LIMIT
-cells).  `_light_incidence` builds the same columns on Light's rows only,
-those whose second argument is the identity or a generator from the
-irredundant set of `_generating_set` (q8: i and j, so 192 rows of d_2 and
-24 of d_1), as an `exactmat.IncidenceMatrix`, which exactmat eliminates
-from the face columns without a dense matrix (GF(2) column words, or lane
-columns over Z/p^e); `_light_coboundary_matrix` hands it out, refused
-past DENSE_CELL_LIMIT cells of its own (z64's d_2: 8192 x 4096), so S4,
+tuple of P^(n+1).  Every value-level d f is one face sum, `_even_odd`: the
+even and the odd columns summed over the A-indices of f (`_value_indices`)
+through the addition table of A on indices.  `coboundary` returns even
+minus odd on `_incidence`, refused past DENSE_CELL_LIMIT face indices,
+|P|^(n+1) (n + 2), before it is built; `coboundary_matrix`, the tests'
+oracle, adds the columns into a dense integer matrix (refused beyond
+DENSE_CELL_LIMIT cells).  No other code builds a full incidence.
+`_light_incidence` builds the same columns on Light's rows only, those
+whose second argument is the identity or a generator from the irredundant
+set of `_generating_set` (q8: i and j, so 192 rows of d_2 and 24 of d_1),
+as an `exactmat.IncidenceMatrix`, which exactmat eliminates from the face
+columns without a dense matrix (GF(2) column words, or lane columns over
+Z/p^e); `_light_coboundary_matrix` hands it out, refused past
+DENSE_CELL_LIMIT cells of its own (z64's d_2: 8192 x 4096), so S4,
 SL(2, 3) and z32 have H^2 though their full d_2 is over that budget.
 For n = 1, 2 the rows have the kernel of the full d_n over every Z/p^e, so
 every elimination in the group layer runs on them: `cocycle_space`, the
 H^n exponents of `_exponents`, and `ext._class_representatives` and
-`ext._solve_coboundary`.  ext reads the face columns for its own identity
-tests on A-indices (`_value_indices`): `ext.build_extension` decides
-d_2 omega = 0 on the rows (p, s, r) alone and runs the full d_2 omega only
-on a failure, whose first nonzero value is the cocycle witness, and
-`ext._solve_coboundary` checks d_1 phi = target on the columns of
-`_incidence`.  `coboundary_matrix` builds the full d_n as the tests'
-oracle; no computation here needs it (the trivial action makes d_0 zero).
-The enumeration oracle writes its equations out separately on purpose.
+`ext._solve_coboundary`.  ext's identity tests ask whether the face sums
+agree: d_2 omega = 0 on the rows (p, s, r), its witness and
+d_1 phi = target one first argument at a time (the trivial action makes
+d_0 zero).  The enumeration oracle writes its equations out separately.
 
 Each object derived from a group table is cached by one function, least
 recently used first out: the full face columns by `_incidence` (per table
@@ -386,10 +386,8 @@ class AbelianCoefficients:
     def as_group(self, name: str = "") -> FiniteGroup:
         """The same abelian group as a multiplication table, elements in
         index order (compatible with `index`/`element`)."""
-        n = self.size
-        check_dense(f"the coefficient group of order {n} has a {n} x {n} addition table", n * n)
         orders = tuple(self.orders)
-        return FiniteGroup(n, _index_addition(orders), 0,
+        return FiniteGroup(self.size, _index_addition(orders), 0,
                            name or "+".join(f"z{m}" for m in orders), _index_tables(orders)[1])
 
 
@@ -408,7 +406,10 @@ def _index_tables(orders: tuple[int, ...]) -> tuple[tuple, tuple[str, ...], tupl
 def _index_addition(orders: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     """The addition table of A = Z_{m_1} + ... + Z_{m_r} on the indices of
     `_index_tables`, built one cyclic factor at a time: index i m + x plus
-    index j m + y is (i + j) m + (x + y mod m)."""
+    index j m + y is (i + j) m + (x + y mod m).  A table of more than
+    DENSE_CELL_LIMIT cells is refused before it is built."""
+    n = prod(orders)
+    check_dense(f"the coefficient group of order {n} has a {n} x {n} addition table", n * n)
     table: tuple[tuple[int, ...], ...] = ((0,),)
     for m in orders:
         table = tuple(tuple(t * m + (x + y) % m for t in row for y in range(m))
@@ -651,27 +652,31 @@ def _columnwise(op, orders: Sequence[int], xs, ys) -> tuple[tuple[int, ...], ...
     return tuple(zip(*cols)) if cols else ((),) * len(xs)
 
 
-def _face_sums(f: Cochain, faces) -> tuple[tuple[int, ...], ...]:
-    """The face columns summed with their signs (-1)^i over the values of f,
-    one coordinate mod m_k at a time: d f on the rows the columns cover."""
-    coords = []
-    for k, m in enumerate(f.coeffs.orders):
-        x = list(map(itemgetter(k), f.values))
-        terms = [_gather(x, col) for col in faces]
-        acc = terms[0]
-        for i, term in enumerate(terms[1:], 1):
-            acc = map(operator.sub if i % 2 else operator.add, acc, term)
-        coords.append(list(map(m.__rmod__, acc)))
-    return tuple(zip(*coords)) if coords else ((),) * len(faces[0])
+def _even_odd(orders: tuple[int, ...], idx: Sequence[int], faces) -> list[tuple[int, ...]]:
+    """The even and the odd face columns of d f summed over the A-indices
+    `idx` of f (`_value_indices`), all coordinates of A at once through
+    `_index_addition`: d f is even minus odd on the rows the columns
+    cover, and zero there iff the two agree."""
+    add = _index_addition(orders)
+    sums = [_gather(idx, faces[0]), _gather(idx, faces[1])]
+    for i in range(2, len(faces)):
+        sums[i % 2] = tuple(map(operator.getitem, _gather(add, sums[i % 2]),
+                                _gather(idx, faces[i])))
+    return sums
 
 
 def coboundary(f: Cochain) -> Cochain:
-    """d_n f for n <= 2: the face columns of the incidence summed with their
-    signs, one coordinate mod m_k at a time."""
-    n = f.degree
+    """d_n f for n <= 2: even minus odd of `_even_odd` on the full
+    incidence, refused past DENSE_CELL_LIMIT face indices before it is built."""
+    n, N, orders = f.degree, f.group.order, f.coeffs.orders
     if n > 2:
         raise ValueError("coboundary implemented for degrees 0, 1, 2 only")
-    return Cochain(f.group, f.coeffs, n + 1, _face_sums(f, _incidence(f.group.table, n)))
+    check_dense(f"d_{n} of a group of order {N} has {n + 2} face columns of {N ** (n + 1)} "
+                f"rows", N ** (n + 1) * (n + 2))
+    even, odd = _even_odd(orders, _value_indices(orders, f.values), _incidence(f.group.table, n))
+    elements, _, neg = _index_tables(orders)
+    diff = map(operator.getitem, _gather(_index_addition(orders), even), _gather(neg, odd))
+    return Cochain(f.group, f.coeffs, n + 1, _gather(elements, list(diff)))
 
 
 def coboundary_matrix(group: FiniteGroup, degree: int) -> IntegerMatrix:

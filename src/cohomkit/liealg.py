@@ -127,22 +127,24 @@ class LieAlgebra(_BracketTable):
     @classmethod
     def from_brackets(cls, labels: Sequence[str], brackets: dict, name: str = "",
                       validate: bool = True) -> "LieAlgebra":
-        """Build from a sparse {(i, j): {k: coeff}} table, i < j; the
-        antisymmetric completion is filled in automatically."""
+        """Build from a sparse {(i, j): {k: coeff}} table; the antisymmetric
+        completion is filled in automatically.  Giving both (i, j) and
+        (j, i) is allowed only when they agree: [x_j, x_i] = -[x_i, x_j]."""
         n = len(labels)
         _check_table(n)
-        given: dict[tuple[int, int], dict[int, Fraction]] = defaultdict(dict)
+        given: dict[tuple[int, int], dict[int, Fraction]] = {}
         for (i, j), coeffs in brackets.items():
             if i == j:
                 raise ValueError("diagonal brackets are identically zero")
             if not all(0 <= m < n for m in (i, j, *coeffs)):
                 raise ValueError(f"bracket ({i}, {j}) has an index outside 0..{n - 1}")
-            for k, val in coeffs.items():
-                given[i, j][k] = Fraction(val)
-                given[j, i][k] = -Fraction(val)
+            row = {k: c for k, val in coeffs.items() if (c := Fraction(val))}
+            if given.setdefault((i, j), row) != row:
+                raise ValueError(f"inconsistent bracket given for pair ({min(i, j)}, {max(i, j)})")
+            given[j, i] = {k: -c for k, c in row.items()}
         rows = [[()] * n for _ in range(n)]
         for (i, j), coeffs in given.items():
-            rows[i][j] = tuple(sorted((k, c) for k, c in coeffs.items() if c))
+            rows[i][j] = tuple(sorted(coeffs.items()))
         alg = cls(tuple(str(l) for l in labels), tuple(map(tuple, rows)), name)
         if validate:
             alg.validate()
@@ -591,7 +593,7 @@ def algebra_from_json(text: str | dict, name: str = "", validate: bool = True) -
     labels = [str(x) for x in obj.get("labels", [f"x{i+1}" for i in range(n)])]
     if len(labels) != n:
         raise ValueError("label count does not match dim")
-    seen: dict[tuple[int, int], dict[int, Fraction]] = {}
+    given: dict[tuple[int, int], dict[int, Fraction]] = {}
     for item in obj.get("brackets", []):
         i, j = int(item["i"]), int(item["j"])
         if not (0 <= i < n and 0 <= j < n):
@@ -607,11 +609,7 @@ def algebra_from_json(text: str | dict, name: str = "", validate: bool = True) -
                     f"unknown label {key!r} in the coeffs of bracket ({i}, {j}); "
                     f"known labels: {', '.join(labels)} (or indices 0..{n - 1})")
             coeffs[k] = Fraction(val)
-        a, b = (i, j) if i < j else (j, i)
-        oriented = coeffs if i < j else {k: -v for k, v in coeffs.items()}
-        if (a, b) in seen:
-            if seen[(a, b)] != oriented:
-                raise ValueError(f"inconsistent bracket given for pair ({a}, {b})")
-        else:
-            seen[(a, b)] = oriented
-    return LieAlgebra.from_brackets(labels, seen, name=name, validate=validate)
+        # a pair listed twice must agree; (i, j) against (j, i) is from_brackets' check
+        if given.setdefault((i, j), coeffs) != coeffs:
+            raise ValueError(f"inconsistent bracket given for pair ({min(i, j)}, {max(i, j)})")
+    return LieAlgebra.from_brackets(labels, given, name=name, validate=validate)

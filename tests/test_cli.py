@@ -592,6 +592,16 @@ def test_group_correspondence(capsys):
     assert rep["result"]["applicable"] is True
 
 
+@pytest.mark.parametrize("cover, base, kernel_order", [("z8", "z2", 4), ("z320", "z20", 16)])
+def test_correspondence_kernel_order_is_the_order_of_ker_sigma(capsys, cover, base, kernel_order):
+    # |ker sigma| = |cover| / |base|, not the order 2 of the coefficients
+    code, rep = run_json(capsys, "group", "correspondence", "--cover", cover,
+                         "--base", base, "--coeff", "z2")
+    assert code == EXIT_OK
+    assert rep["result"]["kernel_order"] == kernel_order
+    assert rep["result"]["applicable"] is True
+
+
 @pytest.mark.parametrize("coeff, h2_order", [("z4", 4), ("z6", 2)])
 def test_group_correspondence_z8_over_z8_answers_fast(capsys, coeff, h2_order):
     start = time.perf_counter()

@@ -523,7 +523,11 @@ TABLE_BUDGET = "cells exceed the dense bound of 4194304 (2^22)"
                              Cochain.zero(group_by_name("z2"), Z2_BIG, 2)),
      f"an extension of a group of order 2 by one of order {BIG} has a "
      f"{2 * BIG} x {2 * BIG} multiplication table: {4 * BIG ** 2} {TABLE_BUDGET}"),
-], ids=["cyclic", "by-name", "as_group", "hom_group", "build_extension"])
+    # the face sums of coboundary add on the indices of A
+    (lambda: coboundary(Cochain.zero(group_by_name("z2"), Z2_BIG, 1)),
+     f"the coefficient group of order {BIG} has a {BIG} x {BIG} addition table: "
+     f"{BIG ** 2} {TABLE_BUDGET}"),
+], ids=["cyclic", "by-name", "as_group", "hom_group", "build_extension", "coboundary"])
 def test_input_sized_tables_refused_before_allocation(build, message):
     tracemalloc.start()
     try:
@@ -545,6 +549,32 @@ def test_cocycle_enumeration_refuses_an_oversized_addition_table():
     assert time.perf_counter() - start < 1
     assert str(err.value) == (f"the coefficient group of order 4096 has a 4096 x 4096 "
                               f"addition table: {4096 ** 2} {TABLE_BUDGET}")
+
+
+@pytest.mark.parametrize("n, degree", [(102, 2), (1183, 1)])
+def test_coboundary_refuses_its_face_indices_before_the_incidence(n, degree):
+    # |P|^(n+1) (n+2) face indices: 4 * 102^3 and 3 * 1183^2 are just past 2^22
+    P, A = FiniteGroup.cyclic(n), coefficients_by_name("z2")
+    f = Cochain.zero(P, A, degree)
+    before = _incidence.cache_info()
+    with pytest.raises(SizeLimitExceeded) as err:
+        coboundary(f)
+    assert _incidence.cache_info() == before
+    rows = n ** (degree + 1)
+    assert str(err.value) == (f"d_{degree} of a group of order {n} has {degree + 2} face "
+                              f"columns of {rows} rows: {rows * (degree + 2)} {TABLE_BUDGET}")
+
+
+@pytest.mark.parametrize("n, degree", [(101, 2), (1182, 1)])
+def test_coboundary_answers_up_to_its_face_budget(n, degree):
+    # the carry cocycle [p + q >= n] and the homomorphism p mod 2 (n even)
+    P, A = FiniteGroup.cyclic(n), coefficients_by_name("z2")
+    fn = (lambda p: (p % 2,)) if degree == 1 else (lambda p, q: (int(p + q >= n),))
+    try:
+        d = coboundary(Cochain.from_function(P, A, degree, fn))
+        assert len(d.values) == n ** (degree + 1) and d.is_zero()
+    finally:
+        _incidence.cache_clear()  # hand back the large incidence
 
 
 def test_hom_group_count_bound_comes_before_the_table():

@@ -185,6 +185,24 @@ def test_from_brackets_refuses_diagonal_and_out_of_range_indices(brackets):
         LieAlgebra.from_brackets(("a", "b"), brackets)
 
 
+def test_from_brackets_refuses_conflicting_orientations():
+    # [b, a] = c says [a, b] = -c; the JSON loader refuses the same table alike
+    labels = ("a", "b", "c")
+    message = r"inconsistent bracket given for pair \(0, 1\)"
+    with pytest.raises(ValueError, match=message):
+        LieAlgebra.from_brackets(labels, {(0, 1): {2: 1}, (1, 0): {2: 1}})
+    with pytest.raises(ValueError, match=message):
+        algebra_from_json({"dim": 3, "labels": list(labels), "brackets": [
+            {"i": 0, "j": 1, "coeffs": {"c": "1"}}, {"i": 1, "j": 0, "coeffs": {"c": "1"}}]})
+    with pytest.raises(ValueError, match=message):
+        algebra_from_json({"dim": 3, "labels": list(labels), "brackets": [
+            {"i": 0, "j": 1, "coeffs": {"c": "1"}}, {"i": 0, "j": 1, "coeffs": {"c": "2"}}]})
+    # orientations that agree, zero coefficients aside, give one table
+    heisenberg = LieAlgebra.from_brackets(labels, {(0, 1): {2: 1}})
+    assert LieAlgebra.from_brackets(labels, {(0, 1): {2: 1, 0: 0}, (1, 0): {2: -1}}) == heisenberg
+    assert LieAlgebra.from_brackets(labels, {(1, 0): {2: -1}}) == heisenberg
+
+
 # ---------------------------------------------------------------------------
 # brackets
 
