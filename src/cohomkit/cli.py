@@ -17,7 +17,6 @@ randomized computation requires an explicit `--seed`.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
 import os
@@ -46,6 +45,8 @@ def _load(path: str, inputs: dict, parse):
     """parse(obj) for the JSON document at `path`, whose SHA-256 goes into
     `inputs`.  Every load error becomes a usage error (exit 2) naming the
     file and, if one is missing, the key."""
+    import hashlib  # here, not at the top: most commands read no file
+
     try:
         with open(path, "rb") as fh:
             data = fh.read()

@@ -27,10 +27,11 @@ incidence: Light's rows decide the cocycle condition, and the witness scan
 and d_1 phi = target run one first argument p at a time.
 
 Each fact is decided once, where its data come in: the cocycle condition
-by `build_extension`, whose table is then an extension by construction;
-d_1 phi = target by `_solve_coboundary` or the search; a lift's
-d_1 phi = inflated omega by `U.validate()` in `construct_splitting`.  The
-tests re-verify every table and witness with `CentralExtensionTable.validate`.
+by `build_extension`, so the table, built on first read of `carrier`, is
+an extension by construction; d_1 phi = target by `_solve_coboundary` or
+the search; a lift's d_1 phi = inflated omega by `U.validate()` in
+`construct_splitting`.  The tests re-verify every table and witness with
+`CentralExtensionTable.validate`.
 
 The carrier element (a, p) is encoded as index(a) * |P| + p, fixed so exported
 tables are reproducible.  The identity of the carrier is (u, 1) with
@@ -51,7 +52,7 @@ import json
 import operator
 import random
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import chain, compress, product, repeat
 from operator import itemgetter
 from typing import Sequence
@@ -97,8 +98,8 @@ SEARCH_LIMIT = 2 ** 16
 @lru_cache(maxsize=32)
 def _carrier_frame(orders: tuple[int, ...], n: int,
                    labels: tuple[str, ...]) -> tuple[tuple[tuple[int, ...], ...], tuple[str, ...]]:
-    """What `build_extension` takes from A and P alone, cached per (A's
-    orders, |P|, P's labels): the index shifts T[a], c |P| + r ->
+    """What `CentralExtensionTable.carrier` takes from A and P alone, cached
+    per (A's orders, |P|, P's labels): the index shifts T[a], c |P| + r ->
     add[a][c] |P| + r, and the carrier labels "(a,p)" in index order."""
     T = tuple(tuple(c * n + r for c in add_a for r in range(n))
               for add_a in _index_addition(orders))
@@ -139,11 +140,64 @@ class NotACocycleError(ValueError):
 
 @dataclass(frozen=True)
 class CentralExtensionTable:
+    """The central extension 1 -> A -> G -> P -> 1 of the 2-cocycle omega.
+
+    The fields are the data: the base P, the kernel A and omega.  The
+    carrier G and the projection G -> P are derived from them on first read
+    of `carrier` and `projection`, and kept on the instance, so a question
+    about the class of omega alone (`is_split` without a splitting,
+    `are_equivalent`) never builds the |A||P| x |A||P| table.  Equality and
+    hashing compare (base, kernel, cocycle).  `build_extension` is the
+    checked way in: it refuses an oversized carrier and a non-cocycle before
+    anything is read.
+    """
+
     base: FiniteGroup            # P
     kernel: AbelianCoefficients  # A
     cocycle: Cochain             # omega, degree 2
-    carrier: FiniteGroup         # G on A x P
-    projection: GroupHom         # G -> P
+
+    @cached_property
+    def _omega_indices(self) -> list[int]:
+        """omega's values as A-indices, read mod m: what the cocycle test of
+        `build_extension` and the `carrier` table are both computed from."""
+        return _value_indices(self.kernel.orders, self.cocycle.values)
+
+    @cached_property
+    def carrier(self) -> FiniteGroup:
+        """G on A x P with (a, p)(b, q) = (a + b - omega(p, q), pq).
+
+        The table is built in whole blocks.  The products (0, p)(0, q) =
+        (-omega(p, q), pq) come as one list over all (p, q); row (a, p) is
+        row (0, p) under T[a], which adds a to the A-coordinate (c |P| + r ->
+        add[a][c] |P| + r, with `add` the addition table of A on indices),
+        i.e. multiplies by the central i(a).  So K = |A| gathers of T[b] over
+        that list give the |P| base rows (0, p), and K gathers of T[a] over
+        the concatenated base rows (|P| K |P| entries each) give the whole
+        table, sliced into its K |P| rows.  T and the carrier labels come
+        from `_carrier_frame`, built once per (A's orders, P's labels).
+        """
+        P, A, idx = self.base, self.kernel, self._omega_indices
+        n, K = P.order, A.size
+        size = K * n
+        T, labels = _carrier_frame(A.orders, n, P.labels)
+        # (0, p)(0, q) = (-omega(p, q), pq) for all (p, q); T[b] of it is (0, p)(b, q)
+        first = list(map(operator.add, map(n.__mul__, _gather(_index_tables(A.orders)[2], idx)),
+                         chain.from_iterable(P.table)))
+        by_b = [_gather(T_b, first) for T_b in T]
+        # the base rows (0, p) concatenated, entries (0, p)(b, q) in (p, b, q) order
+        base = list(chain.from_iterable(products[i:i + n] for i in range(0, n * n, n)
+                                        for products in by_b))
+        # rows (a, p) in (a, p) order: the block T[a] of base, sliced
+        table = [block[i:i + size] for block in (_gather(T_a, base) for T_a in T)
+                 for i in range(0, n * size, size)]
+        identity = idx[P.identity * n + P.identity] * n + P.identity
+        return FiniteGroup(size, tuple(table), identity,
+                           f"ext({P.name};{','.join(map(str, A.orders))})", labels)
+
+    @cached_property
+    def projection(self) -> GroupHom:
+        """pi(a, p) = p, the projection G -> P."""
+        return GroupHom(self.carrier, self.base, tuple(range(self.base.order)) * self.kernel.size)
 
     @property
     def normalizer(self) -> tuple[int, ...]:
@@ -285,16 +339,8 @@ def build_extension(P: FiniteGroup, A: AbelianCoefficients, omega: Cochain,
     (a + b - omega(p, q), pq), and every column, is a permutation; pi(a, p) = p
     is a surjective homomorphism with kernel i(A); associativity is d_2 omega = 0.
 
-    The table is built in whole blocks.  The products (0, p)(0, q) =
-    (-omega(p, q), pq) come as one list over all (p, q); row (a, p) is
-    row (0, p) under T[a], which adds a to the A-coordinate (c |P| + r ->
-    add[a][c] |P| + r, with `add` the addition table of A on indices),
-    i.e. multiplies by the central i(a).  So K = |A| gathers of T[b] over
-    that list give the |P| base rows (0, p), and K gathers of T[a] over the
-    concatenated base rows (|P| K |P| entries each) give the whole table,
-    sliced into its K |P| rows.  T and the carrier labels come from
-    `_carrier_frame`, built once per (A's orders, P's labels).  A carrier
-    table of more than DENSE_CELL_LIMIT cells is refused first.
+    A carrier table of more than DENSE_CELL_LIMIT cells is refused first,
+    though the table itself is built only on first read of `carrier`.
     """
     if omega.degree != 2 or omega.group.table != P.table or omega.coeffs != A:
         raise ValueError("omega must be a degree-2 cochain on P with values in A")
@@ -302,27 +348,13 @@ def build_extension(P: FiniteGroup, A: AbelianCoefficients, omega: Cochain,
     size = K * n
     check_dense(f"an extension of a group of order {n} by one of order {K} has a "
                 f"{size} x {size} multiplication table", size * size)
-    idx = _value_indices(A.orders, omega.values)
-    if validate and not _is_cocycle(P, A.orders, idx):
-        bad = _first_failure(P, A.orders, idx)
+    ext = CentralExtensionTable(P, A, omega)
+    if validate and not _is_cocycle(P, A.orders, ext._omega_indices):
+        bad = _first_failure(P, A.orders, ext._omega_indices)
         raise NotACocycleError(
             f"cochain is not a 2-cocycle: associativity of the extension "
             f"table fails on triple {bad}", bad)
-    T, labels = _carrier_frame(A.orders, n, P.labels)
-    # (0, p)(0, q) = (-omega(p, q), pq) for all (p, q); T[b] of it is (0, p)(b, q)
-    first = list(map(operator.add, map(n.__mul__, _gather(_index_tables(A.orders)[2], idx)),
-                     chain.from_iterable(P.table)))
-    by_b = [_gather(T_b, first) for T_b in T]
-    # the base rows (0, p) concatenated, entries (0, p)(b, q) in (p, b, q) order
-    base = list(chain.from_iterable(products[i:i + n] for i in range(0, n * n, n)
-                                    for products in by_b))
-    # rows (a, p) in (a, p) order: the block T[a] of base, sliced
-    table = [block[i:i + size] for block in (_gather(T_a, base) for T_a in T)
-             for i in range(0, n * size, size)]
-    identity = idx[P.identity * n + P.identity] * n + P.identity
-    carrier = FiniteGroup(size, tuple(table), identity,
-                          f"ext({P.name};{','.join(map(str, A.orders))})", labels)
-    return CentralExtensionTable(P, A, omega, carrier, GroupHom(carrier, P, tuple(range(n)) * K))
+    return ext
 
 
 def extract_section(ext: CentralExtensionTable, convention: str = "canonical",

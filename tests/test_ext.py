@@ -261,6 +261,17 @@ def _tuple_carrier(P, A, w):
     return table, pos[A.reduce(w.value(P.identity, P.identity))] * N + P.identity
 
 
+def _with_carrier(P, A, w, carrier, projection_values):
+    """The extension record of w with a hand-set carrier and projection:
+    written into the instance before the first read, they stand in for the
+    ones `carrier` and `projection` would derive from w."""
+    ext = CentralExtensionTable(P, A, w)
+    projection = GroupHom(carrier, P, projection_values)
+    vars(ext).update(carrier=carrier, projection=projection)
+    assert ext.carrier is carrier and ext.projection is projection
+    return ext
+
+
 _INDEX_COEFFS = ["z2", "z3", "z4", "z2xz2", "2,4"]
 
 
@@ -313,9 +324,11 @@ def test_index_table_build_matches_tuple_transcription(gname):
                 table, identity = _tuple_carrier(P, A, w)
                 assert built.carrier.table == table and built.carrier.identity == identity
                 carrier = FiniteGroup(len(table), table, identity)
-                projection = GroupHom(carrier, P, tuple(g % P.order for g in carrier.elements()))
-                expected = CentralExtensionTable(P, A, w, carrier, projection)
+                expected = _with_carrier(P, A, w, carrier,
+                                         tuple(g % P.order for g in carrier.elements()))
                 assert built.to_json() == expected.to_json(), (P.name, aname, label)
+                # equality compares (base, kernel, cocycle), not the derived tables
+                assert built == expected
                 if is_cocycle:
                     built.validate()
                 seen.add(label if is_cocycle else "rejected")
@@ -343,6 +356,41 @@ def test_carrier_frames_are_keyed_by_kernel_orders_and_base_labels():
         built = build_extension(P, A, Cochain.zero(P, A, 2))
         assert built.carrier.labels == tuple(f"({a},{p})" for a in "01" for p in P.labels)
     assert ext_module._carrier_frame.cache_info().currsize == 5
+
+
+@pytest.mark.parametrize("gname", [g for g in sorted(_NAMED_GROUPS)
+                                   if group_by_name(g).order <= 8])
+def test_class_questions_build_no_carrier_and_the_first_read_is_the_table(gname):
+    # are_equivalent and is_split read (base, kernel, cocycle) alone: neither
+    # an equivalence check nor a split check that finds no splitting builds
+    # the carrier or the projection; their first read is the transcribed
+    # table and pi(a, p) = p
+    P = group_by_name(gname)
+    rng = random.Random(f"lazy:{gname}")
+    nonsplit_seen = 0
+    for orders in ((2,), (4,), (2, 2)):
+        A = AbelianCoefficients(orders)
+        reps = ext_module._class_representatives(cocycle_space(P, A, 2))
+
+        def build(w):
+            return ext_module.build_extension(P, A, w + coboundary(Cochain.random(P, A, 1, rng)))
+
+        first, shifted, trivial = build(reps[-1]), build(reps[-1]), build(reps[0])
+        assert ext_module.are_equivalent(first, shifted) is not None
+        assert (ext_module.are_equivalent(first, trivial) is None) == (len(reps) > 1)
+        nonsplit = [build(rep) for rep in reps[1:]]
+        for e in nonsplit:
+            assert is_split(e) is None
+        nonsplit_seen += len(nonsplit)
+        for e in [first, shifted, trivial, *nonsplit]:
+            assert "carrier" not in vars(e) and "projection" not in vars(e)
+            table, identity = _tuple_carrier(P, A, e.cocycle)
+            assert e.carrier.table == table and e.carrier.identity == identity
+            assert e.projection == GroupHom(e.carrier, P,
+                                            tuple(g % P.order for g in e.carrier.elements()))
+            assert vars(e)["carrier"] is e.carrier and vars(e)["projection"] is e.projection
+    # every group here but z3 and z5 has a nontrivial class over one of the kernels
+    assert (nonsplit_seen > 0) == (gname not in ("z3", "z5"))
 
 
 # sha256 of the concatenated `to_json` of one seeded cocycle per named group
@@ -699,8 +747,7 @@ def _hand_built(P, A, carrier_table, projection=None):
     n = P.order
     carrier = FiniteGroup(len(carrier_table), carrier_table, 0, "hand-built")
     values = projection or tuple(g % n for g in range(carrier.order))
-    return CentralExtensionTable(P, A, Cochain.zero(P, A, 2), carrier,
-                                 GroupHom(carrier, P, values))
+    return _with_carrier(P, A, Cochain.zero(P, A, 2), carrier, values)
 
 
 def _klein_over_z2(projection):
