@@ -6,32 +6,33 @@ lives on the set A x P with
     (a, p) * (b, q) = (a + b - omega(p, q), p q),
 
 the additive reading of the multiplicative rule (a,p)(b,q) = (ab w(p,q)^{-1}, pq).
-Associativity of this table is literally the cocycle condition, and a
-non-cocycle input is rejected with a triple witnessing the failure.  The
+Associativity of this table is literally the cocycle condition, and the
+constructor of `CentralExtensionTable` refuses a non-cocycle with a triple
+witnessing the failure, so every table is an extension of a cocycle.  The
 condition is decided on Light's rows (p, s, r) of d_2, s the identity or a
 generator from the irredundant set of `grpcoh._generating_set`, and d_2
 omega is scanned, one first argument p at a time, only to name the
-triple; a cocycle is a coboundary d_1 phi iff it is one on the rows
-(p, s), so `_solve_coboundary` solves only those and then compares the
-full d_1 phi, and `_class_representatives` keys the classes of H^2 by
-annihilators of d_1 on those rows (see `grpcoh._light_incidence`).  The
-solves read the matrix of the rows (p, s) that grpcoh caches per group,
-and exactmat factors it once per modulus, so each target costs one
-reduction against its pivot columns.  The carrier's index shifts and
-labels depend on A and P's labels alone and are built once per pair.
+triple.  A cocycle is a coboundary d_1 phi iff it is one on the rows
+(p, s), so `_solve_coboundary` solves only those, and
+`_class_representatives` keys the classes of H^2 by annihilators of d_1
+on those rows (see `grpcoh._light_incidence`).  The solves read the
+matrix of the rows (p, s) that grpcoh caches per group, and exactmat
+factors it once per modulus, so each target costs one reduction against
+its pivot columns.  The carrier's index shifts and labels depend on A and
+P's labels alone and are built once per pair.
 
-Both identity tests, the cocycle condition and d_1 phi = target, ask
-whether grpcoh's even and odd face sums (`grpcoh._even_odd`) agree on
-A-indices, read mod m by `grpcoh._value_indices`.  Neither builds a full
-incidence: Light's rows decide the cocycle condition, and the witness scan
-and d_1 phi = target run one first argument p at a time.
+The cocycle test asks whether grpcoh's even and odd face sums
+(`grpcoh._even_odd`) agree on A-indices, read mod m by
+`grpcoh._value_indices`.  It builds no full incidence: Light's rows
+decide the condition, and the witness scan runs one first argument p at
+a time.
 
 Each fact is decided once, where its data come in: the cocycle condition
-by `build_extension`, so the table, built on first read of `carrier`, is
-an extension by construction; d_1 phi = target by `_solve_coboundary` or
-the search; a lift's d_1 phi = inflated omega by `U.validate()` in
-`construct_splitting`.  The tests re-verify every table and witness with
-`CentralExtensionTable.validate`.
+by the `CentralExtensionTable` constructor, so the table, built on first
+read of `carrier`, is an extension by construction; d_1 phi = target by
+`_solve_coboundary`, whose targets are cocycles; a lift's d_1 phi =
+inflated omega by `U.validate()` in `construct_splitting`.  The tests
+re-verify every table and witness with `CentralExtensionTable.validate`.
 
 The carrier element (a, p) is encoded as index(a) * |P| + p, fixed so exported
 tables are reproducible.  The identity of the carrier is (u, 1) with
@@ -53,7 +54,7 @@ import operator
 import random
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import chain, compress, product, repeat
+from itertools import chain, compress, repeat
 from operator import itemgetter
 from typing import Sequence
 
@@ -63,7 +64,6 @@ from .grpcoh import (
     CocycleSpaceDescription,
     FiniteGroup,
     GroupHom,
-    SizeLimitExceeded,
     _even_odd,
     _faces,
     _gather,
@@ -72,7 +72,6 @@ from .grpcoh import (
     _light_coboundary_matrix,
     _light_incidence,
     _value_indices,
-    coboundary,
     cocycle_space,
     construct_splitting,
     inflation,
@@ -91,9 +90,6 @@ __all__ = [
     "h1_h2_correspondence_check",
     "CorrespondenceReport",
 ]
-
-SEARCH_LIMIT = 2 ** 16
-
 
 @lru_cache(maxsize=32)
 def _carrier_frame(orders: tuple[int, ...], n: int,
@@ -147,19 +143,50 @@ class CentralExtensionTable:
     of `carrier` and `projection`, and kept on the instance, so a question
     about the class of omega alone (`is_split` without a splitting,
     `are_equivalent`) never builds the |A||P| x |A||P| table.  Equality and
-    hashing compare (base, kernel, cocycle).  `build_extension` is the
-    checked way in: it refuses an oversized carrier and a non-cocycle before
-    anything is read.
+    hashing compare (base, kernel, cocycle).
+
+    Every instance is an extension of a cocycle: the constructor refuses a
+    cochain that is not of degree 2 on P with values in A, then a carrier
+    table of more than DENSE_CELL_LIMIT cells (though the table itself is
+    built only on first read of `carrier`), then a non-cocycle, with the
+    violating triple, the arguments of the first nonzero value of d_2
+    omega; the cocycle condition is exactly associativity of the table.
+    It is decided on Light's rows (p, s, r) of d_2 alone, s the identity or
+    a generator of P (the middles (0, s) and (a, 1) generate the carrier),
+    by `_is_cocycle` on the A-indices of omega that the table is built
+    from; only a failure pays for d_2 omega, scanned by `_first_failure` up
+    to the triple it names.  For a cocycle, all that `validate` checks
+    holds by construction, so the table is not validated again:
+    d_2 omega (1, 1, q) = d_2 omega (p, 1, 1) = 0 give
+    omega(1, q) = omega(p, 1) = u, so (u, 1) is a two-sided identity and
+    i(a) = (a + u, 1) commutes with every (b, q); every row (b, q) ->
+    (a + b - omega(p, q), pq), and every column, is a permutation;
+    pi(a, p) = p is a surjective homomorphism with kernel i(A);
+    associativity is d_2 omega = 0.
     """
 
     base: FiniteGroup            # P
     kernel: AbelianCoefficients  # A
     cocycle: Cochain             # omega, degree 2
 
+    def __post_init__(self):
+        P, A, omega = self.base, self.kernel, self.cocycle
+        if omega.degree != 2 or omega.group.table != P.table or omega.coeffs != A:
+            raise ValueError("omega must be a degree-2 cochain on P with values in A")
+        n, K = P.order, A.size
+        size = K * n
+        check_dense(f"an extension of a group of order {n} by one of order {K} has a "
+                    f"{size} x {size} multiplication table", size * size)
+        if not _is_cocycle(P, A.orders, self._omega_indices):
+            bad = _first_failure(P, A.orders, self._omega_indices)
+            raise NotACocycleError(
+                f"cochain is not a 2-cocycle: associativity of the extension "
+                f"table fails on triple {bad}", bad)
+
     @cached_property
     def _omega_indices(self) -> list[int]:
         """omega's values as A-indices, read mod m: what the cocycle test of
-        `build_extension` and the `carrier` table are both computed from."""
+        the constructor and the `carrier` table are both computed from."""
         return _value_indices(self.kernel.orders, self.cocycle.values)
 
     @cached_property
@@ -320,41 +347,13 @@ class Section:
         return self.values[p]
 
 
-def build_extension(P: FiniteGroup, A: AbelianCoefficients, omega: Cochain,
-                    validate: bool = True) -> CentralExtensionTable:
-    """The group on A x P with multiplication (a+b-omega(p,q), pq).
-
-    `validate` rejects a non-cocycle omega up front with the violating
-    triple, the arguments of the first nonzero value of d_2 omega; the
-    cocycle condition is exactly associativity of the table.  It is decided
-    on Light's rows (p, s, r) of d_2 alone, s the identity or a generator of
-    P (the middles (0, s) and (a, 1) generate the carrier), by `_is_cocycle`
-    on the A-indices of omega that the table is built from; only a failure
-    pays for d_2 omega, scanned by `_first_failure` up to the triple it
-    names.  For a cocycle, all
-    that `CentralExtensionTable.validate` checks holds by construction, so
-    the table is not validated again: d_2 omega (1, 1, q) = d_2 omega (p, 1, 1)
-    = 0 give omega(1, q) = omega(p, 1) = u, so (u, 1) is a two-sided identity
-    and i(a) = (a + u, 1) commutes with every (b, q); every row (b, q) ->
-    (a + b - omega(p, q), pq), and every column, is a permutation; pi(a, p) = p
-    is a surjective homomorphism with kernel i(A); associativity is d_2 omega = 0.
-
-    A carrier table of more than DENSE_CELL_LIMIT cells is refused first,
-    though the table itself is built only on first read of `carrier`.
-    """
-    if omega.degree != 2 or omega.group.table != P.table or omega.coeffs != A:
-        raise ValueError("omega must be a degree-2 cochain on P with values in A")
-    n, K = P.order, A.size
-    size = K * n
-    check_dense(f"an extension of a group of order {n} by one of order {K} has a "
-                f"{size} x {size} multiplication table", size * size)
-    ext = CentralExtensionTable(P, A, omega)
-    if validate and not _is_cocycle(P, A.orders, ext._omega_indices):
-        bad = _first_failure(P, A.orders, ext._omega_indices)
-        raise NotACocycleError(
-            f"cochain is not a 2-cocycle: associativity of the extension "
-            f"table fails on triple {bad}", bad)
-    return ext
+def build_extension(P: FiniteGroup, A: AbelianCoefficients,
+                    omega: Cochain) -> CentralExtensionTable:
+    """The group on A x P with multiplication (a+b-omega(p,q), pq):
+    `CentralExtensionTable(P, A, omega)`, which refuses an oversized
+    carrier and a non-cocycle (`NotACocycleError`, with the violating
+    triple) before anything is read."""
+    return CentralExtensionTable(P, A, omega)
 
 
 def extract_section(ext: CentralExtensionTable, convention: str = "canonical",
@@ -410,17 +409,17 @@ def _solve_coboundary(P: FiniteGroup, A: AbelianCoefficients,
     """phi with d_1 phi = target, solved factor by factor mod each cyclic
     order; None when target is not a coboundary.
 
-    Only Light's rows (p, s) of d_1 are solved, s the identity or a
-    generator of P (|P| |S| rows instead of |P|^2): for a cocycle target
-    they decide (see `_light_incidence`).  The matrix is the one grpcoh
-    caches per group, so it is eliminated once per modulus and each target
-    is reduced against its pivot columns.  A target that is no
-    cocycle may still be solved on them, so phi is returned only when the
-    full d_1 phi equals the target, read mod m as `solve_mod` reads it:
-    `_d1_matches`, one row of P's table at a time on A-indices.  Only
-    the rows' budget applies: z320 (640 x 320) is solved though its full
-    d_1 is over DENSE_CELL_LIMIT, and z1450 (2900 x 1450) is refused on
-    every call before its rows are built.
+    The target must be a cocycle, as every caller's is: the cocycle of a
+    `CentralExtensionTable`, a difference of two, or the inflation of one.
+    For a cocycle, Light's rows (p, s) of d_1 decide, s the identity or a
+    generator of P (|P| |S| rows instead of |P|^2): restriction to them is
+    injective on cocycles (see `grpcoh._light_incidence`), so a phi that
+    solves them solves all of d_1, the target read mod m.  The matrix is
+    the one grpcoh caches per group, so it is eliminated once per modulus
+    and each target is reduced against its pivot columns.  Only the rows'
+    budget applies: z320 (640 x 320) is solved though its full d_1 is over
+    DENSE_CELL_LIMIT, and z1450 (2900 x 1450) is refused on every call
+    before its rows are built.
     """
     rows, dmat = _light_coboundary_matrix(P.table, P.identity, 1)
     rhs = _gather(target.values, rows)
@@ -432,60 +431,25 @@ def _solve_coboundary(P: FiniteGroup, A: AbelianCoefficients,
         per_factor.append(sol)
     vals = tuple(tuple(per_factor[fi][p] for fi in range(A.rank))
                  for p in range(P.order))
-    if not _d1_matches(P, A.orders, vals, target.values):
-        return None
     return Cochain(P, A, 1, vals)
 
 
-def _d1_matches(P: FiniteGroup, orders: tuple[int, ...], phi_values, target_values) -> bool:
-    """d_1 phi = target on all of d_1, the target read mod m, decided on
-    A-indices one row p of P's table at a time as the identity
-    phi(q) + phi(p) = target(p, q) + phi(pq): the even and odd face sums of
-    the rows (p, q), so no d_1 incidence is built."""
-    N, phi = P.order, _value_indices(orders, phi_values)
-    # the row of the addition table at each target(p, q): adding it is one lookup
-    plus_target = _gather(_index_addition(orders), _value_indices(orders, target_values))
-    for p, row in enumerate(P.table):
-        even, odd = _even_odd(orders, phi, (range(N), row, (p,) * N))
-        if even != tuple(map(operator.getitem, plus_target[p * N:(p + 1) * N], odd)):
-            return False
-    return True
-
-
-def _search_coboundary(P: FiniteGroup, A: AbelianCoefficients,
-                       target: Cochain) -> Cochain | None:
-    count = A.size ** P.order
-    if count > SEARCH_LIMIT:
-        raise SizeLimitExceeded(
-            f"exhaustive equivalence search over {count} cochains exceeds 2^16",
-            SEARCH_LIMIT, count)
-    for combo in product(list(A.elements()), repeat=P.order):
-        phi = Cochain(P, A, 1, combo)
-        if coboundary(phi).values == target.values:
-            return phi
-    return None
-
-
-def are_equivalent(ext1: CentralExtensionTable, ext2: CentralExtensionTable,
-                   strategy: str = "solve") -> Cochain | None:
+def are_equivalent(ext1: CentralExtensionTable,
+                   ext2: CentralExtensionTable) -> Cochain | None:
     """Equivalence witness phi with omega1 - omega2 = d_1 phi, or None.
 
-    `strategy` is "solve" (linear algebra) or "search" (the exhaustive
-    oracle); each compares d_1 phi with omega1 - omega2 on all of d_1, which
-    is the whole check.  The coordinate map F(a, p) = (a + phi(p), p) from
+    omega1 - omega2 is a cocycle, so `_solve_coboundary` decides it on
+    Light's rows (p, s).  The coordinate map F(a, p) = (a + phi(p), p) from
     ext2's carrier to ext1's is then an isomorphism: it is a homomorphism
     iff d_1 phi = omega1 - omega2, and its form makes it bijective, commuting
     with both projections and fixing the embedded kernel (phi(1) = u1 - u2).
     The direction is fixed by the sign convention of the multiplication rule.
     """
-    finders = {"solve": _solve_coboundary, "search": _search_coboundary}
-    if strategy not in finders:
-        raise ValueError(f"unknown equivalence strategy {strategy!r} (use 'solve' or 'search')")
     if ext1.base.table != ext2.base.table:
         raise ValueError("extensions have different base groups")
     if ext1.kernel != ext2.kernel:
         raise ValueError("extensions have different kernels")
-    return finders[strategy](ext1.base, ext1.kernel, ext1.cocycle - ext2.cocycle)
+    return _solve_coboundary(ext1.base, ext1.kernel, ext1.cocycle - ext2.cocycle)
 
 
 def is_split(ext: CentralExtensionTable) -> GroupHom | None:

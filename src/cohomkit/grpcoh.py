@@ -33,10 +33,9 @@ SL(2, 3) and z32 have H^2 though their full d_2 is over that budget.
 For n = 1, 2 the rows have the kernel of the full d_n over every Z/p^e, so
 every elimination in the group layer runs on them: `cocycle_space`, the
 H^n exponents of `_exponents`, and `ext._class_representatives` and
-`ext._solve_coboundary`.  ext's identity tests ask whether the face sums
-agree: d_2 omega = 0 on the rows (p, s, r), its witness and
-d_1 phi = target one first argument at a time (the trivial action makes
-d_0 zero).  The enumeration oracle writes its equations out separately.
+`ext._solve_coboundary`.  ext's cocycle test asks whether the face sums
+agree: d_2 omega = 0 on the rows (p, s, r), and its witness one first
+argument at a time.
 
 Each object derived from a group table is cached by one function, least
 recently used first out: the full face columns by `_incidence` (per table
@@ -47,15 +46,13 @@ e, 128).  exactmat's `_factored` keeps one factorization of the cached
 matrix per modulus, which the kernels of `cocycle_space` and the solves
 of `ext._solve_coboundary` read alike.
 
-Two computation routes coexist and are cross-checked in the tests:
-
-* a linear-algebra route over Z: for each cyclic coefficient factor Z_m and
-  each p^f exactly dividing m with p | |P|, H^n is read by universal
-  coefficients off the elementary divisors of the integer coboundary
-  matrices d_n and d_(n-1) over Z/p^e, e = min(f, v_p(|P|) + 1), and Z^n
-  is the kernel of d_n mod m over Z/p^f, both on Light's rows;
-* exhaustive enumeration, available whenever |A|^(|P|^n) <= 2^20, kept as an
-  independent oracle.
+H^n and Z^n come by one linear-algebra route over Z: for each cyclic
+coefficient factor Z_m and each p^f exactly dividing m with p | |P|, H^n
+is read by universal coefficients off the elementary divisors of the
+integer coboundary matrices d_n and d_(n-1) over Z/p^e,
+e = min(f, v_p(|P|) + 1), and Z^n is the kernel of d_n mod m over Z/p^f,
+both on Light's rows.  The tests cross-check it against exhaustive
+enumeration of the cochains (tests/group_oracle.py).
 
 Groups are stored by full multiplication table and validated by direct scan
 (Latin square, identity) and Light's associativity test on a generating
@@ -90,8 +87,6 @@ __all__ = [
     "cocycle_space",
     "CocycleSpaceDescription",
     "cohomology_group",
-    "enumerate_cocycles",
-    "enumerate_cochains",
     "hom_group",
     "inflation",
     "construct_splitting",
@@ -556,15 +551,14 @@ class Cochain:
         if order != group.order:
             raise ValueError("cochain JSON was written for a group of different order")
         table = {}
-        elements = range(group.order)
         for item in obj["values"]:
             args, value = tuple(item["args"]), item["value"]
-            if len(args) != degree or not all(p in elements for p in args):
+            if len(args) != degree or not all(_is_index(p, group.order) for p in args):
                 raise ValueError(f"cochain JSON arguments {args} are not {degree} "
                                  f"elements of a group of order {group.order}")
             if args in table:
                 raise ValueError(f"cochain JSON lists arguments {args} more than once")
-            if not isinstance(value, (list, tuple)) or not all(isinstance(x, int) for x in value):
+            if not isinstance(value, (list, tuple)) or not all(type(x) is int for x in value):
                 raise ValueError(f"cochain JSON value at arguments {args} is not a list of "
                                  f"integers")
             table[args] = tuple(value)
@@ -712,14 +706,14 @@ def _light_coboundary_matrix(table: tuple[tuple[int, ...], ...], identity: int,
 
 
 # ---------------------------------------------------------------------------
-# Z^n: linear route and enumeration oracle
+# Z^n on Light's rows
 
 
 @dataclass
 class CocycleSpaceDescription:
     """Z^n(P, A) as generators with their orders: every cocycle is a sum
     of multiples of the generators, and `order` is |Z^n|.  Elements are
-    not listed; `enumerate_cocycles` is the exhaustive oracle."""
+    not listed."""
 
     group: FiniteGroup
     coeffs: AbelianCoefficients
@@ -754,62 +748,6 @@ def cocycle_space(group: FiniteGroup, coeffs: AbelianCoefficients,
             gens.append((Cochain(group, coeffs, degree, tuple(zip(*cols))), order))
             total *= order
     return CocycleSpaceDescription(group, coeffs, degree, total, gens)
-
-
-def enumerate_cochains(group: FiniteGroup, coeffs: AbelianCoefficients,
-                       degree: int) -> Iterable[Cochain]:
-    count = coeffs.size ** (group.order ** degree)
-    if count > ENUMERATION_LIMIT:
-        raise SizeLimitExceeded(
-            f"enumeration of {count} cochains exceeds the 2^20 bound",
-            ENUMERATION_LIMIT, count)
-    slots = group.order ** degree
-    for combo in product(list(coeffs.elements()), repeat=slots):
-        yield Cochain(group, coeffs, degree, combo)
-
-
-def enumerate_cocycles(group: FiniteGroup, coeffs: AbelianCoefficients,
-                       degree: int) -> list[Cochain]:
-    """Exhaustive oracle: all f with d f = 0, by scanning every cochain.
-
-    The scan runs on raw coefficient-index tables with the addition table of
-    `coeffs.as_group()`, refused past the 2^22-cell dense budget (the full
-    search space can reach 2^20 entries); survivors are wrapped into Cochain
-    values.
-    """
-    if degree not in (1, 2):
-        raise ValueError("cocycle enumeration implemented for degrees 1 and 2")
-    count = coeffs.size ** (group.order ** degree)
-    if count > ENUMERATION_LIMIT:
-        raise SizeLimitExceeded(
-            f"enumeration of {count} cochains exceeds the 2^20 bound",
-            ENUMERATION_LIMIT, count)
-    N = group.order
-    size = coeffs.size
-    add = coeffs.as_group().table
-    elems = [coeffs.element(i) for i in range(size)]
-    mul = group.table
-    survivors = []
-    if degree == 1:
-        # f(p) + f(q) = f(pq): the homomorphism equations
-        pairs = [(p, q, mul[p][q]) for p in range(N) for q in range(N)]
-        for table in product(range(size), repeat=N):
-            if all(add[table[p]][table[q]] == table[pq] for p, q, pq in pairs):
-                survivors.append(table)
-    else:
-        # w(q,r) + w(p,qr) = w(pq,r) + w(p,q) for all triples
-        checks = [(q * N + r, p * N + mul[q][r], mul[p][q] * N + r, p * N + q)
-                  for p in range(N) for q in range(N) for r in range(N)]
-        for table in product(range(size), repeat=N * N):
-            ok = True
-            for a, b, c, d in checks:
-                if add[table[a]][table[b]] != add[table[c]][table[d]]:
-                    ok = False
-                    break
-            if ok:
-                survivors.append(table)
-    return [Cochain(group, coeffs, degree, tuple(elems[i] for i in table))
-            for table in survivors]
 
 
 # ---------------------------------------------------------------------------

@@ -513,6 +513,27 @@ def test_group_extension_refuses_a_cochain_value_that_is_no_integer_list(
                             f"is not a list of integers\n")
 
 
+@pytest.mark.parametrize("entry, field, bad, message", [
+    (1, "args", [0, 1.0], "arguments (0, 1.0) are not 2 elements of a group of order 2"),
+    (2, "args", [True, 0], "arguments (True, 0) are not 2 elements of a group of order 2"),
+    (3, "value", [True], "value at arguments (1, 1) is not a list of integers"),
+], ids=["float-arg", "bool-arg", "bool-value"])
+def test_group_extension_refuses_a_float_or_bool_cochain_entry(
+        capsys, tmp_path, entry, field, bad, message):
+    # each once read as the integer it equals, and split then exited 1
+    entries = _z2_cocycle_entries([])
+    entries[entry][field] = bad
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps({"degree": 2, "group_order": 2, "coefficient_orders": [2],
+                                "values": entries}))
+    code = main(["group", "extension", "split", "--group", "z2", "--coeff", "z2",
+                 "--cocycle", str(path)])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: cochain JSON {message}\n"
+
+
 def _write_cochain(path, w):
     path.write_text(json.dumps(w.to_json()))
     return path.name

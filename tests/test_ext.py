@@ -32,27 +32,24 @@ from cohomkit.grpcoh import (
     coefficients_by_name,
     cohomology_group,
     construct_splitting,
-    enumerate_cochains,
-    enumerate_cocycles,
     group_by_name,
     inflation,
 )
 from cohomkit.exactmat import SizeLimitExceeded, solve_mod
+from group_oracle import SEARCH_LIMIT, enumerate_cochains, enumerate_cocycles, search_coboundary
 from scan_oracle import assert_validate_matches_full_scan
 
 Z2 = group_by_name("z2")
 A2 = coefficients_by_name("z2")
 
 
-def build_extension(P, A, omega, validate=True):
-    """`ext.build_extension`, re-verified: with `validate` every table this
-    module builds from a cocycle also passes `CentralExtensionTable.validate`,
-    which the build does not run, and every carrier is validated against the
-    full-scan associativity oracle, so Light's test must reach the same
-    verdict and witness on each."""
-    built = ext_module.build_extension(P, A, omega, validate)
-    if validate:
-        built.validate()
+def build_extension(P, A, omega):
+    """`ext.build_extension`, re-verified: every table this module builds
+    also passes `CentralExtensionTable.validate`, which the build does not
+    run, and every carrier is validated against the full-scan associativity
+    oracle, so Light's test must reach the same verdict on each."""
+    built = ext_module.build_extension(P, A, omega)
+    built.validate()
     assert_validate_matches_full_scan(built.carrier)
     return built
 
@@ -73,10 +70,10 @@ def check_equivalence_map(ext1, ext2, phi):
         assert images[ext2.embed(a)] == ext1.embed(a), ("moves the kernel", a)
 
 
-def are_equivalent(ext1, ext2, strategy="solve"):
+def are_equivalent(ext1, ext2):
     """`ext.are_equivalent`; every witness it returns in this module passes
     `check_equivalence_map`, which the function itself does not run."""
-    phi = ext_module.are_equivalent(ext1, ext2, strategy)
+    phi = ext_module.are_equivalent(ext1, ext2)
     if phi is not None:
         check_equivalence_map(ext1, ext2, phi)
     return phi
@@ -137,13 +134,10 @@ def test_noncocycle_rejected_with_violating_triple():
     with pytest.raises(NotACocycleError) as err:
         build_extension(Z2, A2, bad)
     p, q, r = err.value.triple
-    # the reported triple really witnesses an associativity failure
-    forced = build_extension(Z2, A2, bad, validate=False)
-    g = forced.carrier
-    a = forced.index_of((0,), p)
-    b = forced.index_of((0,), q)
-    c = forced.index_of((0,), r)
-    assert g.mul(g.mul(a, b), c) != g.mul(a, g.mul(b, c))
+    # the reported triple really witnesses an associativity failure of the
+    # transcribed table, in which (0, p) is carrier index p
+    t, _ = _tuple_carrier(Z2, A2, bad)
+    assert t[t[p][q]][r] != t[p][t[q][r]]
 
     # on seeded non-cocycles the witness is the lexicographically first
     # violating triple: random cochains, and coboundaries with one value
@@ -170,6 +164,29 @@ def test_noncocycle_rejected_with_violating_triple():
             assert err.value.triple == expected, (gname, aname, trial)
             rejected += 1
     assert rejected >= 40
+
+
+def test_a_bare_table_refuses_what_build_extension_refuses():
+    # the constructor itself checks the shape, the carrier budget and the
+    # cocycle condition, so a table made without build_extension is an
+    # extension of a cocycle too, refused with the same messages
+    z64, Z33 = group_by_name("z64"), AbelianCoefficients((33,))
+    zero = Cochain.zero(z64, Z33, 2)
+    message = ("an extension of a group of order 64 by one of order 33 has a 2112 x 2112 "
+               "multiplication table: 4460544 cells exceed the dense bound of 4194304 (2^22)")
+    for make in (CentralExtensionTable, ext_module.build_extension):
+        with pytest.raises(SizeLimitExceeded) as err:
+            make(z64, Z33, zero)
+        assert str(err.value) == message
+    omega = Cochain.from_function(Z2, A2, 2, lambda p, q: (1,) if (p, q) == (0, 1) else (0,))
+    for make in (CentralExtensionTable, ext_module.build_extension):
+        with pytest.raises(NotACocycleError) as err:
+            make(Z2, A2, omega)
+        assert err.value.triple == (0, 0, 1)
+        assert str(err.value) == ("cochain is not a 2-cocycle: associativity of the "
+                                  "extension table fails on triple (0, 0, 1)")
+        with pytest.raises(ValueError, match="degree-2 cochain on P with values in A"):
+            make(Z2, A2, Cochain.zero(Z2, A2, 1))
 
 
 @pytest.mark.parametrize("gname", sorted(_NAMED_GROUPS))
@@ -237,10 +254,12 @@ def test_normalized_noncocycles_give_loops_light_test_rejects():
         for _ in range(4):
             w = Cochain.from_function(P, A, 2, lambda p, q: (
                 A.zero() if e in (p, q) else tuple(rng.randrange(m) for m in A.orders)))
-            message = assert_validate_matches_full_scan(
-                build_extension(P, A, w, validate=False).carrier)
+            table, identity = _tuple_carrier(P, A, w)
+            message = assert_validate_matches_full_scan(FiniteGroup(len(table), table, identity))
             if _first_violating_triple(w) is not None:
                 assert message.startswith("associativity fails on triple"), message
+                with pytest.raises(NotACocycleError):
+                    CentralExtensionTable(P, A, w)
                 failures += 1
     assert failures >= 20
 
@@ -299,9 +318,9 @@ def _index_build_cases(P, A, rng):
 def test_index_table_build_matches_tuple_transcription(gname):
     # the cocycle test on A-indices and the block-gathered table against the
     # transcription, on the named table and a relabelled one whose identity
-    # is not 0: table, identity and to_json() are equal, cocycles pass
-    # `validate`, and a non-cocycle is refused with the first nonzero value
-    # of the full d_2 omega, then built with validate=False
+    # is not 0: a non-cocycle is refused with the first nonzero value of the
+    # full d_2 omega, and for a cocycle table, identity and to_json() are
+    # equal and the table passes `validate`
     rng = random.Random(f"flat:{gname}")
     named = group_by_name(gname)
     seen = set()
@@ -315,12 +334,13 @@ def test_index_table_build_matches_tuple_transcription(gname):
                 elif label == "unreduced":
                     assert any(x < 0 for v in w.values for x in v)
                     assert any(x >= m for v in w.values for x, m in zip(v, A.orders))
-                is_cocycle = coboundary(w).is_zero()
-                if not is_cocycle:
+                if not coboundary(w).is_zero():
                     with pytest.raises(NotACocycleError) as err:
                         ext_module.build_extension(P, A, w)
                     assert err.value.triple == coboundary(w).first_nonzero()
-                built = ext_module.build_extension(P, A, w, validate=is_cocycle)
+                    seen.add("rejected")
+                    continue
+                built = ext_module.build_extension(P, A, w)
                 table, identity = _tuple_carrier(P, A, w)
                 assert built.carrier.table == table and built.carrier.identity == identity
                 carrier = FiniteGroup(len(table), table, identity)
@@ -329,9 +349,8 @@ def test_index_table_build_matches_tuple_transcription(gname):
                 assert built.to_json() == expected.to_json(), (P.name, aname, label)
                 # equality compares (base, kernel, cocycle), not the derived tables
                 assert built == expected
-                if is_cocycle:
-                    built.validate()
-                seen.add(label if is_cocycle else "rejected")
+                built.validate()
+                seen.add(label)
     # on small groups a changed or random draw can happen to be a cocycle
     assert seen >= {"normalized", "non-normalized", "unreduced", "rejected"}
 
@@ -524,15 +543,8 @@ def test_solver_and_search_strategies_agree():
     for w1 in cocycles:
         for w2 in cocycles:
             e1, e2 = build_extension(Z2, A2, w1), build_extension(Z2, A2, w2)
-            assert (are_equivalent(e1, e2, "solve") is None) == \
-                   (are_equivalent(e1, e2, "search") is None)
-
-
-def test_unknown_equivalence_strategy_is_rejected():
-    e = build_extension(Z2, A2, Cochain.zero(Z2, A2, 2))
-    for strategy in ("auto", "slove", ""):
-        with pytest.raises(ValueError, match=repr(strategy)):
-            are_equivalent(e, e, strategy)
+            assert (are_equivalent(e1, e2) is None) == \
+                   (search_coboundary(Z2, A2, w1 - w2) is None)
 
 
 def test_equivalence_requires_same_base_and_kernel():
@@ -795,11 +807,15 @@ def test_validate_names_the_defect_of_a_hand_built_table(build, message):
 
 def test_validate_reports_a_carrier_that_is_no_group():
     # a normalized non-cocycle gives a loop: the carrier check fails first,
-    # with the full-scan oracle's message
+    # with the full-scan oracle's message.  The constructor refuses w, so its
+    # transcribed table is hand-set on a zero-cocycle record
     P, A = group_by_name("s3"), coefficients_by_name("z2")
     e = P.identity
     w = Cochain.from_function(P, A, 2, lambda p, q: (0,) if e in (p, q) else (p * q % 2,))
-    forced = build_extension(P, A, w, validate=False)
+    table, identity = _tuple_carrier(P, A, w)
+    carrier = FiniteGroup(len(table), table, identity, "hand-built")
+    forced = _with_carrier(P, A, Cochain.zero(P, A, 2), carrier,
+                           tuple(g % P.order for g in carrier.elements()))
     with pytest.raises(ValueError) as err:
         forced.validate()
     assert str(err.value).startswith("associativity fails on triple")
@@ -935,31 +951,6 @@ def test_light_rows_decide_the_cocycle_condition():
     assert verdicts == {(False, False), (False, True), (True, False), (True, True)}
 
 
-def test_index_check_of_d1_phi_agrees_with_the_full_coboundary():
-    # `_d1_matches` against d_1 phi from the dense matrix, the target read
-    # mod m: d_1 phi itself, with values shifted by multiples of m, and with
-    # one value changed; both verdicts on every named and relabelled group
-    rng = random.Random(33)
-    verdicts = set()
-    for gname in _LIGHT_GROUPS:
-        named = group_by_name(gname)
-        for P in (named, _relabelled_group(named, rng)):
-            for aname in _INDEX_COEFFS:
-                A = coefficients_by_name(aname)
-                phi = Cochain.random(P, A, 1, rng)
-                d = _matrix_coboundary(phi)
-                vals = list(d)
-                i = rng.randrange(len(vals))
-                vals[i] = A.add(vals[i], tuple(1 + rng.randrange(m - 1) for m in A.orders))
-                shifted = tuple(tuple(x - m * (j % 3) for x, m in zip(v, A.orders))
-                                for j, v in enumerate(d))
-                for target in (d, shifted, tuple(vals), Cochain.random(P, A, 2, rng).values):
-                    expected = d == tuple(map(A.reduce, target))
-                    assert ext_module._d1_matches(P, A.orders, phi.values, target) == expected
-                    verdicts.add(expected)
-    assert verdicts == {False, True}
-
-
 def _full_row_solve(P, A, target):
     """The full-row solve: `solve_mod` on the whole of d_1, one cyclic
     factor at a time."""
@@ -973,41 +964,55 @@ def _full_row_solve(P, A, target):
     return tuple(zip(*per_factor))
 
 
-_SOLVE_COEFFS = ["z2", "z3", "z4", "z2xz2", "z6", "z8", "2,4"]
+_SOLVE_COEFFS = ["z2", "z3", "z4", "z5", "z2xz2", "z6", "z8", "2,4"]
+
+
+def _cocycle_targets(P, A, rng, count):
+    """(target, splits) pairs for the solve, whose targets are cocycles:
+    `count` coboundaries of random 1-cochains, which split, and each
+    nonzero class representative plus a random coboundary, which does not."""
+    reps = ext_module._class_representatives(cocycle_space(P, A, 2))
+    return ([(coboundary(Cochain.random(P, A, 1, rng)), True) for _ in range(count)]
+            + [(r + coboundary(Cochain.random(P, A, 1, rng)), False) for r in reps[1:]])
 
 
 @pytest.mark.parametrize("gname", _LIGHT_GROUPS)
 def test_light_row_solve_matches_the_full_row_solve(gname):
-    # on the named groups the witness is bitwise the full-row one; coboundaries
-    # of random 1-cochains make the solvable cases, the other draws the rest
+    # on the named groups the witness is bitwise the full-row one, on
+    # coboundaries and on cocycles of every nonzero class of H^2
     P = group_by_name(gname)
     rng = random.Random(sum(map(ord, gname)))
     solved = unsolved = 0
     for aname in _SOLVE_COEFFS:
         A = coefficients_by_name(aname)
-        targets = [coboundary(Cochain.random(P, A, 1, rng)) for _ in range(4)]
-        for t in targets + _seeded_cochains(P, A, rng):
+        for t, splits in _cocycle_targets(P, A, rng, 4):
             phi = ext_module._solve_coboundary(P, A, t)
             expected = _full_row_solve(P, A, t)
             assert (None if phi is None else phi.values) == expected, (aname, t.values)
+            assert (phi is not None) == splits, (aname, t.values)
             solved += phi is not None
             unsolved += phi is None
-    assert solved >= 28 and unsolved >= 7
+    assert solved >= 32 and unsolved >= 4
 
 
 def test_light_row_solve_on_relabelled_groups_is_a_witness_exactly_when_one_exists():
     # a relabelled table may pivot differently and return another witness
     # (it differs by a homomorphism P -> A), never a different verdict
-    found = 0
-    for P, A, t in _light_cases(25):
-        if P.identity == 0:
-            continue
-        phi = ext_module._solve_coboundary(P, A, t)
-        assert (phi is None) == (_full_row_solve(P, A, t) is None)
-        if phi is not None:
-            assert coboundary(phi).values == t.values
-            found += 1
-    assert found >= 20
+    rng = random.Random(25)
+    found = missing = 0
+    for gname in _LIGHT_GROUPS:
+        P = _relabelled_group(group_by_name(gname), rng)
+        for aname in _LIGHT_COEFFS:
+            A = coefficients_by_name(aname)
+            for t, splits in _cocycle_targets(P, A, rng, 2):
+                phi = ext_module._solve_coboundary(P, A, t)
+                assert (phi is None) == (_full_row_solve(P, A, t) is None) == (not splits)
+                if phi is not None:
+                    assert coboundary(phi).values == t.values
+                    found += 1
+                else:
+                    missing += 1
+    assert found >= 20 and missing >= 10
 
 
 @pytest.mark.parametrize("gname", [g for g in _LIGHT_GROUPS if group_by_name(g).order <= 8])
@@ -1027,9 +1032,11 @@ def test_class_representatives_are_pairwise_non_cohomologous_on_the_full_d1(gnam
                            for k, m in enumerate(A.orders)), (P.name, aname)
 
 
-def test_is_split_on_a_noncocycle_that_passes_light_rows_returns_none():
+def test_a_noncocycle_that_passes_light_rows_is_refused_by_the_constructor():
     # z4 is generated by 1, so S = {0, 1}; changing d phi at (1, 2), a row
-    # Light's solve never reads, leaves the reduced system solvable
+    # Light's solve never reads, leaves the reduced system solvable.  The
+    # solve decides d_1 phi = target only for cocycles, so no extension
+    # table, and no split or equivalence question, is made of this cochain
     P, A = group_by_name("z4"), coefficients_by_name("z4")
     vals = list(coboundary(Cochain.from_function(P, A, 1, lambda p: (p * p,))).values)
     i = 1 * 4 + 2
@@ -1038,8 +1045,9 @@ def test_is_split_on_a_noncocycle_that_passes_light_rows_returns_none():
     assert not coboundary(bad).is_zero()
     rows, d = _light_coboundary_matrix(P.table, P.identity, 1)
     assert i not in rows and solve_mod(d, [vals[i][0] for i in rows], 4) is not None
-    assert ext_module._solve_coboundary(P, A, bad) is None
-    assert is_split(build_extension(P, A, bad, validate=False)) is None
+    with pytest.raises(NotACocycleError) as err:
+        CentralExtensionTable(P, A, bad)
+    assert err.value.triple == coboundary(bad).first_nonzero()
 
 
 def test_unreduced_cocycle_values_build_and_split_as_their_residues():
@@ -1060,7 +1068,7 @@ def test_solve_on_a_group_whose_full_d1_is_over_budget_is_refused_fast():
     # visit 640^3 triples
     P, A = group_by_name("z320"), coefficients_by_name("z2")
     zero = Cochain(P, A, 2, (A.zero(),) * P.order ** 2)
-    ext = ext_module.build_extension(P, A, zero, validate=False)
+    ext = ext_module.build_extension(P, A, zero)
     assert ext_module._solve_coboundary(P, A, zero).is_zero()
     assert is_split(ext) is not None
     # z1450's Light's rows of d_1 are 2900 x 1450, over budget: refused on
@@ -1135,9 +1143,8 @@ def test_build_split_and_equivalence_property():
         assert (split is not None) == (k == 0 if not changed
                                        else _full_row_solve(P, A, w) is not None)
         shifted = build_extension(P, A, w + coboundary(Cochain.random(P, A, 1, rng)))
-        strategies = ["solve"] + (["search"] if A.size ** P.order <= ext_module.SEARCH_LIMIT
-                                  else [])
-        for strategy in strategies:
-            assert are_equivalent(built, shifted, strategy) is not None
+        assert are_equivalent(built, shifted) is not None
+        if A.size ** P.order <= SEARCH_LIMIT:
+            assert search_coboundary(P, A, built.cocycle - shifted.cocycle) is not None
 
     check()

@@ -18,8 +18,6 @@ from cohomkit.grpcoh import (
     cocycle_space,
     coefficients_by_name,
     cohomology_group,
-    enumerate_cochains,
-    enumerate_cocycles,
     group_by_name,
     hom_group,
     inflation,
@@ -28,6 +26,7 @@ from cohomkit import grpcoh
 from cohomkit.ext import build_extension
 from cohomkit.exactmat import kernel_mod, local_smith_exponents, prime_power_factors
 from cohomkit.grpcoh import _incidence
+from group_oracle import enumerate_cochains, enumerate_cocycles
 from scan_oracle import assert_validate_matches_full_scan
 
 GROUPS = ["z2", "z3", "z4", "klein4", "s3", "q8"]
@@ -245,6 +244,22 @@ def test_cochain_json_fields_that_are_no_integer_are_refused(key, value):
     obj[key] = value
     with pytest.raises(ValueError, match=rf"^cochain JSON '{key}'.*: .* is not an integer$"):
         Cochain.from_json(obj, z2)
+
+
+@pytest.mark.parametrize("entry, field, bad, message", [
+    (1, "args", [0, 1.0], "arguments (0, 1.0) are not 2 elements of a group of order 2"),
+    (2, "args", [True, 0], "arguments (True, 0) are not 2 elements of a group of order 2"),
+    (3, "value", [True], "value at arguments (1, 1) is not a list of integers"),
+], ids=["float-arg", "bool-arg", "bool-value"])
+def test_cochain_json_entries_that_are_no_integer_are_refused(entry, field, bad, message):
+    # 1.0 and True equal 1 and hash like it, so they once passed as the
+    # argument or value they equal
+    z2, A = group_by_name("z2"), coefficients_by_name("z2")
+    obj = Cochain.zero(z2, A, 2).to_json()
+    obj["values"][entry][field] = bad
+    with pytest.raises(ValueError) as err:
+        Cochain.from_json(obj, z2)
+    assert str(err.value) == f"cochain JSON {message}"
 
 
 # ---------------------------------------------------------------------------
